@@ -4,8 +4,7 @@ audits."""
 
 from . import errors
 from .sysmodel import (PiecewiseSignal, SystemModel, as_box, batch_reactor, box_clip,
-                       box_contains, eval_signal, get_model, load_model, model_from_dict,
-                       zero_signal)
+                       box_contains, get_model, load_model, model_from_dict, zero_signal)
 from .integrate import Trajectory, integrate, output_along, rk4_step, rk4_step_with_jacobians
 from .certify import (DetectabilityCertificate, Domain, FixedQR, GridSpec, SdpOptions,
                       VerificationReport, contraction_rate, geneig_max, lmi_matrix,
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors", "PiecewiseSignal", "SystemModel", "as_box", "batch_reactor",
-    "box_clip", "box_contains", "eval_signal",
+    "box_clip", "box_contains",
     "get_model", "load_model", "model_from_dict", "zero_signal", "Trajectory",
     "integrate", "output_along", "rk4_step", "rk4_step_with_jacobians",
     "DetectabilityCertificate", "Domain", "FixedQR", "GridSpec", "SdpOptions",

@@ -15,14 +15,8 @@ import numpy as np
 
 from .errors import AuditError, ConfigurationError, DomainError
 from .certify import contraction_rate, geneig_max, min_horizon
-from .mhe import discount_weights
-from .sysmodel import as_grid_index
-
-FLOAT_FMT = "%.17g"
-
-
-def _quad(M, v):
-    return float(v @ M @ v)
+from .mhe import _quad, discount_weights
+from .sysmodel import as_grid_index, write_csv
 
 
 def theorem1_bound(cert, rho, chi, chi_hat, w, t_i, factor=8):
@@ -132,14 +126,11 @@ class BoundReport:
     worst_margin: float
 
     def to_csv(self, path):
-        header = "t_i,lhs,rhs,margin,u_prior,prop3_lhs,prop3_rhs,sup_lhs,sup_rhs"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for k in range(self.times.size):
-                fh.write(",".join(FLOAT_FMT % v for v in (
-                    self.times[k], self.lhs[k], self.rhs[k], self.margin[k],
-                    self.u_prior[k], self.prop3_lhs[k], self.prop3_rhs[k],
-                    self.sup_lhs[k], self.sup_rhs[k])) + "\n")
+        header = ["t_i", "lhs", "rhs", "margin", "u_prior", "prop3_lhs", "prop3_rhs",
+                  "sup_lhs", "sup_rhs"]
+        write_csv(path, header, np.column_stack([
+            self.times, self.lhs, self.rhs, self.margin, self.u_prior, self.prop3_lhs,
+            self.prop3_rhs, self.sup_lhs, self.sup_rhs]))
 
     def summary(self):
         return {

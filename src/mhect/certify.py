@@ -196,6 +196,15 @@ def lmi_matrix(model, P, Q, R, kappa, x, u, w):
     return 0.5 * (M + M.T)
 
 
+def _max_eig(model, P, Q, R, kappa, points):
+    """Largest inequality eigenvalue over the points and the first point
+    attaining it."""
+    blocks = np.array([lmi_matrix(model, P, Q, R, kappa, x, u, w) for (x, u, w) in points])
+    eigs = np.linalg.eigvalsh(blocks)[:, -1]
+    k = int(np.argmax(eigs))
+    return float(eigs[k]), points[k]
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid over a Domain.
@@ -261,14 +270,7 @@ def verify_certificate(model, cert, grid, tol_psd=1e-8):
     if not np.allclose(cert.P1, cert.P2, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cert.P2).max()))):
         raise ConfigurationError("pointwise verification requires P1 = P2")
     points, mode = grid_points(cert.domain, grid)
-    max_eig = -math.inf
-    worst = points[0]
-    for (x, u, w) in points:
-        M = lmi_matrix(model, cert.P1, cert.Q, cert.R, cert.kappa, x, u, w)
-        e = float(np.linalg.eigvalsh(M)[-1])
-        if e > max_eig:
-            max_eig = e
-            worst = (x, u, w)
+    max_eig, worst = _max_eig(model, cert.P1, cert.Q, cert.R, cert.kappa, points)
     return VerificationReport(max_eig <= tol_psd, max_eig, worst[0], worst[1],
                               worst[2], tol_psd, len(points), mode)
 
@@ -457,43 +459,18 @@ def synthesize_certificate(model, lam, mode, grid, opts=None):
     nP = len(p_mats)
     nvar = nP + (len(q_mats) + len(r_mats) if joint else 0)
     sdp = _BarrierSDP(nvar)
-    s = n + q
 
+    # the inequality is affine in (P, Q, R): its value at a basis matrix of
+    # one weight, the others zero, is that coordinate's block
+    zP, zQ, zR = np.zeros((n, n)), np.zeros((q, q)), np.zeros((p, p))
+    bases = [(E, zQ, zR) for E in p_mats]
+    if joint:
+        bases += [(zP, F, zR) for F in q_mats] + [(zP, zQ, G) for G in r_mats]
     for (x, u, w) in points:
-        A = model.jac_f_x(x, u, w)
-        B = model.jac_f_w(x, u, w)
-        C = model.jac_h_x(x, u, w)
-        D = model.jac_h_w(x, u, w)
-        Kmap = {}
-        for k, E in enumerate(p_mats):
-            DM = np.zeros((s, s))
-            blk = E @ A + A.T @ E + kappa * E
-            DM[:n, :n] = blk
-            DM[:n, n:] = E @ B
-            DM[n:, :n] = (E @ B).T
-            Kmap[k] = -0.5 * (DM + DM.T)
-        if joint:
-            for k, F in enumerate(q_mats):
-                DM = np.zeros((s, s))
-                DM[n:, n:] = -F
-                Kmap[nP + k] = -DM
-            for k, G in enumerate(r_mats):
-                DM = np.zeros((s, s))
-                DM[:n, :n] = -C.T @ G @ C
-                DM[:n, n:] = -C.T @ G @ D
-                DM[n:, :n] = (-C.T @ G @ D).T
-                DM[n:, n:] = -D.T @ G @ D
-                Kmap[nP + len(q_mats) + k] = -0.5 * (DM + DM.T)
-            M0 = np.zeros((s, s))
-        else:
-            RC = R_fix @ C
-            RD = R_fix @ D
-            M0 = np.zeros((s, s))
-            M0[:n, :n] = -C.T @ RC
-            M0[:n, n:] = -C.T @ RD
-            M0[n:, :n] = (-C.T @ RD).T
-            M0[n:, n:] = -D.T @ RD - Q_fix
-            M0 = 0.5 * (M0 + M0.T)
+        Kmap = {k: -lmi_matrix(model, *weights, kappa, x, u, w)
+                for k, weights in enumerate(bases)}
+        M0 = np.zeros((n + q, n + q)) if joint else \
+            lmi_matrix(model, zP, Q_fix, R_fix, kappa, x, u, w)
         sdp.add_block(-M0, Kmap, 1.0, meta=(x, u, w))
 
     # positivity blocks: P >= eps*I (and Q, R in joint mode)
@@ -512,21 +489,14 @@ def synthesize_certificate(model, lam, mode, grid, opts=None):
     P0 = np.eye(n)
     Q0 = np.eye(q) if joint else Q_fix
     R0 = np.eye(p) if joint else R_fix
-    t0 = max(float(np.linalg.eigvalsh(lmi_matrix(model, P0, Q0, R0, kappa, x, u, w))[-1])
-             for (x, u, w) in points) + 1.0
+    t0 = _max_eig(model, P0, Q0, R0, kappa, points)[0] + 1.0
 
     ok, z, t, iters = sdp.solve(z0, t0, opts)
     P = _sym_from_vec(z[:nP], p_pairs, n)
     Q = _sym_from_vec(z[nP:nP + len(q_mats)], q_pairs, q) if joint else Q_fix
     R = _sym_from_vec(z[nP + len(q_mats):], r_pairs, p) if joint else R_fix
     if not ok:
-        worst_eig = -math.inf
-        worst_pt = points[0]
-        for (x, u, w) in points:
-            e = float(np.linalg.eigvalsh(lmi_matrix(model, P, Q, R, kappa, x, u, w))[-1])
-            if e > worst_eig:
-                worst_eig = e
-                worst_pt = (x, u, w)
+        worst_eig, worst_pt = _max_eig(model, P, Q, R, kappa, points)
         raise InfeasibleError(
             f"no strictly feasible weights found ({iters} Newton iterations); "
             f"best max eigenvalue {worst_eig:.3e} at x = {worst_pt[0]}, u = {worst_pt[1]}, "

@@ -31,9 +31,7 @@ from .integrate import integrate, output_along
 from .mhe import (Equidistant, EventTriggered, Explicit, MheConfig, SamplingSet,
                   make_sampler, run_mhe, truth_candidate_cost)
 from .rng import SplitMix64
-from .sysmodel import PiecewiseSignal, batch_reactor, get_model, load_model
-
-FLOAT_FMT = "%.17g"
+from .sysmodel import PiecewiseSignal, batch_reactor, get_model, load_model, write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +65,8 @@ def generate_disturbance(spec, seed, w_box=None):
     K = round(spec.t_sim / spec.dt)
     if abs(K * spec.dt - spec.t_sim) > 1e-9 * max(1.0, spec.t_sim) or K < 1:
         raise ConfigurationError("t_sim must be a positive multiple of the piece length")
-    rng = SplitMix64(seed)
-    q = box.shape[0]
-    vals = np.empty((K, q))
-    for k in range(K):
-        for i in range(q):
-            vals[k, i] = rng.uniform(box[i, 0], box[i, 1])
-    return PiecewiseSignal(0.0, spec.dt, vals)
+    u = SplitMix64(seed).uniforms((K, box.shape[0]))
+    return PiecewiseSignal(0.0, spec.dt, box[:, 0] + u * (box[:, 1] - box[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +205,6 @@ def _bench_one_seed(seed, out_dir):
             "n_samples": len(run.solutions)}
 
 
-def _bench_worker(args):
-    seed, out_dir = args
-    return _bench_one_seed(seed, out_dir)
-
-
 # ---------------------------------------------------------------------------
 # scenario configs (JSON)
 
@@ -353,13 +341,9 @@ def cmd_certify(args):
 
 
 def _signal_csv(sig, path, prefix):
-    header = "t," + ",".join(f"{prefix}{i + 1}" for i in range(sig.dim))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for k in range(sig.n_pieces):
-            row = [FLOAT_FMT % (sig.t0 + k * sig.dt)]
-            row += [FLOAT_FMT % v for v in sig.values[k]]
-            fh.write(",".join(row) + "\n")
+    header = ["t"] + [f"{prefix}{i + 1}" for i in range(sig.dim)]
+    times = sig.t0 + sig.dt * np.arange(sig.n_pieces)
+    write_csv(path, header, np.column_stack([times, sig.values]))
 
 
 def cmd_simulate(args):
@@ -423,12 +407,12 @@ def cmd_bench(args):
     print(f"delta_bar = {sampling.delta_bar:.2f}, minimal horizon {mh:.5f}, "
           f"T = {BENCH_T}, rho = {rho:.5f}")
     seeds = list(range(args.seed, args.seed + args.seeds))
-    jobs = [(s, os.path.join(out, f"seed_{s}") if args.seeds > 1 else out) for s in seeds]
-    if args.jobs > 1 and len(jobs) > 1:
+    dirs = [os.path.join(out, f"seed_{s}") if args.seeds > 1 else out for s in seeds]
+    if args.jobs > 1 and len(seeds) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_bench_worker, jobs))
+            results = list(ex.map(_bench_one_seed, seeds, dirs))
     else:
-        results = [_bench_worker(j) for j in jobs]
+        results = list(map(_bench_one_seed, seeds, dirs))
     all_ok = True
     for res in results:
         status = "pass" if res["passed"] else "FAIL"

@@ -10,9 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .sysmodel import PiecewiseSignal, as_grid_index, zero_signal
-
-FLOAT_FMT = "%.17g"  # round-trips float64 exactly
+from .sysmodel import PiecewiseSignal, as_grid_index, write_csv
 
 
 @dataclass(frozen=True)
@@ -44,14 +42,8 @@ class Trajectory:
         return self.states[k]
 
     def to_csv(self, path):
-        n = self.states.shape[1]
-        header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for k in range(self.states.shape[0]):
-                row = [FLOAT_FMT % (self.t0 + k * self.dt)]
-                row += [FLOAT_FMT % v for v in self.states[k]]
-                fh.write(",".join(row) + "\n")
+        header = ["t"] + [f"x{i + 1}" for i in range(self.states.shape[1])]
+        write_csv(path, header, np.column_stack([self.times, self.states]))
 
 
 def rk4_step(model, x, u, w, dt):
@@ -115,18 +107,19 @@ def rk4_step_with_jacobians(model, x, u, w, dt):
 
 
 def _resolve_signal(sig, dim, t0, t1, dt, steps, name):
+    """Per-step input values: row k is the piece holding t0 + k*dt."""
     if sig is None:
-        return zero_signal(dim, dt, steps, t0)
+        return np.zeros((steps, dim))
     if sig.dim != dim:
         raise ConfigurationError(f"{name} has dimension {sig.dim}, expected {dim}")
     ratio = sig.dt / dt
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise ConfigurationError(f"integration dt = {dt} must divide {name}.dt = {sig.dt}")
-    as_grid_index(t0 - sig.t0, dt, f"{name} grid offset")
+    offset = as_grid_index(t0 - sig.t0, dt, f"{name} grid offset")
     tol = 1e-9 * dt
     if sig.t0 > t0 + tol or sig.end < t1 - tol:
         raise ConfigurationError(f"{name} does not cover [{t0}, {t1})")
-    return sig
+    return sig.values[(offset + np.arange(steps)) // round(ratio)]
 
 
 def integrate(model, chi, u, w, t0, t1, dt):
@@ -152,9 +145,9 @@ def integrate(model, chi, u, w, t0, t1, dt):
     w = _resolve_signal(w, model.q, t0, t1, dt, steps, "w")
     x = chi
     for k in range(steps):
-        tk = t0 + k * dt
-        x = rk4_step(model, x, u.eval(tk), w.eval(tk), dt)
+        x = rk4_step(model, x, u[k], w[k], dt)
         if not np.all(np.isfinite(x)):
+            tk = t0 + k * dt
             raise DivergenceError(
                 f"integration diverged at t = {tk + dt} (non-finite state)", t=tk + dt)
         states[k + 1] = x
@@ -168,10 +161,9 @@ def output_along(model, traj, u, w):
     the measurement convention used throughout (y available as grid samples).
     """
     K = traj.n_steps
-    u = _resolve_signal(u, model.m, traj.t0, traj.t0 + K * traj.dt, traj.dt, max(K, 1), "u")
-    w = _resolve_signal(w, model.q, traj.t0, traj.t0 + K * traj.dt, traj.dt, max(K, 1), "w")
+    u = _resolve_signal(u, model.m, traj.t0, traj.t0 + K * traj.dt, traj.dt, K, "u")
+    w = _resolve_signal(w, model.q, traj.t0, traj.t0 + K * traj.dt, traj.dt, K, "w")
     ys = np.empty((K, model.p))
     for k in range(K):
-        tk = traj.t0 + k * traj.dt
-        ys[k] = model.h(traj.states[k], u.eval(tk), w.eval(tk))
+        ys[k] = model.h(traj.states[k], u[k], w[k])
     return PiecewiseSignal(traj.t0, traj.dt, ys)

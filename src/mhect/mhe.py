@@ -22,10 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, HorizonError
+from .errors import ConfigurationError, DivergenceError, DomainError, HorizonError
 from .certify import DetectabilityCertificate
 from .integrate import Trajectory, integrate, output_along, rk4_step, rk4_step_with_jacobians
-from .sysmodel import PiecewiseSignal, as_grid_index, box_clip, box_contains, zero_signal
+from .sysmodel import (PiecewiseSignal, as_grid_index, box_clip, box_contains, write_csv,
+                       zero_signal)
+
+# window solver settings
+GRAD_TOL = 1e-8          # converged when the projected gradient norm is at most this
+MAX_ITERS = 100          # Levenberg-Marquardt iterations per penalty stage
+DAMPING_INIT = 1e-3      # initial Levenberg-Marquardt damping
+PENALTY_WEIGHT = 1e6     # initial weight of the state-constraint penalty
 
 
 def discount_weights(rate, n_pieces, dt, horizon=None):
@@ -202,16 +209,12 @@ def _event_schedule(spec, K, dt):
 
 @dataclass(frozen=True)
 class MheConfig:
-    """Estimator configuration: certificate, horizon, grid and solver knobs."""
+    """Estimator configuration: certificate, horizon, grid and sampling."""
 
     cert: DetectabilityCertificate
     T: float
     dt: float
     sampling: object  # SamplingSet or a sampler spec, realized by run_mhe
-    grad_tol: float = 1e-8
-    max_iters: int = 100
-    damping_init: float = 1e-3
-    penalty_weight: float = 1e6
     equidistant_mode: bool = False
 
     def __post_init__(self):
@@ -302,9 +305,9 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class MheSolution:
-    """One window solve: initial state, disturbance pieces and the rebuilt
-    window trajectory (always re-integrated through the public integrator,
-    so x_star is bit-identical to what integrate() returns)."""
+    """One window solve: initial state, disturbance pieces and the window
+    trajectory of the accepted forward pass (the same RK4 steps on the same
+    inputs as integrate(), so x_star is bit-identical to what it returns)."""
 
     t_i: float
     T_ti: float
@@ -338,7 +341,6 @@ class _WindowProblem:
             self.u = u_seg.values
         else:
             self.u = np.zeros((self.N, 0))
-        self.u_seg = u_seg
         self.prior = np.asarray(prior, dtype=float)
 
         om = discount_weights(cert.lam, self.N, self.dt, horizon=T_ti)
@@ -352,7 +354,7 @@ class _WindowProblem:
         self.lb = np.concatenate([X[:, 0], np.tile(W[:, 0], self.N)])
         self.ub = np.concatenate([X[:, 1], np.tile(W[:, 1], self.N)])
         self.x_lo, self.x_hi = X[:, 0], X[:, 1]
-        self.pen = cfg.penalty_weight
+        self.pen = PENALTY_WEIGHT
 
     def project(self, z):
         return np.clip(z, self.lb, self.ub)
@@ -372,19 +374,12 @@ class _WindowProblem:
         return states
 
     def _active_violations(self, states):
-        """(node, component, signed violation) in a fixed deterministic order;
-        residuals and jacobian must iterate identically."""
-        out = []
-        lo, hi = self.x_lo, self.x_hi
-        if np.all(states >= lo - 0.0) and np.all(states <= hi + 0.0):
-            return out
-        for j in range(states.shape[0]):
-            for i in range(self.n):
-                if math.isfinite(lo[i]) and states[j, i] < lo[i]:
-                    out.append((j, i, states[j, i] - lo[i]))
-                elif math.isfinite(hi[i]) and states[j, i] > hi[i]:
-                    out.append((j, i, states[j, i] - hi[i]))
-        return out
+        """Arrays (node, component, signed violation) of the states outside X,
+        in row-major order; residuals and jacobian share this order."""
+        below = states < self.x_lo
+        j, i = np.nonzero(below | (states > self.x_hi))
+        v = np.where(below[j, i], states[j, i] - self.x_lo[i], states[j, i] - self.x_hi[i])
+        return j, i, v
 
     def residuals(self, z, states):
         """Stacked residual vector r with f = |r|^2 = objective + penalty."""
@@ -397,10 +392,9 @@ class _WindowProblem:
             for j in range(N):
                 y_est[j] = self.model.h(states[j], self.u[j], Wp[j])
             parts.append((self.sy[:, None] * ((self.y - y_est) @ self.sqR)).ravel())
-        viol = self._active_violations(states)
-        if viol:
-            sp = math.sqrt(self.pen)
-            parts.append(sp * np.array([v for _, _, v in viol]))
+        _, _, v = self._active_violations(states)
+        if v.size:
+            parts.append(math.sqrt(self.pen) * v)
         return np.concatenate(parts)
 
     def jacobian(self, z, states):
@@ -430,15 +424,10 @@ class _WindowProblem:
                 blk[:, n + j * q:n + (j + 1) * q] += Hw
                 Jy[j * p:(j + 1) * p] = -self.sy[j] * (self.sqR @ blk)
             rows.append(Jy)
-        viol = self._active_violations(states)
-        if viol:
-            sp = math.sqrt(self.pen)
-            rows.append(np.array([sp * G[j, i] for j, i, _ in viol]))
+        j, i, _ = self._active_violations(states)
+        if j.size:
+            rows.append(math.sqrt(self.pen) * G[j, i])
         return np.vstack(rows), G
-
-    def jacobian_residuals_match(self, z, states):
-        # penalty rows in jacobian() cover exactly the nonzero penalty residuals
-        return True
 
     def nodes_feasible(self, states, tol=1e-9):
         lo = np.all(states >= self.x_lo - tol)
@@ -452,7 +441,7 @@ def _residual_norm2(r):
 
 def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
     t_start = time.perf_counter()
-    stats = SolverStats(penalty_weight=cfg.penalty_weight)
+    stats = SolverStats(penalty_weight=PENALTY_WEIGHT)
     prob = _WindowProblem(model, cfg, prior, u_seg, y_seg, T_ti)
     n, q, N = prob.n, prob.q, prob.N
 
@@ -479,7 +468,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
         z = prob.project(np.concatenate([prob.prior, np.zeros(N * q)]))
         states = prob.forward(z)
         if states is None:
-            raise ConfigurationError("window integration diverges even from the prior")
+            raise DivergenceError("window integration diverges even from the prior")
         stats.warnings.append("warm start diverged, cold start used")
 
     max_escalations = 8
@@ -487,14 +476,14 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
         r = prob.residuals(z, states)
         f = _residual_norm2(r)
         stats.cost_history = [f]
-        mu = cfg.damping_init
+        mu = DAMPING_INIT
         term = "max_iters"
-        for _ in range(cfg.max_iters):
+        for _ in range(MAX_ITERS):
             J, _ = prob.jacobian(z, states)
             g = 2.0 * (J.T @ r)
             pg = z - prob.project(z - g)
             stats.grad_norm = float(np.linalg.norm(pg))
-            if stats.grad_norm <= cfg.grad_tol:
+            if stats.grad_norm <= GRAD_TOL:
                 term = "converged"
                 break
             JTJ = J.T @ J
@@ -574,8 +563,8 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
 
     chi_star = z[:n].copy()
     w_star = PiecewiseSignal(0.0, cfg.dt, z[n:].reshape(N, q).copy())
-    x_star = integrate(model, chi_star, u_seg, w_star, 0.0, T_ti, cfg.dt)
-    y_star = output_along(model, x_star, u_seg, w_star) if N else PiecewiseSignal(0.0, cfg.dt, np.zeros((0, prob.p)))
+    x_star = Trajectory(0.0, cfg.dt, states)
+    y_star = output_along(model, x_star, u_seg, w_star)
     y_meas = y_seg if N else PiecewiseSignal(0.0, cfg.dt, np.zeros((0, prob.p)))
     cost = mhe_objective(cfg, prob.prior, chi_star, w_star, y_meas, y_star, T_ti)
     stats.wall_time = time.perf_counter() - t_start
@@ -637,24 +626,14 @@ class EstimationRun:
         return self.dt * np.arange(self.estimate.shape[0])
 
     def estimate_csv(self, path):
-        n = self.estimate.shape[1]
-        header = "t," + ",".join(f"xhat{i + 1}" for i in range(n)) + ",flag"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for k in range(self.estimate.shape[0]):
-                row = ["%.17g" % (k * self.dt)]
-                row += ["%.17g" % v for v in self.estimate[k]]
-                row.append(self.node_flags[k])
-                fh.write(",".join(row) + "\n")
+        header = ["t"] + [f"xhat{i + 1}" for i in range(self.estimate.shape[1])] + ["flag"]
+        write_csv(path, header, ([t, *x, flag] for t, x, flag in
+                                 zip(self.times, self.estimate, self.node_flags)))
 
     def samples_csv(self, path):
-        header = "t_i,cost,iterations,grad_norm,wall_time"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for sol in self.solutions:
-                fh.write(",".join(["%.17g" % sol.t_i, "%.17g" % sol.cost,
-                                   str(sol.stats.iterations), "%.17g" % sol.stats.grad_norm,
-                                   "%.17g" % sol.stats.wall_time]) + "\n")
+        header = ["t_i", "cost", "iterations", "grad_norm", "wall_time"]
+        write_csv(path, header, ([s.t_i, s.cost, s.stats.iterations, s.stats.grad_norm,
+                                  s.stats.wall_time] for s in self.solutions))
 
     def truth_csv(self, path):
         if self.truth is None:

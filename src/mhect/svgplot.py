@@ -8,24 +8,30 @@ import math
 
 _W, _H = 720, 400
 _ML, _MR, _MT, _MB = 62, 16, 34, 44
+# a span below this fraction of the values' magnitude is rounding noise, not
+# data, and is drawn as a constant series
+_REL_RES = 1e-12
+
+
+def _axis_range(lo, hi):
+    """[lo, hi], widened to length max(1, |lo|) when it is empty or below
+    float resolution relative to its end points."""
+    if hi - lo <= _REL_RES * max(abs(lo), abs(hi)):
+        hi = lo + max(1.0, abs(lo))
+    return lo, hi
 
 
 def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _axis_range(lo, hi)
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1, 2, 2.5, 5, 10):
         if raw <= m * mag:
             step = m * mag
             break
-    t0 = math.ceil(lo / step) * step
-    out = []
-    t = t0
-    while t <= hi + 1e-12 * max(1.0, abs(hi)):
-        out.append(0.0 if abs(t) < 1e-12 * step else t)
-        t += step
-    return out
+    first = math.ceil(lo / step)
+    last = math.floor(hi / step + 1e-9)
+    return [k * step for k in range(first, last + 1)]
 
 
 def _fmt(v):
@@ -47,12 +53,8 @@ def line_plot(path, series, *, title="", xlabel="", ylabel=""):
     ys = [v for s in series for v in s["y"]]
     if not xs:
         xs = ys = [0.0, 1.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _axis_range(min(xs), max(xs))
+    y_lo, y_hi = _axis_range(min(ys), max(ys))
     pad = 0.04 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

@@ -176,12 +176,7 @@ class PiecewiseSignal:
         return self.t0 + self.dt * self.n_pieces
 
     def eval(self, t):
-        s = (t - self.t0) / self.dt
-        k = round(s)
-        idx = k if abs(s - k) <= GRID_TOL else math.floor(s)
-        if idx < 0 or idx >= self.n_pieces:
-            raise DomainError(f"t = {t} outside signal domain [{self.t0}, {self.end})")
-        return self.values[idx]
+        return self.values[self.piece_index(t)]
 
     def piece_index(self, t):
         s = (t - self.t0) / self.dt
@@ -193,24 +188,20 @@ class PiecewiseSignal:
 
     def slice(self, t_start, t_end, rebase=True):
         """Grid-aligned sub-signal on [t_start, t_end); rebases t0 to 0."""
-        k0 = _as_grid_index(t_start - self.t0, self.dt, "slice start")
-        k1 = _as_grid_index(t_end - self.t0, self.dt, "slice end")
+        k0 = as_grid_index(t_start - self.t0, self.dt, "slice start")
+        k1 = as_grid_index(t_end - self.t0, self.dt, "slice end")
         if k0 < 0 or k1 > self.n_pieces or k0 > k1:
             raise DomainError("slice outside signal domain")
         t0 = 0.0 if rebase else t_start
         return PiecewiseSignal(t0, self.dt, self.values[k0:k1].copy())
 
 
-def eval_signal(sig, t):
-    """Value of a piecewise-constant signal at time t (right-continuous)."""
-    return sig.eval(t)
-
-
 def zero_signal(dim, dt, n_pieces, t0=0.0):
     return PiecewiseSignal(t0, dt, np.zeros((n_pieces, dim)))
 
 
-def _as_grid_index(t, dt, what="time"):
+def as_grid_index(t, dt, what="time"):
+    """Integer k with t = k*dt, tolerance 1e-9 relative; error otherwise."""
     s = t / dt
     k = round(s)
     if abs(s - k) > GRID_TOL * max(1.0, abs(s)):
@@ -218,9 +209,13 @@ def _as_grid_index(t, dt, what="time"):
     return int(k)
 
 
-def as_grid_index(t, dt, what="time"):
-    """Integer k with t = k*dt, tolerance 1e-9 relative; error otherwise."""
-    return _as_grid_index(t, dt, what)
+def write_csv(path, header, rows):
+    """Write a header line and comma-separated rows; strings are written
+    as they are and numbers as %.17g, which round-trips float64 exactly."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from mhect import (DetectabilityCertificate, Domain, FixedQR, GridSpec, SystemMo
                    batch_reactor, contraction_rate, geneig_max, integrate, lmi_matrix,
                    load_certificate, min_horizon, save_certificate, scale_certificate,
                    synthesize_certificate, verify_certificate)
-from mhect.certify import _min_horizon_formula, grid_points
+from mhect.certify import _min_horizon_formula, _sym_basis, _vec_from_sym, grid_points
 from mhect.errors import ConfigurationError, HorizonError, InfeasibleError
 from mhect.rng import SplitMix64
 from tests.conftest import Q_BENCH, R_BENCH, VERTS
@@ -50,6 +50,37 @@ def test_inequality_monotone_in_decay_rate():
                                           kappa, x, u, w))[-1]
             for kappa in (0.5, 1.0, 2.0, 3.0)]
     assert all(a < b for a, b in zip(eigs, eigs[1:]))
+
+
+def test_inequality_is_affine_in_the_weights(reactor):
+    # synthesis builds its blocks from lmi_matrix at unit weights, which is
+    # exact because the block is linear in each of P, Q and R
+    rng = SplitMix64(21)
+    kappa = -math.log(0.4)
+
+    def rand_sym(d):
+        A = rng.uniforms((d, d), -2.0, 2.0)
+        return A + A.T
+
+    for _ in range(10):
+        x = rng.uniforms((2,), 0.1, 5.0)
+        u = np.zeros(0)
+        w = rng.uniforms((3,), -0.1, 0.1)
+        W = {"P": rand_sym(2), "Q": rand_sym(3), "R": rand_sym(1)}
+        full = lmi_matrix(reactor, W["P"], W["Q"], W["R"], kappa, x, u, w)
+        scale = np.abs(full).max()
+        for name in ("P", "Q", "R"):
+            d = W[name].shape[0]
+            pairs, mats = _sym_basis(d)
+            z = _vec_from_sym(W[name], pairs)
+            rest = dict(W, **{name: np.zeros((d, d))})
+            total = lmi_matrix(reactor, rest["P"], rest["Q"], rest["R"], kappa, x, u, w)
+            for zk, E in zip(z, mats):
+                unit = {k: np.zeros_like(v) for k, v in W.items()}
+                unit[name] = E
+                total = total + zk * lmi_matrix(reactor, unit["P"], unit["Q"], unit["R"],
+                                                kappa, x, u, w)
+            assert np.abs(total - full).max() <= 1e-12 * scale
 
 
 def test_verify_scalar_certificate():

@@ -7,6 +7,7 @@ from mhect.cli import (DisturbanceSpec, _parse_diag, bench_certificate, bench_ti
                        generate_disturbance, main)
 from mhect.errors import ConfigurationError
 from mhect.certify import save_certificate
+from mhect.rng import SplitMix64
 
 
 def scenario(tmp_path, **overrides):
@@ -46,6 +47,16 @@ def test_disturbance_is_seeded_and_bounded():
     lop = generate_disturbance(DisturbanceSpec([[0.0, 0.2], [-0.3, -0.1]], 0.1, 1.0), 4)
     assert np.all(lop.values[:, 0] >= 0.0) and np.all(lop.values[:, 0] <= 0.2)
     assert np.all(lop.values[:, 1] >= -0.3) and np.all(lop.values[:, 1] <= -0.1)
+
+
+def test_disturbance_matches_scalar_stream():
+    # piece-major, coordinate-minor: one splitmix64 draw per (piece, coordinate)
+    box = [[0.0, 0.2], [-0.3, -0.1], [-1.0, 3.0]]
+    w = generate_disturbance(DisturbanceSpec(box, 0.1, 2.0), 7)
+    rng = SplitMix64(7)
+    expect = np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(20)])
+    assert w.values.shape == (20, 3)
+    assert w.values.tobytes() == expect.tobytes()
 
 
 def test_disturbance_validation():
@@ -201,6 +212,24 @@ def test_scenario_error_exit_codes(tmp_path, capsys):
     assert main(["audit", "--config", scenario(tmp_path, T=1.5, t_sim=0.5)]) == 2
     assert main(["simulate", "--config", scenario(tmp_path, disturbance=None)]) == 2
     capsys.readouterr()
+
+
+def test_window_divergence_exit_code(tmp_path, capsys):
+    # x' = x^2 + w escapes in finite time: the truth from 0.1 stays finite, but
+    # every window candidate from the prior 20 blows up within 0.05
+    model = {"state_dim": 1, "dist_dim": 1, "output_dim": 1,
+             "f": [[{"coeff": 1.0, "x_exp": [2], "w_exp": [0]},
+                    {"coeff": 1.0, "x_exp": [0], "w_exp": [1]}]],
+             "h": [[{"coeff": 1.0, "x_exp": [1], "w_exp": [0]}]],
+             "X": [[None, None]], "W": [[-0.1, 0.1]]}
+    mpath = tmp_path / "escape.json"
+    mpath.write_text(json.dumps(model))
+    cfg = scenario(tmp_path, model={"file": str(mpath)},
+                   certificate={"P": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "lambda": 0.5},
+                   T=0.5, t_sim=0.3, chi=[0.1], chi_hat=[20.0], disturbance=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "integration failure" in capsys.readouterr().err
 
 
 def test_out_dir_env_var(tmp_path, capsys, monkeypatch):

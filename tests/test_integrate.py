@@ -96,6 +96,29 @@ def test_coarse_signal_pieces():
     assert a.states.tobytes() == b.states.tobytes()
 
 
+def test_coarse_signal_lookup_away_from_its_origin():
+    # integration starts mid-piece of a dt-0.02 signal that begins at t0 = 0:
+    # steps at t = 0.03, 0.04, 0.05, 0.06 read pieces 1, 2, 2, 3
+    rich = SystemModel(1, 0, 1, 1,
+                       lambda x, u, w: np.array([-x[0] + w[0]]),
+                       lambda x, u, w: np.array([x[0] + w[0]]),
+                       X=None, U=[], W=[[-1.0, 1.0]])
+    vals = np.array([[0.3], [-0.1], [0.5], [0.2]])
+    w_coarse = PiecewiseSignal(0.0, 0.02, vals)
+    w_fine = PiecewiseSignal(0.0, 0.01, np.repeat(vals, 2, axis=0))
+    a = integrate(rich, np.array([1.0]), None, w_coarse, 0.03, 0.07, 0.01)
+    b = integrate(rich, np.array([1.0]), None, w_fine, 0.03, 0.07, 0.01)
+    assert a.states.tobytes() == b.states.tobytes()
+    x = np.array([1.0])
+    for k, piece in enumerate((1, 2, 2, 3)):
+        x = rk4_step(rich, x, np.zeros(0), vals[piece], 0.01)
+        assert a.states[k + 1].tobytes() == x.tobytes()
+    ya = output_along(rich, a, None, w_coarse)
+    yb = output_along(rich, b, None, w_fine)
+    assert ya.t0 == 0.03 and ya.values.tobytes() == yb.values.tobytes()
+    assert np.array_equal(ya.values[:, 0], a.states[:-1, 0] + vals[[1, 2, 2, 3], 0])
+
+
 def test_output_along_left_nodes():
     m = batch_reactor()
     rng = SplitMix64(3)

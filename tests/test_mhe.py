@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from mhect import (Equidistant, EventTriggered, Explicit, MheConfig, PiecewiseSignal,
-                   batch_reactor, discount_weights, integrate, k_of, make_sampler,
-                   mhe_objective, run_mhe, solve_fie, solve_mhe, truth_candidate_cost,
-                   zero_signal)
-from mhect.errors import ConfigurationError, DomainError, HorizonError
-from mhect.mhe import SamplingSet, _WindowProblem, validate_sampling
+from mhect import (DetectabilityCertificate, Domain, Equidistant, EventTriggered, Explicit,
+                   MheConfig, PiecewiseSignal, SystemModel, batch_reactor, discount_weights,
+                   integrate, k_of, make_sampler, mhe_objective, run_mhe, solve_fie, solve_mhe,
+                   truth_candidate_cost, zero_signal)
+from mhect.errors import ConfigurationError, DivergenceError, DomainError, HorizonError
+from mhect.mhe import (DAMPING_INIT, GRAD_TOL, MAX_ITERS, SamplingSet, _WindowProblem,
+                       validate_sampling)
 from mhect.rng import SplitMix64
 
 
@@ -149,7 +150,7 @@ def test_config_validation(ref_cert):
         MheConfig(ref_cert, -1.0, 0.01, Equidistant(0.1))
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
     assert cfg.n_steps_T == 200
-    assert cfg.grad_tol == 1e-8 and cfg.max_iters == 100 and cfg.damping_init == 1e-3
+    assert GRAD_TOL == 1e-8 and MAX_ITERS == 100 and DAMPING_INIT == 1e-3
 
     with pytest.raises(HorizonError):
         validate_sampling(cfg, SamplingSet(np.array([2.5]), 0.01))
@@ -234,7 +235,7 @@ def test_solver_reaches_tolerance_and_descends(ref_cert):
     model, cfg, run = reactor_setup(ref_cert, seed=1)
     for s in run.solutions:
         assert s.stats.termination == "converged"
-        assert s.stats.grad_norm <= cfg.grad_tol
+        assert s.stats.grad_norm <= GRAD_TOL
         hist = np.array(s.stats.cost_history)
         assert np.all(np.diff(hist) <= 0.0)
         assert s.stats.feasible
@@ -302,6 +303,28 @@ def test_prior_outside_domain_is_projected(ref_cert):
     assert np.all(sol.chi_star >= 0.1) and np.all(sol.chi_star <= 5.0)
 
 
+def test_window_divergence_from_the_prior():
+    # x' = x^2 + w escapes at t = 1/x0: from 20 every candidate blows up
+    # inside the 0.1 window, from 0.1 the window solves normally
+    model = SystemModel(1, 0, 1, 1,
+                        lambda x, u, w: np.array([x[0] * x[0] + w[0]]),
+                        lambda x, u, w: np.array([x[0]]),
+                        jac_f_x=lambda x, u, w: np.array([[2.0 * x[0]]]),
+                        jac_f_w=lambda x, u, w: np.array([[1.0]]),
+                        jac_h_x=lambda x, u, w: np.array([[1.0]]),
+                        jac_h_w=lambda x, u, w: np.array([[0.0]]),
+                        X=None, U=[], W=[[-0.1, 0.1]], name="escape")
+    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5,
+                                                 Domain.of_model(model))
+    cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
+    y_seg = PiecewiseSignal(0.0, 0.01, np.full((10, 1), 0.1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            solve_mhe(model, cfg, np.array([20.0]), None, y_seg, 0.1)
+    sol = solve_mhe(model, cfg, np.array([0.1]), None, y_seg, 0.1)
+    assert np.all(np.isfinite(sol.x_star.states))
+
+
 def test_window_jacobian_matches_finite_differences(ref_cert):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
@@ -325,6 +348,20 @@ def test_window_jacobian_matches_finite_differences(ref_cert):
             e[idx] = 1e-7
             col = (full_residual(z0 + e) - full_residual(z0 - e)) / 2e-7
             assert np.abs(J[:, idx] - col).max() < 2e-5 * max(1.0, np.abs(col).max())
+
+
+def test_active_violations_match_the_scalar_scan(ref_cert):
+    model = batch_reactor()
+    cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
+    y_seg = PiecewiseSignal(0.0, 0.01, np.ones((3, 1)))
+    prob = _WindowProblem(model, cfg, np.array([3.0, 1.0]), None, y_seg, 0.03)
+    states = np.array([[3.0, 1.0], [0.05, 6.0], [5.5, 0.09], [0.1, 5.0]])
+    expect = [(j, i, states[j, i] - lo if states[j, i] < lo else states[j, i] - hi)
+              for j in range(4) for i, (lo, hi) in enumerate(model.X)
+              if not lo <= states[j, i] <= hi]
+    j, i, v = prob._active_violations(states)
+    assert list(zip(j.tolist(), i.tolist(), v.tolist())) == expect
+    assert prob._active_violations(states[[0, 3]])[2].size == 0
 
 
 def test_run_requires_truth_or_measurements(ref_cert):
