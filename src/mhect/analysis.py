@@ -9,12 +9,12 @@ finished estimation run against the stored ground truth.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AuditError, ConfigurationError, DomainError
-from .certify import contraction_rate, geneig_max, min_horizon
+from .certify import contraction_rate, geneig_max
 from .mhe import _quad, discount_weights
 from .sysmodel import as_grid_index, write_csv
 

@@ -158,10 +158,13 @@ class DetectabilityCertificate:
 
     @classmethod
     def from_dict(cls, d):
-        ver = VerificationReport.from_dict(d["verification"]) if d.get("verification") else None
-        return cls(np.array(d["P1"], dtype=float), np.array(d["P2"], dtype=float),
-                   np.array(d["Q"], dtype=float), np.array(d["R"], dtype=float),
-                   float(d["lambda"]), float(d["kappa"]), Domain.from_dict(d["domain"]), ver)
+        try:
+            ver = VerificationReport.from_dict(d["verification"]) if d.get("verification") else None
+            return cls(np.array(d["P1"], dtype=float), np.array(d["P2"], dtype=float),
+                       np.array(d["Q"], dtype=float), np.array(d["R"], dtype=float),
+                       float(d["lambda"]), float(d["kappa"]), Domain.from_dict(d["domain"]), ver)
+        except KeyError as e:
+            raise ConfigurationError(f"certificate missing field {e}")
 
 
 def save_certificate(cert, path):
@@ -298,23 +301,13 @@ class SdpOptions:
 
 
 def _sym_basis(n):
-    """Basis of symmetric n x n matrices: diagonal then upper off-diagonal."""
+    """Basis of symmetric n x n matrices, diagonal then upper off-diagonal:
+    the (i, j) pairs and the matrices as one (len(pairs), n, n) array."""
     pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mats = []
-    for i, j in pairs:
-        E = np.zeros((n, n))
-        E[i, j] = 1.0
-        E[j, i] = 1.0
-        mats.append(E)
+    mats = np.zeros((len(pairs), n, n))
+    for k, (i, j) in enumerate(pairs):
+        mats[k, i, j] = mats[k, j, i] = 1.0
     return pairs, mats
-
-
-def _sym_from_vec(z, pairs, n):
-    M = np.zeros((n, n))
-    for val, (i, j) in zip(z, pairs):
-        M[i, j] = val
-        M[j, i] = val
-    return M
 
 
 def _vec_from_sym(M, pairs):
@@ -322,107 +315,114 @@ def _vec_from_sym(M, pairs):
 
 
 class _BarrierSDP:
-    """min t subject to affine symmetric slacks S_c(z, t) > 0.
+    """min y[-1] subject to S_g(y) = K0_g + sum_k y_k K_gk > 0 for each group g.
 
-    Each block is S_c = K0 + sum_k z_k K_ck + t * tfac * I; the inequality
-    blocks carry tfac = 1 (slack t*I - M(z)), the positivity blocks tfac = 0.
-    Newton's method on t + mu * sum_c -log det S_c with exact Hessian,
-    feasibility-preserving backtracking and Armijo acceptance.
+    A group stacks B blocks: K0 has shape (B, s, s) and K shape (B, nvar, s, s).
+    The last coordinate of y is t; its basis matrix is I in the inequality
+    blocks (slack t*I - M(z)) and 0 in the positivity blocks.  Newton's
+    method on t + mu * sum -log det S with exact Hessian, feasibility-preserving
+    backtracking and Armijo acceptance.
     """
 
-    def __init__(self, nvar):
-        self.nvar = nvar
-        self.blocks = []  # (K0, {k: Kk}, tfac, meta)
+    def __init__(self, groups):
+        self.groups = groups  # [(K0, K)]
 
-    def add_block(self, K0, Kmap, tfac, meta=None):
-        self.blocks.append((K0, dict(Kmap), float(tfac), meta))
+    def _slacks(self, y):
+        return [K0 + np.einsum("k,bkij->bij", y, K) for K0, K in self.groups]
 
-    def _slack(self, z, t, block):
-        K0, Kmap, tfac, _ = block
-        S = K0.copy()
-        for k, Kk in Kmap.items():
-            S = S + z[k] * Kk
-        if tfac:
-            S = S + t * tfac * np.eye(S.shape[0])
-        return S
-
-    def _all_pd(self, z, t):
-        chols = []
-        for block in self.blocks:
-            S = self._slack(z, t, block)
+    def _fval(self, y, mu):
+        logdet = 0.0
+        for S in self._slacks(y):
             try:
-                chols.append(np.linalg.cholesky(S))
+                L = np.linalg.cholesky(S)
             except np.linalg.LinAlgError:
-                return None
-        return chols
+                return math.inf
+            logdet += 2.0 * float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
+        return y[-1] - mu * logdet
 
-    def _fval(self, z, t, mu):
-        chols = self._all_pd(z, t)
-        if chols is None:
-            return math.inf
-        logdet = sum(2.0 * float(np.sum(np.log(np.diag(L)))) for L in chols)
-        return t + mu * (-logdet)
+    def _newton_system(self, y, mu):
+        """Gradient and Hessian of _fval: -tr(S^-1 K_k) and tr(S^-1 K_k S^-1 K_l)."""
+        grad = np.zeros(len(y))
+        grad[-1] = 1.0
+        hess = np.zeros((len(y), len(y)))
+        for S, (_, K) in zip(self._slacks(y), self.groups):
+            W = np.linalg.inv(S)[:, None] @ K
+            grad -= mu * np.einsum("bkii->k", W)
+            hess += mu * np.einsum("bkij,blji->kl", W, W)
+        return grad, hess
 
-    def solve(self, z0, t0, opts):
-        """Returns (feasible, z, t, iters).  feasible means t < -feas_stop."""
-        nv = self.nvar
-        z = np.asarray(z0, dtype=float).copy()
-        t = float(t0)
-        if self._all_pd(z, t) is None:
+    def solve(self, y0, opts):
+        """Returns (feasible, y, iters).  feasible means t = y[-1] < -feas_stop."""
+        y = np.asarray(y0, dtype=float).copy()
+        if math.isinf(self._fval(y, opts.mu0)):
             raise ConfigurationError("barrier initialization is not strictly feasible")
         mu = opts.mu0
         iters = 0
         while True:
             while iters < opts.max_iters:
-                if t < -opts.feas_stop:
-                    return True, z, t, iters
-                grad = np.zeros(nv + 1)
-                hess = np.zeros((nv + 1, nv + 1))
-                grad[nv] = 1.0  # d(t)/dt
-                for block in self.blocks:
-                    K0, Kmap, tfac, _ = block
-                    S = self._slack(z, t, block)
-                    Sinv = np.linalg.inv(S)
-                    ks = list(Kmap.keys())
-                    Ws = {k: Sinv @ Kmap[k] for k in ks}
-                    if tfac:
-                        Ws[nv] = Sinv * tfac
-                        ks = ks + [nv]
-                    for a_i, ka in enumerate(ks):
-                        Wa = Ws[ka]
-                        grad[ka] += -mu * float(np.trace(Wa))
-                        for kb in ks[a_i:]:
-                            hval = mu * float(np.sum(Wa * Ws[kb].T))
-                            hess[ka, kb] += hval
-                            if kb != ka:
-                                hess[kb, ka] += hval
+                if y[-1] < -opts.feas_stop:
+                    return True, y, iters
+                grad, hess = self._newton_system(y, mu)
                 try:
-                    d = np.linalg.solve(hess + 1e-12 * np.eye(nv + 1), -grad)
+                    d = np.linalg.solve(hess + 1e-12 * np.eye(len(y)), -grad)
                 except np.linalg.LinAlgError:
                     d = np.linalg.lstsq(hess, -grad, rcond=None)[0]
                 decrement = float(-grad @ d)
                 if decrement <= 2.0 * opts.newton_tol:
                     break
-                f0 = self._fval(z, t, mu)
+                f0 = self._fval(y, mu)
                 alpha = 1.0
-                gTd = float(grad @ d)
                 while alpha > 1e-14:
-                    z_try = z + alpha * d[:nv]
-                    t_try = t + alpha * d[nv]
-                    f_try = self._fval(z_try, t_try, mu)
-                    if f_try <= f0 + 1e-4 * alpha * gTd:
+                    if self._fval(y + alpha * d, mu) <= f0 - 1e-4 * alpha * decrement:
                         break
                     alpha *= 0.5
                 if alpha <= 1e-14:
                     break  # stage stalled; shrink mu
-                z = z + alpha * d[:nv]
-                t = t + alpha * d[nv]
+                y = y + alpha * d
                 iters += 1
-            if t < -opts.feas_stop:
-                return True, z, t, iters
+            if y[-1] < -opts.feas_stop:
+                return True, y, iters
             if mu <= opts.mu_min or iters >= opts.max_iters:
-                return False, z, t, iters
+                return False, y, iters
             mu *= opts.mu_factor
+
+
+def _synthesis_problem(model, kappa, Q_fix, R_fix, points, eps_pd):
+    """The barrier problem of synthesis, its start point and the map from y
+    to the weights [P, Q, R].
+
+    The unknown weights are P, or P, Q and R when Q_fix is None (joint
+    mode); y holds their coordinates in the symmetric bases, then t.
+    """
+    n, q, p = model.n, model.q, model.p
+    dims = (n,) if Q_fix is not None else (n, q, p)
+    bases = [_sym_basis(d) for d in dims]
+    offsets = np.cumsum([0] + [len(pairs) for pairs, _ in bases])
+    nvar = offsets[-1] + 1
+
+    def weights(y):
+        W = [np.tensordot(y[o:o + len(m)], m, 1) for (_, m), o in zip(bases, offsets)]
+        return W if Q_fix is None else W + [Q_fix, R_fix]
+
+    # the inequality is affine in (P, Q, R): its value at a basis matrix of
+    # one weight, the others zero, is that coordinate's block
+    zeros = [np.zeros((d, d)) for d in (n, q, p)]
+    units = [zeros[:i] + [E] + zeros[i + 1:] for i, (_, m) in enumerate(bases) for E in m]
+    K = np.array([[-lmi_matrix(model, *unit, kappa, x, u, w) for unit in units]
+                  + [np.eye(n + q)] for (x, u, w) in points])
+    K0 = np.zeros((len(points), n + q, n + q)) if Q_fix is None else np.array(
+        [-lmi_matrix(model, zeros[0], Q_fix, R_fix, kappa, x, u, w) for (x, u, w) in points])
+    groups = [(K0, K)]
+
+    # positivity blocks: each unknown weight >= eps_pd * I
+    y0 = np.zeros(nvar)
+    for d, (pairs, m), o in zip(dims, bases, offsets):
+        Kpos = np.zeros((1, nvar, d, d))
+        Kpos[0, o:o + len(m)] = m
+        groups.append((-eps_pd * np.eye(d)[None], Kpos))
+        y0[o:o + len(m)] = _vec_from_sym(np.eye(d), pairs)
+    y0[-1] = _max_eig(model, *weights(y0), kappa, points)[0] + 1.0
+    return _BarrierSDP(groups), y0, weights
 
 
 def synthesize_certificate(model, lam, mode, grid, opts=None):
@@ -441,60 +441,19 @@ def synthesize_certificate(model, lam, mode, grid, opts=None):
     domain = Domain.of_model(model)
     points, _ = grid_points(domain, grid)
 
-    n, q, p = model.n, model.q, model.p
-    p_pairs, p_mats = _sym_basis(n)
-    joint = isinstance(mode, str) and mode == "joint"
-    if joint:
-        q_pairs, q_mats = _sym_basis(q)
-        r_pairs, r_mats = _sym_basis(p)
+    if isinstance(mode, str) and mode == "joint":
         Q_fix = R_fix = None
     elif isinstance(mode, FixedQR):
         Q_fix = _check_sym_pd(mode.Q, "Q")
         R_fix = _check_sym_pd(mode.R, "R")
-        if Q_fix.shape != (q, q) or R_fix.shape != (p, p):
+        if Q_fix.shape != (model.q, model.q) or R_fix.shape != (model.p, model.p):
             raise ConfigurationError("FixedQR weights have wrong dimensions")
     else:
         raise ConfigurationError("mode must be FixedQR(Q, R) or 'joint'")
 
-    nP = len(p_mats)
-    nvar = nP + (len(q_mats) + len(r_mats) if joint else 0)
-    sdp = _BarrierSDP(nvar)
-
-    # the inequality is affine in (P, Q, R): its value at a basis matrix of
-    # one weight, the others zero, is that coordinate's block
-    zP, zQ, zR = np.zeros((n, n)), np.zeros((q, q)), np.zeros((p, p))
-    bases = [(E, zQ, zR) for E in p_mats]
-    if joint:
-        bases += [(zP, F, zR) for F in q_mats] + [(zP, zQ, G) for G in r_mats]
-    for (x, u, w) in points:
-        Kmap = {k: -lmi_matrix(model, *weights, kappa, x, u, w)
-                for k, weights in enumerate(bases)}
-        M0 = np.zeros((n + q, n + q)) if joint else \
-            lmi_matrix(model, zP, Q_fix, R_fix, kappa, x, u, w)
-        sdp.add_block(-M0, Kmap, 1.0, meta=(x, u, w))
-
-    # positivity blocks: P >= eps*I (and Q, R in joint mode)
-    sdp.add_block(-opts.eps_pd * np.eye(n), {k: E for k, E in enumerate(p_mats)}, 0.0)
-    if joint:
-        sdp.add_block(-opts.eps_pd * np.eye(q),
-                      {nP + k: F for k, F in enumerate(q_mats)}, 0.0)
-        sdp.add_block(-opts.eps_pd * np.eye(p),
-                      {nP + len(q_mats) + k: G for k, G in enumerate(r_mats)}, 0.0)
-
-    z0 = np.zeros(nvar)
-    z0[:nP] = _vec_from_sym(np.eye(n), p_pairs)
-    if joint:
-        z0[nP:nP + len(q_mats)] = _vec_from_sym(np.eye(q), q_pairs)
-        z0[nP + len(q_mats):] = _vec_from_sym(np.eye(p), r_pairs)
-    P0 = np.eye(n)
-    Q0 = np.eye(q) if joint else Q_fix
-    R0 = np.eye(p) if joint else R_fix
-    t0 = _max_eig(model, P0, Q0, R0, kappa, points)[0] + 1.0
-
-    ok, z, t, iters = sdp.solve(z0, t0, opts)
-    P = _sym_from_vec(z[:nP], p_pairs, n)
-    Q = _sym_from_vec(z[nP:nP + len(q_mats)], q_pairs, q) if joint else Q_fix
-    R = _sym_from_vec(z[nP + len(q_mats):], r_pairs, p) if joint else R_fix
+    sdp, y0, weights = _synthesis_problem(model, kappa, Q_fix, R_fix, points, opts.eps_pd)
+    ok, y, iters = sdp.solve(y0, opts)
+    P, Q, R = weights(y)
     if not ok:
         worst_eig, worst_pt = _max_eig(model, P, Q, R, kappa, points)
         raise InfeasibleError(

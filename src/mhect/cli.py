@@ -13,7 +13,6 @@ the MHECT_OUT environment variable when set.
 import argparse
 import concurrent.futures
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -22,14 +21,14 @@ import numpy as np
 
 from . import svgplot
 from .analysis import audit_run
-from .certify import (DetectabilityCertificate, Domain, FixedQR, GridSpec, SdpOptions,
-                      contraction_rate, load_certificate, min_horizon, save_certificate,
+from .certify import (DetectabilityCertificate, Domain, FixedQR, GridSpec, contraction_rate,
+                      load_certificate, min_horizon, save_certificate,
                       synthesize_certificate, verify_certificate)
 from .errors import (AuditError, ConfigurationError, DivergenceError, DomainError,
                      HorizonError, InfeasibleError)
 from .integrate import integrate, output_along
-from .mhe import (Equidistant, EventTriggered, Explicit, MheConfig, SamplingSet,
-                  make_sampler, run_mhe, truth_candidate_cost)
+from .mhe import (Equidistant, EventTriggered, Explicit, MheConfig, make_sampler, run_mhe,
+                  truth_candidate_cost)
 from .rng import SplitMix64
 from .sysmodel import PiecewiseSignal, batch_reactor, get_model, load_model, write_csv
 
@@ -241,9 +240,12 @@ def _scenario_certificate(cfg, model):
     if isinstance(c, str):
         return load_certificate(c)
     if isinstance(c, dict) and "P" in c:
-        return DetectabilityCertificate.from_weights(
-            np.array(c["P"], dtype=float), np.array(c["Q"], dtype=float),
-            np.array(c["R"], dtype=float), float(c["lambda"]), Domain.of_model(model))
+        try:
+            P, Q, R = [np.array(c[k], dtype=float) for k in ("P", "Q", "R")]
+            lam = float(c["lambda"])
+        except KeyError as e:
+            raise ConfigurationError(f"certificate missing field {e}")
+        return DetectabilityCertificate.from_weights(P, Q, R, lam, Domain.of_model(model))
     raise ConfigurationError("certificate must be a file path or inline {P, Q, R, lambda}")
 
 
@@ -252,13 +254,16 @@ def _scenario_sampler(cfg, dt):
     if s is None:
         raise ConfigurationError("config needs a sampler")
     kind = s.get("type")
-    if kind == "equidistant":
-        return Equidistant(float(s["delta"]))
-    if kind == "explicit":
-        return Explicit(tuple(float(t) for t in s["times"]))
-    if kind == "event":
-        return EventTriggered(float(s["threshold"]), float(s["delta_min"]),
-                              float(s["delta_max"]))
+    try:
+        if kind == "equidistant":
+            return Equidistant(float(s["delta"]))
+        if kind == "explicit":
+            return Explicit(tuple(float(t) for t in s["times"]))
+        if kind == "event":
+            return EventTriggered(float(s["threshold"]), float(s["delta_min"]),
+                                  float(s["delta_max"]))
+    except KeyError as e:
+        raise ConfigurationError(f"sampler missing field {e}")
     raise ConfigurationError(f"unknown sampler type {kind!r}")
 
 
@@ -474,7 +479,7 @@ def main(argv=None):
     except (ConfigurationError, HorizonError, DomainError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+    except (OSError, json.JSONDecodeError) as e:
         print(f"configuration error: {e!r}", file=sys.stderr)
         return 2
     except InfeasibleError as e:

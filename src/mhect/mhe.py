@@ -297,7 +297,6 @@ class SolverStats:
     termination: str = ""
     wall_time: float = 0.0
     cost_history: list = field(default_factory=list)
-    penalty_weight: float = 0.0
     escalations: int = 0
     feasible: bool = True
     warnings: list = field(default_factory=list)
@@ -441,7 +440,7 @@ def _residual_norm2(r):
 
 def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
     t_start = time.perf_counter()
-    stats = SolverStats(penalty_weight=PENALTY_WEIGHT)
+    stats = SolverStats()
     prob = _WindowProblem(model, cfg, prior, u_seg, y_seg, T_ti)
     n, q, N = prob.n, prob.q, prob.N
 
@@ -559,7 +558,6 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
             break
         stats.escalations += 1
         prob.pen *= 2.0
-        stats.penalty_weight = prob.pen
 
     chi_star = z[:n].copy()
     w_star = PiecewiseSignal(0.0, cfg.dt, z[n:].reshape(N, q).copy())

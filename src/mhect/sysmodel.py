@@ -319,8 +319,11 @@ def model_from_dict(spec):
             terms.append((c, xe, we))
         return terms
 
-    f_terms = [parse_terms(row, f"f[{i}]") for i, row in enumerate(spec["f"])]
-    h_terms = [parse_terms(row, f"h[{i}]") for i, row in enumerate(spec["h"])]
+    try:
+        f_terms = [parse_terms(row, f"f[{i}]") for i, row in enumerate(spec["f"])]
+        h_terms = [parse_terms(row, f"h[{i}]") for i, row in enumerate(spec["h"])]
+    except KeyError as e:
+        raise ConfigurationError(f"model file missing field {e}")
     if len(f_terms) != n or len(h_terms) != p:
         raise ConfigurationError("f must list n coordinates and h must list p coordinates")
 

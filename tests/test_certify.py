@@ -7,7 +7,8 @@ from mhect import (DetectabilityCertificate, Domain, FixedQR, GridSpec, SystemMo
                    batch_reactor, contraction_rate, geneig_max, integrate, lmi_matrix,
                    load_certificate, min_horizon, save_certificate, scale_certificate,
                    synthesize_certificate, verify_certificate)
-from mhect.certify import _min_horizon_formula, _sym_basis, _vec_from_sym, grid_points
+from mhect.certify import (_min_horizon_formula, _sym_basis, _synthesis_problem,
+                           _vec_from_sym, grid_points)
 from mhect.errors import ConfigurationError, HorizonError, InfeasibleError
 from mhect.rng import SplitMix64
 from tests.conftest import Q_BENCH, R_BENCH, VERTS
@@ -200,6 +201,42 @@ def test_synthesis_fixed_weights(reactor, synth_cert):
     # independent re-check, not just the attached report
     rep2 = verify_certificate(reactor, synth_cert, VERTS, tol_psd=1e-8)
     assert rep2.passed and rep2.max_eig == pytest.approx(rep.max_eig, abs=1e-12)
+
+
+def test_synthesis_fixed_weights_match_reference_digits(synth_cert):
+    # the Newton steps' last bits depend on the order the barrier sums its
+    # blocks in, so the pinned digits of P hold to 1e-7, not bit for bit
+    P_ref = np.array([[3.5381882728231617, 3.2739464186020233],
+                      [3.2739464186020233, 3.0313153621658566]])
+    assert np.abs(synth_cert.P1 - P_ref).max() <= 1e-7 * max(1.0, np.abs(P_ref).max())
+
+
+@pytest.mark.parametrize("mode", ["fixed", "joint"])
+@pytest.mark.parametrize("mu", [1.0, 0.01])
+def test_barrier_newton_system_matches_finite_differences(reactor, mode, mu):
+    points, _ = grid_points(Domain.of_model(reactor), VERTS)
+    Q, R = (Q_BENCH, R_BENCH) if mode == "fixed" else (None, None)
+    sdp, y0, _ = _synthesis_problem(reactor, -math.log(0.4), Q, R, points, 1e-3)
+    # a generic interior point: the identity start with its weights perturbed
+    y = y0 + np.append(SplitMix64(5).uniforms((len(y0) - 1,), -0.05, 0.05), 0.0)
+    f = lambda v: sdp._fval(v, mu)
+    assert math.isfinite(f(y))
+    E = np.eye(len(y))
+
+    def first(h):
+        return np.array([(f(y + h * a) - f(y - h * a)) / (2 * h) for a in E])
+
+    def second(h):
+        return np.array([[(f(y + h * (a + b)) - f(y + h * (a - b)) - f(y - h * (a - b))
+                           + f(y - h * (a + b))) / (4 * h * h) for b in E] for a in E])
+
+    # one Richardson step cancels the h^2 term of both central differences
+    h = 4e-3
+    grad_fd = (4 * first(h / 2) - first(h)) / 3
+    hess_fd = (4 * second(h / 2) - second(h)) / 3
+    grad, hess = sdp._newton_system(y, mu)
+    assert np.abs(grad - grad_fd).max() <= 1e-6 * np.abs(grad_fd).max()
+    assert np.abs(hess - hess_fd).max() <= 1e-6 * np.abs(hess_fd).max()
 
 
 def test_synthesis_joint_weights(reactor):

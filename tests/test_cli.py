@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mhect import cli
 from mhect.cli import (DisturbanceSpec, _parse_diag, bench_certificate, bench_times,
                        generate_disturbance, main)
 from mhect.errors import ConfigurationError
@@ -214,19 +215,75 @@ def test_scenario_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+# x' = x^2 + w, y = x
+ESCAPE_MODEL = {"state_dim": 1, "dist_dim": 1, "output_dim": 1,
+                "f": [[{"coeff": 1.0, "x_exp": [2], "w_exp": [0]},
+                       {"coeff": 1.0, "x_exp": [0], "w_exp": [1]}]],
+                "h": [[{"coeff": 1.0, "x_exp": [1], "w_exp": [0]}]],
+                "X": [[None, None]], "W": [[-0.1, 0.1]]}
+SCALAR_CERT = {"P": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "lambda": 0.5}
+
+
+def without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sampler": {"type": "equidistant"}},
+    {"sampler": {"type": "explicit"}},
+    {"sampler": {"type": "event", "delta_min": 0.01, "delta_max": 0.2}},
+    {"sampler": {"type": "event", "threshold": 0.1, "delta_max": 0.2}},
+    {"sampler": {"type": "event", "threshold": 0.1, "delta_min": 0.01}},
+    {"certificate": without(SCALAR_CERT, "Q")},
+    {"certificate": without(SCALAR_CERT, "R")},
+    {"certificate": without(SCALAR_CERT, "lambda")},
+    {"model": without(ESCAPE_MODEL, "f")},
+    {"model": without(ESCAPE_MODEL, "h")},
+    {"model": dict(ESCAPE_MODEL, h=[[{"x_exp": [1], "w_exp": [0]}]])},
+])
+def test_missing_scenario_field_exit_code(tmp_path, capsys, overrides):
+    if "model" in overrides:
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(overrides["model"]))
+        overrides = {"model": {"file": str(mpath)}, "certificate": SCALAR_CERT,
+                     "chi": [0.1], "chi_hat": [0.1]}
+    assert main(["estimate", "--config", scenario(tmp_path, **overrides)]) == 2
+    assert "missing field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drop", ["P1", "lambda", "domain", "domain.X", "verification.mode"])
+def test_missing_certificate_field_exit_code(tmp_path, capsys, drop):
+    path = tmp_path / "cert.json"
+    save_certificate(bench_certificate(), path)
+    d = json.loads(path.read_text())
+    d["verification"] = {"passed": True, "max_eig": -1.0, "worst_x": [], "worst_u": [],
+                         "worst_w": [], "tol_psd": 1e-8, "n_points": 1, "mode": "vertices"}
+    outer, _, inner = drop.partition(".")
+    if inner:
+        del d[outer][inner]
+    else:
+        del d[outer]
+    path.write_text(json.dumps(d))
+    assert main(["certify", "--check", str(path), "--vertices", "--affine"]) == 2
+    assert "missing field" in capsys.readouterr().err
+
+
+def test_programming_key_error_propagates(tmp_path, monkeypatch):
+    # only missing fields of user JSON are configuration errors
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+    monkeypatch.setattr(cli, "run_mhe", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["estimate", "--config", scenario(tmp_path), "--out", str(tmp_path / "o")])
+
+
 def test_window_divergence_exit_code(tmp_path, capsys):
     # x' = x^2 + w escapes in finite time: the truth from 0.1 stays finite, but
     # every window candidate from the prior 20 blows up within 0.05
-    model = {"state_dim": 1, "dist_dim": 1, "output_dim": 1,
-             "f": [[{"coeff": 1.0, "x_exp": [2], "w_exp": [0]},
-                    {"coeff": 1.0, "x_exp": [0], "w_exp": [1]}]],
-             "h": [[{"coeff": 1.0, "x_exp": [1], "w_exp": [0]}]],
-             "X": [[None, None]], "W": [[-0.1, 0.1]]}
     mpath = tmp_path / "escape.json"
-    mpath.write_text(json.dumps(model))
-    cfg = scenario(tmp_path, model={"file": str(mpath)},
-                   certificate={"P": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "lambda": 0.5},
-                   T=0.5, t_sim=0.3, chi=[0.1], chi_hat=[20.0], disturbance=None)
+    mpath.write_text(json.dumps(ESCAPE_MODEL))
+    cfg = scenario(tmp_path, model={"file": str(mpath)}, certificate=SCALAR_CERT, T=0.5,
+                   t_sim=0.3, chi=[0.1], chi_hat=[20.0], disturbance=None)
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "integration failure" in capsys.readouterr().err
