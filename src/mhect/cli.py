@@ -224,6 +224,24 @@ def _load_scenario(path):
     return cfg
 
 
+def _float_array(value):
+    return np.array(value, dtype=float)
+
+
+def _float_tuple(value):
+    return tuple(float(v) for v in value)
+
+
+def _numeric(section, key, where, convert=float):
+    """section[key] passed through convert.  A value convert rejects is a
+    ConfigurationError naming the field; a missing key raises KeyError for
+    the caller to report."""
+    try:
+        return convert(section[key])
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"{where} field {key!r} is not numeric: {e}")
+
+
 def _scenario_model(cfg):
     m = cfg.get("model", "batch_reactor")
     if isinstance(m, str):
@@ -241,8 +259,8 @@ def _scenario_certificate(cfg, model):
         return load_certificate(c)
     if isinstance(c, dict) and "P" in c:
         try:
-            P, Q, R = [np.array(c[k], dtype=float) for k in ("P", "Q", "R")]
-            lam = float(c["lambda"])
+            P, Q, R = [_numeric(c, k, "certificate", _float_array) for k in ("P", "Q", "R")]
+            lam = _numeric(c, "lambda", "certificate")
         except KeyError as e:
             raise ConfigurationError(f"certificate missing field {e}")
         return DetectabilityCertificate.from_weights(P, Q, R, lam, Domain.of_model(model))
@@ -256,12 +274,12 @@ def _scenario_sampler(cfg, dt):
     kind = s.get("type")
     try:
         if kind == "equidistant":
-            return Equidistant(float(s["delta"]))
+            return Equidistant(_numeric(s, "delta", "sampler"))
         if kind == "explicit":
-            return Explicit(tuple(float(t) for t in s["times"]))
+            return Explicit(_numeric(s, "times", "sampler", _float_tuple))
         if kind == "event":
-            return EventTriggered(float(s["threshold"]), float(s["delta_min"]),
-                                  float(s["delta_max"]))
+            return EventTriggered(*(_numeric(s, k, "sampler")
+                                    for k in ("threshold", "delta_min", "delta_max")))
     except KeyError as e:
         raise ConfigurationError(f"sampler missing field {e}")
     raise ConfigurationError(f"unknown sampler type {kind!r}")
@@ -272,14 +290,15 @@ def _scenario_disturbance(cfg, model, dt, t_sim):
     if d is None:
         return None, None
     if "box" in d:
-        box = d["box"]
+        box = _numeric(d, "box", "disturbance", _float_array)
     elif "bound" in d:
-        b = float(d["bound"])
+        b = _numeric(d, "bound", "disturbance")
         box = [[-b, b]] * model.q
     else:
         raise ConfigurationError("disturbance needs a box or a bound")
-    spec = DisturbanceSpec(box, float(d.get("dt", dt)), t_sim)
-    return spec, int(d.get("seed", 1))
+    d = {"dt": dt, "seed": 1, **d}
+    spec = DisturbanceSpec(box, _numeric(d, "dt", "disturbance"), t_sim)
+    return spec, _numeric(d, "seed", "disturbance", int)
 
 
 def _assemble_scenario(path):
@@ -287,18 +306,14 @@ def _assemble_scenario(path):
     model = _scenario_model(cfg)
     cert = _scenario_certificate(cfg, model)
     try:
-        T = float(cfg["T"])
-        dt = float(cfg["dt"])
-        t_sim = float(cfg["t_sim"])
-        chi_hat = np.array(cfg["chi_hat"], dtype=float)
+        T, dt, t_sim = (_numeric(cfg, k, "config") for k in ("T", "dt", "t_sim"))
+        chi_hat = _numeric(cfg, "chi_hat", "config", _float_array)
     except KeyError as e:
         raise ConfigurationError(f"config missing field {e}")
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"config field is not numeric: {e}")
     sampler = _scenario_sampler(cfg, dt)
     mhe_cfg = MheConfig(cert, T, dt, sampler,
                         equidistant_mode=bool(cfg.get("equidistant_mode", False)))
-    chi = np.array(cfg["chi"], dtype=float) if "chi" in cfg else None
+    chi = _numeric(cfg, "chi", "config", _float_array) if "chi" in cfg else None
     spec, seed = _scenario_disturbance(cfg, model, dt, t_sim)
     w = generate_disturbance(spec, seed, w_box=model.W) if spec else None
     return model, mhe_cfg, chi, chi_hat, w, t_sim

@@ -10,15 +10,19 @@ subject to the model dynamics, chi in X and w(tau) in W.  Disturbances are
 piecewise constant on the integration grid, so the discount integral has an
 exact per-interval closed form; no quadrature error enters the objective.
 The solver is a projected Levenberg-Marquardt method on the condensed
-(single-shooting) problem with exact forward sensitivities of the RK4 step
-map, box projection of the decision variables and a quadratic penalty on the
-interior state constraints.
+(single-shooting) problem, with box projection of the decision variables and
+a quadratic penalty on the interior state constraints.  Each iteration
+linearizes the window stage by stage with the exact Jacobians of the RK4
+step map; the gradient comes from a backward adjoint sweep, and each damped
+step from a backward Riccati sweep and a forward rollout, which solve the
+condensed Gauss-Newton system without forming it.
 """
 
 import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -318,6 +322,18 @@ class MheSolution:
     stats: SolverStats
 
 
+class _Linearization(NamedTuple):
+    """Stage blocks of the Gauss-Newton model; see _WindowProblem.linearize."""
+
+    A: np.ndarray
+    B: np.ndarray
+    Lxx: np.ndarray
+    Lxw: np.ndarray
+    Lww: np.ndarray
+    lx: np.ndarray
+    lw: np.ndarray
+
+
 class _WindowProblem:
     def __init__(self, model, cfg, prior, u_seg, y_seg, T_ti):
         self.model = model
@@ -396,37 +412,112 @@ class _WindowProblem:
             parts.append(math.sqrt(self.pen) * v)
         return np.concatenate(parts)
 
-    def jacobian(self, z, states):
-        """Jacobian of residuals(z) wrt z, via forward RK4 sensitivities."""
-        n, q, N, p, nv = self.n, self.q, self.N, self.p, self.nv
+    def linearize(self, z, states, r):
+        """Stage-wise Gauss-Newton model of |r|^2 around (z, states).
+
+        With dx_0 = dchi and dx_{j+1} = A_j dx_j + B_j dw_j, the residual
+        Jacobian J gives J'J and J'r as stage blocks: Lxx (N+1, n, n), Lxw
+        (N, n, q), Lww (N, q, q) and the linear terms lx (N+1, n), lw (N, q).
+        The prior sits in node 0, state-penalty rows at their node.
+        """
+        n, q, N, p = self.n, self.q, self.N, self.p
         Wp = z[n:].reshape(N, q)
-        G = np.zeros((N + 1, n, nv))
-        G[0, :, :n] = np.eye(n)
+        A = np.empty((N, n, n))
+        B = np.empty((N, n, q))
+        Hx = np.empty((N, p, n))
+        Hw = np.empty((N, p, q))
         for j in range(N):
-            _, A, B = rk4_step_with_jacobians(self.model, states[j], self.u[j], Wp[j], self.dt)
-            G[j + 1] = A @ G[j]
-            G[j + 1][:, n + j * q:n + (j + 1) * q] += B
-        rows = []
-        Jp = np.zeros((n, nv))
-        Jp[:, :n] = self.sq_prior
-        rows.append(Jp)
-        if N:
-            Jw = np.zeros((N * q, nv))
-            for j in range(N):
-                Jw[j * q:(j + 1) * q, n + j * q:n + (j + 1) * q] = self.sw[j] * self.sqQ
-            rows.append(Jw)
-            Jy = np.zeros((N * p, nv))
-            for j in range(N):
-                Hx = self.model.jac_h_x(states[j], self.u[j], Wp[j])
-                Hw = self.model.jac_h_w(states[j], self.u[j], Wp[j])
-                blk = Hx @ G[j]
-                blk[:, n + j * q:n + (j + 1) * q] += Hw
-                Jy[j * p:(j + 1) * p] = -self.sy[j] * (self.sqR @ blk)
-            rows.append(Jy)
+            _, A[j], B[j] = rk4_step_with_jacobians(self.model, states[j], self.u[j], Wp[j],
+                                                    self.dt)
+            Hx[j] = self.model.jac_h_x(states[j], self.u[j], Wp[j])
+            Hw[j] = self.model.jac_h_w(states[j], self.u[j], Wp[j])
+        r_p = r[:n]
+        r_w = r[n:n + N * q].reshape(N, q)
+        r_y = r[n + N * q:n + N * (q + p)].reshape(N, p)
+        r_v = r[n + N * (q + p):]
+        # output rows -sy_j sqR [Hx_j  Hw_j] and disturbance rows sw_j sqQ
+        Cx = -self.sy[:, None, None] * (self.sqR @ Hx)
+        Cw = -self.sy[:, None, None] * (self.sqR @ Hw)
+        Lxx = np.zeros((N + 1, n, n))
+        lx = np.zeros((N + 1, n))
+        Lxx[:N] = np.einsum("jki,jkl->jil", Cx, Cx)
+        lx[:N] = np.einsum("jki,jk->ji", Cx, r_y)
+        Lxw = np.einsum("jki,jkl->jil", Cx, Cw)
+        Lww = (np.einsum("jki,jkl->jil", Cw, Cw)
+               + (self.sw ** 2)[:, None, None] * (self.sqQ.T @ self.sqQ))
+        lw = np.einsum("jki,jk->ji", Cw, r_y) + self.sw[:, None] * (r_w @ self.sqQ)
+        Lxx[0] += self.sq_prior.T @ self.sq_prior
+        lx[0] += self.sq_prior.T @ r_p
         j, i, _ = self._active_violations(states)
-        if j.size:
-            rows.append(math.sqrt(self.pen) * G[j, i])
-        return np.vstack(rows), G
+        np.add.at(Lxx, (j, i, i), self.pen)
+        np.add.at(lx, (j, i), math.sqrt(self.pen) * r_v)
+        return _Linearization(A, B, Lxx, Lxw, Lww, lx, lw)
+
+    def gradient(self, lin):
+        """J'r by the backward adjoint sweep over the stages."""
+        n, q, N = self.n, self.q, self.N
+        lam = np.empty((N + 1, n))
+        lam[N] = lin.lx[N]
+        for j in range(N - 1, -1, -1):
+            lam[j] = lin.lx[j] + lin.A[j].T @ lam[j + 1]
+        gw = lin.lw + np.einsum("jik,ji->jk", lin.B, lam[1:])
+        return np.concatenate([lam[0], gw.ravel()])
+
+    def lm_step(self, lin, free, mu):
+        """Damped Gauss-Newton step d with ((J'J)_ff + mu I) d_f = -(J'r)_f
+        and d = 0 off the free set, by a backward Riccati sweep over the
+        stages and a forward rollout.
+
+        Each stage is a bordered matrix over (dw_j, dx_j, 1).  Pinned
+        coordinates of w are masked, not sliced out: a zero column of B_j, a
+        zero row and column with a unit diagonal in the stage matrix, so
+        their step is exactly 0 and the free block is unchanged.
+        """
+        n, q, N = self.n, self.q, self.N
+        m = q + n + 1
+        fw = free[n:].reshape(N, q)
+        H = np.zeros((N, m, m))
+        H[:, :q, :q] = lin.Lww + mu * np.eye(q)
+        H[:, q:-1, :q] = lin.Lxw
+        H[:, :q, q:-1] = lin.Lxw.transpose(0, 2, 1)
+        H[:, q:-1, q:-1] = lin.Lxx[:N]
+        H[:, :q, -1] = H[:, -1, :q] = lin.lw
+        H[:, q:-1, -1] = H[:, -1, q:-1] = lin.lx[:N]
+        H[:, :q] *= fw[:, :, None]
+        H[:, :, :q] *= fw[:, None, :]
+        j, i = np.nonzero(~fw)
+        H[j, i, i] = 1.0
+        # [dx_{j+1}; 1] = S_j [dw_j; dx_j; 1]
+        S = np.zeros((N, n + 1, m))
+        S[:, :n, :q] = lin.B * fw[:, None, :]
+        S[:, :n, q:-1] = lin.A
+        S[:, n, -1] = 1.0
+        # V: bordered cost-to-go over (dx_{j+1}, 1)
+        V = np.zeros((n + 1, n + 1))
+        V[:n, :n] = lin.Lxx[N]
+        V[:n, n] = V[n, :n] = lin.lx[N]
+        # dw_j = -K_j [dx_j; 1]
+        K = [None] * N
+        for j in range(N - 1, -1, -1):
+            Sj = S[j]
+            Qj = Sj.T @ V @ Sj
+            Qj += H[j]
+            Kj = K[j] = np.linalg.solve(Qj[:q, :q], Qj[:q, q:])
+            V = Qj[q:, q:]
+            V -= Qj[q:, :q] @ Kj
+        # chi last, on its free coordinates
+        fx = free[:n]
+        M = (V[:n, :n] + mu * np.eye(n)) * np.outer(fx, fx)
+        M[~fx, ~fx] = 1.0
+        step = np.empty(self.nv)
+        v = np.empty(m)
+        v[q:-1] = step[:n] = np.linalg.solve(M, -V[:n, n] * fx)
+        v[-1] = 1.0
+        for j in range(N):
+            v[:q] = -K[j] @ v[q:]
+            step[n + j * q:n + (j + 1) * q] = v[:q]
+            v[q:] = S[j] @ v
+        return step
 
     def nodes_feasible(self, states, tol=1e-9):
         lo = np.all(states >= self.x_lo - tol)
@@ -478,33 +569,26 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
         mu = DAMPING_INIT
         term = "max_iters"
         for _ in range(MAX_ITERS):
-            J, _ = prob.jacobian(z, states)
-            g = 2.0 * (J.T @ r)
+            lin = prob.linearize(z, states, r)
+            g = 2.0 * prob.gradient(lin)
             pg = z - prob.project(z - g)
             stats.grad_norm = float(np.linalg.norm(pg))
             if stats.grad_norm <= GRAD_TOL:
                 term = "converged"
                 break
-            JTJ = J.T @ J
-            Jtr = J.T @ r
             # Coordinates pinned at a bound with the gradient pushing outward
             # stay pinned this iteration; the damped step acts on the face.
             binding = ((z <= prob.lb) & (g > 0.0)) | ((z >= prob.ub) & (g < 0.0))
             free = ~binding
-            nf = int(free.sum())
-            JTJ_ff = JTJ[np.ix_(free, free)]
-            Jtr_f = Jtr[free]
             accepted = False
             z_scale = 1.0 + float(np.linalg.norm(z))
-            for _trial in range(60 if nf else 0):
+            for _trial in range(60 if free.any() else 0):
                 stats.trials += 1
                 try:
-                    step_f = np.linalg.solve(JTJ_ff + mu * np.eye(nf), -Jtr_f)
+                    step = prob.lm_step(lin, free, mu)
                 except np.linalg.LinAlgError:
                     mu = max(mu, 1e-12) * 10.0
                     continue
-                step = np.zeros(prob.nv)
-                step[free] = step_f
                 z_try = prob.project(z + step)
                 if np.linalg.norm(z_try - z) <= 1e-15 * z_scale:
                     break

@@ -28,7 +28,13 @@ class SplitMix64:
         return lo + u * (hi - lo)
 
     def uniforms(self, shape, lo=0.0, hi=1.0):
-        """Array of uniforms, filled in C order (row-major)."""
-        n = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
-        vals = np.array([self.uniform(lo, hi) for _ in range(n)])
-        return vals.reshape(shape)
+        """Array of uniforms, filled in C order (row-major): the next
+        prod(shape) draws of the stream, bit-equal to as many uniform()
+        calls, computed in wrapping uint64 arithmetic."""
+        n = int(np.prod(shape))
+        z = np.uint64(self.state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        self.state = (self.state + n * _GOLDEN) & _MASK64
+        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+        u = ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
+        return (lo + u * (hi - lo)).reshape(shape)

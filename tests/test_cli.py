@@ -251,6 +251,35 @@ def test_missing_scenario_field_exit_code(tmp_path, capsys, overrides):
     assert "missing field" in capsys.readouterr().err
 
 
+EVENT = {"type": "event", "threshold": 0.1, "delta_min": 0.01, "delta_max": 0.2}
+EXPLICIT = {"type": "explicit", "times": [0.1, 0.2]}
+BOX = {"box": [[-0.05, 0.05]] * 3}
+
+
+@pytest.mark.parametrize("key, base, field", [
+    ("sampler", None, "delta"),
+    ("sampler", EVENT, "threshold"), ("sampler", EVENT, "delta_min"),
+    ("sampler", EVENT, "delta_max"), ("sampler", EXPLICIT, "times"),
+    ("certificate", None, "P"), ("certificate", None, "Q"), ("certificate", None, "R"),
+    ("certificate", None, "lambda"),
+    ("disturbance", None, "bound"), ("disturbance", None, "dt"),
+    ("disturbance", None, "seed"), ("disturbance", BOX, "box"),
+    (None, None, "T"), (None, None, "dt"), (None, None, "t_sim"), (None, None, "chi_hat"),
+    (None, None, "chi"),
+])
+def test_non_numeric_scenario_field_exit_code(tmp_path, capsys, key, base, field):
+    # base None: the field of the default scenario's own section
+    cfg = json.loads(open(scenario(tmp_path)).read())
+    if key is None:
+        cfg[field] = "abc"
+    else:
+        cfg[key] = dict(base or cfg[key], **{field: "abc"})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["estimate", "--config", str(path)]) == 2
+    assert f"field {field!r} is not numeric" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("drop", ["P1", "lambda", "domain", "domain.X", "verification.mode"])
 def test_missing_certificate_field_exit_code(tmp_path, capsys, drop):
     path = tmp_path / "cert.json"

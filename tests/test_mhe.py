@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from mhect import (DetectabilityCertificate, Domain, Equidistant, EventTriggered
                    integrate, k_of, make_sampler, mhe_objective, run_mhe, solve_fie, solve_mhe,
                    truth_candidate_cost, zero_signal)
 from mhect.errors import ConfigurationError, DivergenceError, DomainError, HorizonError
+from mhect.integrate import rk4_step_with_jacobians
 from mhect.mhe import (DAMPING_INIT, GRAD_TOL, MAX_ITERS, SamplingSet, _WindowProblem,
                        validate_sampling)
 from mhect.rng import SplitMix64
@@ -325,6 +327,30 @@ def test_window_divergence_from_the_prior():
     assert np.all(np.isfinite(sol.x_star.states))
 
 
+def _dense_jacobian(prob, z, states):
+    """Residual Jacobian of a window, assembled densely from the forward RK4
+    sensitivities G_j = dx_j/dz; the reference for the stage-wise solver."""
+    n, q, N, p, nv = prob.n, prob.q, prob.N, prob.p, prob.nv
+    Wp = z[n:].reshape(N, q)
+    G = np.zeros((N + 1, n, nv))
+    G[0, :, :n] = np.eye(n)
+    Jw = np.zeros((N * q, nv))
+    Jy = np.zeros((N * p, nv))
+    for j in range(N):
+        wj = slice(n + j * q, n + (j + 1) * q)
+        _, A, B = rk4_step_with_jacobians(prob.model, states[j], prob.u[j], Wp[j], prob.dt)
+        G[j + 1] = A @ G[j]
+        G[j + 1][:, wj] += B
+        Jw[j * q:(j + 1) * q, wj] = prob.sw[j] * prob.sqQ
+        blk = prob.model.jac_h_x(states[j], prob.u[j], Wp[j]) @ G[j]
+        blk[:, wj] += prob.model.jac_h_w(states[j], prob.u[j], Wp[j])
+        Jy[j * p:(j + 1) * p] = -prob.sy[j] * (prob.sqR @ blk)
+    Jp = np.zeros((n, nv))
+    Jp[:, :n] = prob.sq_prior
+    j, i, _ = prob._active_violations(states)
+    return np.vstack([Jp, Jw, Jy, math.sqrt(prob.pen) * G[j, i]])
+
+
 def test_window_jacobian_matches_finite_differences(ref_cert):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
@@ -340,7 +366,7 @@ def test_window_jacobian_matches_finite_differences(ref_cert):
     for z0 in (np.concatenate([[3.0, 1.0], 0.05 * (rng.uniforms((N * 3,)) - 0.5)]),
                np.concatenate([[0.12, 4.9], 0.09 * (rng.uniforms((N * 3,)) - 0.5)])):
         states = prob.forward(z0)
-        J, _ = prob.jacobian(z0, states)
+        J = _dense_jacobian(prob, z0, states)
         r0 = full_residual(z0)
         assert J.shape == (r0.size, z0.size)
         for idx in range(z0.size):
@@ -348,6 +374,65 @@ def test_window_jacobian_matches_finite_differences(ref_cert):
             e[idx] = 1e-7
             col = (full_residual(z0 + e) - full_residual(z0 - e)) / 2e-7
             assert np.abs(J[:, idx] - col).max() < 2e-5 * max(1.0, np.abs(col).max())
+
+
+def _window_with_violations(ref_cert, N):
+    """A window of N pieces at a point whose trajectory leaves a shrunken X,
+    at the terminal node N among others, so penalty rows are active."""
+    model = batch_reactor()
+    cfg = MheConfig(ref_cert, 8.0, 0.01, Equidistant(0.1))
+    rng = SplitMix64(100 + N)
+    y_seg = PiecewiseSignal(0.0, 0.01, 3.9 + 0.2 * rng.uniforms((N, 1)))
+    prob = _WindowProblem(model, cfg, np.array([3.0, 1.0]), None, y_seg, N * 0.01)
+    z = np.concatenate([[2.9, 1.1], 0.18 * (rng.uniforms((N * 3,)) - 0.5)])
+    states = prob.forward(z)
+    prob.x_hi = states[N] - 1e-3 * np.abs(states[N])
+    assert prob._active_violations(states)[0][-1] == N
+    return prob, z, states
+
+
+@pytest.mark.parametrize("N", [1, 5, 40, 200])
+def test_riccati_step_matches_the_dense_solve(ref_cert, N):
+    prob, z, states = _window_with_violations(ref_cert, N)
+    n, q = prob.n, prob.q
+    r = prob.residuals(z, states)
+    J = _dense_jacobian(prob, z, states)
+    lin = prob.linearize(z, states, r)
+    Jtr = J.T @ r
+    g = prob.gradient(lin)
+    assert np.linalg.norm(g - Jtr) <= 1e-10 * np.linalg.norm(Jtr)
+
+    rng = SplitMix64(7 * N)
+    some = rng.uniforms((prob.nv,)) < 0.8
+    some[n + (N // 2) * q:n + (N // 2 + 1) * q] = False   # one stage with w all pinned
+    no_chi = some.copy()
+    no_chi[:n] = False
+    JTJ = J.T @ J
+    for free in (np.ones(prob.nv, bool), some, no_chi):
+        nf = int(free.sum())
+        for mu in (1e-3, 1.0, 1e4):
+            dense = np.zeros(prob.nv)
+            dense[free] = np.linalg.solve(JTJ[np.ix_(free, free)] + mu * np.eye(nf), -Jtr[free])
+            step = prob.lm_step(lin, free, mu)
+            assert np.all(step[~free] == 0.0)
+            assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def test_window_step_memory_is_linear_in_the_window(ref_cert):
+    # at N = 800 (nv = 2402) a dense sensitivity tensor or J'J alone would
+    # take tens of MB; the stage-wise arrays stay well below 4 MB
+    prob, z, states = _window_with_violations(ref_cert, 800)
+    r = prob.residuals(z, states)
+    free = np.ones(prob.nv, bool)
+    tracemalloc.start()
+    try:
+        lin = prob.linearize(z, states, r)
+        prob.gradient(lin)
+        prob.lm_step(lin, free, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_active_violations_match_the_scalar_scan(ref_cert):
