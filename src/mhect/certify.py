@@ -181,31 +181,30 @@ def load_certificate(path):
 # the pointwise matrix inequality
 
 def lmi_matrix(model, P, Q, R, kappa, x, u, w):
-    """The (n+q) x (n+q) detectability inequality block at one point,
-    symmetrized by averaging with its transpose."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
+    """The (n+q) x (n+q) detectability inequality block, symmetrized by
+    averaging with its transpose.  x, u, w may carry leading batch axes;
+    the result then holds one block per point, with shape (..., n+q, n+q)."""
     A = model.jac_f_x(x, u, w)
     B = model.jac_f_w(x, u, w)
     C = model.jac_h_x(x, u, w)
     D = model.jac_h_w(x, u, w)
+    Ct = C.swapaxes(-1, -2)
     RC = R @ C
     RD = R @ D
-    M11 = P @ A + A.T @ P + kappa * P - C.T @ RC
-    M12 = P @ B - C.T @ RD
-    M22 = -D.T @ RD - Q
-    M = np.block([[M11, M12], [M12.T, M22]])
-    return 0.5 * (M + M.T)
+    M11 = P @ A + A.swapaxes(-1, -2) @ P + kappa * P - Ct @ RC
+    M12 = P @ B - Ct @ RD
+    M22 = -D.swapaxes(-1, -2) @ RD - Q
+    M = np.concatenate([np.concatenate([M11, M12], axis=-1),
+                        np.concatenate([M12.swapaxes(-1, -2), M22], axis=-1)], axis=-2)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _max_eig(model, P, Q, R, kappa, points):
-    """Largest inequality eigenvalue over the points and the first point
-    attaining it."""
-    blocks = np.array([lmi_matrix(model, P, Q, R, kappa, x, u, w) for (x, u, w) in points])
-    eigs = np.linalg.eigvalsh(blocks)[:, -1]
+    """Largest inequality eigenvalue over the stacked points (x, u, w) and the
+    first point attaining it."""
+    eigs = np.linalg.eigvalsh(lmi_matrix(model, P, Q, R, kappa, *points))[:, -1]
     k = int(np.argmax(eigs))
-    return float(eigs[k]), points[k]
+    return float(eigs[k]), tuple(v[k] for v in points)
 
 
 @dataclass(frozen=True)
@@ -226,30 +225,22 @@ class GridSpec:
 
 
 def grid_points(domain, grid):
-    """List of (x, u, w) evaluation points for a GridSpec over a Domain."""
+    """Evaluation points of a GridSpec over a Domain, stacked as arrays
+    (x (B, n), u (B, m), w (B, q)) in x-major, then u, then w order."""
     if grid.vertices_only:
         if not grid.affinity_asserted:
             raise ConfigurationError(
                 "vertices_only requires affinity_asserted: corner checks are only "
                 "sufficient when the inequality entries are affine per axis")
-        xs = box_vertices(domain.X)
-        us = box_vertices(domain.U)
-        ws = box_vertices(domain.W)
+        axes = [np.array(box_vertices(box)) for box in (domain.X, domain.U, domain.W)]
         mode = "vertices"
     else:
-        def pts(box, counts):
-            axes = box_grid_axes(box, counts)
-            if not axes:
-                return [np.zeros(0)]
-            return [np.array(c) for c in itertools.product(*axes)]
-        xs = pts(domain.X, grid.x_points)
-        us = pts(domain.U, grid.u_points)
-        ws = pts(domain.W, grid.w_points)
+        axes = [np.array(list(itertools.product(*box_grid_axes(box, counts))), dtype=float)
+                for box, counts in ((domain.X, grid.x_points), (domain.U, grid.u_points),
+                                    (domain.W, grid.w_points))]
         mode = "grid"
-    points = [(x, u, w) for x in xs for u in us for w in ws]
-    if not points:
-        raise ConfigurationError("empty evaluation grid")
-    return points, mode
+    k = np.indices([len(a) for a in axes]).reshape(3, -1)
+    return tuple(a[i] for a, i in zip(axes, k)), mode
 
 
 def _check_domain_within(domain, model):
@@ -274,8 +265,8 @@ def verify_certificate(model, cert, grid, tol_psd=1e-8):
         raise ConfigurationError("pointwise verification requires P1 = P2")
     points, mode = grid_points(cert.domain, grid)
     max_eig, worst = _max_eig(model, cert.P1, cert.Q, cert.R, cert.kappa, points)
-    return VerificationReport(max_eig <= tol_psd, max_eig, worst[0], worst[1],
-                              worst[2], tol_psd, len(points), mode)
+    return VerificationReport(max_eig <= tol_psd, max_eig, *worst, tol_psd,
+                              len(points[0]), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +399,11 @@ def _synthesis_problem(model, kappa, Q_fix, R_fix, points, eps_pd):
     # one weight, the others zero, is that coordinate's block
     zeros = [np.zeros((d, d)) for d in (n, q, p)]
     units = [zeros[:i] + [E] + zeros[i + 1:] for i, (_, m) in enumerate(bases) for E in m]
-    K = np.array([[-lmi_matrix(model, *unit, kappa, x, u, w) for unit in units]
-                  + [np.eye(n + q)] for (x, u, w) in points])
-    K0 = np.zeros((len(points), n + q, n + q)) if Q_fix is None else np.array(
-        [-lmi_matrix(model, zeros[0], Q_fix, R_fix, kappa, x, u, w) for (x, u, w) in points])
+    shape = (len(points[0]), n + q, n + q)
+    K = np.stack([-lmi_matrix(model, *unit, kappa, *points) for unit in units]
+                 + [np.broadcast_to(np.eye(n + q), shape)], axis=1)
+    K0 = np.zeros(shape) if Q_fix is None else -lmi_matrix(model, zeros[0], Q_fix, R_fix,
+                                                           kappa, *points)
     groups = [(K0, K)]
 
     # positivity blocks: each unknown weight >= eps_pd * I

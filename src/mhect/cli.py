@@ -30,7 +30,8 @@ from .integrate import integrate, output_along
 from .mhe import (Equidistant, EventTriggered, Explicit, MheConfig, make_sampler, run_mhe,
                   truth_candidate_cost)
 from .rng import SplitMix64
-from .sysmodel import PiecewiseSignal, batch_reactor, get_model, load_model, write_csv
+from .sysmodel import (PiecewiseSignal, _numeric, batch_reactor, get_model, load_model,
+                       write_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +231,6 @@ def _float_array(value):
 
 def _float_tuple(value):
     return tuple(float(v) for v in value)
-
-
-def _numeric(section, key, where, convert=float):
-    """section[key] passed through convert.  A value convert rejects is a
-    ConfigurationError naming the field; a missing key raises KeyError for
-    the caller to report."""
-    try:
-        return convert(section[key])
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"{where} field {key!r} is not numeric: {e}")
 
 
 def _scenario_model(cfg):

@@ -62,11 +62,12 @@ def rk4_step_with_jacobians(model, x, u, w, dt):
     Differentiates the four stages by the chain rule using the model's
     continuous-time Jacobians, so the returned matrices are the derivatives
     of the discrete step map itself (not a discretization of the
-    continuous-time linearization).
+    continuous-time linearization).  x, u, w may carry leading batch axes,
+    one step per row: the results have shapes (..., n), (..., n, n) and
+    (..., n, q).
     """
     f = model.f
-    n = model.n
-    I = np.eye(n)
+    I = np.eye(model.n)
 
     x1 = x
     k1 = f(x1, u, w)
@@ -163,7 +164,4 @@ def output_along(model, traj, u, w):
     K = traj.n_steps
     u = _resolve_signal(u, model.m, traj.t0, traj.t0 + K * traj.dt, traj.dt, K, "u")
     w = _resolve_signal(w, model.q, traj.t0, traj.t0 + K * traj.dt, traj.dt, K, "w")
-    ys = np.empty((K, model.p))
-    for k in range(K):
-        ys[k] = model.h(traj.states[k], u[k], w[k])
-    return PiecewiseSignal(traj.t0, traj.dt, ys)
+    return PiecewiseSignal(traj.t0, traj.dt, model.h(traj.states[:-1], u, w))

@@ -398,14 +398,12 @@ class _WindowProblem:
 
     def residuals(self, z, states):
         """Stacked residual vector r with f = |r|^2 = objective + penalty."""
-        n, q, N, p = self.n, self.q, self.N, self.p
+        n, q, N = self.n, self.q, self.N
         Wp = z[n:].reshape(N, q)
         parts = [self.sq_prior @ (z[:n] - self.prior)]
         if N:
             parts.append((self.sw[:, None] * (Wp @ self.sqQ)).ravel())
-            y_est = np.empty((N, p))
-            for j in range(N):
-                y_est[j] = self.model.h(states[j], self.u[j], Wp[j])
+            y_est = self.model.h(states[:-1], self.u, Wp)
             parts.append((self.sy[:, None] * ((self.y - y_est) @ self.sqR)).ravel())
         _, _, v = self._active_violations(states)
         if v.size:
@@ -421,16 +419,10 @@ class _WindowProblem:
         The prior sits in node 0, state-penalty rows at their node.
         """
         n, q, N, p = self.n, self.q, self.N, self.p
-        Wp = z[n:].reshape(N, q)
-        A = np.empty((N, n, n))
-        B = np.empty((N, n, q))
-        Hx = np.empty((N, p, n))
-        Hw = np.empty((N, p, q))
-        for j in range(N):
-            _, A[j], B[j] = rk4_step_with_jacobians(self.model, states[j], self.u[j], Wp[j],
-                                                    self.dt)
-            Hx[j] = self.model.jac_h_x(states[j], self.u[j], Wp[j])
-            Hw[j] = self.model.jac_h_w(states[j], self.u[j], Wp[j])
+        nodes = (states[:-1], self.u, z[n:].reshape(N, q))
+        _, A, B = rk4_step_with_jacobians(self.model, *nodes, self.dt)
+        Hx = self.model.jac_h_x(*nodes)
+        Hw = self.model.jac_h_w(*nodes)
         r_p = r[:n]
         r_w = r[n:n + N * q].reshape(N, q)
         r_y = r[n + N * q:n + N * (q + p)].reshape(N, p)

@@ -1,9 +1,9 @@
 """System models, box constraint sets, and piecewise-constant signals.
 
 A model is continuous-time, x' = f(x, u, w), y = h(x, u, w), with
-axis-aligned box sets for states (X), controls (U), disturbances (W) and
-outputs (Y).  Controls are optional: m = 0 is fully supported and the
-bundled benchmark uses it.
+axis-aligned box sets for states (X), controls (U) and disturbances (W).
+Controls are optional: m = 0 is fully supported and the bundled benchmark
+uses it.
 """
 
 import json
@@ -93,52 +93,29 @@ def box_grid_axes(box, counts):
     return axes
 
 
-# ---------------------------------------------------------------------------
-# finite differences (fallback when analytic Jacobians are not supplied)
-
-def finite_difference_jacobian(fun, x, m_out):
-    """Central differences with per-coordinate step 1e-6 * max(1, |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    J = np.zeros((m_out, x.size))
-    for i in range(x.size):
-        h = 1e-6 * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        J[:, i] = (np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * h)
-    return J
-
-
 class SystemModel:
-    """Continuous-time model with box sets and (optionally analytic) Jacobians.
+    """Continuous-time model with box sets and analytic Jacobians.
 
-    f, h take (x, u, w) with plain 1-D numpy arrays; missing Jacobians fall
-    back to central finite differences.  Instances are treated as immutable
-    after construction.
+    Every callback takes (x, u, w) with shapes (..., n), (..., m), (..., q)
+    that share their leading batch axes and evaluates all rows at once: f
+    returns (..., n), h (..., p), jac_f_x (..., n, n), jac_f_w (..., n, q),
+    jac_h_x (..., p, n) and jac_h_w (..., p, q).  Results may be read-only
+    broadcast views.  Instances are treated as immutable after construction.
     """
 
-    def __init__(self, n, m, q, p, f, h, *, jac_f_x=None, jac_f_w=None,
-                 jac_h_x=None, jac_h_w=None, X=None, U=None, W=None, Y=None,
-                 output_affine=False, name=""):
+    def __init__(self, n, m, q, p, f, h, *, jac_f_x, jac_f_w, jac_h_x, jac_h_w,
+                 X=None, U=None, W=None, output_affine=False, name=""):
         if min(n, q, p) < 1 or m < 0:
             raise ConfigurationError("dimensions must satisfy n, q, p >= 1 and m >= 0")
         self.n, self.m, self.q, self.p = int(n), int(m), int(q), int(p)
         self.f, self.h = f, h
+        self.jac_f_x, self.jac_f_w = jac_f_x, jac_f_w
+        self.jac_h_x, self.jac_h_w = jac_h_x, jac_h_w
         self.X = as_box(X, self.n, "X")
         self.U = as_box(U, self.m, "U")
         self.W = as_box(W, self.q, "W")
-        self.Y = as_box(Y, self.p, "Y")
         self.output_affine = bool(output_affine)
         self.name = name
-        self.jac_f_x = jac_f_x or (lambda x, u, w: finite_difference_jacobian(
-            lambda xi: self.f(xi, u, w), x, self.n))
-        self.jac_f_w = jac_f_w or (lambda x, u, w: finite_difference_jacobian(
-            lambda wi: self.f(x, u, wi), w, self.n))
-        self.jac_h_x = jac_h_x or (lambda x, u, w: finite_difference_jacobian(
-            lambda xi: self.h(xi, u, w), x, self.p))
-        self.jac_h_w = jac_h_w or (lambda x, u, w: finite_difference_jacobian(
-            lambda wi: self.h(x, u, wi), w, self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +151,6 @@ class PiecewiseSignal:
     @property
     def end(self):
         return self.t0 + self.dt * self.n_pieces
-
-    def eval(self, t):
-        return self.values[self.piece_index(t)]
-
-    def piece_index(self, t):
-        s = (t - self.t0) / self.dt
-        k = round(s)
-        idx = k if abs(s - k) <= GRID_TOL else math.floor(s)
-        if idx < 0 or idx >= self.n_pieces:
-            raise DomainError(f"t = {t} outside signal domain [{self.t0}, {self.end})")
-        return idx
 
     def slice(self, t_start, t_end, rebase=True):
         """Grid-aligned sub-signal on [t_start, t_end); rebases t0 to 0."""
@@ -230,140 +196,148 @@ def batch_reactor():
     """
     k1, k2 = 0.16, 0.0064
 
+    # f and h index the transposes: x.T[i] is x[..., i] with the batch axes
+    # reversed, and a numpy scalar for one row, which keeps the sequential
+    # RK4 loop at scalar speed; the final .T restores the batch axes
     def f(x, u, w):
+        x, w = x.T, w.T
         r = k1 * x[0] * x[0]
-        return np.array([-2.0 * r + 2.0 * k2 * x[1] + w[0], r - k2 * x[1] + w[1]])
+        return np.array([-2.0 * r + 2.0 * k2 * x[1] + w[0], r - k2 * x[1] + w[1]]).T
 
     def h(x, u, w):
-        return np.array([x[0] + x[1] + w[2]])
+        x, w = x.T, w.T
+        return np.array([x[0] + x[1] + w[2]]).T
 
     def jac_f_x(x, u, w):
-        return np.array([[-4.0 * k1 * x[0], 2.0 * k2], [2.0 * k1 * x[0], -k2]])
+        J = np.empty(x.shape[:-1] + (2, 2))
+        J[..., 0, 0] = -4.0 * k1 * x[..., 0]
+        J[..., 0, 1] = 2.0 * k2
+        J[..., 1, 0] = 2.0 * k1 * x[..., 0]
+        J[..., 1, 1] = -k2
+        return J
 
-    def jac_f_w(x, u, w):
-        return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-
-    def jac_h_x(x, u, w):
-        return np.array([[1.0, 1.0]])
-
-    def jac_h_w(x, u, w):
-        return np.array([[0.0, 0.0, 1.0]])
+    def constant(J):
+        return lambda x, u, w: np.broadcast_to(J, x.shape[:-1] + J.shape)
 
     return SystemModel(
-        2, 0, 3, 1, f, h,
-        jac_f_x=jac_f_x, jac_f_w=jac_f_w, jac_h_x=jac_h_x, jac_h_w=jac_h_w,
-        X=[[0.1, 5.0], [0.1, 5.0]], U=[], W=[[-0.1, 0.1]] * 3, Y=None,
+        2, 0, 3, 1, f, h, jac_f_x=jac_f_x,
+        jac_f_w=constant(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
+        jac_h_x=constant(np.array([[1.0, 1.0]])),
+        jac_h_w=constant(np.array([[0.0, 0.0, 1.0]])),
+        X=[[0.1, 5.0], [0.1, 5.0]], U=[], W=[[-0.1, 0.1]] * 3,
         output_affine=True, name="batch_reactor")
 
 
 # ---------------------------------------------------------------------------
 # polynomial models from structured files
 
-def _poly_eval(terms, x, w):
-    val = 0.0
-    for c, xe, we in terms:
-        t = c
-        for i, e in enumerate(xe):
-            if e:
-                t *= x[i] ** e
-        for i, e in enumerate(we):
-            if e:
-                t *= w[i] ** e
-        val += t
-    return val
+def _numeric(section, key, where, convert=float):
+    """section[key] passed through convert.  A value convert rejects is a
+    ConfigurationError naming the field; a missing key raises KeyError for
+    the caller to report."""
+    try:
+        return convert(section[key])
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"{where} field {key!r} is not numeric: {e}")
 
 
-def _poly_diff(terms, wrt, idx):
-    """d/d(var idx) of a monomial list; wrt is 'x' or 'w'."""
-    out = []
-    for c, xe, we in terms:
-        exps = xe if wrt == "x" else we
-        e = exps[idx]
-        if e == 0:
-            continue
-        new = list(exps)
-        new[idx] = e - 1
-        if wrt == "x":
-            out.append((c * e, tuple(new), we))
-        else:
-            out.append((c * e, xe, tuple(new)))
-    return out
+def _integer(value):
+    v = float(value)
+    if not v.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(v)
 
 
-def _poly_degree(terms):
-    return max((sum(xe) + sum(we) for _, xe, we in terms), default=0)
+def _exponents(value):
+    exps = [_integer(e) for e in value]
+    if min(exps, default=0) < 0:
+        raise ValueError(f"exponents must be non-negative integers, got {value!r}")
+    return exps
+
+
+def _polynomial(c, e, shape):
+    """Callback for rows r of sum_t c[r, t] * prod_i v_i^e[r, t, i] at
+    v = (x, w), returned with trailing shape `shape`."""
+    def poly(x, u, w):
+        v = np.concatenate([x, w], axis=-1)[..., None, None, :]
+        return np.sum(c * np.prod(v ** e, axis=-1), axis=-1).reshape(x.shape[:-1] + shape)
+    return poly
+
+
+def _derivative(c, e, cols):
+    """Coefficients and exponents of d row / d v_j for j in cols, rows (r, j)
+    in row-major order; terms without v_j keep coefficient 0."""
+    var = np.arange(e.shape[-1])
+    dc = np.stack([c * e[..., j] for j in cols], axis=1)
+    de = np.stack([np.where(var == j, np.maximum(e - 1.0, 0.0), e) for j in cols], axis=1)
+    return dc.reshape(-1, c.shape[1]), de.reshape(-1, *e.shape[1:])
 
 
 def model_from_dict(spec):
     """Build a SystemModel from the structured dict format (see load_model)."""
     try:
-        n = int(spec["state_dim"])
-        q = int(spec["dist_dim"])
-        p = int(spec["output_dim"])
+        n, q, p = (_numeric(spec, k, "model", _integer)
+                   for k in ("state_dim", "dist_dim", "output_dim"))
+        m = _numeric(spec, "input_dim", "model", _integer) if "input_dim" in spec else 0
+        if min(n, q, p) < 1 or m != 0:
+            raise ConfigurationError(
+                "file-based models need state_dim, dist_dim, output_dim >= 1 and are "
+                "polynomial in (x, w) only: input_dim must be 0")
+
+        def compile_rows(name):
+            """Coefficients (R, T) and exponents (R, T, n + q) of the rows of
+            spec[name], padded with zero terms to the longest row."""
+            rows = _numeric(spec, name, "model", lambda v: [list(row) for row in v])
+            T = max([1] + [len(row) for row in rows])
+            c = np.zeros((len(rows), T))
+            e = np.zeros((len(rows), T, n + q))
+            for r, row in enumerate(rows):
+                coord = f"{name}[{r}]"
+                for t, term in enumerate(row):
+                    c[r, t] = _numeric(term, "coeff", coord)
+                    xe = _numeric(term, "x_exp", coord, _exponents) if "x_exp" in term else [0] * n
+                    we = _numeric(term, "w_exp", coord, _exponents) if "w_exp" in term else [0] * q
+                    if len(xe) != n or len(we) != q:
+                        raise ConfigurationError(
+                            f"{coord}: exponent lists must have lengths {n} and {q}")
+                    e[r, t] = xe + we
+            return c, e
+
+        fc, fe = compile_rows("f")
+        hc, he = compile_rows("h")
+        X = _numeric(spec, "X", "model", lambda v: as_box(v, n, "X")) if "X" in spec else None
+        W = _numeric(spec, "W", "model", lambda v: as_box(v, q, "W")) if "W" in spec else None
     except KeyError as e:
         raise ConfigurationError(f"model file missing field {e}")
-    m = int(spec.get("input_dim", 0))
-    if m != 0:
-        raise ConfigurationError("file-based models are polynomial in (x, w) only; input_dim must be 0")
-
-    def parse_terms(entry, coord):
-        terms = []
-        for term in entry:
-            c = float(term["coeff"])
-            xe = tuple(int(e) for e in term.get("x_exp", [0] * n))
-            we = tuple(int(e) for e in term.get("w_exp", [0] * q))
-            if len(xe) != n or len(we) != q:
-                raise ConfigurationError(f"{coord}: exponent lists must have lengths {n} and {q}")
-            if any(e < 0 for e in xe + we):
-                raise ConfigurationError(f"{coord}: exponents must be nonnegative")
-            terms.append((c, xe, we))
-        return terms
-
-    try:
-        f_terms = [parse_terms(row, f"f[{i}]") for i, row in enumerate(spec["f"])]
-        h_terms = [parse_terms(row, f"h[{i}]") for i, row in enumerate(spec["h"])]
-    except KeyError as e:
-        raise ConfigurationError(f"model file missing field {e}")
-    if len(f_terms) != n or len(h_terms) != p:
+    if len(fc) != n or len(hc) != p:
         raise ConfigurationError("f must list n coordinates and h must list p coordinates")
 
     output_affine = bool(spec.get("output_affine", False))
-    if output_affine and any(_poly_degree(t) > 1 for t in h_terms):
+    if output_affine and he.sum(axis=-1).max() > 1:
         raise ConfigurationError("output_affine declared but h has degree > 1 in (x, w)")
 
-    def f(x, u, w):
-        return np.array([_poly_eval(t, x, w) for t in f_terms])
-
-    def h(x, u, w):
-        return np.array([_poly_eval(t, x, w) for t in h_terms])
-
-    fx = [[_poly_diff(f_terms[i], "x", j) for j in range(n)] for i in range(n)]
-    fw = [[_poly_diff(f_terms[i], "w", j) for j in range(q)] for i in range(n)]
-    hx = [[_poly_diff(h_terms[i], "x", j) for j in range(n)] for i in range(p)]
-    hw = [[_poly_diff(h_terms[i], "w", j) for j in range(q)] for i in range(p)]
-
-    def jac(rows, nc):
-        def J(x, u, w):
-            out = np.zeros((len(rows), nc))
-            for i, row in enumerate(rows):
-                for j, terms in enumerate(row):
-                    out[i, j] = _poly_eval(terms, x, w)
-            return out
-        return J
-
+    xs, ws = range(n), range(n, n + q)
     return SystemModel(
-        n, 0, q, p, f, h,
-        jac_f_x=jac(fx, n), jac_f_w=jac(fw, q), jac_h_x=jac(hx, n), jac_h_w=jac(hw, q),
-        X=spec.get("X"), U=[], W=spec.get("W"), Y=spec.get("Y"),
-        output_affine=output_affine, name=spec.get("name", "file_model"))
+        n, 0, q, p, _polynomial(fc, fe, (n,)), _polynomial(hc, he, (p,)),
+        jac_f_x=_polynomial(*_derivative(fc, fe, xs), (n, n)),
+        jac_f_w=_polynomial(*_derivative(fc, fe, ws), (n, q)),
+        jac_h_x=_polynomial(*_derivative(hc, he, xs), (p, n)),
+        jac_h_w=_polynomial(*_derivative(hc, he, ws), (p, q)),
+        X=X, U=[], W=W, output_affine=output_affine, name=spec.get("name", "file_model"))
 
 
 def load_model(path):
     """Load a polynomial model from a JSON file.
 
-    Format: state_dim/dist_dim/output_dim ints, f and h as per-coordinate
-    lists of monomial terms {"coeff": c, "x_exp": [...], "w_exp": [...]},
-    box sets X/W/Y as [lo, hi] rows (null = unbounded).
+    Format: state_dim/dist_dim/output_dim integers, f and h as per-coordinate
+    lists of monomial terms {"coeff": c, "x_exp": [...], "w_exp": [...]}
+    with non-negative integer exponents (omitted lists are all zero), box
+    sets X/W as [lo, hi] rows (null = unbounded).  A missing or non-numeric
+    field is a ConfigurationError naming it.  The terms are compiled once
+    into coefficient and exponent arrays, and f, h and the four Jacobians
+    evaluate them over leading batch axes.
     """
     with open(path) as fh:
         spec = json.load(fh)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mhect import FixedQR, GridSpec, batch_reactor, synthesize_certificate
 from mhect.cli import bench_certificate
@@ -7,6 +8,16 @@ from mhect.cli import bench_certificate
 Q_BENCH = np.diag([1000.0, 1000.0, 100.0])
 R_BENCH = np.array([[100.0]])
 VERTS = GridSpec(vertices_only=True, affinity_asserted=True)
+
+# the same examples on every run, and no replay of a local example database
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
+
+
+def const_jac(value):
+    """Constant Jacobian callback of a model with n = q = p = 1, shaped
+    (..., 1, 1) for states of shape (..., 1)."""
+    return lambda x, u, w: np.full(x.shape + (1,), value)
 
 
 @pytest.fixture(scope="session")

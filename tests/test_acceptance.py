@@ -23,7 +23,7 @@ from mhect import (DetectabilityCertificate, Equidistant, Explicit, FixedQR, Mhe
                    verify_certificate)
 from mhect.cli import DisturbanceSpec, bench_run, bench_times, generate_disturbance
 from mhect.rng import SplitMix64
-from tests.conftest import Q_BENCH, R_BENCH, VERTS
+from tests.conftest import Q_BENCH, R_BENCH, VERTS, const_jac
 
 
 def _line(num, ok, detail):
@@ -182,9 +182,11 @@ def test_07_noise_free_run_is_exact(reactor, ref_cert):
 
 def test_08_integrator_is_fourth_order():
     m = SystemModel(1, 0, 1, 1,
-                    lambda x, u, w: np.array([-x[0]]),
-                    lambda x, u, w: np.array([x[0]]),
-                    X=None, U=[], W=[[-1.0, 1.0]], Y=None, name="decay")
+                    lambda x, u, w: -x,
+                    lambda x, u, w: x.copy(),
+                    jac_f_x=const_jac(-1.0), jac_f_w=const_jac(0.0),
+                    jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
+                    X=None, U=[], W=[[-1.0, 1.0]], name="decay")
     errs = []
     for dt in (0.04, 0.02, 0.01):
         traj = integrate(m, np.array([1.0]), None, None, 0.0, 1.0, dt)

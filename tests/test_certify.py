@@ -11,7 +11,7 @@ from mhect.certify import (_min_horizon_formula, _sym_basis, _synthesis_problem,
                            _vec_from_sym, grid_points)
 from mhect.errors import ConfigurationError, HorizonError, InfeasibleError
 from mhect.rng import SplitMix64
-from tests.conftest import Q_BENCH, R_BENCH, VERTS
+from tests.conftest import Q_BENCH, R_BENCH, VERTS, const_jac
 
 GOLDEN = (-3.0 + math.sqrt(5.0)) / 2.0  # max eig of [[-2, 1], [1, -1]]
 
@@ -19,12 +19,10 @@ GOLDEN = (-3.0 + math.sqrt(5.0)) / 2.0  # max eig of [[-2, 1], [1, -1]]
 def scalar_model():
     # x' = -x + w, y = x: A = -1, B = 1, C = 1, D = 0
     return SystemModel(1, 0, 1, 1,
-                       lambda x, u, w: np.array([-x[0] + w[0]]),
-                       lambda x, u, w: np.array([x[0]]),
-                       jac_f_x=lambda x, u, w: np.array([[-1.0]]),
-                       jac_f_w=lambda x, u, w: np.array([[1.0]]),
-                       jac_h_x=lambda x, u, w: np.array([[1.0]]),
-                       jac_h_w=lambda x, u, w: np.array([[0.0]]),
+                       lambda x, u, w: -x + w,
+                       lambda x, u, w: x.copy(),
+                       jac_f_x=const_jac(-1.0), jac_f_w=const_jac(1.0),
+                       jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                        X=[[-1.0, 1.0]], U=[], W=[[-1.0, 1.0]], output_affine=True)
 
 
@@ -120,9 +118,9 @@ def test_verify_requires_matching_domain(reactor, ref_cert):
 def test_grid_points_modes(reactor):
     dom = Domain.of_model(reactor)
     pts, mode = grid_points(dom, GridSpec(x_points=3, w_points=3))
-    assert mode == "grid" and len(pts) == 9 * 27
+    assert mode == "grid" and [v.shape for v in pts] == [(9 * 27, 2), (9 * 27, 0), (9 * 27, 3)]
     pts, mode = grid_points(dom, VERTS)
-    assert mode == "vertices" and len(pts) == 32
+    assert mode == "vertices" and [v.shape for v in pts] == [(32, 2), (32, 0), (32, 3)]
     with pytest.raises(ConfigurationError):
         grid_points(dom, GridSpec(vertices_only=True))
 
@@ -257,12 +255,10 @@ def test_synthesis_infeasible_model():
     # x' = x (unstable), y = w: the output carries no state information, so
     # the top-left block (2 + kappa) P stays positive for every P > 0
     m = SystemModel(1, 0, 1, 1,
-                    lambda x, u, w: np.array([x[0]]),
-                    lambda x, u, w: np.array([w[0]]),
-                    jac_f_x=lambda x, u, w: np.array([[1.0]]),
-                    jac_f_w=lambda x, u, w: np.array([[0.0]]),
-                    jac_h_x=lambda x, u, w: np.array([[0.0]]),
-                    jac_h_w=lambda x, u, w: np.array([[1.0]]),
+                    lambda x, u, w: x.copy(),
+                    lambda x, u, w: w.copy(),
+                    jac_f_x=const_jac(1.0), jac_f_w=const_jac(0.0),
+                    jac_h_x=const_jac(0.0), jac_h_w=const_jac(1.0),
                     X=[[-1.0, 1.0]], U=[], W=[[-1.0, 1.0]], output_affine=True)
     with pytest.raises(InfeasibleError) as exc:
         synthesize_certificate(m, 0.5, FixedQR(np.eye(1), np.eye(1)), VERTS)

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -278,6 +279,29 @@ def test_non_numeric_scenario_field_exit_code(tmp_path, capsys, key, base, field
     path.write_text(json.dumps(cfg))
     assert main(["estimate", "--config", str(path)]) == 2
     assert f"field {field!r} is not numeric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("state_dim",), "one"), (("dist_dim",), "one"), (("output_dim",), [1]),
+    (("input_dim",), "zero"), (("f", 0, 0, "coeff"), "abc"), (("h", 0, 0, "coeff"), None),
+    (("f", 0, 0, "x_exp"), ["a"]), (("f", 0, 1, "w_exp"), 1), (("h", 0, 0, "x_exp"), [1.5]),
+    (("f", 0, 1, "w_exp"), [0.5]), (("X",), [["a", 1.0]]), (("W",), [[-0.1, "b"]]),
+    (("f",), None), (("h",), [5]),
+])
+def test_non_numeric_model_field_exit_code(tmp_path, capsys, path, value):
+    # dims, coefficients, exponents (non-negative integers), box rows and
+    # the term lists themselves
+    spec = copy.deepcopy(ESCAPE_MODEL)
+    *outer, key = path
+    section = spec
+    for k in outer:
+        section = section[k]
+    section[key] = value
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(spec))
+    assert main(["certify", "--model-file", str(mpath), "--lambda", "0.5",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"field {key!r} is not numeric" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("drop", ["P1", "lambda", "domain", "domain.X", "verification.mode"])

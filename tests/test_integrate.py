@@ -7,14 +7,17 @@ from mhect import (PiecewiseSignal, SystemModel, Trajectory, batch_reactor, inte
                    output_along, rk4_step, rk4_step_with_jacobians, zero_signal)
 from mhect.errors import ConfigurationError, DivergenceError
 from mhect.rng import SplitMix64
+from tests.conftest import const_jac
 
 
 def decay_model():
     # x' = -x; the disturbance channel exists but enters with coefficient 0
     return SystemModel(1, 0, 1, 1,
-                       lambda x, u, w: np.array([-x[0]]),
-                       lambda x, u, w: np.array([x[0]]),
-                       X=None, U=[], W=[[-1.0, 1.0]], Y=None, name="decay")
+                       lambda x, u, w: -x,
+                       lambda x, u, w: x.copy(),
+                       jac_f_x=const_jac(-1.0), jac_f_w=const_jac(0.0),
+                       jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
+                       X=None, U=[], W=[[-1.0, 1.0]], name="decay")
 
 
 def test_exponential_decay_endpoint():
@@ -49,8 +52,10 @@ def test_bit_identical_repeat():
 
 def test_divergence_reports_time():
     m = SystemModel(1, 0, 1, 1,
-                    lambda x, u, w: np.array([x[0] * x[0]]),
-                    lambda x, u, w: np.array([x[0]]),
+                    lambda x, u, w: x * x,
+                    lambda x, u, w: x.copy(),
+                    jac_f_x=lambda x, u, w: 2.0 * x[..., None], jac_f_w=const_jac(0.0),
+                    jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                     X=None, U=[], W=[[-1.0, 1.0]])
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
         integrate(m, np.array([2.0]), None, None, 0.0, 1.0, 0.01)
@@ -86,8 +91,10 @@ def test_coarse_signal_pieces():
     # a w held for 2 integration steps must act on both of them
     m = decay_model()
     rich = SystemModel(1, 0, 1, 1,
-                       lambda x, u, w: np.array([-x[0] + w[0]]),
-                       lambda x, u, w: np.array([x[0]]),
+                       lambda x, u, w: -x + w,
+                       lambda x, u, w: x.copy(),
+                       jac_f_x=const_jac(-1.0), jac_f_w=const_jac(1.0),
+                       jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                        X=None, U=[], W=[[-1.0, 1.0]])
     w_coarse = PiecewiseSignal(0.0, 0.02, np.array([[0.3], [-0.1]]))
     w_fine = PiecewiseSignal(0.0, 0.01, np.array([[0.3], [0.3], [-0.1], [-0.1]]))
@@ -100,8 +107,10 @@ def test_coarse_signal_lookup_away_from_its_origin():
     # integration starts mid-piece of a dt-0.02 signal that begins at t0 = 0:
     # steps at t = 0.03, 0.04, 0.05, 0.06 read pieces 1, 2, 2, 3
     rich = SystemModel(1, 0, 1, 1,
-                       lambda x, u, w: np.array([-x[0] + w[0]]),
-                       lambda x, u, w: np.array([x[0] + w[0]]),
+                       lambda x, u, w: -x + w,
+                       lambda x, u, w: x + w,
+                       jac_f_x=const_jac(-1.0), jac_f_w=const_jac(1.0),
+                       jac_h_x=const_jac(1.0), jac_h_w=const_jac(1.0),
                        X=None, U=[], W=[[-1.0, 1.0]])
     vals = np.array([[0.3], [-0.1], [0.5], [0.2]])
     w_coarse = PiecewiseSignal(0.0, 0.02, vals)

@@ -13,6 +13,7 @@ from mhect.integrate import rk4_step_with_jacobians
 from mhect.mhe import (DAMPING_INIT, GRAD_TOL, MAX_ITERS, SamplingSet, _WindowProblem,
                        validate_sampling)
 from mhect.rng import SplitMix64
+from tests.conftest import const_jac
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +310,10 @@ def test_window_divergence_from_the_prior():
     # x' = x^2 + w escapes at t = 1/x0: from 20 every candidate blows up
     # inside the 0.1 window, from 0.1 the window solves normally
     model = SystemModel(1, 0, 1, 1,
-                        lambda x, u, w: np.array([x[0] * x[0] + w[0]]),
-                        lambda x, u, w: np.array([x[0]]),
-                        jac_f_x=lambda x, u, w: np.array([[2.0 * x[0]]]),
-                        jac_f_w=lambda x, u, w: np.array([[1.0]]),
-                        jac_h_x=lambda x, u, w: np.array([[1.0]]),
-                        jac_h_w=lambda x, u, w: np.array([[0.0]]),
+                        lambda x, u, w: x * x + w,
+                        lambda x, u, w: x.copy(),
+                        jac_f_x=lambda x, u, w: 2.0 * x[..., None],
+                        jac_f_w=const_jac(1.0), jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                         X=None, U=[], W=[[-0.1, 0.1]], name="escape")
     cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5,
                                                  Domain.of_model(model))

@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mhect import (PiecewiseSignal, SystemModel, as_box, batch_reactor, box_clip,
-                   box_contains, get_model, model_from_dict, zero_signal)
+                   box_contains, get_model, lmi_matrix, model_from_dict, rk4_step,
+                   rk4_step_with_jacobians, zero_signal)
 from mhect.errors import ConfigurationError, DomainError
 from mhect.rng import SplitMix64
-from mhect.sysmodel import (as_grid_index, box_grid_axes, box_vertices,
-                            finite_difference_jacobian)
+from mhect.sysmodel import as_grid_index, box_grid_axes, box_vertices
+from tests.conftest import const_jac
 
 
 # ---------------------------------------------------------------------------
@@ -69,35 +72,6 @@ def test_box_grid_axes():
 
 
 # ---------------------------------------------------------------------------
-# Jacobians
-
-def test_finite_difference_jacobian_on_smooth_map():
-    def fun(v):
-        return np.array([np.sin(v[0]) * v[1], v[0] ** 2 + np.exp(v[1])])
-
-    x = np.array([0.7, -0.3])
-    J = finite_difference_jacobian(fun, x, 2)
-    J_true = np.array([[np.cos(0.7) * (-0.3), np.sin(0.7)],
-                       [2 * 0.7, np.exp(-0.3)]])
-    assert np.abs(J - J_true).max() < 1e-8
-
-
-def test_fd_fallback_matches_analytic_jacobians():
-    analytic = batch_reactor()
-    plain = SystemModel(2, 0, 3, 1, analytic.f, analytic.h,
-                        X=[[0.1, 5.0]] * 2, U=[], W=[[-0.1, 0.1]] * 3)
-    rng = SplitMix64(42)
-    for _ in range(30):
-        x = 0.1 + 4.9 * rng.uniforms((2,))
-        w = -0.1 + 0.2 * rng.uniforms((3,))
-        u = np.zeros(0)
-        for which in ("jac_f_x", "jac_f_w", "jac_h_x", "jac_h_w"):
-            Ja = getattr(analytic, which)(x, u, w)
-            Jf = getattr(plain, which)(x, u, w)
-            assert np.abs(Ja - Jf).max() < 1e-6 * max(1.0, np.abs(Ja).max())
-
-
-# ---------------------------------------------------------------------------
 # the bundled reactor model
 
 def test_reactor_vector_field_values():
@@ -126,38 +100,17 @@ def test_model_registry():
 
 def test_dimension_validation():
     with pytest.raises(ConfigurationError):
-        SystemModel(0, 0, 1, 1, lambda x, u, w: x, lambda x, u, w: x)
+        SystemModel(0, 0, 1, 1, lambda x, u, w: x, lambda x, u, w: x,
+                    jac_f_x=const_jac(1.0), jac_f_w=const_jac(0.0),
+                    jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0))
 
 
 # ---------------------------------------------------------------------------
 # piecewise-constant signals
 
-def test_signal_eval_boundaries():
-    sig = PiecewiseSignal(0.0, 0.01, np.arange(10.0).reshape(10, 1))
-    assert sig.eval(0.0)[0] == 0.0
-    assert sig.eval(0.005)[0] == 0.0
-    assert sig.eval(0.01)[0] == 1.0          # right-continuous at the seam
-    assert sig.eval(0.03 - 1e-12)[0] == 3.0  # float dust snaps to the seam
-    assert sig.eval(0.0999999999)[0] == 9.0
-    assert sig.end == pytest.approx(0.1)
-    with pytest.raises(DomainError):
-        sig.eval(0.1)
-    with pytest.raises(DomainError):
-        sig.eval(-1e-6)
-    assert sig.piece_index(0.07) == 7
-
-
-def test_signal_accumulated_grid_times():
-    # times built by repeated addition carry representation error ~1e-16*k
-    sig = PiecewiseSignal(0.0, 0.1, np.arange(100.0).reshape(100, 1))
-    t = 0.0
-    for k in range(100):
-        assert sig.eval(t)[0] == float(k)
-        t += 0.1
-
-
 def test_signal_slice():
     sig = PiecewiseSignal(0.0, 0.01, np.arange(20.0).reshape(20, 1))
+    assert sig.end == pytest.approx(0.2)
     sub = sig.slice(0.05, 0.12)
     assert sub.t0 == 0.0 and sub.n_pieces == 7
     assert sub.values[0, 0] == 5.0 and sub.values[-1, 0] == 11.0
@@ -254,3 +207,158 @@ def test_polynomial_model_validation():
     neg_exp["f"] = [[{"coeff": 1.0, "x_exp": [-1, 0]}], [{"coeff": 1.0}]]
     with pytest.raises(ConfigurationError):
         model_from_dict(neg_exp)
+
+    # exponents are integers: x^1.5 is refused, not truncated to x^1
+    for bad in (1.5, float("inf"), float("nan")):
+        frac_exp = dict(REACTOR_SPEC)
+        frac_exp["f"] = [[{"coeff": 1.0, "x_exp": [bad, 0]}], [{"coeff": 1.0}]]
+        with pytest.raises(ConfigurationError, match="x_exp"):
+            model_from_dict(frac_exp)
+    whole = dict(REACTOR_SPEC)
+    whole["f"] = [[dict(t, x_exp=[float(e) for e in t.get("x_exp", [0, 0])]) for t in row]
+                  for row in REACTOR_SPEC["f"]]
+    x, w = np.array([4.0, 0.5]), np.zeros(3)
+    assert np.array_equal(model_from_dict(whole).f(x, None, w),
+                          model_from_dict(REACTOR_SPEC).f(x, None, w))
+
+
+
+# ---------------------------------------------------------------------------
+# the batched model protocol
+
+CALLBACKS = ("f", "h", "jac_f_x", "jac_f_w", "jac_h_x", "jac_h_w")
+
+
+def _poly_eval(terms, x, w):
+    """Term-by-term scalar evaluation of (coeff, x_exp, w_exp) monomials; the
+    oracle for the compiled evaluator of model_from_dict."""
+    val = 0.0
+    for c, xe, we in terms:
+        t = c
+        for i, e in enumerate(xe):
+            if e:
+                t *= x[i] ** e
+        for i, e in enumerate(we):
+            if e:
+                t *= w[i] ** e
+        val += t
+    return val
+
+
+def _poly_diff(terms, wrt, idx):
+    """d/d(var idx) of a monomial list; wrt is 'x' or 'w'."""
+    out = []
+    for c, xe, we in terms:
+        exps = xe if wrt == "x" else we
+        if exps[idx]:
+            new = list(exps)
+            new[idx] -= 1
+            out.append((c * exps[idx], tuple(new), we) if wrt == "x"
+                       else (c * exps[idx], xe, tuple(new)))
+    return out
+
+
+# values bounded away from underflow, zero included
+VALUES = st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
+
+
+@st.composite
+def polynomial_points(draw):
+    """A random polynomial model spec and 1-4 points (X, W) in its variables."""
+    n, q, p = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    term = st.fixed_dictionaries({
+        "coeff": st.one_of(VALUES, st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.01)),
+        "x_exp": st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        "w_exp": st.lists(st.integers(0, 3), min_size=q, max_size=q)})
+    rows = lambda k: st.lists(st.lists(term, max_size=4), min_size=k, max_size=k)
+    spec = {"state_dim": n, "dist_dim": q, "output_dim": p, "f": draw(rows(n)),
+            "h": draw(rows(p))}
+    B = draw(st.integers(1, 4))
+    return spec, draw(arrays(float, (B, n), elements=VALUES)), draw(
+        arrays(float, (B, q), elements=VALUES))
+
+
+def _oracle(spec, x, w):
+    """f, h and the four Jacobians by the scalar oracle, each with the sum of
+    its terms' magnitudes, the scale of the evaluation's rounding error."""
+    def evaluate(table):
+        return (np.array([[_poly_eval(t, x, w) for t in row] for row in table]),
+                np.array([[_poly_eval([(abs(c), xe, we) for c, xe, we in t], abs(x), abs(w))
+                           for t in row] for row in table]))
+
+    out = {}
+    for key in ("f", "h"):
+        rows = [[(t["coeff"], tuple(t["x_exp"]), tuple(t["w_exp"])) for t in row]
+                for row in spec[key]]
+        want, scale = evaluate([[row] for row in rows])
+        out[key] = want[:, 0], scale[:, 0]
+        for wrt, dim in (("x", spec["state_dim"]), ("w", spec["dist_dim"])):
+            out[f"jac_{key}_{wrt}"] = evaluate([[_poly_diff(row, wrt, j) for j in range(dim)]
+                                                for row in rows])
+    return out
+
+
+@given(polynomial_points())
+def test_compiled_polynomial_matches_the_scalar_oracle(case):
+    spec, X, W = case
+    model = model_from_dict(spec)
+    for x, w in zip(X, W):
+        for name, (want, scale) in _oracle(spec, x, w).items():
+            got = getattr(model, name)(x, np.zeros(0), w)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def _assert_rows_match(fn, X, U, W):
+    """Row k of the batched call equals the call on row k, bit for bit."""
+    batch = fn(X, U, W)
+    batch = batch if isinstance(batch, tuple) else (batch,)
+    for k in range(len(X)):
+        single = fn(X[k], U[k], W[k])
+        single = single if isinstance(single, tuple) else (single,)
+        for b, s in zip(batch, single, strict=True):
+            assert b[k].shape == s.shape
+            assert np.ascontiguousarray(b[k]).tobytes() == np.ascontiguousarray(s).tobytes()
+
+
+def _assert_protocol(model, X, W):
+    U = np.zeros((len(X), model.m))
+    for name in CALLBACKS:
+        _assert_rows_match(getattr(model, name), X, U, W)
+    _assert_rows_match(lambda x, u, w: rk4_step_with_jacobians(model, x, u, w, 0.01), X, U, W)
+    P = np.eye(model.n) + 0.1
+    Q, R = np.diag(np.arange(1.0, model.q + 1)), np.eye(model.p)
+    _assert_rows_match(lambda x, u, w: lmi_matrix(model, P, Q, R, 0.9, x, u, w), X, U, W)
+
+
+@given(polynomial_points())
+def test_polynomial_model_rows_are_single_calls(case):
+    spec, X, W = case
+    _assert_protocol(model_from_dict(spec), X, W)
+
+
+@given(arrays(float, (5, 2), elements=st.floats(0.1, 5.0)),
+       arrays(float, (5, 3), elements=st.floats(-0.1, 0.1)))
+def test_reactor_rows_are_single_calls(X, W):
+    model = batch_reactor()
+    _assert_protocol(model, X, W)
+    # and the step of each row is the sequential kernel's
+    x1, _, _ = rk4_step_with_jacobians(model, X, np.zeros((5, 0)), W, 0.01)
+    for k in range(5):
+        assert x1[k].tobytes() == rk4_step(model, X[k], np.zeros(0), W[k], 0.01).tobytes()
+
+
+@given(polynomial_points())
+def test_polynomial_step_jacobians_match_finite_differences(case):
+    spec, X, W = case
+    model = model_from_dict(spec)
+    u, dt, h = np.zeros(0), 0.01, 1e-6
+    _, A, B = rk4_step_with_jacobians(model, X, np.zeros((len(X), 0)), W, dt)
+    for x, w, Ak, Bk in zip(X, W, A, B):
+        for J, arg, step in ((Ak, 0, np.eye(len(x))), (Bk, 1, np.eye(len(w)))):
+            for j, e in enumerate(h * step):
+                xw_p, xw_m = [x, w], [x, w]
+                xw_p[arg], xw_m[arg] = xw_p[arg] + e, xw_m[arg] - e
+                col = (rk4_step(model, xw_p[0], u, xw_p[1], dt)
+                       - rk4_step(model, xw_m[0], u, xw_m[1], dt)) / (2 * h)
+                assert np.abs(J[:, j] - col).max() < 1e-7 * max(1.0, np.abs(col).max())
