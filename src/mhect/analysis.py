@@ -150,8 +150,12 @@ class BoundReport:
         }
 
 
-def audit_run(run, cert=None, rel_tol=1e-9):
-    """Check the error bounds along a finished run against its ground truth.
+REL_TOL = 1e-9   # relative slack of the decay and sup-norm checks (rounding only)
+
+
+def audit_run(run):
+    """Check the error bounds of run.cfg.cert along a finished run against
+    its ground truth.
 
     Uses delta_bar = 0 and factor 4 under the equidistant bookkeeping
     (cfg.equidistant_mode), otherwise the sampling set's delta_bar and factor
@@ -164,7 +168,7 @@ def audit_run(run, cert=None, rel_tol=1e-9):
     if run.truth is None:
         raise AuditError("audit needs a run with ground truth attached")
     cfg = run.cfg
-    cert = cert or cfg.cert
+    cert = cfg.cert
     sampling = run.sampling
     if cfg.equidistant_mode:
         delta_bar = 0.0
@@ -210,9 +214,9 @@ def audit_run(run, cert=None, rel_tol=1e-9):
         w_sup = float(np.max(np.linalg.norm(w.values[:k_i], axis=1))) if k_i else 0.0
         sup_rhs[i] = max(consts.C * s0 * consts.rho_s ** sol.t_i, consts.gamma(w_sup))
     margin = rhs - lhs
-    passed = bool(np.all(margin >= -rel_tol * np.abs(rhs)))
+    passed = bool(np.all(margin >= -REL_TOL * np.abs(rhs)))
     prop3_passed = bool(np.all(p3_rhs - p3_lhs >= -1e-6 * np.abs(p3_rhs)))
-    sup_passed = bool(np.all(sup_rhs - sup_lhs >= -rel_tol * np.abs(sup_rhs)))
+    sup_passed = bool(np.all(sup_rhs - sup_lhs >= -REL_TOL * np.abs(sup_rhs)))
     worst = float(np.min(margin / np.where(np.abs(rhs) > 0, np.abs(rhs), 1.0)))
     return BoundReport(times, lhs, rhs, margin, u_prior, p3_lhs, p3_rhs, sup_lhs,
                        sup_rhs, rho, factor, delta_bar, lmax, consts, eq_res,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, HorizonError, InfeasibleError
-from .sysmodel import as_box, box_grid_axes, box_vertices
+from .sysmodel import _section, as_box, box_grid_axes, box_vertices
 
 
 def _check_sym(M, name):
@@ -82,6 +82,7 @@ class Domain:
 
     @classmethod
     def from_dict(cls, d):
+        d = _section(d, "certificate domain")
         return cls(as_box(d["X"], None, "X") if d["X"] else np.zeros((0, 2)),
                    as_box(d["U"], None, "U") if d["U"] else np.zeros((0, 2)),
                    as_box(d["W"], None, "W") if d["W"] else np.zeros((0, 2)))
@@ -106,6 +107,7 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, d):
+        d = _section(d, "certificate verification")
         return cls(bool(d["passed"]), float(d["max_eig"]), np.array(d["worst_x"]),
                    np.array(d["worst_u"]), np.array(d["worst_w"]),
                    float(d["tol_psd"]), int(d["n_points"]), str(d["mode"]))
@@ -158,6 +160,7 @@ class DetectabilityCertificate:
 
     @classmethod
     def from_dict(cls, d):
+        d = _section(d, "certificate")
         try:
             ver = VerificationReport.from_dict(d["verification"]) if d.get("verification") else None
             return cls(np.array(d["P1"], dtype=float), np.array(d["P2"], dtype=float),
@@ -279,15 +282,22 @@ class FixedQR:
     R: np.ndarray
 
 
+# barrier solver settings
+EPS_PD = 1e-3        # P (and Q, R in joint mode) >= EPS_PD * I
+MU0 = 1.0            # initial barrier weight
+MU_FACTOR = 0.2      # barrier weight shrink per stage
+MU_MIN = 1e-10       # give up once the barrier weight is at most this
+FEAS_STOP = 1e-8     # feasible as soon as t < -FEAS_STOP
+NEWTON_TOL = 1e-9    # Newton decrement threshold per stage
+
+
 @dataclass(frozen=True)
 class SdpOptions:
-    eps_pd: float = 1e-3      # P (and Q, R in joint mode) >= eps_pd * I
+    """Synthesis settings; the barrier settings above are constants.
+    max_iters: joint reactor synthesis on a 5-point x grid needs 2000, not 200.
+    recheck_tol: callers read it to re-check a result as synthesis does."""
+
     max_iters: int = 200      # total Newton iterations across barrier stages
-    mu0: float = 1.0
-    mu_factor: float = 0.2
-    mu_min: float = 1e-10
-    feas_stop: float = 1e-8   # stop as soon as t < -feas_stop
-    newton_tol: float = 1e-9  # Newton decrement threshold per stage
     recheck_tol: float = 1e-8
 
 
@@ -342,16 +352,16 @@ class _BarrierSDP:
             hess += mu * np.einsum("bkij,blji->kl", W, W)
         return grad, hess
 
-    def solve(self, y0, opts):
-        """Returns (feasible, y, iters).  feasible means t = y[-1] < -feas_stop."""
+    def solve(self, y0, max_iters):
+        """Returns (feasible, y, iters).  feasible means t = y[-1] < -FEAS_STOP."""
         y = np.asarray(y0, dtype=float).copy()
-        if math.isinf(self._fval(y, opts.mu0)):
+        if math.isinf(self._fval(y, MU0)):
             raise ConfigurationError("barrier initialization is not strictly feasible")
-        mu = opts.mu0
+        mu = MU0
         iters = 0
         while True:
-            while iters < opts.max_iters:
-                if y[-1] < -opts.feas_stop:
+            while iters < max_iters:
+                if y[-1] < -FEAS_STOP:
                     return True, y, iters
                 grad, hess = self._newton_system(y, mu)
                 try:
@@ -359,7 +369,7 @@ class _BarrierSDP:
                 except np.linalg.LinAlgError:
                     d = np.linalg.lstsq(hess, -grad, rcond=None)[0]
                 decrement = float(-grad @ d)
-                if decrement <= 2.0 * opts.newton_tol:
+                if decrement <= 2.0 * NEWTON_TOL:
                     break
                 f0 = self._fval(y, mu)
                 alpha = 1.0
@@ -371,14 +381,14 @@ class _BarrierSDP:
                     break  # stage stalled; shrink mu
                 y = y + alpha * d
                 iters += 1
-            if y[-1] < -opts.feas_stop:
+            if y[-1] < -FEAS_STOP:
                 return True, y, iters
-            if mu <= opts.mu_min or iters >= opts.max_iters:
+            if mu <= MU_MIN or iters >= max_iters:
                 return False, y, iters
-            mu *= opts.mu_factor
+            mu *= MU_FACTOR
 
 
-def _synthesis_problem(model, kappa, Q_fix, R_fix, points, eps_pd):
+def _synthesis_problem(model, kappa, Q_fix, R_fix, points):
     """The barrier problem of synthesis, its start point and the map from y
     to the weights [P, Q, R].
 
@@ -406,12 +416,12 @@ def _synthesis_problem(model, kappa, Q_fix, R_fix, points, eps_pd):
                                                            kappa, *points)
     groups = [(K0, K)]
 
-    # positivity blocks: each unknown weight >= eps_pd * I
+    # positivity blocks: each unknown weight >= EPS_PD * I
     y0 = np.zeros(nvar)
     for d, (pairs, m), o in zip(dims, bases, offsets):
         Kpos = np.zeros((1, nvar, d, d))
         Kpos[0, o:o + len(m)] = m
-        groups.append((-eps_pd * np.eye(d)[None], Kpos))
+        groups.append((-EPS_PD * np.eye(d)[None], Kpos))
         y0[o:o + len(m)] = _vec_from_sym(np.eye(d), pairs)
     y0[-1] = _max_eig(model, *weights(y0), kappa, points)[0] + 1.0
     return _BarrierSDP(groups), y0, weights
@@ -421,7 +431,7 @@ def synthesize_certificate(model, lam, mode, grid, opts=None):
     """Find weights making the detectability inequality hold on the grid.
 
     mode is FixedQR(Q, R) (solve for P only) or the string "joint" (solve for
-    P, Q, R together, all bounded below by eps_pd * I).  The result is always
+    P, Q, R together, all bounded below by EPS_PD * I).  The result is always
     re-checked with verify_certificate on the same grid before it is
     returned.  Raises InfeasibleError with the most violating grid point when
     no strictly feasible point is found.
@@ -443,8 +453,8 @@ def synthesize_certificate(model, lam, mode, grid, opts=None):
     else:
         raise ConfigurationError("mode must be FixedQR(Q, R) or 'joint'")
 
-    sdp, y0, weights = _synthesis_problem(model, kappa, Q_fix, R_fix, points, opts.eps_pd)
-    ok, y, iters = sdp.solve(y0, opts)
+    sdp, y0, weights = _synthesis_problem(model, kappa, Q_fix, R_fix, points)
+    ok, y, iters = sdp.solve(y0, opts.max_iters)
     P, Q, R = weights(y)
     if not ok:
         worst_eig, worst_pt = _max_eig(model, P, Q, R, kappa, points)

@@ -30,8 +30,8 @@ from .integrate import integrate, output_along
 from .mhe import (Equidistant, EventTriggered, Explicit, MheConfig, make_sampler, run_mhe,
                   truth_candidate_cost)
 from .rng import SplitMix64
-from .sysmodel import (PiecewiseSignal, _numeric, batch_reactor, get_model, load_model,
-                       write_csv)
+from .sysmodel import (PiecewiseSignal, _numeric, _section, batch_reactor, get_model,
+                       load_model, write_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +104,16 @@ def bench_certificate():
         BENCH_P, BENCH_Q, BENCH_R, BENCH_LAMBDA, Domain.of_model(model))
 
 
-def bench_run(seed=1, *, chi=None, chi_hat=None, sampler_spec=None, t_sim=BENCH_T_SIM,
-              equidistant_mode=False, T=BENCH_T):
+def bench_run(seed=1, *, sampler_spec=None, t_sim=BENCH_T_SIM, equidistant_mode=False,
+              T=BENCH_T):
     """One benchmark estimation run; returns (run, report)."""
     model = batch_reactor()
-    cert = bench_certificate()
     spec = sampler_spec if sampler_spec is not None else Explicit(tuple(bench_times()))
-    sampling = make_sampler(spec, t_sim, BENCH_DT, horizon=T) \
-        if not isinstance(spec, EventTriggered) else spec
-    cfg = MheConfig(cert, T, BENCH_DT, sampling, equidistant_mode=equidistant_mode)
+    cfg = MheConfig(bench_certificate(), T, BENCH_DT, spec, equidistant_mode=equidistant_mode)
     w = generate_disturbance(
         DisturbanceSpec([[-BENCH_W_BOUND, BENCH_W_BOUND]] * model.q, BENCH_DT, t_sim),
         seed, w_box=model.W)
-    run = run_mhe(model, cfg,
-                  chi_hat=BENCH_CHI_HAT if chi_hat is None else np.asarray(chi_hat, float),
-                  t_sim=t_sim, chi=BENCH_CHI if chi is None else np.asarray(chi, float),
-                  w=w)
+    run = run_mhe(model, cfg, chi_hat=BENCH_CHI_HAT, t_sim=t_sim, chi=BENCH_CHI, w=w)
     report = audit_run(run)
     return run, report
 
@@ -222,7 +216,7 @@ def _load_scenario(path):
         raise ConfigurationError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"config is not valid JSON: {e}")
-    return cfg
+    return _section(cfg, "config")
 
 
 def _float_array(value):
@@ -249,30 +243,24 @@ def _scenario_certificate(cfg, model):
     if isinstance(c, str):
         return load_certificate(c)
     if isinstance(c, dict) and "P" in c:
-        try:
-            P, Q, R = [_numeric(c, k, "certificate", _float_array) for k in ("P", "Q", "R")]
-            lam = _numeric(c, "lambda", "certificate")
-        except KeyError as e:
-            raise ConfigurationError(f"certificate missing field {e}")
+        P, Q, R = [_numeric(c, k, "certificate", _float_array) for k in ("P", "Q", "R")]
+        lam = _numeric(c, "lambda", "certificate")
         return DetectabilityCertificate.from_weights(P, Q, R, lam, Domain.of_model(model))
     raise ConfigurationError("certificate must be a file path or inline {P, Q, R, lambda}")
 
 
-def _scenario_sampler(cfg, dt):
+def _scenario_sampler(cfg):
     s = cfg.get("sampler")
     if s is None:
         raise ConfigurationError("config needs a sampler")
-    kind = s.get("type")
-    try:
-        if kind == "equidistant":
-            return Equidistant(_numeric(s, "delta", "sampler"))
-        if kind == "explicit":
-            return Explicit(_numeric(s, "times", "sampler", _float_tuple))
-        if kind == "event":
-            return EventTriggered(*(_numeric(s, k, "sampler")
-                                    for k in ("threshold", "delta_min", "delta_max")))
-    except KeyError as e:
-        raise ConfigurationError(f"sampler missing field {e}")
+    kind = _section(s, "sampler").get("type")
+    if kind == "equidistant":
+        return Equidistant(_numeric(s, "delta", "sampler"))
+    if kind == "explicit":
+        return Explicit(_numeric(s, "times", "sampler", _float_tuple))
+    if kind == "event":
+        return EventTriggered(*(_numeric(s, k, "sampler")
+                                for k in ("threshold", "delta_min", "delta_max")))
     raise ConfigurationError(f"unknown sampler type {kind!r}")
 
 
@@ -280,7 +268,7 @@ def _scenario_disturbance(cfg, model, dt, t_sim):
     d = cfg.get("disturbance")
     if d is None:
         return None, None
-    if "box" in d:
+    if "box" in _section(d, "disturbance"):
         box = _numeric(d, "box", "disturbance", _float_array)
     elif "bound" in d:
         b = _numeric(d, "bound", "disturbance")
@@ -296,12 +284,9 @@ def _assemble_scenario(path):
     cfg = _load_scenario(path)
     model = _scenario_model(cfg)
     cert = _scenario_certificate(cfg, model)
-    try:
-        T, dt, t_sim = (_numeric(cfg, k, "config") for k in ("T", "dt", "t_sim"))
-        chi_hat = _numeric(cfg, "chi_hat", "config", _float_array)
-    except KeyError as e:
-        raise ConfigurationError(f"config missing field {e}")
-    sampler = _scenario_sampler(cfg, dt)
+    T, dt, t_sim = (_numeric(cfg, k, "config") for k in ("T", "dt", "t_sim"))
+    chi_hat = _numeric(cfg, "chi_hat", "config", _float_array)
+    sampler = _scenario_sampler(cfg)
     mhe_cfg = MheConfig(cert, T, dt, sampler,
                         equidistant_mode=bool(cfg.get("equidistant_mode", False)))
     chi = _numeric(cfg, "chi", "config", _float_array) if "chi" in cfg else None
@@ -400,6 +385,8 @@ def cmd_audit(args):
 
 
 def cmd_bench(args):
+    if args.seeds < 1:
+        raise ConfigurationError("--seeds must be at least 1")
     out = _resolve_out(args)
     model = batch_reactor()
     cert = bench_certificate()

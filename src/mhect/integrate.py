@@ -66,45 +66,24 @@ def rk4_step_with_jacobians(model, x, u, w, dt):
     one step per row: the results have shapes (..., n), (..., n, n) and
     (..., n, q).
     """
-    f = model.f
     I = np.eye(model.n)
-
-    x1 = x
-    k1 = f(x1, u, w)
-    A1 = model.jac_f_x(x1, u, w)
-    B1 = model.jac_f_w(x1, u, w)
-
-    x2 = x + 0.5 * dt * k1
-    k2 = f(x2, u, w)
-    A2 = model.jac_f_x(x2, u, w)
-    B2 = model.jac_f_w(x2, u, w)
-
-    x3 = x + 0.5 * dt * k2
-    k3 = f(x3, u, w)
-    A3 = model.jac_f_x(x3, u, w)
-    B3 = model.jac_f_w(x3, u, w)
-
-    x4 = x + dt * k3
-    k4 = f(x4, u, w)
-    A4 = model.jac_f_x(x4, u, w)
-    B4 = model.jac_f_w(x4, u, w)
-
-    # stage sensitivities wrt x
-    D1 = A1
-    D2 = A2 @ (I + 0.5 * dt * D1)
-    D3 = A3 @ (I + 0.5 * dt * D2)
-    D4 = A4 @ (I + dt * D3)
-    A_step = I + (dt / 6.0) * (D1 + 2.0 * D2 + 2.0 * D3 + D4)
-
-    # stage sensitivities wrt w
-    E1 = B1
-    E2 = B2 + A2 @ (0.5 * dt * E1)
-    E3 = B3 + A3 @ (0.5 * dt * E2)
-    E4 = B4 + A4 @ (dt * E3)
-    B_step = (dt / 6.0) * (E1 + 2.0 * E2 + 2.0 * E3 + E4)
-
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x_next, A_step, B_step
+    # stage 1 (c = 0, b = 1); D and E are the stage's sensitivities
+    # d k_s/dx and d k_s/dw, and sk, sD, sE the b-weighted sums over stages
+    k = model.f(x, u, w)
+    D = model.jac_f_x(x, u, w)
+    E = model.jac_f_w(x, u, w)
+    sk, sD, sE = k, D, E
+    for c, b in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        xs = x + c * dt * k
+        k = model.f(xs, u, w)
+        A = model.jac_f_x(xs, u, w)
+        D = A @ (I + c * dt * D)
+        E = model.jac_f_w(xs, u, w) + A @ (c * dt * E)
+        sk = sk + b * k
+        sD = sD + b * D
+        sE = sE + b * E
+    h = dt / 6.0
+    return x + h * sk, I + h * sD, h * sE
 
 
 def _resolve_signal(sig, dim, t0, t1, dt, steps, name):

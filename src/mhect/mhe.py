@@ -18,7 +18,6 @@ step from a backward Riccati sweep and a forward rollout, which solve the
 condensed Gauss-Newton system without forming it.
 """
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -123,28 +122,27 @@ class EventTriggered:
     """Sample when the integrated output-innovation energy crosses a threshold.
 
     The schedule is computed offline from one nominal (w = 0) propagation of
-    the model from x0: the energy int |y_meas - y_nom|^2_weight dtau
-    accumulates from the previous sample and the next sample lands on the
-    first grid node where it exceeds the threshold, clamped to
+    the model from x0: the energy int |y_meas - y_nom|^2 dtau (Euclidean
+    norm) accumulates from the previous sample and the next sample lands on
+    the first grid node where it exceeds the threshold, clamped to
     [delta_min, delta_max].  threshold = inf gives spacing delta_max exactly.
+    The data (model, u, y, x0) is not part of the spec: make_sampler takes
+    it, and run_mhe passes its own.
     """
 
     threshold: float
     delta_min: float
     delta_max: float
-    weight: np.ndarray | None = None
-    model: object | None = None
-    u: PiecewiseSignal | None = None
-    y: PiecewiseSignal | None = None
-    x0: np.ndarray | None = None
 
 
-def make_sampler(spec, t_sim, dt, horizon=None):
+def make_sampler(spec, t_sim, dt, horizon=None, *, model=None, u=None, y=None, x0=None):
     """Realize a sampler spec as a SamplingSet on [0, t_sim].
 
+    Equidistant and Explicit specs need nothing else; EventTriggered needs
+    the data context model, u (None without controls), measured y and
+    nominal x0, which run_mhe passes as its own model, u, y and chi_hat.
     With horizon given, raises HorizonError when the realized largest gap
-    delta_bar reaches or exceeds it (the estimator would have no admissible
-    window).
+    delta_bar reaches or exceeds it (no admissible window).
     """
     K = as_grid_index(t_sim, dt, "t_sim")
     if isinstance(spec, Equidistant):
@@ -159,7 +157,7 @@ def make_sampler(spec, t_sim, dt, horizon=None):
         if ks.size and ks[-1] > K:
             raise ConfigurationError("explicit sampling times exceed t_sim")
     elif isinstance(spec, EventTriggered):
-        ks = _event_schedule(spec, K, dt)
+        ks = _event_schedule(spec, K, dt, model, u, y, x0)
     else:
         raise ConfigurationError("unknown sampler spec")
     sampling = SamplingSet(ks * dt, dt)
@@ -170,20 +168,18 @@ def make_sampler(spec, t_sim, dt, horizon=None):
     return sampling
 
 
-def _event_schedule(spec, K, dt):
-    if spec.model is None or spec.y is None or spec.x0 is None:
+def _event_schedule(spec, K, dt, model, u, y, x0):
+    if model is None or y is None or x0 is None:
         raise ConfigurationError(
             "event-triggered sampling needs the data context: model, measured y and x0")
-    model = spec.model
     k_min = as_grid_index(spec.delta_min, dt, "delta_min")
     k_max = as_grid_index(spec.delta_max, dt, "delta_max")
     if not 1 <= k_min <= k_max:
         raise ConfigurationError("need dt <= delta_min <= delta_max")
-    Wt = np.eye(model.p) if spec.weight is None else np.asarray(spec.weight, dtype=float)
-    nom = integrate(model, np.asarray(spec.x0, dtype=float), spec.u, None, 0.0, K * dt, dt)
-    y_nom = output_along(model, nom, spec.u, None)
-    innov = spec.y.values[:K] - y_nom.values[:K]
-    piece_energy = np.einsum("ki,ij,kj->k", innov, Wt, innov) * dt
+    nom = integrate(model, np.asarray(x0, dtype=float), u, None, 0.0, K * dt, dt)
+    y_nom = output_along(model, nom, u, None)
+    innov = y.values[:K] - y_nom.values[:K]
+    piece_energy = np.einsum("ki,ki->k", innov, innov) * dt
     ks = []
     prev = 0
     while True:
@@ -308,16 +304,16 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class MheSolution:
-    """One window solve: initial state, disturbance pieces and the window
+    """One window solve: initial state, disturbance pieces, the window
     trajectory of the accepted forward pass (the same RK4 steps on the same
-    inputs as integrate(), so x_star is bit-identical to what it returns)."""
+    inputs as integrate(), so x_star is bit-identical to what it returns)
+    and the window objective at them."""
 
     t_i: float
     T_ti: float
     chi_star: np.ndarray
     w_star: PiecewiseSignal
     x_star: Trajectory
-    y_star: PiecewiseSignal
     cost: float
     stats: SolverStats
 
@@ -511,11 +507,6 @@ class _WindowProblem:
             v[q:] = S[j] @ v
         return step
 
-    def nodes_feasible(self, states, tol=1e-9):
-        lo = np.all(states >= self.x_lo - tol)
-        hi = np.all(states <= self.x_hi + tol)
-        return bool(lo and hi)
-
 
 def _residual_norm2(r):
     return float(r @ r)
@@ -625,7 +616,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
         else:
             term = "max_iters"
         stats.termination = term
-        if prob.nodes_feasible(states):
+        if box_contains(model.X, states, tol=1e-9):
             stats.feasible = True
             break
         if stats.escalations >= max_escalations:
@@ -642,7 +633,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
     y_meas = y_seg if N else PiecewiseSignal(0.0, cfg.dt, np.zeros((0, prob.p)))
     cost = mhe_objective(cfg, prob.prior, chi_star, w_star, y_meas, y_star, T_ti)
     stats.wall_time = time.perf_counter() - t_start
-    return MheSolution(t_i, T_ti, chi_star, w_star, x_star, y_star, cost, stats)
+    return MheSolution(t_i, T_ti, chi_star, w_star, x_star, cost, stats)
 
 
 def solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=None):
@@ -656,11 +647,11 @@ def solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=None):
     return _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm)
 
 
-def solve_fie(model, cfg, chi_hat, u_seg, y_seg, t_i, warm=None):
+def solve_fie(model, cfg, chi_hat, u_seg, y_seg, t_i):
     """Full-information variant: the window always spans [0, t_i] with the
     initial prior chi_hat.  Coincides with solve_mhe while t_i <= T."""
     return _solve_window(model, cfg, np.asarray(chi_hat, dtype=float), u_seg, y_seg,
-                         t_i, float(t_i), warm)
+                         t_i, float(t_i))
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +660,6 @@ def solve_fie(model, cfg, chi_hat, u_seg, y_seg, t_i, warm=None):
 @dataclass(frozen=True)
 class TruthRecord:
     chi: np.ndarray
-    u: PiecewiseSignal | None
     w: PiecewiseSignal
     x_true: Trajectory
 
@@ -683,7 +673,6 @@ class EstimationRun:
     that wrote each node.
     """
 
-    model: object
     cfg: MheConfig
     sampling: SamplingSet
     dt: float
@@ -693,7 +682,6 @@ class EstimationRun:
     solutions: list
     y: PiecewiseSignal
     truth: TruthRecord | None
-    wall_time: float
 
     @property
     def times(self):
@@ -723,7 +711,6 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
     EstimationRun with the stitched estimate, per-sample solutions and, in
     truth mode, the reference trajectory for later audits.
     """
-    t_start = time.perf_counter()
     dt = cfg.dt
     K = as_grid_index(t_sim, dt, "t_sim")
     if K < 1:
@@ -745,17 +732,15 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
             w = zero_signal(model.q, dt, K)
         x_true = integrate(model, chi, u, w, 0.0, t_sim, dt)
         y = output_along(model, x_true, u, w)
-        truth = TruthRecord(chi, u, w, x_true)
+        truth = TruthRecord(chi, w, x_true)
     else:
         if y.n_pieces < K or abs(y.t0) > 1e-12:
             raise ConfigurationError("recorded y must cover [0, t_sim) from t0 = 0")
 
     sampling = cfg.sampling
     if not isinstance(sampling, SamplingSet):
-        if isinstance(sampling, EventTriggered) and (sampling.model is None or
-                                                     sampling.y is None or sampling.x0 is None):
-            sampling = dataclasses.replace(sampling, model=model, u=u, y=y, x0=chi_hat)
-        sampling = make_sampler(sampling, t_sim, dt, horizon=cfg.T)
+        sampling = make_sampler(sampling, t_sim, dt, horizon=cfg.T,
+                                model=model, u=u, y=y, x0=chi_hat)
     validate_sampling(cfg, sampling)
 
     ks = sampling.k_indices
@@ -786,8 +771,8 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
             node_flags[k] = sol.stats.termination
         warm = sol
         prev_k = k_i
-    return EstimationRun(model, cfg, sampling, dt, chi_hat, estimate, node_flags,
-                         solutions, y, truth, time.perf_counter() - t_start)
+    return EstimationRun(cfg, sampling, dt, chi_hat, estimate, node_flags, solutions, y,
+                         truth)
 
 
 def truth_candidate_cost(run, i):

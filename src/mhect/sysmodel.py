@@ -152,18 +152,17 @@ class PiecewiseSignal:
     def end(self):
         return self.t0 + self.dt * self.n_pieces
 
-    def slice(self, t_start, t_end, rebase=True):
+    def slice(self, t_start, t_end):
         """Grid-aligned sub-signal on [t_start, t_end); rebases t0 to 0."""
         k0 = as_grid_index(t_start - self.t0, self.dt, "slice start")
         k1 = as_grid_index(t_end - self.t0, self.dt, "slice end")
         if k0 < 0 or k1 > self.n_pieces or k0 > k1:
             raise DomainError("slice outside signal domain")
-        t0 = 0.0 if rebase else t_start
-        return PiecewiseSignal(t0, self.dt, self.values[k0:k1].copy())
+        return PiecewiseSignal(0.0, self.dt, self.values[k0:k1].copy())
 
 
-def zero_signal(dim, dt, n_pieces, t0=0.0):
-    return PiecewiseSignal(t0, dt, np.zeros((n_pieces, dim)))
+def zero_signal(dim, dt, n_pieces):
+    return PiecewiseSignal(0.0, dt, np.zeros((n_pieces, dim)))
 
 
 def as_grid_index(t, dt, what="time"):
@@ -231,12 +230,23 @@ def batch_reactor():
 # ---------------------------------------------------------------------------
 # polynomial models from structured files
 
+def _section(value, where):
+    """value, which must be a JSON object; anything else is a
+    ConfigurationError naming the section."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _numeric(section, key, where, convert=float):
-    """section[key] passed through convert.  A value convert rejects is a
-    ConfigurationError naming the field; a missing key raises KeyError for
-    the caller to report."""
+    """section[key] passed through convert, or a ConfigurationError naming
+    the field: "missing field" for an absent key, "not numeric" for a value
+    convert rejects or a section that is not a JSON object.  Callers need
+    no KeyError handling of their own."""
     try:
         return convert(section[key])
+    except KeyError:
+        raise ConfigurationError(f"{where} missing field {key!r}") from None
     except ConfigurationError:
         raise
     except (TypeError, ValueError) as e:
@@ -277,40 +287,38 @@ def _derivative(c, e, cols):
 
 def model_from_dict(spec):
     """Build a SystemModel from the structured dict format (see load_model)."""
-    try:
-        n, q, p = (_numeric(spec, k, "model", _integer)
-                   for k in ("state_dim", "dist_dim", "output_dim"))
-        m = _numeric(spec, "input_dim", "model", _integer) if "input_dim" in spec else 0
-        if min(n, q, p) < 1 or m != 0:
-            raise ConfigurationError(
-                "file-based models need state_dim, dist_dim, output_dim >= 1 and are "
-                "polynomial in (x, w) only: input_dim must be 0")
+    spec = _section(spec, "model")
+    n, q, p = (_numeric(spec, k, "model", _integer)
+               for k in ("state_dim", "dist_dim", "output_dim"))
+    m = _numeric(spec, "input_dim", "model", _integer) if "input_dim" in spec else 0
+    if min(n, q, p) < 1 or m != 0:
+        raise ConfigurationError(
+            "file-based models need state_dim, dist_dim, output_dim >= 1 and are "
+            "polynomial in (x, w) only: input_dim must be 0")
 
-        def compile_rows(name):
-            """Coefficients (R, T) and exponents (R, T, n + q) of the rows of
-            spec[name], padded with zero terms to the longest row."""
-            rows = _numeric(spec, name, "model", lambda v: [list(row) for row in v])
-            T = max([1] + [len(row) for row in rows])
-            c = np.zeros((len(rows), T))
-            e = np.zeros((len(rows), T, n + q))
-            for r, row in enumerate(rows):
-                coord = f"{name}[{r}]"
-                for t, term in enumerate(row):
-                    c[r, t] = _numeric(term, "coeff", coord)
-                    xe = _numeric(term, "x_exp", coord, _exponents) if "x_exp" in term else [0] * n
-                    we = _numeric(term, "w_exp", coord, _exponents) if "w_exp" in term else [0] * q
-                    if len(xe) != n or len(we) != q:
-                        raise ConfigurationError(
-                            f"{coord}: exponent lists must have lengths {n} and {q}")
-                    e[r, t] = xe + we
-            return c, e
+    def compile_rows(name):
+        """Coefficients (R, T) and exponents (R, T, n + q) of the rows of
+        spec[name], padded with zero terms to the longest row."""
+        rows = _numeric(spec, name, "model", lambda v: [list(row) for row in v])
+        T = max([1] + [len(row) for row in rows])
+        c = np.zeros((len(rows), T))
+        e = np.zeros((len(rows), T, n + q))
+        for r, row in enumerate(rows):
+            coord = f"{name}[{r}]"
+            for t, term in enumerate(row):
+                c[r, t] = _numeric(term, "coeff", coord)
+                xe = _numeric(term, "x_exp", coord, _exponents) if "x_exp" in term else [0] * n
+                we = _numeric(term, "w_exp", coord, _exponents) if "w_exp" in term else [0] * q
+                if len(xe) != n or len(we) != q:
+                    raise ConfigurationError(
+                        f"{coord}: exponent lists must have lengths {n} and {q}")
+                e[r, t] = xe + we
+        return c, e
 
-        fc, fe = compile_rows("f")
-        hc, he = compile_rows("h")
-        X = _numeric(spec, "X", "model", lambda v: as_box(v, n, "X")) if "X" in spec else None
-        W = _numeric(spec, "W", "model", lambda v: as_box(v, q, "W")) if "W" in spec else None
-    except KeyError as e:
-        raise ConfigurationError(f"model file missing field {e}")
+    fc, fe = compile_rows("f")
+    hc, he = compile_rows("h")
+    X = _numeric(spec, "X", "model", lambda v: as_box(v, n, "X")) if "X" in spec else None
+    W = _numeric(spec, "W", "model", lambda v: as_box(v, q, "W")) if "W" in spec else None
     if len(fc) != n or len(hc) != p:
         raise ConfigurationError("f must list n coordinates and h must list p coordinates")
 

@@ -214,7 +214,7 @@ def test_synthesis_fixed_weights_match_reference_digits(synth_cert):
 def test_barrier_newton_system_matches_finite_differences(reactor, mode, mu):
     points, _ = grid_points(Domain.of_model(reactor), VERTS)
     Q, R = (Q_BENCH, R_BENCH) if mode == "fixed" else (None, None)
-    sdp, y0, _ = _synthesis_problem(reactor, -math.log(0.4), Q, R, points, 1e-3)
+    sdp, y0, _ = _synthesis_problem(reactor, -math.log(0.4), Q, R, points)
     # a generic interior point: the identity start with its weights perturbed
     y = y0 + np.append(SplitMix64(5).uniforms((len(y0) - 1,), -0.05, 0.05), 0.0)
     f = lambda v: sdp._fval(v, mu)

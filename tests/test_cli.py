@@ -252,6 +252,21 @@ def test_missing_scenario_field_exit_code(tmp_path, capsys, overrides):
     assert "missing field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["sampler", "disturbance", "config", "model"])
+def test_non_object_scenario_section_exit_code(tmp_path, capsys, section):
+    # a section of the scenario, the scenario file itself or the model file it
+    # names holds a string, a number or a list instead of an object
+    mpath = tmp_path / "model.json"
+    mpath.write_text("[1, 2]")
+    overrides = {"sampler": {"sampler": "equidistant"}, "disturbance": {"disturbance": 5},
+                 "model": {"model": {"file": str(mpath)}}}.get(section, {})
+    path = scenario(tmp_path, **overrides)
+    if section == "config":
+        (tmp_path / "scenario.json").write_text("[1, 2]")
+    assert main(["estimate", "--config", path]) == 2
+    assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+
 EVENT = {"type": "event", "threshold": 0.1, "delta_min": 0.01, "delta_max": 0.2}
 EXPLICIT = {"type": "explicit", "times": [0.1, 0.2]}
 BOX = {"box": [[-0.05, 0.05]] * 3}
@@ -321,6 +336,21 @@ def test_missing_certificate_field_exit_code(tmp_path, capsys, drop):
     assert "missing field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["certificate", "domain", "verification"])
+def test_non_object_certificate_section_exit_code(tmp_path, capsys, section):
+    path = tmp_path / "cert.json"
+    save_certificate(bench_certificate(), path)
+    d = json.loads(path.read_text())
+    if section == "certificate":
+        d = [1, 2]
+    else:
+        d[section] = [1, 2]
+    path.write_text(json.dumps(d))
+    assert main(["certify", "--check", str(path), "--vertices", "--affine"]) == 2
+    err = capsys.readouterr().err
+    assert f"{section} must be a JSON object" in err
+
+
 def test_programming_key_error_propagates(tmp_path, monkeypatch):
     # only missing fields of user JSON are configuration errors
     def broken(*args, **kwargs):
@@ -349,6 +379,14 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", cfg]) == 0
     assert (dest / "truth.csv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_bench_refuses_an_empty_seed_range(tmp_path, capsys, seeds):
+    # a run of no seeds checks nothing, so it must not report success
+    assert main(["bench-s5", "--seeds", seeds, "--out", str(tmp_path)]) == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "bench_summary.json").exists()
 
 
 def test_bench_subcommand(tmp_path, capsys):

@@ -1,15 +1,20 @@
-"""Every name a package module imports is referenced in that module.
+"""Every name a package module imports is referenced in that module, and
+every name the benchmark tracer rebinds is bound.
 
 There is no linter in the toolchain, so this stdlib-ast check stands in for
 the unused-import rule.  __init__.py is exempt: it imports to re-export.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mhect"
+from mhect import batch_reactor
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mhect"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -35,3 +40,20 @@ def test_every_import_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{module}: unused imports (name: line) {unused}"
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # perfbench/tracing.py rebinds package names by attribute, so unbinding
+    # or renaming one of them breaks the benchmark's traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install(models=[batch_reactor()])
+    patched = list(tracer._patches)
+    try:
+        assert all(getattr(owner, attr) is not orig for owner, attr, orig in patched)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)

@@ -126,13 +126,12 @@ def test_make_sampler_event_rules():
     y = output_along(model, truth, None, w)
 
     # infinite threshold: never triggers early, every gap is delta_max
-    spec = EventTriggered(math.inf, 0.05, 0.25, model=model, y=y, x0=np.array([0.1, 4.5]))
-    s = make_sampler(spec, 3.0, 0.01)
+    data = dict(model=model, y=y, x0=np.array([0.1, 4.5]))
+    s = make_sampler(EventTriggered(math.inf, 0.05, 0.25), 3.0, 0.01, **data)
     assert np.all(np.diff(np.concatenate(([0], s.k_indices))) == 25)
 
     # zero threshold with a wrong nominal state: fires at delta_min every time
-    tight = EventTriggered(0.0, 0.05, 0.25, model=model, y=y, x0=np.array([0.1, 4.5]))
-    s2 = make_sampler(tight, 3.0, 0.01)
+    s2 = make_sampler(EventTriggered(0.0, 0.05, 0.25), 3.0, 0.01, **data)
     assert np.all(np.diff(np.concatenate(([0], s2.k_indices))) == 5)
 
     # missing context is an error when realized directly
@@ -140,8 +139,7 @@ def test_make_sampler_event_rules():
         make_sampler(EventTriggered(1.0, 0.05, 0.25), 3.0, 0.01)
 
     # gaps always within [delta_min, delta_max] for intermediate thresholds
-    mid = EventTriggered(1e-4, 0.05, 0.25, model=model, y=y, x0=np.array([0.1, 4.5]))
-    s3 = make_sampler(mid, 3.0, 0.01)
+    s3 = make_sampler(EventTriggered(1e-4, 0.05, 0.25), 3.0, 0.01, **data)
     g = np.diff(np.concatenate(([0], s3.k_indices)))
     assert np.all(g >= 5) and np.all(g <= 25)
 

@@ -114,8 +114,6 @@ def test_signal_slice():
     sub = sig.slice(0.05, 0.12)
     assert sub.t0 == 0.0 and sub.n_pieces == 7
     assert sub.values[0, 0] == 5.0 and sub.values[-1, 0] == 11.0
-    kept = sig.slice(0.05, 0.12, rebase=False)
-    assert kept.t0 == 0.05
     with pytest.raises(DomainError):
         sig.slice(0.0, 0.21)
     with pytest.raises(ConfigurationError):
