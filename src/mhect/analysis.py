@@ -19,6 +19,14 @@ from .mhe import _quad, discount_weights
 from .sysmodel import as_grid_index, write_csv
 
 
+def _disturbance_energy(Q, rate, w, N, horizon):
+    """int over [0, horizon) of rate^(horizon - tau) |w|^2_Q on the first N
+    pieces of w, with the exact per-piece discount weights."""
+    om = discount_weights(rate, N, w.dt, horizon=horizon)
+    wv = w.values[:N]
+    return float(np.sum(om * np.einsum("ji,ik,jk->j", wv, Q, wv)))
+
+
 def theorem1_bound(cert, rho, chi, chi_hat, w, t_i, factor=8):
     """Decay-plus-energy bound on |x(t_i) - xhat(t_i)|^2_P1:
 
@@ -37,12 +45,8 @@ def theorem1_bound(cert, rho, chi, chi_hat, w, t_i, factor=8):
     if w.n_pieces < N or abs(w.t0) > 1e-12:
         raise ConfigurationError("w must cover [0, t_i) from t0 = 0")
     d0 = np.asarray(chi, dtype=float) - np.asarray(chi_hat, dtype=float)
-    val = 4.0 * rho ** t_i * _quad(cert.P2, d0)
-    if N:
-        om = discount_weights(rho, N, w.dt, horizon=t_i)
-        wv = w.values[:N]
-        val += factor * float(np.sum(om * np.einsum("ji,ik,jk->j", wv, cert.Q, wv)))
-    return val
+    return (4.0 * rho ** t_i * _quad(cert.P2, d0)
+            + factor * _disturbance_energy(cert.Q, rho, w, N, t_i))
 
 
 def prop3_bound(cert, t, t_i, T_ti, U_prior, w):
@@ -61,12 +65,8 @@ def prop3_bound(cert, t, t_i, T_ti, U_prior, w):
     N = as_grid_index(T_ti, w.dt, "window length")
     if w.n_pieces < N:
         raise ConfigurationError("w segment shorter than the window")
-    val = 4.0 * lmax * lam ** T_ti * float(U_prior)
-    if N:
-        om = discount_weights(lam, N, w.dt, horizon=T_ti)
-        wv = w.values[:N]
-        val += 4.0 * float(np.sum(om * np.einsum("ji,ik,jk->j", wv, cert.Q, wv)))
-    return lam ** (t - t_i) * val
+    return lam ** (t - t_i) * (4.0 * lmax * lam ** T_ti * float(U_prior)
+                               + 4.0 * _disturbance_energy(cert.Q, lam, w, N, T_ti))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, HorizonError, InfeasibleError
-from .sysmodel import _section, as_box, box_grid_axes, box_vertices
+from .sysmodel import (_boolean, _float_array, _integer, _numeric, _section, as_box,
+                       box_grid_axes, box_vertices, box_within)
 
 
 def _check_sym(M, name):
@@ -66,13 +67,12 @@ class Domain:
     W: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "X", as_box(self.X, None, "domain X") if not isinstance(self.X, np.ndarray) else self.X)
-        object.__setattr__(self, "U", as_box(self.U, None, "domain U") if not isinstance(self.U, np.ndarray) else self.U)
-        object.__setattr__(self, "W", as_box(self.W, None, "domain W") if not isinstance(self.W, np.ndarray) else self.W)
+        for name in ("X", "U", "W"):
+            object.__setattr__(self, name, as_box(getattr(self, name), None, f"domain {name}"))
 
     @classmethod
     def of_model(cls, model):
-        return cls(model.X.copy(), model.U.copy(), model.W.copy())
+        return cls(model.X, model.U, model.W)
 
     def to_dict(self):
         def rows(box):
@@ -83,9 +83,9 @@ class Domain:
     @classmethod
     def from_dict(cls, d):
         d = _section(d, "certificate domain")
-        return cls(as_box(d["X"], None, "X") if d["X"] else np.zeros((0, 2)),
-                   as_box(d["U"], None, "U") if d["U"] else np.zeros((0, 2)),
-                   as_box(d["W"], None, "W") if d["W"] else np.zeros((0, 2)))
+        return cls(*(_numeric(d, k, "certificate domain",
+                              lambda v, k=k: as_box(v, None, f"domain {k}"))
+                     for k in ("X", "U", "W")))
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,10 @@ class VerificationReport:
     @classmethod
     def from_dict(cls, d):
         d = _section(d, "certificate verification")
-        return cls(bool(d["passed"]), float(d["max_eig"]), np.array(d["worst_x"]),
-                   np.array(d["worst_u"]), np.array(d["worst_w"]),
-                   float(d["tol_psd"]), int(d["n_points"]), str(d["mode"]))
+        return cls(*(_numeric(d, k, "certificate verification", convert) for k, convert in (
+            ("passed", _boolean), ("max_eig", float), ("worst_x", _float_array),
+            ("worst_u", _float_array), ("worst_w", _float_array), ("tol_psd", float),
+            ("n_points", _integer), ("mode", str))))
 
 
 @dataclass(frozen=True)
@@ -161,13 +162,11 @@ class DetectabilityCertificate:
     @classmethod
     def from_dict(cls, d):
         d = _section(d, "certificate")
-        try:
-            ver = VerificationReport.from_dict(d["verification"]) if d.get("verification") else None
-            return cls(np.array(d["P1"], dtype=float), np.array(d["P2"], dtype=float),
-                       np.array(d["Q"], dtype=float), np.array(d["R"], dtype=float),
-                       float(d["lambda"]), float(d["kappa"]), Domain.from_dict(d["domain"]), ver)
-        except KeyError as e:
-            raise ConfigurationError(f"certificate missing field {e}")
+        ver = VerificationReport.from_dict(d["verification"]) if d.get("verification") else None
+        return cls(*(_numeric(d, k, "certificate", convert) for k, convert in (
+            ("P1", _float_array), ("P2", _float_array), ("Q", _float_array),
+            ("R", _float_array), ("lambda", float), ("kappa", float),
+            ("domain", Domain.from_dict))), ver)
 
 
 def save_certificate(cert, path):
@@ -246,15 +245,6 @@ def grid_points(domain, grid):
     return tuple(a[i] for a, i in zip(axes, k)), mode
 
 
-def _check_domain_within(domain, model):
-    for dom, box, name in ((domain.X, model.X, "X"), (domain.U, model.U, "U"),
-                           (domain.W, model.W, "W")):
-        if dom.shape != box.shape:
-            raise ConfigurationError(f"certificate domain {name} has wrong dimension")
-        if np.any(dom[:, 0] < box[:, 0] - 1e-12) or np.any(dom[:, 1] > box[:, 1] + 1e-12):
-            raise ConfigurationError(f"certificate domain {name} exceeds the model's {name}")
-
-
 def verify_certificate(model, cert, grid, tol_psd=1e-8):
     """Evaluate the inequality at every grid point of the certificate domain.
 
@@ -263,7 +253,9 @@ def verify_certificate(model, cert, grid, tol_psd=1e-8):
     rescaled variants trade the pointwise inequality for an integral one and
     cannot be re-checked this way.
     """
-    _check_domain_within(cert.domain, model)
+    for name in ("X", "U", "W"):
+        if not box_within(getattr(cert.domain, name), getattr(model, name)):
+            raise ConfigurationError(f"certificate domain {name} does not fit the model's {name}")
     if not np.allclose(cert.P1, cert.P2, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cert.P2).max()))):
         raise ConfigurationError("pointwise verification requires P1 = P2")
     points, mode = grid_points(cert.domain, grid)
@@ -363,7 +355,10 @@ class _BarrierSDP:
             while iters < max_iters:
                 if y[-1] < -FEAS_STOP:
                     return True, y, iters
-                grad, hess = self._newton_system(y, mu)
+                try:
+                    grad, hess = self._newton_system(y, mu)
+                except np.linalg.LinAlgError:
+                    break  # a numerically singular slack stalls the stage; shrink mu
                 try:
                     d = np.linalg.solve(hess + 1e-12 * np.eye(len(y)), -grad)
                 except np.linalg.LinAlgError:

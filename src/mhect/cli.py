@@ -30,8 +30,9 @@ from .integrate import integrate, output_along
 from .mhe import (Equidistant, EventTriggered, Explicit, MheConfig, make_sampler, run_mhe,
                   truth_candidate_cost)
 from .rng import SplitMix64
-from .sysmodel import (PiecewiseSignal, _numeric, _section, batch_reactor, get_model,
-                       load_model, write_csv)
+from .sysmodel import (PiecewiseSignal, _boolean, _float_array, _integer, _numeric, _section,
+                       as_box, as_grid_index, batch_reactor, box_within, get_model, load_model,
+                       write_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -53,18 +54,12 @@ def generate_disturbance(spec, seed, w_box=None):
     given seed yields the same signal on any platform.  With w_box given the
     spec box must lie inside it.
     """
-    box = np.asarray(spec.box, dtype=float)
-    if box.ndim != 2 or box.shape[1] != 2:
-        raise ConfigurationError("disturbance box must be (q, 2) rows [lo, hi]")
-    if np.any(box[:, 0] > box[:, 1]):
-        raise ConfigurationError("disturbance box has lo > hi")
-    if w_box is not None:
-        if box.shape != w_box.shape or np.any(box[:, 0] < w_box[:, 0] - 1e-12) \
-                or np.any(box[:, 1] > w_box[:, 1] + 1e-12):
-            raise ConfigurationError("disturbance box exceeds the model's W")
-    K = round(spec.t_sim / spec.dt)
-    if abs(K * spec.dt - spec.t_sim) > 1e-9 * max(1.0, spec.t_sim) or K < 1:
-        raise ConfigurationError("t_sim must be a positive multiple of the piece length")
+    box = as_box(spec.box, None, "disturbance box")
+    if w_box is not None and not box_within(box, w_box):
+        raise ConfigurationError("disturbance box does not fit the model's W")
+    K = as_grid_index(spec.t_sim, spec.dt, "disturbance t_sim")
+    if K < 1:
+        raise ConfigurationError("t_sim must cover at least one disturbance piece")
     u = SplitMix64(seed).uniforms((K, box.shape[0]))
     return PiecewiseSignal(0.0, spec.dt, box[:, 0] + u * (box[:, 1] - box[:, 0]))
 
@@ -219,10 +214,6 @@ def _load_scenario(path):
     return _section(cfg, "config")
 
 
-def _float_array(value):
-    return np.array(value, dtype=float)
-
-
 def _float_tuple(value):
     return tuple(float(v) for v in value)
 
@@ -277,7 +268,7 @@ def _scenario_disturbance(cfg, model, dt, t_sim):
         raise ConfigurationError("disturbance needs a box or a bound")
     d = {"dt": dt, "seed": 1, **d}
     spec = DisturbanceSpec(box, _numeric(d, "dt", "disturbance"), t_sim)
-    return spec, _numeric(d, "seed", "disturbance", int)
+    return spec, _numeric(d, "seed", "disturbance", _integer)
 
 
 def _assemble_scenario(path):
@@ -287,8 +278,9 @@ def _assemble_scenario(path):
     T, dt, t_sim = (_numeric(cfg, k, "config") for k in ("T", "dt", "t_sim"))
     chi_hat = _numeric(cfg, "chi_hat", "config", _float_array)
     sampler = _scenario_sampler(cfg)
-    mhe_cfg = MheConfig(cert, T, dt, sampler,
-                        equidistant_mode=bool(cfg.get("equidistant_mode", False)))
+    eq_mode = (_numeric(cfg, "equidistant_mode", "config", _boolean)
+               if "equidistant_mode" in cfg else False)
+    mhe_cfg = MheConfig(cert, T, dt, sampler, equidistant_mode=eq_mode)
     chi = _numeric(cfg, "chi", "config", _float_array) if "chi" in cfg else None
     spec, seed = _scenario_disturbance(cfg, model, dt, t_sim)
     w = generate_disturbance(spec, seed, w_box=model.W) if spec else None

@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError, HorizonError
 from .certify import DetectabilityCertificate
-from .integrate import Trajectory, integrate, output_along, rk4_step, rk4_step_with_jacobians
-from .sysmodel import (PiecewiseSignal, as_grid_index, box_clip, box_contains, write_csv,
-                       zero_signal)
+from .integrate import (Trajectory, _resolve_signal, integrate, output_along, rk4_step,
+                        rk4_step_with_jacobians)
+from .sysmodel import PiecewiseSignal, as_grid_index, box_clip, box_contains, write_csv
 
 # window solver settings
 GRAD_TOL = 1e-8          # converged when the projected gradient norm is at most this
@@ -161,11 +161,16 @@ def make_sampler(spec, t_sim, dt, horizon=None, *, model=None, u=None, y=None, x
     else:
         raise ConfigurationError("unknown sampler spec")
     sampling = SamplingSet(ks * dt, dt)
-    if horizon is not None and sampling.delta_bar >= horizon - 1e-12:
-        raise HorizonError(
-            f"sampler yields delta_bar = {sampling.delta_bar}, which must stay "
-            f"strictly below the horizon T = {horizon}")
+    if horizon is not None:
+        _check_gap(sampling, horizon)
     return sampling
+
+
+def _check_gap(sampling, T):
+    if sampling.delta_bar >= T - 1e-12:
+        raise HorizonError(
+            f"largest sampling gap delta_bar = {sampling.delta_bar} must stay "
+            f"strictly below the horizon T = {T}")
 
 
 def _event_schedule(spec, K, dt, model, u, y, x0):
@@ -180,25 +185,18 @@ def _event_schedule(spec, K, dt, model, u, y, x0):
     y_nom = output_along(model, nom, u, None)
     innov = y.values[:K] - y_nom.values[:K]
     piece_energy = np.einsum("ki,ki->k", innov, innov) * dt
-    ks = []
-    prev = 0
-    while True:
-        if prev + k_min > K:
+    ks, prev = [], 0
+    while prev + k_min <= K:
+        # energy since the previous sample, summed in order as a running sum would
+        energy = np.cumsum(piece_energy[prev:min(prev + k_max, K)])
+        hit = np.flatnonzero(energy[k_min - 1:] > spec.threshold)
+        if hit.size:
+            prev += k_min + int(hit[0])
+        elif prev + k_max <= K:
+            prev += k_max
+        else:
             break
-        energy = 0.0
-        emitted = None
-        for k in range(prev + 1, min(prev + k_max, K) + 1):
-            energy += piece_energy[k - 1]
-            if k - prev >= k_min and energy > spec.threshold:
-                emitted = k
-                break
-            if k - prev == k_max:
-                emitted = k
-                break
-        if emitted is None:
-            break
-        ks.append(emitted)
-        prev = emitted
+        ks.append(prev)
     if not ks:
         raise ConfigurationError("event rule produced no sampling times before t_sim")
     return np.array(ks)
@@ -233,18 +231,12 @@ def validate_sampling(cfg, sampling):
     """Check a realized sampling set against the configuration."""
     if abs(sampling.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
         raise ConfigurationError("sampling set and configuration use different dt")
-    if sampling.delta_bar >= cfg.T - 1e-12:
-        raise HorizonError(
-            f"largest sampling gap delta_bar = {sampling.delta_bar} must stay "
-            f"strictly below the horizon T = {cfg.T}")
+    _check_gap(sampling, cfg.T)
     if cfg.equidistant_mode:
-        ks = sampling.k_indices
-        gaps = np.diff(np.concatenate(([0], ks)))
+        gaps = np.diff(np.concatenate(([0], sampling.k_indices)))
         if np.any(gaps != gaps[0]):
             raise ConfigurationError("equidistant_mode requires equal sampling gaps from t = 0")
-        period = int(gaps[0])
-        nT = cfg.n_steps_T
-        if nT % period != 0:
+        if cfg.n_steps_T % int(gaps[0]) != 0:
             raise ConfigurationError(
                 "equidistant_mode requires T to be an integer multiple of the period "
                 "(window boundaries must land on sampling times)")
@@ -333,11 +325,9 @@ class _Linearization(NamedTuple):
 class _WindowProblem:
     def __init__(self, model, cfg, prior, u_seg, y_seg, T_ti):
         self.model = model
-        self.cfg = cfg
         cert = cfg.cert
         self.N = as_grid_index(T_ti, cfg.dt, "window length")
         self.dt = cfg.dt
-        self.T_ti = T_ti
         n, q, p = model.n, model.q, model.p
         self.n, self.q, self.p = n, q, p
         self.nv = n + self.N * q
@@ -405,6 +395,14 @@ class _WindowProblem:
         if v.size:
             parts.append(math.sqrt(self.pen) * v)
         return np.concatenate(parts)
+
+    def evaluate(self, z):
+        """(states, r, |r|^2) at decision z, or None when integration diverges."""
+        states = self.forward(z)
+        if states is None:
+            return None
+        r = self.residuals(z, states)
+        return states, r, float(r @ r)
 
     def linearize(self, z, states, r):
         """Stage-wise Gauss-Newton model of |r|^2 around (z, states).
@@ -508,10 +506,6 @@ class _WindowProblem:
         return step
 
 
-def _residual_norm2(r):
-    return float(r @ r)
-
-
 def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
     t_start = time.perf_counter()
     stats = SolverStats()
@@ -547,7 +541,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
     max_escalations = 8
     while True:
         r = prob.residuals(z, states)
-        f = _residual_norm2(r)
+        f = float(r @ r)
         stats.cost_history = [f]
         mu = DAMPING_INIT
         term = "max_iters"
@@ -563,7 +557,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
             # stay pinned this iteration; the damped step acts on the face.
             binding = ((z <= prob.lb) & (g > 0.0)) | ((z >= prob.ub) & (g < 0.0))
             free = ~binding
-            accepted = False
+            trial = None
             z_scale = 1.0 + float(np.linalg.norm(z))
             for _trial in range(60 if free.any() else 0):
                 stats.trials += 1
@@ -575,20 +569,15 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
                 z_try = prob.project(z + step)
                 if np.linalg.norm(z_try - z) <= 1e-15 * z_scale:
                     break
-                states_try = prob.forward(z_try)
-                if states_try is not None:
-                    r_try = prob.residuals(z_try, states_try)
-                    f_try = _residual_norm2(r_try)
-                    if f_try < f:
-                        z, states, r, f = z_try, states_try, r_try, f_try
-                        stats.cost_history.append(f)
-                        mu = max(mu * 0.3, 1e-14)
-                        accepted = True
-                        break
+                trial = prob.evaluate(z_try)
+                if trial is not None and trial[2] < f:
+                    mu = max(mu * 0.3, 1e-14)
+                    break
+                trial = None
                 mu = max(mu, 1e-14) * 4.0
                 if mu > 1e15:
                     break
-            if not accepted:
+            if trial is None:
                 # Damped steps clipped at the box can cycle without descent;
                 # backtrack along the projection arc of -g, which always
                 # admits an Armijo step away from a non-stationary point.
@@ -599,22 +588,18 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
                     gdot = float(g @ (z_try - z))
                     if np.linalg.norm(z_try - z) <= 1e-15 * z_scale or gdot >= 0.0:
                         break
-                    states_try = prob.forward(z_try)
-                    if states_try is not None:
-                        r_try = prob.residuals(z_try, states_try)
-                        f_try = _residual_norm2(r_try)
-                        if f_try <= f + 1e-4 * gdot:
-                            z, states, r, f = z_try, states_try, r_try, f_try
-                            stats.cost_history.append(f)
-                            accepted = True
-                            break
+                    trial = prob.evaluate(z_try)
+                    if trial is not None and trial[2] <= f + 1e-4 * gdot:
+                        break
+                    trial = None
                     alpha *= 0.5
-            if not accepted:
+            if trial is None:
                 term = "stalled"
                 break
+            z = z_try
+            states, r, f = trial
+            stats.cost_history.append(f)
             stats.iterations += 1
-        else:
-            term = "max_iters"
         stats.termination = term
         if box_contains(model.X, states, tol=1e-9):
             stats.feasible = True
@@ -630,8 +615,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
     w_star = PiecewiseSignal(0.0, cfg.dt, z[n:].reshape(N, q).copy())
     x_star = Trajectory(0.0, cfg.dt, states)
     y_star = output_along(model, x_star, u_seg, w_star)
-    y_meas = y_seg if N else PiecewiseSignal(0.0, cfg.dt, np.zeros((0, prob.p)))
-    cost = mhe_objective(cfg, prob.prior, chi_star, w_star, y_meas, y_star, T_ti)
+    cost = mhe_objective(cfg, prob.prior, chi_star, w_star, y_seg, y_star, T_ti)
     stats.wall_time = time.perf_counter() - t_start
     return MheSolution(t_i, T_ti, chi_star, w_star, x_star, cost, stats)
 
@@ -728,8 +712,8 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
         chi = np.asarray(chi, dtype=float)
         if not box_contains(model.X, chi, tol=1e-9):
             raise ConfigurationError("true initial state must lie in X")
-        if w is None:
-            w = zero_signal(model.q, dt, K)
+        # the truth's w on the run grid, so audits slice it at sampling times
+        w = PiecewiseSignal(0.0, dt, _resolve_signal(w, model.q, 0.0, t_sim, dt, K, "w"))
         x_true = integrate(model, chi, u, w, 0.0, t_sim, dt)
         y = output_along(model, x_true, u, w)
         truth = TruthRecord(chi, w, x_true)
@@ -739,8 +723,7 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
 
     sampling = cfg.sampling
     if not isinstance(sampling, SamplingSet):
-        sampling = make_sampler(sampling, t_sim, dt, horizon=cfg.T,
-                                model=model, u=u, y=y, x0=chi_hat)
+        sampling = make_sampler(sampling, t_sim, dt, model=model, u=u, y=y, x0=chi_hat)
     validate_sampling(cfg, sampling)
 
     ks = sampling.k_indices

@@ -24,7 +24,9 @@ def as_box(bounds, dim=None, name="box"):
     """Normalize to a (d, 2) float array of [lo, hi] rows.
 
     None entries mean unbounded on that side; bounds=None with a known dim
-    gives the all-unbounded box.
+    gives the all-unbounded box.  Anything but a list of [lo, hi] pairs is a
+    ConfigurationError naming the box; a non-numeric bound raises
+    ValueError or TypeError, which the field readers name.
     """
     if bounds is None:
         if dim is None:
@@ -33,10 +35,13 @@ def as_box(bounds, dim=None, name="box"):
         box[:, 0] = -np.inf
         box[:, 1] = np.inf
         return box
+    pairs = list(bounds) if np.iterable(bounds) else [None]
+    if not all(np.iterable(row) and len(row) == 2 for row in pairs):
+        raise ConfigurationError(f"{name} must be a list of [lo, hi] rows, not {bounds!r}")
     rows = []
-    for row in bounds:
-        lo = -np.inf if row[0] is None else float(row[0])
-        hi = np.inf if row[1] is None else float(row[1])
+    for lo, hi in pairs:
+        lo = -np.inf if lo is None else float(lo)
+        hi = np.inf if hi is None else float(hi)
         if not lo <= hi:
             raise ConfigurationError(f"{name}: lower bound {lo} exceeds upper bound {hi}")
         rows.append((lo, hi))
@@ -44,6 +49,13 @@ def as_box(bounds, dim=None, name="box"):
     if dim is not None and box.shape[0] != dim:
         raise ConfigurationError(f"{name}: expected {dim} rows, got {box.shape[0]}")
     return box
+
+
+def box_within(inner, outer):
+    """Whether box inner has outer's dimension and lies inside it, with
+    1e-12 slack for bounds written out and read back."""
+    return inner.shape == outer.shape and bool(
+        np.all(inner[:, 0] >= outer[:, 0] - 1e-12) and np.all(inner[:, 1] <= outer[:, 1] + 1e-12))
 
 
 def box_contains(box, v, tol=0.0):
@@ -62,8 +74,6 @@ def box_is_finite(box):
 def box_vertices(box):
     """All 2^d corners of a finite box; a single empty point for d = 0."""
     d = box.shape[0]
-    if d == 0:
-        return [np.zeros(0)]
     if not box_is_finite(box):
         raise ConfigurationError("vertex enumeration needs a bounded box")
     corners = []
@@ -75,8 +85,6 @@ def box_vertices(box):
 def box_grid_axes(box, counts):
     """Per-axis sample vectors: counts[i] equally spaced points on axis i."""
     d = box.shape[0]
-    if d == 0:
-        return []
     if np.isscalar(counts):
         counts = [int(counts)] * d
     if len(counts) != d:
@@ -260,6 +268,16 @@ def _integer(value):
     return int(v)
 
 
+def _boolean(value):
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a JSON boolean")
+    return value
+
+
+def _float_array(value):
+    return np.array(value, dtype=float)
+
+
 def _exponents(value):
     exps = [_integer(e) for e in value]
     if min(exps, default=0) < 0:
@@ -322,7 +340,8 @@ def model_from_dict(spec):
     if len(fc) != n or len(hc) != p:
         raise ConfigurationError("f must list n coordinates and h must list p coordinates")
 
-    output_affine = bool(spec.get("output_affine", False))
+    output_affine = (_numeric(spec, "output_affine", "model", _boolean)
+                     if "output_affine" in spec else False)
     if output_affine and he.sum(axis=-1).max() > 1:
         raise ConfigurationError("output_affine declared but h has degree > 1 in (x, w)")
 

@@ -266,6 +266,16 @@ def test_synthesis_infeasible_model():
     assert len(exc.value.worst_point) == 3
 
 
+def test_synthesis_singular_slack_is_infeasible(reactor, monkeypatch):
+    # a slack that inv finds singular stalls its barrier stage like a failed
+    # line search: mu shrinks to MU_MIN and synthesis reports infeasibility
+    def singular(S):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(InfeasibleError):
+        synthesize_certificate(reactor, 0.4, FixedQR(Q_BENCH, R_BENCH), VERTS)
+
+
 def test_synthesis_rejects_bad_arguments(reactor):
     with pytest.raises(ConfigurationError):
         synthesize_certificate(reactor, 1.5, FixedQR(Q_BENCH, R_BENCH), VERTS)

@@ -281,7 +281,7 @@ BOX = {"box": [[-0.05, 0.05]] * 3}
     ("disturbance", None, "bound"), ("disturbance", None, "dt"),
     ("disturbance", None, "seed"), ("disturbance", BOX, "box"),
     (None, None, "T"), (None, None, "dt"), (None, None, "t_sim"), (None, None, "chi_hat"),
-    (None, None, "chi"),
+    (None, None, "chi"), (None, None, "equidistant_mode"),
 ])
 def test_non_numeric_scenario_field_exit_code(tmp_path, capsys, key, base, field):
     # base None: the field of the default scenario's own section
@@ -301,7 +301,7 @@ def test_non_numeric_scenario_field_exit_code(tmp_path, capsys, key, base, field
     (("input_dim",), "zero"), (("f", 0, 0, "coeff"), "abc"), (("h", 0, 0, "coeff"), None),
     (("f", 0, 0, "x_exp"), ["a"]), (("f", 0, 1, "w_exp"), 1), (("h", 0, 0, "x_exp"), [1.5]),
     (("f", 0, 1, "w_exp"), [0.5]), (("X",), [["a", 1.0]]), (("W",), [[-0.1, "b"]]),
-    (("f",), None), (("h",), [5]),
+    (("f",), None), (("h",), [5]), (("output_affine",), "false"),
 ])
 def test_non_numeric_model_field_exit_code(tmp_path, capsys, path, value):
     # dims, coefficients, exponents (non-negative integers), box rows and
@@ -334,6 +334,68 @@ def test_missing_certificate_field_exit_code(tmp_path, capsys, drop):
     path.write_text(json.dumps(d))
     assert main(["certify", "--check", str(path), "--vertices", "--affine"]) == 2
     assert "missing field" in capsys.readouterr().err
+
+
+VERIFICATION = {"passed": True, "max_eig": -1.0, "worst_x": [], "worst_u": [], "worst_w": [],
+                "tol_psd": 1e-8, "n_points": 1, "mode": "vertices"}
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("P1", "abc", "field 'P1'"), ("lambda", "x", "field 'lambda'"),
+    ("verification.max_eig", "z", "field 'max_eig'"),
+    ("verification.passed", "yes", "field 'passed'"),
+    ("domain.X", 5, "domain X"), ("domain.W", [[-0.1, 0.1, 0.2]] * 3, "domain W"),
+])
+def test_non_numeric_certificate_field_exit_code(tmp_path, capsys, field, value, named):
+    # a field that is present but malformed, down to a box row of three entries
+    path = tmp_path / "cert.json"
+    save_certificate(bench_certificate(), path)
+    d = json.loads(path.read_text())
+    d["verification"] = dict(VERIFICATION)
+    outer, _, inner = field.partition(".")
+    if inner:
+        d[outer][inner] = value
+    else:
+        d[outer] = value
+    path.write_text(json.dumps(d))
+    assert main(["certify", "--check", str(path), "--vertices", "--affine"]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, field, value", [
+    ("disturbance", "seed", 1.7), (None, "equidistant_mode", "false"),
+    (None, "equidistant_mode", 1),
+])
+def test_mistyped_scenario_field_exit_code(tmp_path, capsys, key, field, value):
+    # numbers and strings where an integer seed or a JSON boolean belongs
+    cfg = json.loads(open(scenario(tmp_path)).read())
+    (cfg[key] if key else cfg)[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["audit", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box, value", [("X", [[0.1, 5.0, 7.0]]), ("W", [[-0.1, 0.1, 0.2]]),
+                                        ("X", 5)])
+def test_malformed_model_box_exit_code(tmp_path, capsys, box, value):
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(dict(ESCAPE_MODEL, **{box: value})))
+    assert main(["certify", "--model-file", str(mpath), "--lambda", "0.5",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{box} must be a list of [lo, hi] rows" in capsys.readouterr().err
+
+
+def test_audit_with_disturbance_coarser_than_samples(tmp_path, capsys):
+    # w pieces of 0.02 against samples every 0.05: the audit slices the truth's
+    # w on the run grid, as estimation does
+    cfg = scenario(tmp_path, sampler={"type": "equidistant", "delta": 0.05},
+                   disturbance={"bound": 0.1, "seed": 1, "dt": 0.02})
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+    assert main(["audit", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert "decay bound holds" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["n_samples"] == 20
 
 
 @pytest.mark.parametrize("section", ["certificate", "domain", "verification"])

@@ -1,5 +1,6 @@
-"""Every name a package module imports is referenced in that module, and
-every name the benchmark tracer rebinds is bound.
+"""Every name a package module imports is referenced in that module, no
+module converts a JSON field by hand, and every name the benchmark tracer
+rebinds is bound.
 
 There is no linter in the toolchain, so this stdlib-ast check stands in for
 the unused-import rule.  __init__.py is exempt: it imports to re-export.
@@ -40,6 +41,40 @@ def test_every_import_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{module}: unused imports (name: line) {unused}"
+
+
+CONVERTERS = {"float", "int", "bool", "str"}
+NP_CONVERTERS = {"array", "asarray"}
+
+
+def hand_conversions(tree):
+    """Lines that call a converter on d["key"]: a field read that bypasses
+    sysmodel._numeric, which names the field when the value is malformed."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if not ((isinstance(fn, ast.Name) and fn.id in CONVERTERS)
+                or (isinstance(fn, ast.Attribute) and fn.attr in NP_CONVERTERS
+                    and isinstance(fn.value, ast.Name) and fn.value.id == "np")):
+            continue
+        if any(isinstance(a, ast.Subscript) and isinstance(a.slice, ast.Constant)
+               and isinstance(a.slice.value, str) for a in node.args):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_hand_conversion_rule_catches_a_field_read():
+    tree = ast.parse('x = float(d["lambda"]) + float(v[0])\ny = np.array(d["P"], dtype=float)')
+    assert hand_conversions(tree) == [1, 2]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_fields_are_read_through_numeric(module):
+    lines = hand_conversions(ast.parse((SRC / module).read_text(), filename=module))
+    assert not lines, f"{module}: hand-converted field reads at lines {lines}; " \
+        "read them with sysmodel._numeric"
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

@@ -144,6 +144,41 @@ def test_make_sampler_event_rules():
     assert np.all(g >= 5) and np.all(g <= 25)
 
 
+def _running_sum_schedule(piece_energy, threshold, k_min, k_max, K):
+    """The event rule as a scalar running sum over each stretch (the oracle)."""
+    ks, prev = [], 0
+    while prev + k_min <= K:
+        energy, emitted = 0.0, None
+        for k in range(prev + 1, min(prev + k_max, K) + 1):
+            energy += piece_energy[k - 1]
+            if (k - prev >= k_min and energy > threshold) or k - prev == k_max:
+                emitted = k
+                break
+        if emitted is None:
+            break
+        ks.append(emitted)
+        prev = emitted
+    return ks
+
+
+@pytest.mark.parametrize("threshold, delta_min, delta_max, t_sim", [
+    (1e-4, 0.05, 0.25, 3.0), (1e-3, 0.05, 0.19, 2.97), (3e-3, 0.01, 0.4, 3.0),
+    (0.0, 0.03, 0.03, 1.0), (math.inf, 0.02, 0.4, 2.95)])
+def test_event_schedule_matches_the_running_sum(threshold, delta_min, delta_max, t_sim):
+    model = batch_reactor()
+    K = round(t_sim / 0.01)
+    y = PiecewiseSignal(0.0, 0.01, 4.0 + 0.3 * SplitMix64(K).uniforms((K, 1)))
+    x0 = np.array([0.1, 4.5])
+    s = make_sampler(EventTriggered(threshold, delta_min, delta_max), t_sim, 0.01,
+                     model=model, y=y, x0=x0)
+    nom = integrate(model, x0, None, None, 0.0, t_sim, 0.01)
+    innov = y.values - model.h(nom.states[:-1], np.zeros((K, 0)), np.zeros((K, 3)))
+    piece_energy = np.einsum("ki,ki->k", innov, innov) * 0.01
+    expect = _running_sum_schedule(piece_energy, threshold, round(delta_min / 0.01),
+                                   round(delta_max / 0.01), K)
+    assert s.k_indices.tolist() == expect
+
+
 def test_config_validation(ref_cert):
     with pytest.raises(ConfigurationError):
         MheConfig(ref_cert, 2.005, 0.01, Equidistant(0.1))

@@ -10,7 +10,7 @@ from mhect import (PiecewiseSignal, SystemModel, as_box, batch_reactor, box_clip
                    rk4_step_with_jacobians, zero_signal)
 from mhect.errors import ConfigurationError, DomainError
 from mhect.rng import SplitMix64
-from mhect.sysmodel import as_grid_index, box_grid_axes, box_vertices
+from mhect.sysmodel import as_grid_index, box_grid_axes, box_vertices, box_within
 from tests.conftest import const_jac
 
 
@@ -33,6 +33,23 @@ def test_as_box_normalization():
         as_box([(0.0, 1.0)], dim=2)
     with pytest.raises(ConfigurationError):
         as_box(None)
+
+
+@pytest.mark.parametrize("bounds", [5, [[0.1, 5.0, 7.0]], [0.1, 5.0], [[1.0]], [[0.0, 1.0], 2]])
+def test_as_box_refuses_malformed_bounds(bounds):
+    # a scalar, a row of three, a flat pair, a row of one: never truncated
+    with pytest.raises(ConfigurationError, match=r"X must be a list of \[lo, hi\] rows"):
+        as_box(bounds, name="X")
+
+
+def test_box_within():
+    outer = as_box([(0.0, 1.0), (-1.0, 1.0)])
+    assert box_within(outer, outer)
+    assert box_within(outer + [[-1e-13, 1e-13]], outer)      # readback slack
+    assert box_within(as_box([(0.2, 0.5), (-1.0, 0.0)]), outer)
+    assert not box_within(as_box([(0.0, 1.0 + 1e-9), (-1.0, 1.0)]), outer)
+    assert not box_within(as_box([(0.0, 1.0)]), outer)      # dimension
+    assert box_within(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def test_box_membership_and_clip():
