@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, HorizonError, InfeasibleError
 from .sysmodel import (_boolean, _float_array, _integer, _numeric, _section, as_box,
-                       box_grid_axes, box_vertices, box_within)
+                       box_grid_axes, box_within)
 
 
 def _check_sym(M, name):
@@ -214,9 +214,10 @@ class GridSpec:
     """Evaluation grid over a Domain.
 
     Per-axis counts (int applies to every axis of the block), or
-    vertices_only.  Vertex mode is only honored when the caller asserts that
-    the inequality entries are affine along each axis (affinity_asserted),
-    which makes corner checking sufficient on the box.
+    vertices_only, the grid of two points per axis.  Vertex mode is only
+    honored when the caller asserts that the inequality entries are affine
+    along each axis (affinity_asserted), which makes corner checking
+    sufficient on the box.
     """
 
     x_points: object = 2
@@ -229,20 +230,17 @@ class GridSpec:
 def grid_points(domain, grid):
     """Evaluation points of a GridSpec over a Domain, stacked as arrays
     (x (B, n), u (B, m), w (B, q)) in x-major, then u, then w order."""
+    counts = (grid.x_points, grid.u_points, grid.w_points)
     if grid.vertices_only:
         if not grid.affinity_asserted:
             raise ConfigurationError(
                 "vertices_only requires affinity_asserted: corner checks are only "
                 "sufficient when the inequality entries are affine per axis")
-        axes = [np.array(box_vertices(box)) for box in (domain.X, domain.U, domain.W)]
-        mode = "vertices"
-    else:
-        axes = [np.array(list(itertools.product(*box_grid_axes(box, counts))), dtype=float)
-                for box, counts in ((domain.X, grid.x_points), (domain.U, grid.u_points),
-                                    (domain.W, grid.w_points))]
-        mode = "grid"
+        counts = (2, 2, 2)
+    axes = [np.array(list(itertools.product(*box_grid_axes(box, c))), dtype=float)
+            for box, c in zip((domain.X, domain.U, domain.W), counts)]
     k = np.indices([len(a) for a in axes]).reshape(3, -1)
-    return tuple(a[i] for a, i in zip(axes, k)), mode
+    return tuple(a[i] for a, i in zip(axes, k)), "vertices" if grid.vertices_only else "grid"
 
 
 def verify_certificate(model, cert, grid, tol_psd=1e-8):
@@ -281,15 +279,14 @@ MU_FACTOR = 0.2      # barrier weight shrink per stage
 MU_MIN = 1e-10       # give up once the barrier weight is at most this
 FEAS_STOP = 1e-8     # feasible as soon as t < -FEAS_STOP
 NEWTON_TOL = 1e-9    # Newton decrement threshold per stage
+MAX_NEWTON_ITERS = 200  # total Newton iterations across barrier stages
 
 
 @dataclass(frozen=True)
 class SdpOptions:
     """Synthesis settings; the barrier settings above are constants.
-    max_iters: joint reactor synthesis on a 5-point x grid needs 2000, not 200.
     recheck_tol: callers read it to re-check a result as synthesis does."""
 
-    max_iters: int = 200      # total Newton iterations across barrier stages
     recheck_tol: float = 1e-8
 
 
@@ -344,7 +341,7 @@ class _BarrierSDP:
             hess += mu * np.einsum("bkij,blji->kl", W, W)
         return grad, hess
 
-    def solve(self, y0, max_iters):
+    def solve(self, y0):
         """Returns (feasible, y, iters).  feasible means t = y[-1] < -FEAS_STOP."""
         y = np.asarray(y0, dtype=float).copy()
         if math.isinf(self._fval(y, MU0)):
@@ -352,7 +349,7 @@ class _BarrierSDP:
         mu = MU0
         iters = 0
         while True:
-            while iters < max_iters:
+            while iters < MAX_NEWTON_ITERS:
                 if y[-1] < -FEAS_STOP:
                     return True, y, iters
                 try:
@@ -378,7 +375,7 @@ class _BarrierSDP:
                 iters += 1
             if y[-1] < -FEAS_STOP:
                 return True, y, iters
-            if mu <= MU_MIN or iters >= max_iters:
+            if mu <= MU_MIN or iters >= MAX_NEWTON_ITERS:
                 return False, y, iters
             mu *= MU_FACTOR
 
@@ -388,7 +385,9 @@ def _synthesis_problem(model, kappa, Q_fix, R_fix, points):
     to the weights [P, Q, R].
 
     The unknown weights are P, or P, Q and R when Q_fix is None (joint
-    mode); y holds their coordinates in the symmetric bases, then t.
+    mode); y holds their coordinates in the symmetric bases, then t.  Points
+    with the same inequality block constrain the weights alike, so the
+    barrier holds each distinct block once, at its first point.
     """
     n, q, p = model.n, model.q, model.p
     dims = (n,) if Q_fix is not None else (n, q, p)
@@ -409,7 +408,9 @@ def _synthesis_problem(model, kappa, Q_fix, R_fix, points):
                  + [np.broadcast_to(np.eye(n + q), shape)], axis=1)
     K0 = np.zeros(shape) if Q_fix is None else -lmi_matrix(model, zeros[0], Q_fix, R_fix,
                                                            kappa, *points)
-    groups = [(K0, K)]
+    blocks = np.concatenate([K0.reshape(len(K0), -1), K.reshape(len(K), -1)], axis=1)
+    first = np.sort(np.unique(blocks, axis=0, return_index=True)[1])
+    groups = [(K0[first], K[first])]
 
     # positivity blocks: each unknown weight >= EPS_PD * I
     y0 = np.zeros(nvar)
@@ -422,7 +423,7 @@ def _synthesis_problem(model, kappa, Q_fix, R_fix, points):
     return _BarrierSDP(groups), y0, weights
 
 
-def synthesize_certificate(model, lam, mode, grid, opts=None):
+def synthesize_certificate(model, lam, mode, grid):
     """Find weights making the detectability inequality hold on the grid.
 
     mode is FixedQR(Q, R) (solve for P only) or the string "joint" (solve for
@@ -433,7 +434,6 @@ def synthesize_certificate(model, lam, mode, grid, opts=None):
     """
     if not 0.0 < lam < 1.0:
         raise ConfigurationError("lambda must lie strictly inside (0, 1)")
-    opts = opts or SdpOptions()
     kappa = -math.log(lam)
     domain = Domain.of_model(model)
     points, _ = grid_points(domain, grid)
@@ -449,7 +449,7 @@ def synthesize_certificate(model, lam, mode, grid, opts=None):
         raise ConfigurationError("mode must be FixedQR(Q, R) or 'joint'")
 
     sdp, y0, weights = _synthesis_problem(model, kappa, Q_fix, R_fix, points)
-    ok, y, iters = sdp.solve(y0, opts.max_iters)
+    ok, y, iters = sdp.solve(y0)
     P, Q, R = weights(y)
     if not ok:
         worst_eig, worst_pt = _max_eig(model, P, Q, R, kappa, points)
@@ -459,7 +459,7 @@ def synthesize_certificate(model, lam, mode, grid, opts=None):
             f"w = {worst_pt[2]}", worst_point=worst_pt, worst_eig=worst_eig)
 
     cert = DetectabilityCertificate.from_weights(P, Q, R, lam, domain)
-    report = verify_certificate(model, cert, grid, tol_psd=opts.recheck_tol)
+    report = verify_certificate(model, cert, grid, tol_psd=SdpOptions().recheck_tol)
     if not report.passed:
         raise RuntimeError(
             "internal consistency error: synthesized weights failed re-verification "

@@ -51,10 +51,12 @@ def generate_disturbance(spec, seed, w_box=None):
     """Seeded piecewise-constant disturbance, uniform on spec.box.
 
     Draws are piece-major, coordinate-minor from a splitmix64 stream, so a
-    given seed yields the same signal on any platform.  With w_box given the
-    spec box must lie inside it.
+    given seed yields the same signal on any platform.  The spec box must be
+    bounded, and with w_box given it must lie inside it.
     """
     box = as_box(spec.box, None, "disturbance box")
+    if not np.all(np.isfinite(box)):
+        raise ConfigurationError(f"disturbance box {box.tolist()} has an unbounded side")
     if w_box is not None and not box_within(box, w_box):
         raise ConfigurationError("disturbance box does not fit the model's W")
     K = as_grid_index(spec.t_sim, spec.dt, "disturbance t_sim")

@@ -21,7 +21,6 @@ condensed Gauss-Newton system without forming it.
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -310,18 +309,6 @@ class MheSolution:
     stats: SolverStats
 
 
-class _Linearization(NamedTuple):
-    """Stage blocks of the Gauss-Newton model; see _WindowProblem.linearize."""
-
-    A: np.ndarray
-    B: np.ndarray
-    Lxx: np.ndarray
-    Lxw: np.ndarray
-    Lww: np.ndarray
-    lx: np.ndarray
-    lw: np.ndarray
-
-
 class _WindowProblem:
     def __init__(self, model, cfg, prior, u_seg, y_seg, T_ti):
         self.model = model
@@ -408,8 +395,10 @@ class _WindowProblem:
         """Stage-wise Gauss-Newton model of |r|^2 around (z, states).
 
         With dx_0 = dchi and dx_{j+1} = A_j dx_j + B_j dw_j, the residual
-        Jacobian J gives J'J and J'r as stage blocks: Lxx (N+1, n, n), Lxw
-        (N, n, q), Lww (N, q, q) and the linear terms lx (N+1, n), lw (N, q).
+        Jacobian J gives J'J and J'r as bordered stage matrices G (N+1, m, m)
+        over (dw_j, dx_j, 1), m = q + n + 1: the J'J blocks of the stage,
+        J'r in the last row and column, and no dw at node N.  The
+        transitions are S (N, n+1, m) with [dx_{j+1}; 1] = S_j [dw_j; dx_j; 1].
         The prior sits in node 0, state-penalty rows at their node.
         """
         n, q, N, p = self.n, self.q, self.N, self.p
@@ -421,67 +410,60 @@ class _WindowProblem:
         r_w = r[n:n + N * q].reshape(N, q)
         r_y = r[n + N * q:n + N * (q + p)].reshape(N, p)
         r_v = r[n + N * (q + p):]
-        # output rows -sy_j sqR [Hx_j  Hw_j] and disturbance rows sw_j sqQ
-        Cx = -self.sy[:, None, None] * (self.sqR @ Hx)
+        # output rows -sy_j sqR [Hw_j  Hx_j] with their residuals, and
+        # disturbance rows sw_j sqQ
         Cw = -self.sy[:, None, None] * (self.sqR @ Hw)
-        Lxx = np.zeros((N + 1, n, n))
-        lx = np.zeros((N + 1, n))
-        Lxx[:N] = np.einsum("jki,jkl->jil", Cx, Cx)
-        lx[:N] = np.einsum("jki,jk->ji", Cx, r_y)
-        Lxw = np.einsum("jki,jkl->jil", Cx, Cw)
-        Lww = (np.einsum("jki,jkl->jil", Cw, Cw)
-               + (self.sw ** 2)[:, None, None] * (self.sqQ.T @ self.sqQ))
-        lw = np.einsum("jki,jk->ji", Cw, r_y) + self.sw[:, None] * (r_w @ self.sqQ)
-        Lxx[0] += self.sq_prior.T @ self.sq_prior
-        lx[0] += self.sq_prior.T @ r_p
+        Cx = -self.sy[:, None, None] * (self.sqR @ Hx)
+        Z = np.concatenate([Cw, Cx, r_y[:, :, None]], axis=2)
+        G = np.zeros((N + 1, q + n + 1, q + n + 1))
+        G[:N] = np.einsum("jki,jkl->jil", Z, Z)
+        G[:N, :q, :q] += (self.sw ** 2)[:, None, None] * (self.sqQ.T @ self.sqQ)
+        G[:N, :q, -1] += self.sw[:, None] * (r_w @ self.sqQ)
+        G[0, q:-1, q:-1] += self.sq_prior.T @ self.sq_prior
+        G[0, q:-1, -1] += self.sq_prior.T @ r_p
         j, i, _ = self._active_violations(states)
-        np.add.at(Lxx, (j, i, i), self.pen)
-        np.add.at(lx, (j, i), math.sqrt(self.pen) * r_v)
-        return _Linearization(A, B, Lxx, Lxw, Lww, lx, lw)
+        np.add.at(G, (j, q + i, q + i), self.pen)
+        np.add.at(G, (j, q + i, -1), math.sqrt(self.pen) * r_v)
+        G[:, -1, :-1] = G[:, :-1, -1]
+        S = np.zeros((N, n + 1, q + n + 1))
+        S[:, :n, :q] = B
+        S[:, :n, q:-1] = A
+        S[:, n, -1] = 1.0
+        return G, S
 
     def gradient(self, lin):
         """J'r by the backward adjoint sweep over the stages."""
+        G, S = lin
         n, q, N = self.n, self.q, self.N
         lam = np.empty((N + 1, n))
-        lam[N] = lin.lx[N]
+        lam[N] = G[N, q:-1, -1]
         for j in range(N - 1, -1, -1):
-            lam[j] = lin.lx[j] + lin.A[j].T @ lam[j + 1]
-        gw = lin.lw + np.einsum("jik,ji->jk", lin.B, lam[1:])
+            lam[j] = G[j, q:-1, -1] + S[j, :n, q:-1].T @ lam[j + 1]
+        gw = G[:N, :q, -1] + np.einsum("jik,ji->jk", S[:, :n, :q], lam[1:])
         return np.concatenate([lam[0], gw.ravel()])
 
     def lm_step(self, lin, free, mu):
         """Damped Gauss-Newton step d with ((J'J)_ff + mu I) d_f = -(J'r)_f
         and d = 0 off the free set, by a backward Riccati sweep over the
-        stages and a forward rollout.
+        stages of linearize and a forward rollout.
 
-        Each stage is a bordered matrix over (dw_j, dx_j, 1).  Pinned
-        coordinates of w are masked, not sliced out: a zero column of B_j, a
-        zero row and column with a unit diagonal in the stage matrix, so
-        their step is exactly 0 and the free block is unchanged.
+        Pinned coordinates of w are masked, not sliced out: a zero column of
+        B_j, a zero row and column with a unit diagonal in the stage matrix,
+        so their step is exactly 0 and the free block is unchanged.
         """
+        G, S = lin
         n, q, N = self.n, self.q, self.N
-        m = q + n + 1
         fw = free[n:].reshape(N, q)
-        H = np.zeros((N, m, m))
-        H[:, :q, :q] = lin.Lww + mu * np.eye(q)
-        H[:, q:-1, :q] = lin.Lxw
-        H[:, :q, q:-1] = lin.Lxw.transpose(0, 2, 1)
-        H[:, q:-1, q:-1] = lin.Lxx[:N]
-        H[:, :q, -1] = H[:, -1, :q] = lin.lw
-        H[:, q:-1, -1] = H[:, -1, q:-1] = lin.lx[:N]
+        H = G[:N].copy()
+        H[:, :q, :q] += mu * np.eye(q)
         H[:, :q] *= fw[:, :, None]
         H[:, :, :q] *= fw[:, None, :]
         j, i = np.nonzero(~fw)
         H[j, i, i] = 1.0
-        # [dx_{j+1}; 1] = S_j [dw_j; dx_j; 1]
-        S = np.zeros((N, n + 1, m))
-        S[:, :n, :q] = lin.B * fw[:, None, :]
-        S[:, :n, q:-1] = lin.A
-        S[:, n, -1] = 1.0
+        S = S.copy()
+        S[:, :n, :q] *= fw[:, None, :]
         # V: bordered cost-to-go over (dx_{j+1}, 1)
-        V = np.zeros((n + 1, n + 1))
-        V[:n, :n] = lin.Lxx[N]
-        V[:n, n] = V[n, :n] = lin.lx[N]
+        V = G[N, q:, q:].copy()
         # dw_j = -K_j [dx_j; 1]
         K = [None] * N
         for j in range(N - 1, -1, -1):
@@ -496,7 +478,7 @@ class _WindowProblem:
         M = (V[:n, :n] + mu * np.eye(n)) * np.outer(fx, fx)
         M[~fx, ~fx] = 1.0
         step = np.empty(self.nv)
-        v = np.empty(m)
+        v = np.empty(q + n + 1)
         v[q:-1] = step[:n] = np.linalg.solve(M, -V[:n, n] * fx)
         v[-1] = 1.0
         for j in range(N):

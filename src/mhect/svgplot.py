@@ -1,6 +1,6 @@
 """Minimal self-contained SVG line plots (no plotting dependency).
 
-Good enough for run diagnostics: polylines, optional markers, axis ticks and
+Good enough for run diagnostics: polylines or point markers, axis ticks and
 a simple legend.  Not a general plotting layer.
 """
 
@@ -46,8 +46,8 @@ def line_plot(path, series, *, title="", xlabel="", ylabel=""):
     """Write an SVG line plot.
 
     series: list of dicts with keys x (array), y (array), label (str),
-    color (css color), and optionally markers=True for point markers or
-    line=False to draw markers only.
+    color (css color), and optionally line=False to draw point markers
+    instead of a polyline.
     """
     xs = [v for s in series for v in s["x"]]
     ys = [v for s in series for v in s["y"]]
@@ -94,7 +94,7 @@ def line_plot(path, series, *, title="", xlabel="", ylabel=""):
         if s.get("line", True) and len(s["x"]) > 1:
             pts = " ".join(f"{X(a):.2f},{Y(b):.2f}" for a, b in zip(s["x"], s["y"]))
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"/>')
-        if s.get("markers", False) or not s.get("line", True):
+        if not s.get("line", True):
             for a, b in zip(s["x"], s["y"]):
                 parts.append(f'<circle cx="{X(a):.2f}" cy="{Y(b):.2f}" r="2.4" fill="{color}"/>')
     # legend

@@ -67,21 +67,6 @@ def box_clip(box, v):
     return np.clip(np.asarray(v, dtype=float), box[:, 0], box[:, 1])
 
 
-def box_is_finite(box):
-    return bool(np.all(np.isfinite(box)))
-
-
-def box_vertices(box):
-    """All 2^d corners of a finite box; a single empty point for d = 0."""
-    d = box.shape[0]
-    if not box_is_finite(box):
-        raise ConfigurationError("vertex enumeration needs a bounded box")
-    corners = []
-    for mask in range(1 << d):
-        corners.append(np.array([box[i, (mask >> i) & 1] for i in range(d)]))
-    return corners
-
-
 def box_grid_axes(box, counts):
     """Per-axis sample vectors: counts[i] equally spaced points on axis i."""
     d = box.shape[0]

@@ -121,8 +121,13 @@ def test_grid_points_modes(reactor):
     assert mode == "grid" and [v.shape for v in pts] == [(9 * 27, 2), (9 * 27, 0), (9 * 27, 3)]
     pts, mode = grid_points(dom, VERTS)
     assert mode == "vertices" and [v.shape for v in pts] == [(32, 2), (32, 0), (32, 3)]
+    # vertex mode is the two-point grid: every corner once, an empty U as one point
+    assert sorted(map(tuple, pts[0][::8])) == [(0.1, 0.1), (0.1, 5.0), (5.0, 0.1), (5.0, 5.0)]
+    assert len(np.unique(pts[2], axis=0)) == 8 and np.all(np.abs(pts[2]) == 0.1)
     with pytest.raises(ConfigurationError):
         grid_points(dom, GridSpec(vertices_only=True))
+    with pytest.raises(ConfigurationError):
+        grid_points(Domain([[0.0, None]], [], [[-1.0, 1.0]]), VERTS)
 
 
 def test_generalized_eigenvalue_examples():
@@ -204,8 +209,8 @@ def test_synthesis_fixed_weights(reactor, synth_cert):
 def test_synthesis_fixed_weights_match_reference_digits(synth_cert):
     # the Newton steps' last bits depend on the order the barrier sums its
     # blocks in, so the pinned digits of P hold to 1e-7, not bit for bit
-    P_ref = np.array([[3.5381882728231617, 3.2739464186020233],
-                      [3.2739464186020233, 3.0313153621658566]])
+    P_ref = np.array([[3.7681536673338054, 3.533302950570048],
+                      [3.533302950570048, 3.315451805974797]])
     assert np.abs(synth_cert.P1 - P_ref).max() <= 1e-7 * max(1.0, np.abs(P_ref).max())
 
 
@@ -243,6 +248,18 @@ def test_synthesis_joint_weights(reactor):
     assert np.linalg.eigvalsh(cert.Q)[0] > 0.0
     assert np.linalg.eigvalsh(cert.R)[0] > 0.0
     assert verify_certificate(reactor, cert, VERTS).passed
+
+
+def test_synthesis_constrains_each_distinct_block_once(reactor):
+    # the reactor's inequality depends on x1 only: 675 points hold 5 distinct
+    # blocks, and repeating a block must not make a feasible problem fail
+    grid = GridSpec(x_points=5, w_points=3)
+    points, _ = grid_points(Domain.of_model(reactor), grid)
+    sdp, _, _ = _synthesis_problem(reactor, -math.log(0.4), None, None, points)
+    assert len(points[0]) == 675 and len(sdp.groups[0][0]) == 5
+    cert = synthesize_certificate(reactor, 0.4, "joint", grid)
+    assert cert.verification.n_points == 675
+    assert verify_certificate(reactor, cert, grid).passed
 
 
 def test_synthesis_scalar_model():

@@ -71,6 +71,11 @@ def test_disturbance_validation():
         generate_disturbance(DisturbanceSpec([[-0.1, 0.1]], 0.03, 1.0), 1)
     with pytest.raises(ConfigurationError):
         generate_disturbance(DisturbanceSpec([-0.1, 0.1], 0.01, 1.0), 1)
+    # a null side reads as unbounded, and uniform draws on it would be NaN
+    for box in ([[None, 0.1]], [[-0.1, None]], [[-np.inf, np.inf]]):
+        with pytest.raises(ConfigurationError, match="disturbance box .* unbounded side"):
+            generate_disturbance(DisturbanceSpec(box, 0.1, 0.3), 1,
+                                 w_box=np.array([[-np.inf, np.inf]]))
 
 
 def test_parse_diag():
@@ -116,6 +121,15 @@ def test_certify_check_reference_weights(tmp_path, capsys):
     rc = main(["certify", "--check", str(path), "--vertices", "--affine",
                "--tol", "1e-4"])
     assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", [["--Q", "1000,1000,100", "--R", "100"], ["--joint"]])
+def test_certify_synthesizes_on_the_default_grid(tmp_path, capsys, mode):
+    # 5 points per axis: 3125 points, of which the reactor has 5 distinct blocks
+    assert main(["certify", "--lambda", "0.4", *mode, "--out", str(tmp_path)]) == 0
+    assert "over 3125 points" in capsys.readouterr().out
+    assert main(["certify", "--check", str(tmp_path / "certificate.json")]) == 0
     assert "PASS" in capsys.readouterr().out
 
 
@@ -411,6 +425,17 @@ def test_non_object_certificate_section_exit_code(tmp_path, capsys, section):
     assert main(["certify", "--check", str(path), "--vertices", "--affine"]) == 2
     err = capsys.readouterr().err
     assert f"{section} must be a JSON object" in err
+
+
+@pytest.mark.parametrize("disturbance", [{"bound": np.inf}, {"box": [[-np.inf, 0.1]]}])
+def test_unbounded_disturbance_box_exit_code(tmp_path, capsys, disturbance):
+    # the model file leaves W unbounded, so only the draw itself can refuse it
+    mpath = tmp_path / "escape.json"
+    mpath.write_text(json.dumps(without(ESCAPE_MODEL, "W")))
+    cfg = scenario(tmp_path, model={"file": str(mpath)}, certificate=SCALAR_CERT, T=0.5,
+                   t_sim=0.3, chi=[0.1], chi_hat=[0.1], disturbance=disturbance)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "disturbance box" in capsys.readouterr().err
 
 
 def test_programming_key_error_propagates(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mhect import (DetectabilityCertificate, Domain, Equidistant, EventTriggered, Explicit,
                    MheConfig, PiecewiseSignal, SystemModel, batch_reactor, discount_weights,
@@ -448,6 +449,37 @@ def test_riccati_step_matches_the_dense_solve(ref_cert, N):
             step = prob.lm_step(lin, free, mu)
             assert np.all(step[~free] == 0.0)
             assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@settings(max_examples=60)
+@given(N=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1), log_mu=st.floats(-6.0, 4.0),
+       penalized=st.booleans(), data=st.data())
+def test_stage_sweeps_match_the_dense_model(ref_cert, N, seed, log_mu, penalized, data):
+    # a random window, decision point, free mask and damping: the adjoint sweep
+    # gives J'r and the Riccati sweep the dense masked damped solve
+    model = batch_reactor()
+    cfg = MheConfig(ref_cert, 8.0, 0.01, Equidistant(0.1))
+    rng = SplitMix64(seed)
+    y_seg = PiecewiseSignal(0.0, 0.01, 0.2 + 9.8 * rng.uniforms((N, 1)))
+    prob = _WindowProblem(model, cfg, rng.uniforms((2,), 0.1, 5.0), None, y_seg, N * 0.01)
+    z = np.concatenate([rng.uniforms((2,), 0.1, 5.0), rng.uniforms((N * 3,), -0.1, 0.1)])
+    states = prob.forward(z)
+    if penalized:
+        prob.x_hi = states[N] - 1e-3 * np.abs(states[N])
+    free = np.array(data.draw(st.lists(st.booleans(), min_size=prob.nv, max_size=prob.nv)))
+    assume(free.any())
+    mu = 10.0 ** log_mu
+    r = prob.residuals(z, states)
+    J = _dense_jacobian(prob, z, states)
+    lin = prob.linearize(z, states, r)
+    Jtr = J.T @ r
+    assert np.linalg.norm(prob.gradient(lin) - Jtr) <= 1e-10 * np.linalg.norm(Jtr)
+    dense = np.zeros(prob.nv)
+    dense[free] = np.linalg.solve((J.T @ J)[np.ix_(free, free)] + mu * np.eye(free.sum()),
+                                  -Jtr[free])
+    step = prob.lm_step(lin, free, mu)
+    assert np.all(step[~free] == 0.0)
+    assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 def test_window_step_memory_is_linear_in_the_window(ref_cert):

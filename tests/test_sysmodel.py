@@ -10,7 +10,7 @@ from mhect import (PiecewiseSignal, SystemModel, as_box, batch_reactor, box_clip
                    rk4_step_with_jacobians, zero_signal)
 from mhect.errors import ConfigurationError, DomainError
 from mhect.rng import SplitMix64
-from mhect.sysmodel import as_grid_index, box_grid_axes, box_vertices, box_within
+from mhect.sysmodel import as_grid_index, box_grid_axes, box_within
 from tests.conftest import const_jac
 
 
@@ -59,19 +59,6 @@ def test_box_membership_and_clip():
     assert not box_contains(b, [1.0 + 1e-6, 0.0])
     assert box_contains(b, [1.0 + 1e-6, 0.0], tol=1e-5)
     assert np.allclose(box_clip(b, [2.0, -3.0]), [1.0, -1.0])
-
-
-def test_box_vertices_order():
-    # bit i of the mask selects the side on axis i
-    b = as_box([(0.0, 1.0), (2.0, 3.0)])
-    vs = box_vertices(b)
-    assert len(vs) == 4
-    expected = [[0.0, 2.0], [1.0, 2.0], [0.0, 3.0], [1.0, 3.0]]
-    for v, e in zip(vs, expected):
-        assert np.array_equal(v, e)
-    with pytest.raises(ConfigurationError):
-        box_vertices(as_box([(0.0, None)]))
-    assert len(box_vertices(np.zeros((0, 2)))) == 1  # degenerate: one empty corner
 
 
 def test_box_grid_axes():
