@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -59,6 +60,19 @@ def test_box_membership_and_clip():
     assert not box_contains(b, [1.0 + 1e-6, 0.0])
     assert box_contains(b, [1.0 + 1e-6, 0.0], tol=1e-5)
     assert np.allclose(box_clip(b, [2.0, -3.0]), [1.0, -1.0])
+
+
+def test_box_vertices_order():
+    # vertices are the two-point grid: lo then hi per axis, axis 0 slowest
+    b = as_box([(0.0, 1.0), (2.0, 3.0)])
+    vs = list(itertools.product(*box_grid_axes(b, 2)))
+    assert len(vs) == 4
+    expected = [[0.0, 2.0], [0.0, 3.0], [1.0, 2.0], [1.0, 3.0]]
+    for v, e in zip(vs, expected):
+        assert np.array_equal(v, e)
+    with pytest.raises(ConfigurationError):
+        box_grid_axes(as_box([(0.0, None)]), 2)
+    assert len(list(itertools.product(*box_grid_axes(np.zeros((0, 2)), 2)))) == 1  # one empty corner
 
 
 def test_box_grid_axes():
