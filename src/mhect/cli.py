@@ -262,7 +262,7 @@ def _scenario_disturbance(cfg, model, dt, t_sim):
     if d is None:
         return None, None
     if "box" in _section(d, "disturbance"):
-        box = _numeric(d, "box", "disturbance", _float_array)
+        box = _numeric(d, "box", "disturbance", lambda v: as_box(v, model.q, "disturbance box"))
     elif "bound" in d:
         b = _numeric(d, "bound", "disturbance")
         box = [[-b, b]] * model.q

@@ -124,13 +124,16 @@ def integrate(model, chi, u, w, t0, t1, dt):
     u = _resolve_signal(u, model.m, t0, t1, dt, steps, "u")
     w = _resolve_signal(w, model.q, t0, t1, dt, steps, "w")
     x = chi
-    for k in range(steps):
-        x = rk4_step(model, x, u[k], w[k], dt)
-        if not np.all(np.isfinite(x)):
-            tk = t0 + k * dt
-            raise DivergenceError(
-                f"integration diverged at t = {tk + dt} (non-finite state)", t=tk + dt)
-        states[k + 1] = x
+    # a non-finite component stays non-finite through RK4, so one check
+    # after the loop finds the first step that left float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x = states[k + 1] = rk4_step(model, x, u[k], w[k], dt)
+    bad = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
+    if bad.size:
+        tk = t0 + int(bad[0]) * dt
+        raise DivergenceError(
+            f"integration diverged at t = {tk + dt} (non-finite state)", t=tk + dt)
     return Trajectory(t0, dt, states)
 
 

@@ -13,9 +13,11 @@ The solver is a projected Levenberg-Marquardt method on the condensed
 (single-shooting) problem, with box projection of the decision variables and
 a quadratic penalty on the interior state constraints.  Each iteration
 linearizes the window stage by stage with the exact Jacobians of the RK4
-step map; the gradient comes from a backward adjoint sweep, and each damped
-step from a backward Riccati sweep and a forward rollout, which solve the
-condensed Gauss-Newton system without forming it.
+step map.  The gradient (the adjoint recursion) and each damped step (the
+Riccati recursion for the cost-to-go and the rollout of the step) solve the
+condensed Gauss-Newton system without forming it, each as an associative
+scan over the N stages in ceil(log2(N + 1)) levels of batched small-matrix
+operations.
 """
 
 import math
@@ -351,15 +353,14 @@ class _WindowProblem:
         """Window states for decision z, or None when integration diverges."""
         n, q, N = self.n, self.q, self.N
         states = np.empty((N + 1, n))
-        x = z[:n]
-        states[0] = x
+        x = states[0] = z[:n]
         Wp = z[n:].reshape(N, q)
-        for j in range(N):
-            x = rk4_step(self.model, x, self.u[j], Wp[j], self.dt)
-            if not np.all(np.isfinite(x)):
-                return None
-            states[j + 1] = x
-        return states
+        # a non-finite component stays non-finite through RK4, so one check
+        # after the rollout finds any step that left float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(N):
+                x = states[j + 1] = rk4_step(self.model, x, self.u[j], Wp[j], self.dt)
+        return states if np.isfinite(states).all() else None
 
     def _active_violations(self, states):
         """Arrays (node, component, signed violation) of the states outside X,
@@ -432,20 +433,29 @@ class _WindowProblem:
         return G, S
 
     def gradient(self, lin):
-        """J'r by the backward adjoint sweep over the stages."""
+        """J'r by the adjoint recursion lam_j = lx_j + A_j' lam_{j+1}: a suffix
+        scan of the bordered maps [[A_j', lx_j], [0, 1]] on [lam_N; 1]."""
         G, S = lin
         n, q, N = self.n, self.q, self.N
-        lam = np.empty((N + 1, n))
-        lam[N] = G[N, q:-1, -1]
-        for j in range(N - 1, -1, -1):
-            lam[j] = G[j, q:-1, -1] + S[j, :n, q:-1].T @ lam[j + 1]
+        maps = S[:, :, q:].transpose(0, 2, 1).copy()
+        maps[:, :n, n] = G[:N, q:-1, -1]
+        lam = _suffix_scan(maps, np.append(G[N, q:-1, -1], 1.0), np.matmul, _matvec)[:, :n]
         gw = G[:N, :q, -1] + np.einsum("jik,ji->jk", S[:, :n, :q], lam[1:])
         return np.concatenate([lam[0], gw.ravel()])
 
     def lm_step(self, lin, free, mu):
         """Damped Gauss-Newton step d with ((J'J)_ff + mu I) d_f = -(J'r)_f
-        and d = 0 off the free set, by a backward Riccati sweep over the
-        stages of linearize and a forward rollout.
+        and d = 0 off the free set, from the stages of linearize in
+        ceil(log2(N + 1)) batched levels:
+
+        1. dw_j = u_j - E_j xt_j, xt_j = [dx_j; 1], removes each stage's
+           cross term: cost u'R u + xt'L xt and xt_{j+1} = F xt + B u.
+        2. The cost-to-go matrices V_j over xt_j come from a suffix scan of
+           the elements (F, B R^-1 B', L) with the combination rule of
+           Sarkka and Garcia-Fernandez (IEEE TAC 68(2), 2023).
+        3. One batched Q_j = S_j' V_{j+1} S_j + H_j gives every gain K_j with
+           dw_j = -K_j xt_j; chi is solved last from V_0.
+        4. The step rolls out by prefix products of Phi_j = S_j [-K_j; I].
 
         Pinned coordinates of w are masked, not sliced out: a zero column of
         B_j, a zero row and column with a unit diagonal in the stage matrix,
@@ -462,30 +472,65 @@ class _WindowProblem:
         H[j, i, i] = 1.0
         S = S.copy()
         S[:, :n, :q] *= fw[:, None, :]
-        # V: bordered cost-to-go over (dx_{j+1}, 1)
-        V = G[N, q:, q:].copy()
-        # dw_j = -K_j [dx_j; 1]
-        K = [None] * N
-        for j in range(N - 1, -1, -1):
-            Sj = S[j]
-            Qj = Sj.T @ V @ Sj
-            Qj += H[j]
-            Kj = K[j] = np.linalg.solve(Qj[:q, :q], Qj[:q, q:])
-            V = Qj[q:, q:]
-            V -= Qj[q:, :q] @ Kj
+        Sw, Sx = S[:, :, :q], S[:, :, q:]
+        EY = np.linalg.solve(H[:, :q, :q],
+                             np.concatenate([H[:, :q, q:], Sw.transpose(0, 2, 1)], axis=2))
+        E, Y = EY[:, :, :n + 1], EY[:, :, n + 1:]
+        elems = np.stack([Sx - Sw @ E, Sw @ Y, H[:, q:, q:] - H[:, q:, :q] @ E], axis=1)
+        V = _suffix_scan(elems, G[N, q:, q:], _riccati_combine, _riccati_apply)
+        Q = S.transpose(0, 2, 1) @ V[1:] @ S + H
+        K = np.linalg.solve(Q[:, :q, :q], Q[:, :q, q:])
         # chi last, on its free coordinates
         fx = free[:n]
-        M = (V[:n, :n] + mu * np.eye(n)) * np.outer(fx, fx)
+        M = (V[0, :n, :n] + mu * np.eye(n)) * np.outer(fx, fx)
         M[~fx, ~fx] = 1.0
-        step = np.empty(self.nv)
-        v = np.empty(q + n + 1)
-        v[q:-1] = step[:n] = np.linalg.solve(M, -V[:n, n] * fx)
-        v[-1] = 1.0
-        for j in range(N):
-            v[:q] = -K[j] @ v[q:]
-            step[n + j * q:n + (j + 1) * q] = v[:q]
-            v[q:] = S[j] @ v
-        return step
+        xt = np.append(np.linalg.solve(M, -V[0, :n, n] * fx), 1.0)
+        xt = _suffix_scan((Sx - Sw @ K)[::-1], xt, np.matmul, _matvec)[::-1]
+        return np.concatenate([xt[0, :n], -_matvec(K, xt[:-1]).ravel()])
+
+
+def _matvec(M, v):
+    return np.einsum("kij,kj->ki", M, v)
+
+
+def _suffix_scan(elems, last, combine, apply):
+    """All v_k = e_k(e_{k+1}(... e_{N-1}(last))), k = 0..N, for N maps
+    stacked in elems, by recursive pairing (Blelloch, "Prefix sums and their
+    applications", 1990): one batched combine and one batched apply per
+    level, ceil(log2(N + 1)) levels.
+
+    combine(a, b) stacks the maps a o b of two equal batches, apply(e, v)
+    the values e(v).  Pairs are taken from the back, so an odd map out is
+    e_0 and each level fills its remaining values in one apply.
+    """
+    N = elems.shape[0]
+    out = np.empty((N + 1,) + last.shape)
+    out[N] = last
+    s = N % 2
+    if N > 1:
+        out[s::2] = _suffix_scan(combine(elems[s::2], elems[s + 1::2]), last, combine, apply)
+    out[1 - s::2] = apply(elems[1 - s::2], out[2 - s::2])
+    return out
+
+
+def _riccati_apply(e, V):
+    """Cost-to-go A'V (I + C V)^-1 A + L of the elements e = (A, C, L) over
+    the next stage's cost-to-go V."""
+    A, C, L = e[:, 0], e[:, 1], e[:, 2]
+    X = np.linalg.solve(np.eye(A.shape[-1]) + C @ V, A)
+    return A.transpose(0, 2, 1) @ V @ X + L
+
+
+def _riccati_combine(a, b):
+    """The element of stage a followed by stage b: with M = I + C_a L_b,
+    (A_b M^-1 A_a, A_b M^-1 C_a A_b' + C_b, A_a' L_b M^-1 A_a + L_a)."""
+    Aa, Ca, La = a[:, 0], a[:, 1], a[:, 2]
+    Ab, Cb, Lb = b[:, 0], b[:, 1], b[:, 2]
+    m = Aa.shape[-1]
+    X = np.linalg.solve(np.eye(m) + Ca @ Lb, np.concatenate([Aa, Ca], axis=2))
+    XA, XC = X[:, :, :m], X[:, :, m:]
+    return np.stack([Ab @ XA, Ab @ XC @ Ab.transpose(0, 2, 1) + Cb,
+                     Aa.transpose(0, 2, 1) @ Lb @ XA + La], axis=1)
 
 
 def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):

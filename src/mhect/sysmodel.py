@@ -25,9 +25,11 @@ def as_box(bounds, dim=None, name="box"):
 
     None entries mean unbounded on that side; bounds=None with a known dim
     gives the all-unbounded box.  Anything but a list of [lo, hi] pairs is a
-    ConfigurationError naming the box; a non-numeric bound raises
+    ConfigurationError naming the box; text or a non-numeric bound raises
     ValueError or TypeError, which the field readers name.
     """
+    if isinstance(bounds, str):
+        raise ValueError(f"{bounds!r} is text, not [lo, hi] rows")
     if bounds is None:
         if dim is None:
             raise ConfigurationError(f"{name}: need an explicit dimension")

@@ -438,6 +438,16 @@ def test_unbounded_disturbance_box_exit_code(tmp_path, capsys, disturbance):
     assert "disturbance box" in capsys.readouterr().err
 
 
+def test_null_disturbance_box_side_is_unbounded(tmp_path, capsys):
+    # null in a box means an unbounded side, here as in every other box
+    box = [[None, 0.05], [-0.05, 0.05], [-0.05, 0.05]]
+    cfg = scenario(tmp_path, disturbance={"box": box})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "disturbance box [[-inf, 0.05]" in err and "unbounded side" in err
+    assert "nan" not in err
+
+
 def test_programming_key_error_propagates(tmp_path, monkeypatch):
     # only missing fields of user JSON are configuration errors
     def broken(*args, **kwargs):

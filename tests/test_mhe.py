@@ -384,6 +384,53 @@ def _dense_jacobian(prob, z, states):
     return np.vstack([Jp, Jw, Jy, math.sqrt(prob.pen) * G[j, i]])
 
 
+def _sequential_gradient(prob, lin):
+    """J'r by the backward adjoint sweep, one stage at a time; the reference
+    for the solver's suffix scan."""
+    G, S = lin
+    n, q, N = prob.n, prob.q, prob.N
+    lam = np.empty((N + 1, n))
+    lam[N] = G[N, q:-1, -1]
+    for j in range(N - 1, -1, -1):
+        lam[j] = G[j, q:-1, -1] + S[j, :n, q:-1].T @ lam[j + 1]
+    gw = G[:N, :q, -1] + np.einsum("jik,ji->jk", S[:, :n, :q], lam[1:])
+    return np.concatenate([lam[0], gw.ravel()])
+
+
+def _sequential_step(prob, lin, free, mu):
+    """The masked damped step by a backward Riccati sweep and a forward
+    rollout, one stage at a time; the reference for the solver's scans."""
+    G, S = lin
+    n, q, N = prob.n, prob.q, prob.N
+    fw = free[n:].reshape(N, q)
+    H = G[:N].copy()
+    H[:, :q, :q] += mu * np.eye(q)
+    H[:, :q] *= fw[:, :, None]
+    H[:, :, :q] *= fw[:, None, :]
+    j, i = np.nonzero(~fw)
+    H[j, i, i] = 1.0
+    S = S.copy()
+    S[:, :n, :q] *= fw[:, None, :]
+    V = G[N, q:, q:].copy()     # bordered cost-to-go over (dx_{j+1}, 1)
+    K = [None] * N              # dw_j = -K_j [dx_j; 1]
+    for j in range(N - 1, -1, -1):
+        Qj = S[j].T @ V @ S[j] + H[j]
+        K[j] = np.linalg.solve(Qj[:q, :q], Qj[:q, q:])
+        V = Qj[q:, q:] - Qj[q:, :q] @ K[j]
+    fx = free[:n]
+    M = (V[:n, :n] + mu * np.eye(n)) * np.outer(fx, fx)
+    M[~fx, ~fx] = 1.0
+    step = np.empty(prob.nv)
+    v = np.empty(q + n + 1)
+    v[q:-1] = step[:n] = np.linalg.solve(M, -V[:n, n] * fx)
+    v[-1] = 1.0
+    for j in range(N):
+        v[:q] = -K[j] @ v[q:]
+        step[n + j * q:n + (j + 1) * q] = v[:q]
+        v[q:] = S[j] @ v
+    return step
+
+
 def test_window_jacobian_matches_finite_differences(ref_cert):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
@@ -480,6 +527,58 @@ def test_stage_sweeps_match_the_dense_model(ref_cert, N, seed, log_mu, penalized
     step = prob.lm_step(lin, free, mu)
     assert np.all(step[~free] == 0.0)
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(N=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1), log_mu=st.floats(-14.0, 4.0),
+       penalized=st.booleans(), pinned=st.floats(0.0, 0.9), pin_chi=st.booleans(),
+       data=st.data())
+def test_stage_scans_match_the_sequential_sweeps(ref_cert, N, seed, log_mu, penalized, pinned,
+                                                 pin_chi, data):
+    # long windows, random masks with one stage of w all pinned, chi pinned or
+    # not, penalty rows at node N and damping down to 1e-14: the scans agree
+    # with the stage-by-stage sweeps
+    model = batch_reactor()
+    cfg = MheConfig(ref_cert, 8.0, 0.01, Equidistant(0.1))
+    rng = SplitMix64(seed)
+    y_seg = PiecewiseSignal(0.0, 0.01, 3.9 + 0.2 * rng.uniforms((N, 1)))
+    prob = _WindowProblem(model, cfg, rng.uniforms((2,), 0.1, 5.0), None, y_seg, N * 0.01)
+    z = np.concatenate([rng.uniforms((2,), 0.1, 5.0), rng.uniforms((N * 3,), -0.1, 0.1)])
+    states = prob.forward(z)
+    if penalized:
+        prob.x_hi = states[N] - 1e-3 * np.abs(states[N])
+    free = rng.uniforms((prob.nv,)) >= pinned
+    stage = data.draw(st.integers(0, N - 1))
+    free[2 + 3 * stage:2 + 3 * (stage + 1)] = False
+    if pin_chi:
+        free[:2] = False
+    assume(free.any())
+    mu = 10.0 ** log_mu
+    r = prob.residuals(z, states)
+    lin = prob.linearize(z, states, r)
+    g = _sequential_gradient(prob, lin)
+    assert np.linalg.norm(prob.gradient(lin) - g) <= 1e-10 * np.linalg.norm(g)
+    seq = _sequential_step(prob, lin, free, mu)
+    step = prob.lm_step(lin, free, mu)
+    assert np.all(step[~free] == 0.0)
+    assert np.linalg.norm(step - seq) <= 1e-10 * np.linalg.norm(seq)
+
+
+def test_window_step_solves_in_logarithmic_levels(ref_cert, monkeypatch):
+    # the scans factor in batches, a constant number per level; a loop over
+    # the stages would factor N = 200 times
+    N = 200
+    prob, z, states = _window_with_violations(ref_cert, N)
+    lin = prob.linearize(z, states, prob.residuals(z, states))
+    calls = []
+    for name in ("solve", "inv"):
+        def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    prob.gradient(lin)
+    prob.lm_step(lin, np.ones(prob.nv, bool), 1.0)
+    assert 0 < len(calls) <= 4 * math.ceil(math.log2(N + 1)) + 4
 
 
 def test_window_step_memory_is_linear_in_the_window(ref_cert):
