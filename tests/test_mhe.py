@@ -340,9 +340,8 @@ def test_prior_outside_domain_is_projected(ref_cert):
     assert np.all(sol.chi_star >= 0.1) and np.all(sol.chi_star <= 5.0)
 
 
-def test_window_divergence_from_the_prior():
-    # x' = x^2 + w escapes at t = 1/x0: from 20 every candidate blows up
-    # inside the 0.1 window, from 0.1 the window solves normally
+def _escape_window():
+    """x' = x^2 + w, which escapes at t = 1/x0, with a 0.1 window of outputs."""
     model = SystemModel(1, 0, 1, 1,
                         lambda x, u, w: x * x + w,
                         lambda x, u, w: x.copy(),
@@ -352,12 +351,29 @@ def test_window_divergence_from_the_prior():
     cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5,
                                                  Domain.of_model(model))
     cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
-    y_seg = PiecewiseSignal(0.0, 0.01, np.full((10, 1), 0.1))
+    return model, cfg, PiecewiseSignal(0.0, 0.01, np.full((10, 1), 0.1))
+
+
+def test_window_divergence_from_the_prior():
+    # from 20 every candidate blows up inside the 0.1 window, from 0.1 the
+    # window solves normally
+    model, cfg, y_seg = _escape_window()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             solve_mhe(model, cfg, np.array([20.0]), None, y_seg, 0.1)
     sol = solve_mhe(model, cfg, np.array([0.1]), None, y_seg, 0.1)
     assert np.all(np.isfinite(sol.x_star.states))
+
+
+def test_divergence_raises_no_overflow_warning():
+    # RuntimeWarning is an error in this suite: rollouts that leave float
+    # range end in DivergenceError, not in a numpy overflow warning
+    model, cfg, y_seg = _escape_window()
+    with pytest.raises(DivergenceError):
+        solve_mhe(model, cfg, np.array([20.0]), None, y_seg, 0.1)
+    with pytest.raises(DivergenceError) as exc:
+        integrate(model, np.array([20.0]), None, None, 0.0, 0.1, 0.01)
+    assert 0.05 <= exc.value.t <= 0.1
 
 
 def _dense_jacobian(prob, z, states):
