@@ -11,9 +11,8 @@ pointwise matrix inequality in the model Jacobians:
 
 at every point of the certified domain, with kappa = -ln(lambda).  The
 module verifies given weights on a grid, synthesizes feasible weights with a
-log-det barrier interior-point method, rescales certificates against target
-weights, and derives the horizon threshold and contraction rate used by the
-estimator error bounds.
+log-det barrier interior-point method, and derives the horizon threshold and
+contraction rate used by the estimator error bounds.
 """
 
 import dataclasses
@@ -44,6 +43,15 @@ def _check_sym_pd(M, name):
     if float(np.linalg.eigvalsh(M)[0]) <= 0.0:
         raise ConfigurationError(f"{name} must be positive definite")
     return M
+
+
+def check_weight_sizes(model, **weights):
+    """ConfigurationError unless each weight fits the model: P n x n, Q q x q, R p x p."""
+    for name, M in weights.items():
+        d = {"P": model.n, "Q": model.q, "R": model.p}[name]
+        if M.shape != (d, d):
+            raise ConfigurationError(f"weight {name} is {M.shape[0]}x{M.shape[1]}, "
+                                     f"but the model needs {d}x{d}")
 
 
 def geneig_max(A, B):
@@ -213,16 +221,16 @@ def _max_eig(model, P, Q, R, kappa, points):
 class GridSpec:
     """Evaluation grid over a Domain.
 
-    Per-axis counts (int applies to every axis of the block), or
+    Points per axis, one count for every axis of the block, or
     vertices_only, the grid of two points per axis.  Vertex mode is only
     honored when the caller asserts that the inequality entries are affine
     along each axis (affinity_asserted), which makes corner checking
     sufficient on the box.
     """
 
-    x_points: object = 2
-    u_points: object = 2
-    w_points: object = 2
+    x_points: int = 2
+    u_points: int = 2
+    w_points: int = 2
     vertices_only: bool = False
     affinity_asserted: bool = False
 
@@ -247,13 +255,13 @@ def verify_certificate(model, cert, grid, tol_psd=1e-8):
     """Evaluate the inequality at every grid point of the certificate domain.
 
     Passes iff the maximum eigenvalue over all points is <= tol_psd
-    (absolute).  Only defined for single-P certificates (P1 = P2); the
-    rescaled variants trade the pointwise inequality for an integral one and
-    cannot be re-checked this way.
+    (absolute).  Only defined for single-P certificates (P1 = P2), the only
+    kind this module produces; a certificate file with P1 != P2 is refused.
     """
     for name in ("X", "U", "W"):
         if not box_within(getattr(cert.domain, name), getattr(model, name)):
             raise ConfigurationError(f"certificate domain {name} does not fit the model's {name}")
+    check_weight_sizes(model, P=cert.P1, Q=cert.Q, R=cert.R)
     if not np.allclose(cert.P1, cert.P2, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cert.P2).max()))):
         raise ConfigurationError("pointwise verification requires P1 = P2")
     points, mode = grid_points(cert.domain, grid)
@@ -443,8 +451,7 @@ def synthesize_certificate(model, lam, mode, grid):
     elif isinstance(mode, FixedQR):
         Q_fix = _check_sym_pd(mode.Q, "Q")
         R_fix = _check_sym_pd(mode.R, "R")
-        if Q_fix.shape != (model.q, model.q) or R_fix.shape != (model.p, model.p):
-            raise ConfigurationError("FixedQR weights have wrong dimensions")
+        check_weight_sizes(model, Q=Q_fix, R=R_fix)
     else:
         raise ConfigurationError("mode must be FixedQR(Q, R) or 'joint'")
 
@@ -465,22 +472,6 @@ def synthesize_certificate(model, lam, mode, grid):
             "internal consistency error: synthesized weights failed re-verification "
             f"(max eigenvalue {report.max_eig:.3e})")
     return dataclasses.replace(cert, verification=report)
-
-
-def scale_certificate(cert, P2_target, Q_target, R_target):
-    """Rescale a certificate to fit target weights (largest valid K).
-
-    K = 1 / max(geneig(P2, P2t), geneig(Q, Qt), geneig(R, Rt)); the scaled
-    function K*V is sandwiched by K*P1 and the targets, so the returned
-    certificate carries P1 <- K*P1, P2 <- P2t, Q <- Qt, R <- Rt with the same
-    decay rate.  The pointwise verification record does not transfer.
-    """
-    P2t = _check_sym_pd(P2_target, "P2 target")
-    Qt = _check_sym_pd(Q_target, "Q target")
-    Rt = _check_sym_pd(R_target, "R target")
-    K = 1.0 / max(geneig_max(cert.P2, P2t), geneig_max(cert.Q, Qt), geneig_max(cert.R, Rt))
-    return DetectabilityCertificate(K * cert.P1, P2t, Qt, Rt, cert.lam, cert.kappa,
-                                    cert.domain, verification=None)
 
 
 # ---------------------------------------------------------------------------

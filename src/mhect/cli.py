@@ -120,7 +120,7 @@ def _write_run_outputs(run, report, out_dir):
     run.estimate_csv(os.path.join(out_dir, "estimate.csv"))
     run.samples_csv(os.path.join(out_dir, "samples.csv"))
     if run.truth is not None:
-        run.truth_csv(os.path.join(out_dir, "truth.csv"))
+        run.truth.x_true.to_csv(os.path.join(out_dir, "truth.csv"))
     if report is not None:
         report.to_csv(os.path.join(out_dir, "bounds.csv"))
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:

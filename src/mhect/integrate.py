@@ -35,12 +35,6 @@ class Trajectory:
     def times(self):
         return self.t0 + self.dt * np.arange(self.states.shape[0])
 
-    def state_at(self, t):
-        k = as_grid_index(t - self.t0, self.dt, "trajectory query time")
-        if k < 0 or k > self.n_steps:
-            raise ConfigurationError(f"t = {t} outside trajectory range")
-        return self.states[k]
-
     def to_csv(self, path):
         header = ["t"] + [f"x{i + 1}" for i in range(self.states.shape[1])]
         write_csv(path, header, np.column_stack([self.times, self.states]))

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, DomainError, HorizonError
-from .certify import DetectabilityCertificate
+from .errors import ConfigurationError, DivergenceError, HorizonError
+from .certify import DetectabilityCertificate, check_weight_sizes
 from .integrate import (Trajectory, _resolve_signal, integrate, output_along, rk4_step,
                         rk4_step_with_jacobians)
 from .sysmodel import PiecewiseSignal, as_grid_index, box_clip, box_contains, write_csv
@@ -39,23 +39,18 @@ DAMPING_INIT = 1e-3      # initial Levenberg-Marquardt damping
 PENALTY_WEIGHT = 1e6     # initial weight of the state-constraint penalty
 
 
-def discount_weights(rate, n_pieces, dt, horizon=None):
+def discount_weights(rate, n_pieces, dt, horizon):
     """Exact integrals int rate^(horizon - tau) dtau over each grid interval.
 
-    Piece j covers [j*dt, (j+1)*dt); horizon defaults to n_pieces*dt.  Safe
-    for rate arbitrarily close to (or equal to) 1, where the weights approach
-    dt.
+    Piece j covers [j*dt, (j+1)*dt).  Safe for rate arbitrarily close to 1,
+    where the weights approach dt.
     """
     if n_pieces == 0:
         return np.zeros(0)
-    if not (0.0 < rate <= 1.0):
-        raise ConfigurationError("discount rate must lie in (0, 1]")
-    if horizon is None:
-        horizon = n_pieces * dt
+    if not (0.0 < rate < 1.0):
+        raise ConfigurationError("discount rate must lie strictly inside (0, 1)")
     j = np.arange(n_pieces)
     a = math.log(rate)
-    if a == 0.0:
-        return np.full(n_pieces, dt)
     # rate^(horizon-(j+1)dt) * (1 - rate^dt) / (-ln rate), stable via expm1
     lead = np.exp(a * (horizon - (j + 1) * dt))
     return lead * (math.expm1(a * dt) / a)
@@ -93,19 +88,6 @@ class SamplingSet:
         if ks.size > 1:
             g = max(g, int(np.diff(ks).max()))
         return g * self.dt
-
-    @property
-    def last(self):
-        return float(self.times[-1])
-
-
-def k_of(sampling, t):
-    """Smallest sampling time >= t (the sample whose window covers t)."""
-    times = sampling.times
-    i = int(np.searchsorted(times, t - 1e-9 * max(1.0, abs(t))))
-    if i >= times.size:
-        raise DomainError(f"t = {t} is beyond the last sampling time {times[-1]}")
-    return float(times[i])
 
 
 @dataclass(frozen=True)
@@ -708,11 +690,6 @@ class EstimationRun:
         write_csv(path, header, ([s.t_i, s.cost, s.stats.iterations, s.stats.grad_norm,
                                   s.stats.wall_time] for s in self.solutions))
 
-    def truth_csv(self, path):
-        if self.truth is None:
-            raise ConfigurationError("run carries no ground truth")
-        self.truth.x_true.to_csv(path)
-
 
 def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
     """Run the estimator over [0, t_sim].
@@ -731,12 +708,15 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
         raise ConfigurationError(f"chi_hat must have shape ({model.n},)")
     if not box_contains(model.X, chi_hat, tol=1e-9):
         raise ConfigurationError("chi_hat must lie in X")
+    check_weight_sizes(model, P=cfg.cert.P1, Q=cfg.cert.Q, R=cfg.cert.R)
 
     truth = None
     if y is None:
         if chi is None:
             raise ConfigurationError("need ground truth chi (or recorded measurements y)")
         chi = np.asarray(chi, dtype=float)
+        if chi.shape != (model.n,):
+            raise ConfigurationError(f"chi must have shape ({model.n},)")
         if not box_contains(model.X, chi, tol=1e-9):
             raise ConfigurationError("true initial state must lie in X")
         # the truth's w on the run grid, so audits slice it at sampling times

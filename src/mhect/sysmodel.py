@@ -69,22 +69,15 @@ def box_clip(box, v):
     return np.clip(np.asarray(v, dtype=float), box[:, 0], box[:, 1])
 
 
-def box_grid_axes(box, counts):
-    """Per-axis sample vectors: counts[i] equally spaced points on axis i."""
-    d = box.shape[0]
-    if np.isscalar(counts):
-        counts = [int(counts)] * d
-    if len(counts) != d:
-        raise ConfigurationError("per-axis count list does not match box dimension")
+def box_grid_axes(box, count):
+    """Per-axis sample vectors: count equally spaced points on each axis."""
+    if count < 1:
+        raise ConfigurationError("grid needs at least one point per axis")
     axes = []
-    for i, c in enumerate(counts):
-        c = int(c)
-        if c < 1:
-            raise ConfigurationError("grid needs at least one point per axis")
-        lo, hi = box[i]
+    for lo, hi in box:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigurationError("cannot grid an unbounded axis")
-        axes.append(np.array([0.5 * (lo + hi)]) if c == 1 else np.linspace(lo, hi, c))
+        axes.append(np.array([0.5 * (lo + hi)]) if count == 1 else np.linspace(lo, hi, count))
     return axes
 
 
@@ -99,7 +92,7 @@ class SystemModel:
     """
 
     def __init__(self, n, m, q, p, f, h, *, jac_f_x, jac_f_w, jac_h_x, jac_h_w,
-                 X=None, U=None, W=None, output_affine=False, name=""):
+                 X=None, U=None, W=None):
         if min(n, q, p) < 1 or m < 0:
             raise ConfigurationError("dimensions must satisfy n, q, p >= 1 and m >= 0")
         self.n, self.m, self.q, self.p = int(n), int(m), int(q), int(p)
@@ -109,8 +102,6 @@ class SystemModel:
         self.X = as_box(X, self.n, "X")
         self.U = as_box(U, self.m, "U")
         self.W = as_box(W, self.q, "W")
-        self.output_affine = bool(output_affine)
-        self.name = name
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +145,6 @@ class PiecewiseSignal:
         if k0 < 0 or k1 > self.n_pieces or k0 > k1:
             raise DomainError("slice outside signal domain")
         return PiecewiseSignal(0.0, self.dt, self.values[k0:k1].copy())
-
-
-def zero_signal(dim, dt, n_pieces):
-    return PiecewiseSignal(0.0, dt, np.zeros((n_pieces, dim)))
 
 
 def as_grid_index(t, dt, what="time"):
@@ -218,8 +205,7 @@ def batch_reactor():
         jac_f_w=constant(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
         jac_h_x=constant(np.array([[1.0, 1.0]])),
         jac_h_w=constant(np.array([[0.0, 0.0, 1.0]])),
-        X=[[0.1, 5.0], [0.1, 5.0]], U=[], W=[[-0.1, 0.1]] * 3,
-        output_affine=True, name="batch_reactor")
+        X=[[0.1, 5.0], [0.1, 5.0]], U=[], W=[[-0.1, 0.1]] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +313,6 @@ def model_from_dict(spec):
     if len(fc) != n or len(hc) != p:
         raise ConfigurationError("f must list n coordinates and h must list p coordinates")
 
-    output_affine = (_numeric(spec, "output_affine", "model", _boolean)
-                     if "output_affine" in spec else False)
-    if output_affine and he.sum(axis=-1).max() > 1:
-        raise ConfigurationError("output_affine declared but h has degree > 1 in (x, w)")
-
     xs, ws = range(n), range(n, n + q)
     return SystemModel(
         n, 0, q, p, _polynomial(fc, fe, (n,)), _polynomial(hc, he, (p,)),
@@ -339,7 +320,7 @@ def model_from_dict(spec):
         jac_f_w=_polynomial(*_derivative(fc, fe, ws), (n, q)),
         jac_h_x=_polynomial(*_derivative(hc, he, xs), (p, n)),
         jac_h_w=_polynomial(*_derivative(hc, he, ws), (p, q)),
-        X=X, U=[], W=W, output_affine=output_affine, name=spec.get("name", "file_model"))
+        X=X, U=[], W=W)
 
 
 def load_model(path):

@@ -186,7 +186,7 @@ def test_08_integrator_is_fourth_order():
                     lambda x, u, w: x.copy(),
                     jac_f_x=const_jac(-1.0), jac_f_w=const_jac(0.0),
                     jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                    X=None, U=[], W=[[-1.0, 1.0]], name="decay")
+                    X=None, U=[], W=[[-1.0, 1.0]])
     errs = []
     for dt in (0.04, 0.02, 0.01):
         traj = integrate(m, np.array([1.0]), None, None, 0.0, 1.0, dt)

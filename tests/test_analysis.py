@@ -5,7 +5,7 @@ import pytest
 
 from mhect import (Equidistant, MheConfig, PiecewiseSignal, audit_run, batch_reactor,
                    contraction_rate, geneig_max, prop3_bound, run_mhe,
-                   sup_bound_constants, theorem1_bound, zero_signal)
+                   sup_bound_constants, theorem1_bound)
 from mhect.errors import AuditError, ConfigurationError, DomainError, HorizonError
 from mhect.rng import SplitMix64
 
@@ -34,7 +34,7 @@ def clean_run(ref_cert):
 def test_theorem1_bound_no_noise(ref_cert):
     chi = np.array([3.0, 1.0])
     chi_hat = np.array([0.1, 4.5])
-    w = zero_signal(3, 0.01, 100)
+    w = PiecewiseSignal(0.0, 0.01, np.zeros((100, 3)))
     d0 = chi - chi_hat
     for rho in (0.86, 0.5):
         got = theorem1_bound(ref_cert, rho, chi, chi_hat, w, 1.0, factor=8)
@@ -55,7 +55,7 @@ def test_theorem1_bound_constant_noise(ref_cert):
 
 def test_theorem1_bound_validation(ref_cert):
     chi = np.array([3.0, 1.0])
-    w = zero_signal(3, 0.01, 100)
+    w = PiecewiseSignal(0.0, 0.01, np.zeros((100, 3)))
     with pytest.raises(ConfigurationError):
         theorem1_bound(ref_cert, 0.86, chi, chi, w, 1.0, factor=6)
     with pytest.raises(ConfigurationError):
@@ -66,7 +66,7 @@ def test_theorem1_bound_validation(ref_cert):
 
 def test_prop3_bound_values(ref_cert):
     # single-P certificate: lmax = 1, so the prior term is 4*lam^T * U
-    w0 = zero_signal(3, 0.01, 200)
+    w0 = PiecewiseSignal(0.0, 0.01, np.zeros((200, 3)))
     got = prop3_bound(ref_cert, 2.0, 2.0, 2.0, 1.0, w0)
     assert got == pytest.approx(4.0 * 0.4 ** 2, rel=1e-13)   # 0.64
 

@@ -5,7 +5,7 @@ import pytest
 
 from mhect import (DetectabilityCertificate, Domain, FixedQR, GridSpec, SystemModel,
                    batch_reactor, contraction_rate, geneig_max, integrate, lmi_matrix,
-                   load_certificate, min_horizon, save_certificate, scale_certificate,
+                   load_certificate, min_horizon, save_certificate,
                    synthesize_certificate, verify_certificate)
 from mhect.certify import (_min_horizon_formula, _sym_basis, _synthesis_problem,
                            _vec_from_sym, grid_points)
@@ -23,7 +23,7 @@ def scalar_model():
                        lambda x, u, w: x.copy(),
                        jac_f_x=const_jac(-1.0), jac_f_w=const_jac(1.0),
                        jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                       X=[[-1.0, 1.0]], U=[], W=[[-1.0, 1.0]], output_affine=True)
+                       X=[[-1.0, 1.0]], U=[], W=[[-1.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ def test_synthesis_infeasible_model():
                     lambda x, u, w: w.copy(),
                     jac_f_x=const_jac(1.0), jac_f_w=const_jac(0.0),
                     jac_h_x=const_jac(0.0), jac_h_w=const_jac(1.0),
-                    X=[[-1.0, 1.0]], U=[], W=[[-1.0, 1.0]], output_affine=True)
+                    X=[[-1.0, 1.0]], U=[], W=[[-1.0, 1.0]])
     with pytest.raises(InfeasibleError) as exc:
         synthesize_certificate(m, 0.5, FixedQR(np.eye(1), np.eye(1)), VERTS)
     assert exc.value.worst_eig > 0.0
@@ -300,25 +300,6 @@ def test_synthesis_rejects_bad_arguments(reactor):
         synthesize_certificate(reactor, 0.4, FixedQR(np.eye(2), R_BENCH), VERTS)
     with pytest.raises(ConfigurationError):
         synthesize_certificate(reactor, 0.4, "unknown", VERTS)
-
-
-def test_scale_certificate(synth_cert):
-    P2t = 2.0 * synth_cert.P2
-    Qt = 0.5 * synth_cert.Q
-    Rt = 3.0 * synth_cert.R
-    scaled = scale_certificate(synth_cert, P2t, Qt, Rt)
-    assert np.array_equal(scaled.P2, P2t)
-    assert np.array_equal(scaled.Q, Qt)
-    assert np.array_equal(scaled.R, Rt)
-    assert scaled.lam == synth_cert.lam
-    assert scaled.verification is None
-    # K = 1/max(ratios): here Q shrinks by 2 so K = 1/2, and P1 = K * P1_old
-    assert np.allclose(scaled.P1, 0.5 * synth_cert.P1, rtol=1e-10)
-    # the scaled pair still satisfies the sandwich ordering
-    assert np.linalg.eigvalsh(scaled.P2 - scaled.P1)[0] > -1e-12
-    for ratio in (geneig_max(synth_cert.P2, P2t), geneig_max(synth_cert.Q, Qt),
-                  geneig_max(synth_cert.R, Rt)):
-        assert ratio * 0.5 <= 1.0 + 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from mhect import cli
 from mhect.cli import (DisturbanceSpec, _parse_diag, bench_certificate, bench_times,
                        generate_disturbance, main)
 from mhect.errors import ConfigurationError
-from mhect.certify import save_certificate
+from mhect.certify import DetectabilityCertificate, save_certificate
 from mhect.rng import SplitMix64
 
 
@@ -133,6 +133,18 @@ def test_certify_synthesizes_on_the_default_grid(tmp_path, capsys, mode):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("weight, value", [("P", np.eye(3)), ("Q", np.eye(2)), ("R", np.eye(2))])
+def test_certify_check_refuses_mis_sized_weights(tmp_path, capsys, weight, value):
+    ref = bench_certificate()
+    weights = {"P": ref.P1, "Q": ref.Q, "R": ref.R, weight: value}
+    path = tmp_path / "cert.json"
+    save_certificate(DetectabilityCertificate.from_weights(
+        weights["P"], weights["Q"], weights["R"], ref.lam, ref.domain), str(path))
+    assert main(["certify", "--check", str(path), "--vertices", "--affine"]) == 2
+    d = len(value)
+    assert f"weight {weight} is {d}x{d}" in capsys.readouterr().err
+
+
 def test_certify_error_paths(tmp_path, capsys):
     assert main(["certify", "--check", "/nonexistent/cert.json"]) == 2
     bad = tmp_path / "bad.json"
@@ -230,6 +242,17 @@ def test_scenario_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_estimate_refuses_mis_sized_weights(tmp_path, capsys):
+    cert = {"P": np.eye(3).tolist(), "Q": np.eye(3).tolist(), "R": [[1.0]], "lambda": 0.4}
+    assert main(["estimate", "--config", scenario(tmp_path, certificate=cert)]) == 2
+    assert "weight P is 3x3, but the model needs 2x2" in capsys.readouterr().err
+
+
+def test_estimate_refuses_chi_of_the_wrong_length(tmp_path, capsys):
+    assert main(["estimate", "--config", scenario(tmp_path, chi=[3.0, 1.0, 2.0])]) == 2
+    assert "chi must have shape (2,)" in capsys.readouterr().err
+
+
 # x' = x^2 + w, y = x
 ESCAPE_MODEL = {"state_dim": 1, "dist_dim": 1, "output_dim": 1,
                 "f": [[{"coeff": 1.0, "x_exp": [2], "w_exp": [0]},
@@ -315,7 +338,7 @@ def test_non_numeric_scenario_field_exit_code(tmp_path, capsys, key, base, field
     (("input_dim",), "zero"), (("f", 0, 0, "coeff"), "abc"), (("h", 0, 0, "coeff"), None),
     (("f", 0, 0, "x_exp"), ["a"]), (("f", 0, 1, "w_exp"), 1), (("h", 0, 0, "x_exp"), [1.5]),
     (("f", 0, 1, "w_exp"), [0.5]), (("X",), [["a", 1.0]]), (("W",), [[-0.1, "b"]]),
-    (("f",), None), (("h",), [5]), (("output_affine",), "false"),
+    (("f",), None), (("h",), [5]),
 ])
 def test_non_numeric_model_field_exit_code(tmp_path, capsys, path, value):
     # dims, coefficients, exponents (non-negative integers), box rows and

@@ -1,6 +1,6 @@
-"""Every name a package module imports is referenced in that module, no
-module converts a JSON field by hand, and every name the benchmark tracer
-rebinds is bound.
+"""Every name a package module imports is referenced in that module, every
+public name has a caller in the package, no module converts a JSON field by
+hand, and every name the benchmark tracer rebinds is bound.
 
 There is no linter in the toolchain, so this stdlib-ast check stands in for
 the unused-import rule.  __init__.py is exempt: it imports to re-export.
@@ -12,6 +12,7 @@ import pathlib
 
 import pytest
 
+import mhect
 from mhect import batch_reactor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -41,6 +42,25 @@ def test_every_import_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{module}: unused imports (name: line) {unused}"
+
+
+# public names that only callers outside the package use, each with its reason
+PUBLIC_ONLY = {
+    "solve_fie": "acceptance requirement 10 compares MHE with the full-information estimator",
+}
+
+
+def referenced_names(tree):
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_name_has_a_package_caller():
+    used = set().union(*(referenced_names(ast.parse((SRC / m).read_text(), filename=m))
+                         for m in MODULES))
+    public = set(mhect.__all__) - {"errors", "__version__"} - set(PUBLIC_ONLY)
+    assert not public - used, \
+        f"public names no package module references: {sorted(public - used)}"
 
 
 CONVERTERS = {"float", "int", "bool", "str"}

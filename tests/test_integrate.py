@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mhect import (PiecewiseSignal, SystemModel, Trajectory, batch_reactor, integrate,
-                   output_along, rk4_step, rk4_step_with_jacobians, zero_signal)
+                   output_along, rk4_step, rk4_step_with_jacobians)
 from mhect.errors import ConfigurationError, DivergenceError
 from mhect.rng import SplitMix64
 from tests.conftest import const_jac
@@ -17,7 +17,7 @@ def decay_model():
                        lambda x, u, w: x.copy(),
                        jac_f_x=const_jac(-1.0), jac_f_w=const_jac(0.0),
                        jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                       X=None, U=[], W=[[-1.0, 1.0]], name="decay")
+                       X=None, U=[], W=[[-1.0, 1.0]])
 
 
 def test_exponential_decay_endpoint():
@@ -78,9 +78,9 @@ def test_signal_validation():
     m = batch_reactor()
     chi = np.array([3.0, 1.0])
     with pytest.raises(ConfigurationError):        # wrong dimension
-        integrate(m, chi, None, zero_signal(2, 0.01, 100), 0.0, 1.0, 0.01)
+        integrate(m, chi, None, PiecewiseSignal(0.0, 0.01, np.zeros((100, 2))), 0.0, 1.0, 0.01)
     with pytest.raises(ConfigurationError):        # does not cover the horizon
-        integrate(m, chi, None, zero_signal(3, 0.01, 50), 0.0, 1.0, 0.01)
+        integrate(m, chi, None, PiecewiseSignal(0.0, 0.01, np.zeros((50, 3))), 0.0, 1.0, 0.01)
     with pytest.raises(ConfigurationError):        # off-grid signal origin
         integrate(m, chi, None, PiecewiseSignal(0.005, 0.01, np.zeros((100, 3))), 0.0, 1.0, 0.01)
     with pytest.raises(ConfigurationError):        # piece length not a multiple of dt
@@ -144,11 +144,6 @@ def test_trajectory_queries_and_csv(tmp_path):
     m = batch_reactor()
     traj = integrate(m, np.array([3.0, 1.0]), None, None, 0.0, 0.5, 0.01)
     assert np.allclose(traj.times, np.arange(51) * 0.01)
-    assert np.array_equal(traj.state_at(0.17), traj.states[17])
-    with pytest.raises(ConfigurationError):
-        traj.state_at(0.171)
-    with pytest.raises(ConfigurationError):
-        traj.state_at(0.51)
 
     path = tmp_path / "traj.csv"
     traj.to_csv(str(path))

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mhect import (DetectabilityCertificate, Domain, Equidistant, EventTriggered, Explicit,
                    MheConfig, PiecewiseSignal, SystemModel, batch_reactor, discount_weights,
-                   integrate, k_of, make_sampler, mhe_objective, run_mhe, solve_fie, solve_mhe,
-                   truth_candidate_cost, zero_signal)
-from mhect.errors import ConfigurationError, DivergenceError, DomainError, HorizonError
+                   integrate, make_sampler, mhe_objective, run_mhe, solve_fie, solve_mhe,
+                   truth_candidate_cost)
+from mhect.errors import ConfigurationError, DivergenceError, HorizonError
 from mhect.integrate import rk4_step_with_jacobians
 from mhect.mhe import (DAMPING_INIT, GRAD_TOL, MAX_ITERS, SamplingSet, _WindowProblem,
                        validate_sampling)
@@ -23,7 +23,7 @@ from tests.conftest import const_jac
 def test_discount_weight_total():
     # sum of the per-piece integrals telescopes to (1 - rate^H) / (-ln rate)
     for rate, N, dt in ((0.4, 200, 0.01), (0.9, 17, 0.05), (0.1, 3, 0.2)):
-        om = discount_weights(rate, N, dt)
+        om = discount_weights(rate, N, dt, N * dt)
         total = (1.0 - rate ** (N * dt)) / (-math.log(rate))
         assert abs(om.sum() - total) < 1e-12 * max(1.0, total)
         assert np.all(om > 0.0)
@@ -32,7 +32,7 @@ def test_discount_weight_total():
 
 def test_discount_weights_match_quadrature():
     rate, N, dt = 0.4, 5, 0.1
-    om = discount_weights(rate, N, dt)
+    om = discount_weights(rate, N, dt, N * dt)
     sub = 20000
     for j in range(N):
         taus = (j + (np.arange(sub) + 0.5) / sub) * dt
@@ -41,18 +41,18 @@ def test_discount_weights_match_quadrature():
 
 
 def test_discount_weights_near_one():
-    om = discount_weights(1.0 - 1e-12, 10, 0.01)
+    om = discount_weights(1.0 - 1e-12, 10, 0.01, 0.1)
     assert np.abs(om - 0.01).max() < 1e-6 * 0.01
-    assert np.array_equal(discount_weights(1.0, 4, 0.02), np.full(4, 0.02))
-    assert discount_weights(0.4, 0, 0.01).size == 0
-    with pytest.raises(ConfigurationError):
-        discount_weights(0.0, 4, 0.01)
+    assert discount_weights(0.4, 0, 0.01, 0.0).size == 0
+    for rate in (0.0, 1.0):   # a discount rate is strictly inside (0, 1)
+        with pytest.raises(ConfigurationError):
+            discount_weights(rate, 4, 0.01, 0.04)
 
 
 def test_discount_weights_explicit_horizon():
     # a horizon longer than the pieces just discounts every piece further
-    om_flush = discount_weights(0.4, 10, 0.01)
-    om_deep = discount_weights(0.4, 10, 0.01, horizon=0.5)
+    om_flush = discount_weights(0.4, 10, 0.01, 0.1)
+    om_deep = discount_weights(0.4, 10, 0.01, 0.5)
     assert np.allclose(om_deep, om_flush * 0.4 ** 0.4, rtol=1e-13)
 
 
@@ -62,7 +62,7 @@ def test_discount_weights_explicit_horizon():
 def test_sampling_set_gap_statistics():
     s = SamplingSet(np.array([0.1, 0.3]), 0.01)
     assert s.delta_bar == pytest.approx(0.2)
-    assert s.last == pytest.approx(0.3)
+    assert s.times[-1] == pytest.approx(0.3)
     assert np.array_equal(s.k_indices, [10, 30])
 
     single = SamplingSet(np.array([0.5]), 0.01)
@@ -87,21 +87,11 @@ def test_sampling_set_validation():
     assert s.k_indices[0] == 30
 
 
-def test_next_sample_lookup():
-    s = SamplingSet(np.array([0.1, 0.3]), 0.01)
-    assert k_of(s, 0.05) == pytest.approx(0.1)
-    assert k_of(s, 0.1) == pytest.approx(0.1)
-    assert k_of(s, 0.3) == pytest.approx(0.3)
-    assert k_of(s, 0.10000000001) == pytest.approx(0.1)  # fuzz keeps t == t_i stable
-    with pytest.raises(DomainError):
-        k_of(s, 0.31)
-
-
 def test_make_sampler_equidistant():
     s = make_sampler(Equidistant(0.1), 5.0, 0.01)
     assert s.times.size == 50
     assert s.delta_bar == pytest.approx(0.1)
-    assert s.last == pytest.approx(5.0)
+    assert s.times[-1] == pytest.approx(5.0)
     with pytest.raises(ConfigurationError):
         make_sampler(Equidistant(0.004), 5.0, 0.01)   # finer than the grid
     with pytest.raises(HorizonError):
@@ -114,14 +104,14 @@ def test_make_sampler_explicit():
     s = make_sampler(Explicit(tuple(times)), 5.0, 0.01)
     assert s.times.size == 50
     assert s.delta_bar == pytest.approx(0.19)
-    assert s.last == pytest.approx(5.0)
+    assert s.times[-1] == pytest.approx(5.0)
     with pytest.raises(ConfigurationError):
         make_sampler(Explicit((1.0, 6.0)), 5.0, 0.01)
 
 
 def test_make_sampler_event_rules():
     model = batch_reactor()
-    w = zero_signal(3, 0.01, 300)
+    w = PiecewiseSignal(0.0, 0.01, np.zeros((300, 3)))
     truth = integrate(model, np.array([3.0, 1.0]), None, w, 0.0, 3.0, 0.01)
     from mhect import output_along
     y = output_along(model, truth, None, w)
@@ -209,7 +199,8 @@ def test_objective_zero_at_perfect_data(ref_cert):
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
     y = PiecewiseSignal(0.0, 0.01, np.ones((50, 1)))
     prior = np.array([3.0, 1.0])
-    val = mhe_objective(cfg, prior, prior, zero_signal(3, 0.01, 50), y, y, 0.5)
+    w = PiecewiseSignal(0.0, 0.01, np.zeros((50, 3)))
+    val = mhe_objective(cfg, prior, prior, w, y, y, 0.5)
     assert val == 0.0
 
 
@@ -238,10 +229,10 @@ def test_objective_hand_computed(ref_cert):
 def test_objective_validates_segments(ref_cert):
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
     y = PiecewiseSignal(0.0, 0.01, np.ones((50, 1)))
-    with pytest.raises(ConfigurationError):
-        mhe_objective(cfg, np.zeros(2), np.zeros(2), zero_signal(3, 0.01, 49), y, y, 0.5)
-    with pytest.raises(ConfigurationError):
-        mhe_objective(cfg, np.zeros(2), np.zeros(2), zero_signal(2, 0.01, 50), y, y, 0.5)
+    for shape in ((49, 3), (50, 2)):   # too few pieces, wrong dimension
+        w = PiecewiseSignal(0.0, 0.01, np.zeros(shape))
+        with pytest.raises(ConfigurationError):
+            mhe_objective(cfg, np.zeros(2), np.zeros(2), w, y, y, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +338,7 @@ def _escape_window():
                         lambda x, u, w: x.copy(),
                         jac_f_x=lambda x, u, w: 2.0 * x[..., None],
                         jac_f_w=const_jac(1.0), jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                        X=None, U=[], W=[[-0.1, 0.1]], name="escape")
+                        X=None, U=[], W=[[-0.1, 0.1]])
     cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5,
                                                  Domain.of_model(model))
     cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
@@ -374,6 +365,23 @@ def test_divergence_raises_no_overflow_warning():
     with pytest.raises(DivergenceError) as exc:
         integrate(model, np.array([20.0]), None, None, 0.0, 0.1, 0.01)
     assert 0.05 <= exc.value.t <= 0.1
+
+
+def test_penalty_escalation_restores_the_state_constraints():
+    # x' = w, y = x with X = [-1, 1]: outputs of 5 pull every state out of X,
+    # and only a heavier penalty brings the window back inside
+    model = SystemModel(1, 0, 1, 1, lambda x, u, w: w.copy(), lambda x, u, w: x.copy(),
+                        jac_f_x=const_jac(0.0), jac_f_w=const_jac(1.0),
+                        jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
+                        X=[[-1.0, 1.0]], U=[], W=[[-10.0, 10.0]])
+    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5,
+                                                 Domain.of_model(model))
+    cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
+    y_seg = PiecewiseSignal(0.0, 0.01, np.full((50, 1), 5.0))
+    sol = solve_mhe(model, cfg, np.array([0.0]), None, y_seg, 0.5)
+    assert sol.stats.escalations >= 1
+    assert sol.stats.feasible
+    assert np.all(np.abs(sol.x_star.states) <= 1.0 + 1e-9)
 
 
 def _dense_jacobian(prob, z, states):

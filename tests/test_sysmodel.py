@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from mhect import (PiecewiseSignal, SystemModel, as_box, batch_reactor, box_clip,
                    box_contains, get_model, lmi_matrix, model_from_dict, rk4_step,
-                   rk4_step_with_jacobians, zero_signal)
+                   rk4_step_with_jacobians)
 from mhect.errors import ConfigurationError, DomainError
 from mhect.rng import SplitMix64
 from mhect.sysmodel import as_grid_index, box_grid_axes, box_within
@@ -80,11 +80,11 @@ def test_box_grid_axes():
     axes = box_grid_axes(b, 3)
     assert np.allclose(axes[0], [0.0, 0.5, 1.0])
     assert np.allclose(axes[1], [0.0, 1.0, 2.0])
-    axes = box_grid_axes(b, [1, 2])
+    axes = box_grid_axes(b, 1)   # one point per axis is the midpoint
     assert np.allclose(axes[0], [0.5])
-    assert np.allclose(axes[1], [0.0, 2.0])
+    assert np.allclose(axes[1], [1.0])
     with pytest.raises(ConfigurationError):
-        box_grid_axes(b, [3])
+        box_grid_axes(b, 0)
     with pytest.raises(ConfigurationError):
         box_grid_axes(as_box([(0.0, None)]), 2)
 
@@ -103,7 +103,6 @@ def test_reactor_vector_field_values():
     assert np.allclose(m.jac_f_w(x, None, w0), [[1, 0, 0], [0, 1, 0]])
     assert np.allclose(m.jac_h_x(x, None, w0), [[1.0, 1.0]])
     assert np.allclose(m.jac_h_w(x, None, w0), [[0, 0, 1]])
-    assert m.output_affine
     assert (m.n, m.m, m.q, m.p) == (2, 0, 3, 1)
     assert np.array_equal(m.X, [[0.1, 5.0], [0.1, 5.0]])
     assert np.array_equal(m.W, [[-0.1, 0.1]] * 3)
@@ -111,7 +110,7 @@ def test_reactor_vector_field_values():
 
 def test_model_registry():
     m = get_model("batch_reactor")
-    assert m.name == "batch_reactor"
+    assert (m.n, m.m, m.q, m.p) == (2, 0, 3, 1)
     with pytest.raises(ConfigurationError):
         get_model("no_such_model")
 
@@ -143,8 +142,6 @@ def test_signal_validation():
         PiecewiseSignal(0.0, 0.01, np.zeros(5))
     with pytest.raises(ConfigurationError):
         PiecewiseSignal(0.0, 0.0, np.zeros((5, 1)))
-    z = zero_signal(3, 0.1, 4)
-    assert z.values.shape == (4, 3) and not z.values.any()
 
 
 def test_as_grid_index():
@@ -159,7 +156,6 @@ def test_as_grid_index():
 # file-based polynomial models
 
 REACTOR_SPEC = {
-    "name": "reactor_from_file",
     "state_dim": 2, "dist_dim": 3, "output_dim": 1,
     "f": [
         [{"coeff": -0.32, "x_exp": [2, 0]}, {"coeff": 0.0128, "x_exp": [0, 1]},
@@ -171,7 +167,6 @@ REACTOR_SPEC = {
         [{"coeff": 1.0, "x_exp": [1, 0]}, {"coeff": 1.0, "x_exp": [0, 1]},
          {"coeff": 1.0, "w_exp": [0, 0, 1]}],
     ],
-    "output_affine": True,
     "X": [[0.1, 5.0], [0.1, 5.0]],
     "W": [[-0.1, 0.1], [-0.1, 0.1], [-0.1, 0.1]],
 }
@@ -189,7 +184,6 @@ def test_polynomial_model_matches_builtin():
         assert np.abs(filed.jac_f_x(x, None, w) - built.jac_f_x(x, None, w)).max() < 1e-13
         assert np.abs(filed.jac_f_w(x, None, w) - built.jac_f_w(x, None, w)).max() < 1e-13
         assert np.abs(filed.jac_h_x(x, None, w) - built.jac_h_x(x, None, w)).max() < 1e-13
-    assert filed.output_affine
     assert np.array_equal(filed.X, built.X)
 
 
@@ -198,7 +192,6 @@ def test_polynomial_model_round_trip(tmp_path):
     path = tmp_path / "reactor.json"
     path.write_text(json.dumps(REACTOR_SPEC))
     filed = load_model(str(path))
-    assert filed.name == "reactor_from_file"
     x = np.array([2.0, 0.5])
     assert np.allclose(filed.f(x, None, np.zeros(3)),
                        batch_reactor().f(x, None, np.zeros(3)))
@@ -209,11 +202,6 @@ def test_polynomial_model_validation():
     bad["input_dim"] = 1
     with pytest.raises(ConfigurationError):
         model_from_dict(bad)
-
-    quadratic_output = dict(REACTOR_SPEC)
-    quadratic_output["h"] = [[{"coeff": 1.0, "x_exp": [2, 0]}]]
-    with pytest.raises(ConfigurationError):
-        model_from_dict(quadratic_output)
 
     missing = {k: v for k, v in REACTOR_SPEC.items() if k != "state_dim"}
     with pytest.raises(ConfigurationError):
