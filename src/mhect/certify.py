@@ -299,17 +299,13 @@ class SdpOptions:
 
 
 def _sym_basis(n):
-    """Basis of symmetric n x n matrices, diagonal then upper off-diagonal:
-    the (i, j) pairs and the matrices as one (len(pairs), n, n) array."""
+    """Basis of symmetric n x n matrices as one (n(n+1)/2, n, n) array:
+    the n diagonal units first, then the upper off-diagonal pairs."""
     pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
     mats = np.zeros((len(pairs), n, n))
     for k, (i, j) in enumerate(pairs):
         mats[k, i, j] = mats[k, j, i] = 1.0
-    return pairs, mats
-
-
-def _vec_from_sym(M, pairs):
-    return np.array([M[i, j] for i, j in pairs])
+    return mats
 
 
 class _BarrierSDP:
@@ -400,17 +396,17 @@ def _synthesis_problem(model, kappa, Q_fix, R_fix, points):
     n, q, p = model.n, model.q, model.p
     dims = (n,) if Q_fix is not None else (n, q, p)
     bases = [_sym_basis(d) for d in dims]
-    offsets = np.cumsum([0] + [len(pairs) for pairs, _ in bases])
+    offsets = np.cumsum([0] + [len(m) for m in bases])
     nvar = offsets[-1] + 1
 
     def weights(y):
-        W = [np.tensordot(y[o:o + len(m)], m, 1) for (_, m), o in zip(bases, offsets)]
+        W = [np.tensordot(y[o:o + len(m)], m, 1) for m, o in zip(bases, offsets)]
         return W if Q_fix is None else W + [Q_fix, R_fix]
 
     # the inequality is affine in (P, Q, R): its value at a basis matrix of
     # one weight, the others zero, is that coordinate's block
     zeros = [np.zeros((d, d)) for d in (n, q, p)]
-    units = [zeros[:i] + [E] + zeros[i + 1:] for i, (_, m) in enumerate(bases) for E in m]
+    units = [zeros[:i] + [E] + zeros[i + 1:] for i, m in enumerate(bases) for E in m]
     shape = (len(points[0]), n + q, n + q)
     K = np.stack([-lmi_matrix(model, *unit, kappa, *points) for unit in units]
                  + [np.broadcast_to(np.eye(n + q), shape)], axis=1)
@@ -420,13 +416,14 @@ def _synthesis_problem(model, kappa, Q_fix, R_fix, points):
     first = np.sort(np.unique(blocks, axis=0, return_index=True)[1])
     groups = [(K0[first], K[first])]
 
-    # positivity blocks: each unknown weight >= EPS_PD * I
+    # positivity blocks: each unknown weight >= EPS_PD * I; the start point
+    # sets each weight to I, the sum of its d diagonal basis matrices
     y0 = np.zeros(nvar)
-    for d, (pairs, m), o in zip(dims, bases, offsets):
+    for d, m, o in zip(dims, bases, offsets):
         Kpos = np.zeros((1, nvar, d, d))
         Kpos[0, o:o + len(m)] = m
         groups.append((-EPS_PD * np.eye(d)[None], Kpos))
-        y0[o:o + len(m)] = _vec_from_sym(np.eye(d), pairs)
+        y0[o:o + d] = 1.0
     y0[-1] = _max_eig(model, *weights(y0), kappa, points)[0] + 1.0
     return _BarrierSDP(groups), y0, weights
 
@@ -478,10 +475,9 @@ def synthesize_certificate(model, lam, mode, grid):
 # horizon threshold and contraction rate
 
 def _min_horizon_formula(lmax, lam, delta_bar):
-    if not 0.0 < lam < 1.0:
-        raise ConfigurationError("lambda must lie strictly inside (0, 1)")
-    if lmax <= 0.0 or delta_bar < 0.0:
-        raise ConfigurationError("need lmax > 0 and delta_bar >= 0")
+    """lmax > 0 and lam in (0, 1) hold for every certificate."""
+    if delta_bar < 0.0:
+        raise ConfigurationError("need delta_bar >= 0")
     return -math.log(4.0 * lmax) / math.log(lam) + delta_bar
 
 

@@ -24,8 +24,8 @@ from .analysis import audit_run
 from .certify import (DetectabilityCertificate, Domain, FixedQR, GridSpec, contraction_rate,
                       load_certificate, min_horizon, save_certificate,
                       synthesize_certificate, verify_certificate)
-from .errors import (AuditError, ConfigurationError, DivergenceError, DomainError,
-                     HorizonError, InfeasibleError)
+from .errors import (ConfigurationError, DivergenceError, DomainError, HorizonError,
+                     InfeasibleError)
 from .integrate import integrate, output_along
 from .mhe import (Equidistant, EventTriggered, Explicit, MheConfig, make_sampler, run_mhe,
                   truth_candidate_cost)
@@ -63,7 +63,7 @@ def generate_disturbance(spec, seed, w_box=None):
     if K < 1:
         raise ConfigurationError("t_sim must cover at least one disturbance piece")
     u = SplitMix64(seed).uniforms((K, box.shape[0]))
-    return PiecewiseSignal(0.0, spec.dt, box[:, 0] + u * (box[:, 1] - box[:, 0]))
+    return PiecewiseSignal(spec.dt, box[:, 0] + u * (box[:, 1] - box[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def _write_run_plots(run, out_dir):
                           [{"x": times, "y": err, "label": "|x - xhat|", "color": "#d62728"}],
                           title="estimation error", xlabel="t", ylabel="error")
         w = run.truth.w
-        wt = w.t0 + w.dt * np.arange(w.n_pieces)
+        wt = w.dt * np.arange(w.n_pieces)
         svgplot.line_plot(os.path.join(out_dir, "disturbance.svg"),
                           [{"x": wt, "y": w.values[:, i], "label": f"w{i + 1}",
                             "color": palette[i % 4]} for i in range(w.dim)],
@@ -332,7 +332,7 @@ def cmd_certify(args):
 
 def _signal_csv(sig, path, prefix):
     header = ["t"] + [f"{prefix}{i + 1}" for i in range(sig.dim)]
-    times = sig.t0 + sig.dt * np.arange(sig.n_pieces)
+    times = sig.dt * np.arange(sig.n_pieces)
     write_csv(path, header, np.column_stack([times, sig.values]))
 
 
@@ -343,7 +343,7 @@ def cmd_simulate(args):
     if w is None:
         raise ConfigurationError("simulate needs a disturbance spec")
     out = _resolve_out(args)
-    truth = integrate(model, chi, None, w, 0.0, t_sim, cfg.dt)
+    truth = integrate(model, chi, None, w, t_sim, cfg.dt)
     y = output_along(model, truth, None, w)
     truth.to_csv(os.path.join(out, "truth.csv"))
     _signal_csv(y, os.path.join(out, "y.csv"), "y")
@@ -469,12 +469,6 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as e:
         print(f"configuration error: {e!r}", file=sys.stderr)
         return 2
-    except InfeasibleError as e:
-        print(f"certificate failure: {e}", file=sys.stderr)
-        return 3
-    except AuditError as e:
-        print(f"audit failure: {e}", file=sys.stderr)
-        return 4
     except DivergenceError as e:
         print(f"integration failure: {e}", file=sys.stderr)
         return 1

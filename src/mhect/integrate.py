@@ -15,9 +15,8 @@ from .sysmodel import PiecewiseSignal, as_grid_index, write_csv
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on the uniform grid t0 + k*dt, k = 0..K; states has shape (K+1, n)."""
+    """States on the uniform grid k*dt, k = 0..K; states has shape (K+1, n)."""
 
-    t0: float
     dt: float
     states: np.ndarray
 
@@ -33,7 +32,7 @@ class Trajectory:
 
     @property
     def times(self):
-        return self.t0 + self.dt * np.arange(self.states.shape[0])
+        return self.dt * np.arange(self.states.shape[0])
 
     def to_csv(self, path):
         header = ["t"] + [f"x{i + 1}" for i in range(self.states.shape[1])]
@@ -80,8 +79,8 @@ def rk4_step_with_jacobians(model, x, u, w, dt):
     return x + h * sk, I + h * sD, h * sE
 
 
-def _resolve_signal(sig, dim, t0, t1, dt, steps, name):
-    """Per-step input values: row k is the piece holding t0 + k*dt."""
+def _resolve_signal(sig, dim, dt, steps, name):
+    """Per-step input values: row k is the piece holding k*dt."""
     if sig is None:
         return np.zeros((steps, dim))
     if sig.dim != dim:
@@ -89,17 +88,15 @@ def _resolve_signal(sig, dim, t0, t1, dt, steps, name):
     ratio = sig.dt / dt
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise ConfigurationError(f"integration dt = {dt} must divide {name}.dt = {sig.dt}")
-    offset = as_grid_index(t0 - sig.t0, dt, f"{name} grid offset")
-    tol = 1e-9 * dt
-    if sig.t0 > t0 + tol or sig.end < t1 - tol:
-        raise ConfigurationError(f"{name} does not cover [{t0}, {t1})")
-    return sig.values[(offset + np.arange(steps)) // round(ratio)]
+    if sig.n_pieces * round(ratio) < steps:
+        raise ConfigurationError(f"{name} does not cover [0, {steps * dt})")
+    return sig.values[np.arange(steps) // round(ratio)]
 
 
-def integrate(model, chi, u, w, t0, t1, dt):
-    """Integrate x' = f(x, u(t), w(t)) from chi over [t0, t1] on a fixed grid.
+def integrate(model, chi, u, w, t_end, dt):
+    """Integrate x' = f(x, u(t), w(t)) from chi over [0, t_end] on a fixed grid.
 
-    dt must divide t1 - t0 and the signals' piece lengths exactly; u and w
+    dt must divide t_end and the signals' piece lengths exactly; u and w
     may be None for zero inputs.  Raises DivergenceError (with the offending
     time attached) if the state leaves float range.
     """
@@ -108,15 +105,15 @@ def integrate(model, chi, u, w, t0, t1, dt):
         raise ConfigurationError(f"initial state must have shape ({model.n},)")
     if not dt > 0:
         raise ConfigurationError("dt must be positive")
-    if t1 < t0:
-        raise ConfigurationError("t1 must be >= t0")
-    steps = as_grid_index(t1 - t0, dt, "integration span")
+    if t_end < 0:
+        raise ConfigurationError("t_end must be >= 0")
+    steps = as_grid_index(t_end, dt, "integration span")
     states = np.empty((steps + 1, model.n))
     states[0] = chi
     if steps == 0:
-        return Trajectory(t0, dt, states)
-    u = _resolve_signal(u, model.m, t0, t1, dt, steps, "u")
-    w = _resolve_signal(w, model.q, t0, t1, dt, steps, "w")
+        return Trajectory(dt, states)
+    u = _resolve_signal(u, model.m, dt, steps, "u")
+    w = _resolve_signal(w, model.q, dt, steps, "w")
     x = chi
     # a non-finite component stays non-finite through RK4, so one check
     # after the loop finds the first step that left float range
@@ -125,10 +122,10 @@ def integrate(model, chi, u, w, t0, t1, dt):
             x = states[k + 1] = rk4_step(model, x, u[k], w[k], dt)
     bad = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
     if bad.size:
-        tk = t0 + int(bad[0]) * dt
+        tk = int(bad[0]) * dt
         raise DivergenceError(
             f"integration diverged at t = {tk + dt} (non-finite state)", t=tk + dt)
-    return Trajectory(t0, dt, states)
+    return Trajectory(dt, states)
 
 
 def output_along(model, traj, u, w):
@@ -138,6 +135,6 @@ def output_along(model, traj, u, w):
     the measurement convention used throughout (y available as grid samples).
     """
     K = traj.n_steps
-    u = _resolve_signal(u, model.m, traj.t0, traj.t0 + K * traj.dt, traj.dt, K, "u")
-    w = _resolve_signal(w, model.q, traj.t0, traj.t0 + K * traj.dt, traj.dt, K, "w")
-    return PiecewiseSignal(traj.t0, traj.dt, model.h(traj.states[:-1], u, w))
+    u = _resolve_signal(u, model.m, traj.dt, K, "u")
+    w = _resolve_signal(w, model.q, traj.dt, K, "w")
+    return PiecewiseSignal(traj.dt, model.h(traj.states[:-1], u, w))

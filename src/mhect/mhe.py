@@ -45,8 +45,6 @@ def discount_weights(rate, n_pieces, dt, horizon):
     Piece j covers [j*dt, (j+1)*dt).  Safe for rate arbitrarily close to 1,
     where the weights approach dt.
     """
-    if n_pieces == 0:
-        return np.zeros(0)
     if not (0.0 < rate < 1.0):
         raise ConfigurationError("discount rate must lie strictly inside (0, 1)")
     j = np.arange(n_pieces)
@@ -164,7 +162,7 @@ def _event_schedule(spec, K, dt, model, u, y, x0):
     k_max = as_grid_index(spec.delta_max, dt, "delta_max")
     if not 1 <= k_min <= k_max:
         raise ConfigurationError("need dt <= delta_min <= delta_max")
-    nom = integrate(model, np.asarray(x0, dtype=float), u, None, 0.0, K * dt, dt)
+    nom = integrate(model, np.asarray(x0, dtype=float), u, None, K * dt, dt)
     y_nom = output_along(model, nom, u, None)
     innov = y.values[:K] - y_nom.values[:K]
     piece_energy = np.einsum("ki,ki->k", innov, innov) * dt
@@ -304,8 +302,6 @@ class _WindowProblem:
         self.nv = n + self.N * q
         if y_seg.n_pieces != self.N or y_seg.dim != p:
             raise ConfigurationError("y segment does not match the window grid")
-        if abs(y_seg.t0) > 1e-12:
-            raise ConfigurationError("window segments must be rebased to t0 = 0")
         self.y = y_seg.values
         if model.m > 0:
             if u_seg is None or u_seg.n_pieces != self.N or u_seg.dim != model.m:
@@ -621,8 +617,8 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
         prob.pen *= 2.0
 
     chi_star = z[:n].copy()
-    w_star = PiecewiseSignal(0.0, cfg.dt, z[n:].reshape(N, q).copy())
-    x_star = Trajectory(0.0, cfg.dt, states)
+    w_star = PiecewiseSignal(cfg.dt, z[n:].reshape(N, q).copy())
+    x_star = Trajectory(cfg.dt, states)
     y_star = output_along(model, x_star, u_seg, w_star)
     cost = mhe_objective(cfg, prob.prior, chi_star, w_star, y_seg, y_star, T_ti)
     stats.wall_time = time.perf_counter() - t_start
@@ -652,7 +648,6 @@ def solve_fie(model, cfg, chi_hat, u_seg, y_seg, t_i):
 
 @dataclass(frozen=True)
 class TruthRecord:
-    chi: np.ndarray
     w: PiecewiseSignal
     x_true: Trajectory
 
@@ -662,8 +657,8 @@ class EstimationRun:
     """Estimate segments stitched over the sampling set.
 
     estimate[k] is the estimate at node k*dt for k = 0..k_last (the last
-    sampling time); node_flags carries the termination flag of the solve
-    that wrote each node.
+    sampling time), written by the first solve whose sampling time is at
+    or after it.
     """
 
     cfg: MheConfig
@@ -671,7 +666,6 @@ class EstimationRun:
     dt: float
     chi_hat: np.ndarray
     estimate: np.ndarray
-    node_flags: list
     solutions: list
     y: PiecewiseSignal
     truth: TruthRecord | None
@@ -681,14 +675,27 @@ class EstimationRun:
         return self.dt * np.arange(self.estimate.shape[0])
 
     def estimate_csv(self, path):
+        """Each node with the termination flag of the solve that wrote it;
+        node 0 is the prior."""
         header = ["t"] + [f"xhat{i + 1}" for i in range(self.estimate.shape[1])] + ["flag"]
+        flags = ["prior", *np.repeat([s.stats.termination for s in self.solutions],
+                                     np.diff(self.sampling.k_indices, prepend=0))]
         write_csv(path, header, ([t, *x, flag] for t, x, flag in
-                                 zip(self.times, self.estimate, self.node_flags)))
+                                 zip(self.times, self.estimate, flags)))
 
     def samples_csv(self, path):
         header = ["t_i", "cost", "iterations", "grad_norm", "wall_time"]
         write_csv(path, header, ([s.t_i, s.cost, s.stats.iterations, s.stats.grad_norm,
                                   s.stats.wall_time] for s in self.solutions))
+
+
+def _initial_state(model, v, name):
+    v = np.asarray(v, dtype=float)
+    if v.shape != (model.n,):
+        raise ConfigurationError(f"{name} must have shape ({model.n},)")
+    if not (np.isfinite(v).all() and box_contains(model.X, v, tol=1e-9)):
+        raise ConfigurationError(f"{name} must be finite and lie in X")
+    return v
 
 
 def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
@@ -703,30 +710,23 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
     K = as_grid_index(t_sim, dt, "t_sim")
     if K < 1:
         raise ConfigurationError("t_sim must cover at least one step")
-    chi_hat = np.asarray(chi_hat, dtype=float)
-    if chi_hat.shape != (model.n,):
-        raise ConfigurationError(f"chi_hat must have shape ({model.n},)")
-    if not box_contains(model.X, chi_hat, tol=1e-9):
-        raise ConfigurationError("chi_hat must lie in X")
+    chi_hat = _initial_state(model, chi_hat, "chi_hat")
     check_weight_sizes(model, P=cfg.cert.P1, Q=cfg.cert.Q, R=cfg.cert.R)
+    # u and the truth's w on the run grid, so windows and audits slice them
+    # at sampling times
+    u = PiecewiseSignal(dt, _resolve_signal(u, model.m, dt, K, "u"))
 
     truth = None
     if y is None:
         if chi is None:
             raise ConfigurationError("need ground truth chi (or recorded measurements y)")
-        chi = np.asarray(chi, dtype=float)
-        if chi.shape != (model.n,):
-            raise ConfigurationError(f"chi must have shape ({model.n},)")
-        if not box_contains(model.X, chi, tol=1e-9):
-            raise ConfigurationError("true initial state must lie in X")
-        # the truth's w on the run grid, so audits slice it at sampling times
-        w = PiecewiseSignal(0.0, dt, _resolve_signal(w, model.q, 0.0, t_sim, dt, K, "w"))
-        x_true = integrate(model, chi, u, w, 0.0, t_sim, dt)
+        chi = _initial_state(model, chi, "chi")
+        w = PiecewiseSignal(dt, _resolve_signal(w, model.q, dt, K, "w"))
+        x_true = integrate(model, chi, u, w, t_sim, dt)
         y = output_along(model, x_true, u, w)
-        truth = TruthRecord(chi, w, x_true)
-    else:
-        if y.n_pieces < K or abs(y.t0) > 1e-12:
-            raise ConfigurationError("recorded y must cover [0, t_sim) from t0 = 0")
+        truth = TruthRecord(w, x_true)
+    elif y.n_pieces < K:
+        raise ConfigurationError("recorded y must cover [0, t_sim)")
 
     sampling = cfg.sampling
     if not isinstance(sampling, SamplingSet):
@@ -738,8 +738,6 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
     n_T = cfg.n_steps_T
     estimate = np.full((k_last + 1, model.n), np.nan)
     estimate[0] = chi_hat
-    node_flags = [""] * (k_last + 1)
-    node_flags[0] = "prior"
     solutions = []
     prev_k = 0
     warm = None
@@ -748,21 +746,18 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
         N_i = min(k_i, n_T)
         s_i = k_i - N_i
         t_i = k_i * dt
-        u_seg = u.slice(s_i * dt, k_i * dt) if (u is not None and model.m > 0) else None
+        u_seg = u.slice(s_i * dt, k_i * dt)
         y_seg = y.slice(s_i * dt, k_i * dt)
+        # every gap is below T, so the window starts at or before prev_k,
+        # a node the previous solves have written
         prior = estimate[s_i]
-        if not np.all(np.isfinite(prior)):
-            raise ConfigurationError("window start precedes the estimated range")
         sol = solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=warm)
         solutions.append(sol)
         span = slice(prev_k + 1, k_i + 1)
         estimate[span] = sol.x_star.states[prev_k + 1 - s_i:k_i + 1 - s_i]
-        for k in range(prev_k + 1, k_i + 1):
-            node_flags[k] = sol.stats.termination
         warm = sol
         prev_k = k_i
-    return EstimationRun(cfg, sampling, dt, chi_hat, estimate, node_flags, solutions, y,
-                         truth)
+    return EstimationRun(cfg, sampling, dt, chi_hat, estimate, solutions, y, truth)
 
 
 def truth_candidate_cost(run, i):

@@ -51,8 +51,6 @@ def line_plot(path, series, *, title="", xlabel="", ylabel=""):
     """
     xs = [v for s in series for v in s["x"]]
     ys = [v for s in series for v in s["y"]]
-    if not xs:
-        xs = ys = [0.0, 1.0]
     x_lo, x_hi = _axis_range(min(xs), max(xs))
     y_lo, y_hi = _axis_range(min(ys), max(ys))
     pad = 0.04 * (y_hi - y_lo)

@@ -109,12 +109,11 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class PiecewiseSignal:
-    """Right-continuous piecewise-constant signal on [t0, t0 + K*dt).
+    """Right-continuous piecewise-constant signal on [0, K*dt).
 
-    values has shape (K, d); piece k holds on [t0 + k*dt, t0 + (k+1)*dt).
+    values has shape (K, d); piece k holds on [k*dt, (k+1)*dt).
     """
 
-    t0: float
     dt: float
     values: np.ndarray
 
@@ -134,22 +133,20 @@ class PiecewiseSignal:
     def n_pieces(self):
         return self.values.shape[0]
 
-    @property
-    def end(self):
-        return self.t0 + self.dt * self.n_pieces
-
     def slice(self, t_start, t_end):
-        """Grid-aligned sub-signal on [t_start, t_end); rebases t0 to 0."""
-        k0 = as_grid_index(t_start - self.t0, self.dt, "slice start")
-        k1 = as_grid_index(t_end - self.t0, self.dt, "slice end")
+        """Grid-aligned sub-signal on [t_start, t_end), shifted to start at 0."""
+        k0 = as_grid_index(t_start, self.dt, "slice start")
+        k1 = as_grid_index(t_end, self.dt, "slice end")
         if k0 < 0 or k1 > self.n_pieces or k0 > k1:
             raise DomainError("slice outside signal domain")
-        return PiecewiseSignal(0.0, self.dt, self.values[k0:k1].copy())
+        return PiecewiseSignal(self.dt, self.values[k0:k1].copy())
 
 
 def as_grid_index(t, dt, what="time"):
     """Integer k with t = k*dt, tolerance 1e-9 relative; error otherwise."""
     s = t / dt
+    if not math.isfinite(s):
+        raise ConfigurationError(f"{what} = {t} is not a finite multiple of dt = {dt}")
     k = round(s)
     if abs(s - k) > GRID_TOL * max(1.0, abs(s)):
         raise ConfigurationError(f"{what} = {t} is not an integer multiple of dt = {dt}")

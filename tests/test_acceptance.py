@@ -134,10 +134,8 @@ def test_05_certified_decrease_inequality(reactor, synth_cert):
         chi2 = 0.1 + 4.9 * rng.uniforms((2,))
         w1 = -0.1 + 0.2 * rng.uniforms((steps, 3))
         w2 = -0.1 + 0.2 * rng.uniforms((steps, 3))
-        t1 = integrate(reactor, chi1, None, PiecewiseSignal(0.0, dt, w1),
-                       0.0, steps * dt, dt)
-        t2 = integrate(reactor, chi2, None, PiecewiseSignal(0.0, dt, w2),
-                       0.0, steps * dt, dt)
+        t1 = integrate(reactor, chi1, None, PiecewiseSignal(dt, w1), steps * dt, dt)
+        t2 = integrate(reactor, chi2, None, PiecewiseSignal(dt, w2), steps * dt, dt)
         for k in range(steps):
             x1, x2 = t1.states[k], t2.states[k]
             if not (np.all(x1 >= 0.1) and np.all(x1 <= 5.0)
@@ -189,7 +187,7 @@ def test_08_integrator_is_fourth_order():
                     X=None, U=[], W=[[-1.0, 1.0]])
     errs = []
     for dt in (0.04, 0.02, 0.01):
-        traj = integrate(m, np.array([1.0]), None, None, 0.0, 1.0, dt)
+        traj = integrate(m, np.array([1.0]), None, None, 1.0, dt)
         errs.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     ok = 12.0 <= r1 <= 20.0 and 12.0 <= r2 <= 20.0 and errs[2] <= 1e-8

@@ -15,7 +15,7 @@ def noisy_run(ref_cert):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
     rng = SplitMix64(77)
-    w = PiecewiseSignal(0.0, 0.01, -0.1 + 0.2 * rng.uniforms((200, 3)))
+    w = PiecewiseSignal(0.01, -0.1 + 0.2 * rng.uniforms((200, 3)))
     return run_mhe(model, cfg, chi_hat=np.array([0.1, 4.5]), t_sim=2.0,
                    chi=np.array([3.0, 1.0]), w=w)
 
@@ -34,7 +34,7 @@ def clean_run(ref_cert):
 def test_theorem1_bound_no_noise(ref_cert):
     chi = np.array([3.0, 1.0])
     chi_hat = np.array([0.1, 4.5])
-    w = PiecewiseSignal(0.0, 0.01, np.zeros((100, 3)))
+    w = PiecewiseSignal(0.01, np.zeros((100, 3)))
     d0 = chi - chi_hat
     for rho in (0.86, 0.5):
         got = theorem1_bound(ref_cert, rho, chi, chi_hat, w, 1.0, factor=8)
@@ -45,7 +45,7 @@ def test_theorem1_bound_constant_noise(ref_cert):
     # constant w makes the discounted energy integral elementary
     chi = np.array([3.0, 1.0])
     wbar = np.array([0.05, -0.02, 0.07])
-    w = PiecewiseSignal(0.0, 0.01, np.tile(wbar, (150, 1)))
+    w = PiecewiseSignal(0.01, np.tile(wbar, (150, 1)))
     rho, t_i = 0.86, 1.5
     energy = float(wbar @ ref_cert.Q @ wbar) * (1.0 - rho ** t_i) / (-math.log(rho))
     for factor in (4, 8):
@@ -55,7 +55,7 @@ def test_theorem1_bound_constant_noise(ref_cert):
 
 def test_theorem1_bound_validation(ref_cert):
     chi = np.array([3.0, 1.0])
-    w = PiecewiseSignal(0.0, 0.01, np.zeros((100, 3)))
+    w = PiecewiseSignal(0.01, np.zeros((100, 3)))
     with pytest.raises(ConfigurationError):
         theorem1_bound(ref_cert, 0.86, chi, chi, w, 1.0, factor=6)
     with pytest.raises(ConfigurationError):
@@ -66,7 +66,7 @@ def test_theorem1_bound_validation(ref_cert):
 
 def test_prop3_bound_values(ref_cert):
     # single-P certificate: lmax = 1, so the prior term is 4*lam^T * U
-    w0 = PiecewiseSignal(0.0, 0.01, np.zeros((200, 3)))
+    w0 = PiecewiseSignal(0.01, np.zeros((200, 3)))
     got = prop3_bound(ref_cert, 2.0, 2.0, 2.0, 1.0, w0)
     assert got == pytest.approx(4.0 * 0.4 ** 2, rel=1e-13)   # 0.64
 
@@ -75,7 +75,7 @@ def test_prop3_bound_values(ref_cert):
     assert early == pytest.approx(0.64 / 0.4, rel=1e-13)
 
     wbar = np.array([0.1, 0.0, -0.1])
-    w = PiecewiseSignal(0.0, 0.01, np.tile(wbar, (200, 1)))
+    w = PiecewiseSignal(0.01, np.tile(wbar, (200, 1)))
     energy = float(wbar @ ref_cert.Q @ wbar) * (1.0 - 0.4 ** 2) / (-math.log(0.4))
     got = prop3_bound(ref_cert, 2.0, 2.0, 2.0, 0.0, w)
     assert got == pytest.approx(4.0 * energy, rel=1e-11)
@@ -146,7 +146,7 @@ def test_audit_equidistant_bookkeeping(ref_cert):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1), equidistant_mode=True)
     rng = SplitMix64(78)
-    w = PiecewiseSignal(0.0, 0.01, -0.1 + 0.2 * rng.uniforms((200, 3)))
+    w = PiecewiseSignal(0.01, -0.1 + 0.2 * rng.uniforms((200, 3)))
     run = run_mhe(model, cfg, chi_hat=np.array([0.1, 4.5]), t_sim=2.0,
                   chi=np.array([3.0, 1.0]), w=w)
     rep = audit_run(run)

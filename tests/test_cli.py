@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from mhect.cli import (DisturbanceSpec, _parse_diag, bench_certificate, bench_ti
 from mhect.errors import ConfigurationError
 from mhect.certify import DetectabilityCertificate, save_certificate
 from mhect.rng import SplitMix64
+
+
+DROP = object()   # an override that removes the field
 
 
 def scenario(tmp_path, **overrides):
@@ -28,7 +32,7 @@ def scenario(tmp_path, **overrides):
     }
     cfg.update(overrides)
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not DROP}))
     return str(path)
 
 
@@ -492,6 +496,109 @@ def test_window_divergence_exit_code(tmp_path, capsys):
     assert "integration failure" in capsys.readouterr().err
 
 
+def _scenario_argv(command, **overrides):
+    return lambda tmp_path: [command, "--config", scenario(tmp_path, **overrides),
+                             "--out", str(tmp_path / "o")]
+
+
+def _text_scenario_argv(text):
+    def argv(tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        return ["estimate", "--config", str(path)]
+    return argv
+
+
+def _model_file_argv(**changes):
+    def argv(tmp_path):
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(dict(ESCAPE_MODEL, **changes)))
+        return _scenario_argv("estimate", model={"file": str(mpath)})(tmp_path)
+    return argv
+
+
+def _certificate_check_argv(**fields):
+    def argv(tmp_path):
+        path = tmp_path / "cert.json"
+        save_certificate(bench_certificate(), path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **fields)))
+        return ["certify", "--check", str(path), "--vertices", "--affine"]
+    return argv
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(_text_scenario_argv("{not json"), 2, "config is not valid JSON", id="not-json"),
+    pytest.param(_scenario_argv("estimate", model=5), 2, "model must be a registry name",
+                 id="model-number"),
+    pytest.param(_scenario_argv("estimate", model={"path": "m.json"}), 2,
+                 "model must be a registry name", id="model-without-file"),
+    pytest.param(_scenario_argv("estimate", certificate=DROP), 2,
+                 "config needs a certificate", id="no-certificate"),
+    pytest.param(_scenario_argv("estimate", certificate={"weights": 1}), 2,
+                 "certificate must be a file path or inline", id="certificate-without-P"),
+    pytest.param(_scenario_argv("estimate", certificate=5), 2,
+                 "certificate must be a file path or inline", id="certificate-number"),
+    pytest.param(_scenario_argv("estimate", sampler=DROP), 2, "config needs a sampler",
+                 id="no-sampler"),
+    pytest.param(_scenario_argv("estimate", disturbance={"seed": 2}), 2,
+                 "disturbance needs a box or a bound", id="disturbance-without-box"),
+    pytest.param(_scenario_argv("estimate", chi=DROP), 2,
+                 "estimation from config needs ground truth chi", id="estimate-without-chi"),
+    pytest.param(_scenario_argv("simulate", chi=DROP), 2,
+                 "simulate needs the true initial state chi", id="simulate-without-chi"),
+    pytest.param(_scenario_argv("simulate", disturbance=DROP), 2,
+                 "simulate needs a disturbance spec", id="simulate-without-disturbance"),
+    pytest.param(_scenario_argv("estimate", sampler={"type": "explicit", "times": []}), 2,
+                 "sampling set needs at least one time", id="no-explicit-times"),
+    pytest.param(_scenario_argv("estimate", sampler={"type": "equidistant", "delta": 0}), 2,
+                 "sampling period must be at least dt", id="zero-period"),
+    pytest.param(_scenario_argv("estimate", sampler={"type": "equidistant", "delta": 2.0}), 2,
+                 "no sampling times before t_sim", id="period-past-t_sim"),
+    pytest.param(_scenario_argv("estimate", sampler=dict(EVENT, delta_min=2.0, delta_max=2.0)),
+                 2, "event rule produced no sampling times", id="delta_min-past-t_sim"),
+    pytest.param(_model_file_argv(f=[[{"coeff": 1.0, "x_exp": [2, 0]}]]), 2,
+                 "f[0]: exponent lists must have lengths 1 and 1", id="exponent-list-length"),
+    pytest.param(_model_file_argv(h=[]), 2, "h must list p coordinates", id="no-h-rows"),
+    pytest.param(_certificate_check_argv(P2=(2.0 * cli.BENCH_P).tolist()), 2,
+                 "pointwise verification requires P1 = P2", id="P1-not-P2"),
+    pytest.param(_certificate_check_argv(P1=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 2,
+                 "P1 must be a square matrix", id="non-square-P"),
+    pytest.param(_certificate_check_argv(P2=np.diag([10.0] * 3).tolist()), 2,
+                 "P1 and P2 must have the same shape", id="P1-P2-sizes"),
+    pytest.param(lambda tmp_path: ["certify", "--lambda", "0.01", "--Q", "1,1,1", "--R", "1",
+                                   "--vertices", "--affine", "--out", str(tmp_path)],
+                 3, "infeasible:", id="infeasible-synthesis"),
+])
+def test_refusal_exit_codes(tmp_path, capsys, argv, code, message):
+    assert main(argv(tmp_path)) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"T": math.inf}, "horizon T = inf is not a finite multiple"),
+    ({"t_sim": math.inf}, "t_sim = inf is not a finite multiple"),
+    ({"sampler": {"type": "equidistant", "delta": math.inf}},
+     "sampling period = inf is not a finite multiple"),
+    ({"sampler": {"type": "explicit", "times": [math.nan]}},
+     "sampling time = nan is not a finite multiple"),
+    ({"chi_hat": [math.inf]}, "chi_hat must be finite"),
+    ({"chi": [math.inf]}, "chi must be finite"),
+    ({"chi": [math.nan]}, "chi must be finite"),
+])
+def test_non_finite_scenario_number_exit_code(tmp_path, capsys, overrides, message):
+    # JSON readers accept Infinity and NaN; the model file leaves X unbounded,
+    # so only the finiteness check can refuse an infinite initial state
+    mpath = tmp_path / "escape.json"
+    mpath.write_text(json.dumps(ESCAPE_MODEL))
+    cfg = scenario(tmp_path, **{"model": {"file": str(mpath)}, "certificate": SCALAR_CERT,
+                                "T": 0.5, "t_sim": 0.3, "chi": [0.1], "chi_hat": [0.1],
+                                "sampler": {"type": "equidistant", "delta": 0.1},
+                                **overrides})
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     cfg = scenario(tmp_path)
     dest = tmp_path / "from_env"
@@ -507,6 +614,23 @@ def test_bench_refuses_an_empty_seed_range(tmp_path, capsys, seeds):
     assert main(["bench-s5", "--seeds", seeds, "--out", str(tmp_path)]) == 2
     assert "--seeds must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "bench_summary.json").exists()
+
+
+def test_bench_jobs_match_one_process(tmp_path, capsys):
+    # two worker processes write what one process writes, up to wall times
+    for jobs in ("1", "2"):
+        assert main(["bench-s5", "--seed", "3", "--seeds", "2", "--jobs", jobs,
+                     "--out", str(tmp_path / jobs)]) == 0
+    capsys.readouterr()
+    files = [sorted(p.relative_to(tmp_path / jobs) for p in (tmp_path / jobs).rglob("*")
+                    if p.is_file()) for jobs in ("1", "2")]
+    assert files[0] == files[1] and len(files[0]) == 1 + 2 * 9
+    for f in files[0]:
+        one, two = ((tmp_path / jobs / f).read_text() for jobs in ("1", "2"))
+        if f.name == "samples.csv":
+            # drop the wall_time column
+            one, two = ([line.rsplit(",", 1)[0] for line in t.splitlines()] for t in (one, two))
+        assert one == two, f
 
 
 def test_bench_subcommand(tmp_path, capsys):

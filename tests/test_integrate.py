@@ -21,7 +21,7 @@ def decay_model():
 
 
 def test_exponential_decay_endpoint():
-    traj = integrate(decay_model(), np.array([1.0]), None, None, 0.0, 1.0, 0.01)
+    traj = integrate(decay_model(), np.array([1.0]), None, None, 1.0, 0.01)
     assert traj.states.shape == (101, 1)
     assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 1e-8
 
@@ -30,23 +30,23 @@ def test_self_convergence_is_fourth_order():
     m = decay_model()
     errs = []
     for dt in (0.04, 0.02, 0.01):
-        traj = integrate(m, np.array([1.0]), None, None, 0.0, 1.0, dt)
+        traj = integrate(m, np.array([1.0]), None, None, 1.0, dt)
         errs.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
     assert 12.0 <= errs[0] / errs[1] <= 20.0
     assert 12.0 <= errs[1] / errs[2] <= 20.0
 
 
 def test_zero_length_horizon():
-    traj = integrate(decay_model(), np.array([2.5]), None, None, 0.0, 0.0, 0.01)
+    traj = integrate(decay_model(), np.array([2.5]), None, None, 0.0, 0.01)
     assert traj.states.shape == (1, 1)
     assert traj.states[0, 0] == 2.5
 
 
 def test_bit_identical_repeat():
     m = batch_reactor()
-    w = PiecewiseSignal(0.0, 0.01, 0.05 * np.sin(np.arange(300)).reshape(100, 3))
-    a = integrate(m, np.array([3.0, 1.0]), None, w, 0.0, 1.0, 0.01)
-    b = integrate(m, np.array([3.0, 1.0]), None, w, 0.0, 1.0, 0.01)
+    w = PiecewiseSignal(0.01, 0.05 * np.sin(np.arange(300)).reshape(100, 3))
+    a = integrate(m, np.array([3.0, 1.0]), None, w, 1.0, 0.01)
+    b = integrate(m, np.array([3.0, 1.0]), None, w, 1.0, 0.01)
     assert a.states.tobytes() == b.states.tobytes()
 
 
@@ -58,81 +58,58 @@ def test_divergence_reports_time():
                     jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                     X=None, U=[], W=[[-1.0, 1.0]])
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
-        integrate(m, np.array([2.0]), None, None, 0.0, 1.0, 0.01)
+        integrate(m, np.array([2.0]), None, None, 1.0, 0.01)
     assert 0.0 < exc.value.t <= 1.0
 
 
 def test_grid_validation():
     m = decay_model()
     with pytest.raises(ConfigurationError):
-        integrate(m, np.array([1.0]), None, None, 0.0, 0.105, 0.01)
+        integrate(m, np.array([1.0]), None, None, 0.105, 0.01)
     with pytest.raises(ConfigurationError):
-        integrate(m, np.array([1.0]), None, None, 0.0, 1.0, -0.01)
+        integrate(m, np.array([1.0]), None, None, 1.0, -0.01)
     with pytest.raises(ConfigurationError):
-        integrate(m, np.array([1.0]), None, None, 0.5, 0.0, 0.01)
+        integrate(m, np.array([1.0]), None, None, -0.5, 0.01)
     with pytest.raises(ConfigurationError):
-        integrate(m, np.array([1.0, 2.0]), None, None, 0.0, 1.0, 0.01)
+        integrate(m, np.array([1.0, 2.0]), None, None, 1.0, 0.01)
 
 
 def test_signal_validation():
     m = batch_reactor()
     chi = np.array([3.0, 1.0])
     with pytest.raises(ConfigurationError):        # wrong dimension
-        integrate(m, chi, None, PiecewiseSignal(0.0, 0.01, np.zeros((100, 2))), 0.0, 1.0, 0.01)
+        integrate(m, chi, None, PiecewiseSignal(0.01, np.zeros((100, 2))), 1.0, 0.01)
     with pytest.raises(ConfigurationError):        # does not cover the horizon
-        integrate(m, chi, None, PiecewiseSignal(0.0, 0.01, np.zeros((50, 3))), 0.0, 1.0, 0.01)
-    with pytest.raises(ConfigurationError):        # off-grid signal origin
-        integrate(m, chi, None, PiecewiseSignal(0.005, 0.01, np.zeros((100, 3))), 0.0, 1.0, 0.01)
+        integrate(m, chi, None, PiecewiseSignal(0.01, np.zeros((50, 3))), 1.0, 0.01)
     with pytest.raises(ConfigurationError):        # piece length not a multiple of dt
-        integrate(m, chi, None, PiecewiseSignal(0.0, 0.03, np.zeros((40, 3))), 0.0, 1.0, 0.02)
+        integrate(m, chi, None, PiecewiseSignal(0.03, np.zeros((40, 3))), 1.0, 0.02)
 
 
 def test_coarse_signal_pieces():
-    # a w held for 2 integration steps must act on both of them
+    # a w held for 2 integration steps must act on both of them, in the
+    # dynamics and in the output
     m = decay_model()
-    rich = SystemModel(1, 0, 1, 1,
-                       lambda x, u, w: -x + w,
-                       lambda x, u, w: x.copy(),
-                       jac_f_x=const_jac(-1.0), jac_f_w=const_jac(1.0),
-                       jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                       X=None, U=[], W=[[-1.0, 1.0]])
-    w_coarse = PiecewiseSignal(0.0, 0.02, np.array([[0.3], [-0.1]]))
-    w_fine = PiecewiseSignal(0.0, 0.01, np.array([[0.3], [0.3], [-0.1], [-0.1]]))
-    a = integrate(rich, np.array([1.0]), None, w_coarse, 0.0, 0.04, 0.01)
-    b = integrate(rich, np.array([1.0]), None, w_fine, 0.0, 0.04, 0.01)
-    assert a.states.tobytes() == b.states.tobytes()
-
-
-def test_coarse_signal_lookup_away_from_its_origin():
-    # integration starts mid-piece of a dt-0.02 signal that begins at t0 = 0:
-    # steps at t = 0.03, 0.04, 0.05, 0.06 read pieces 1, 2, 2, 3
     rich = SystemModel(1, 0, 1, 1,
                        lambda x, u, w: -x + w,
                        lambda x, u, w: x + w,
                        jac_f_x=const_jac(-1.0), jac_f_w=const_jac(1.0),
                        jac_h_x=const_jac(1.0), jac_h_w=const_jac(1.0),
                        X=None, U=[], W=[[-1.0, 1.0]])
-    vals = np.array([[0.3], [-0.1], [0.5], [0.2]])
-    w_coarse = PiecewiseSignal(0.0, 0.02, vals)
-    w_fine = PiecewiseSignal(0.0, 0.01, np.repeat(vals, 2, axis=0))
-    a = integrate(rich, np.array([1.0]), None, w_coarse, 0.03, 0.07, 0.01)
-    b = integrate(rich, np.array([1.0]), None, w_fine, 0.03, 0.07, 0.01)
+    w_coarse = PiecewiseSignal(0.02, np.array([[0.3], [-0.1]]))
+    w_fine = PiecewiseSignal(0.01, np.array([[0.3], [0.3], [-0.1], [-0.1]]))
+    a = integrate(rich, np.array([1.0]), None, w_coarse, 0.04, 0.01)
+    b = integrate(rich, np.array([1.0]), None, w_fine, 0.04, 0.01)
     assert a.states.tobytes() == b.states.tobytes()
-    x = np.array([1.0])
-    for k, piece in enumerate((1, 2, 2, 3)):
-        x = rk4_step(rich, x, np.zeros(0), vals[piece], 0.01)
-        assert a.states[k + 1].tobytes() == x.tobytes()
     ya = output_along(rich, a, None, w_coarse)
-    yb = output_along(rich, b, None, w_fine)
-    assert ya.t0 == 0.03 and ya.values.tobytes() == yb.values.tobytes()
-    assert np.array_equal(ya.values[:, 0], a.states[:-1, 0] + vals[[1, 2, 2, 3], 0])
+    assert ya.values.tobytes() == output_along(rich, b, None, w_fine).values.tobytes()
+    assert np.array_equal(ya.values[:, 0], a.states[:-1, 0] + w_fine.values[:, 0])
 
 
 def test_output_along_left_nodes():
     m = batch_reactor()
     rng = SplitMix64(3)
-    w = PiecewiseSignal(0.0, 0.01, -0.1 + 0.2 * rng.uniforms((30, 3)))
-    traj = integrate(m, np.array([2.0, 2.0]), None, w, 0.0, 0.3, 0.01)
+    w = PiecewiseSignal(0.01, -0.1 + 0.2 * rng.uniforms((30, 3)))
+    traj = integrate(m, np.array([2.0, 2.0]), None, w, 0.3, 0.01)
     y = output_along(m, traj, None, w)
     assert y.n_pieces == 30 and y.dim == 1
     for k in (0, 7, 29):
@@ -142,7 +119,7 @@ def test_output_along_left_nodes():
 
 def test_trajectory_queries_and_csv(tmp_path):
     m = batch_reactor()
-    traj = integrate(m, np.array([3.0, 1.0]), None, None, 0.0, 0.5, 0.01)
+    traj = integrate(m, np.array([3.0, 1.0]), None, None, 0.5, 0.01)
     assert np.allclose(traj.times, np.arange(51) * 0.01)
 
     path = tmp_path / "traj.csv"
@@ -177,6 +154,6 @@ def test_step_jacobians_match_finite_differences():
 
 def test_trajectory_shape_validation():
     with pytest.raises(ConfigurationError):
-        Trajectory(0.0, 0.01, np.zeros(5))
+        Trajectory(0.01, np.zeros(5))
     with pytest.raises(ConfigurationError):
-        Trajectory(0.0, 0.01, np.zeros((0, 2)))
+        Trajectory(0.01, np.zeros((0, 2)))

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mhect import (DetectabilityCertificate, Domain, Equidistant, EventTriggered, Explicit,
                    MheConfig, PiecewiseSignal, SystemModel, batch_reactor, discount_weights,
-                   integrate, make_sampler, mhe_objective, run_mhe, solve_fie, solve_mhe,
-                   truth_candidate_cost)
+                   audit_run, integrate, make_sampler, mhe_objective, run_mhe, solve_fie,
+                   solve_mhe, truth_candidate_cost)
 from mhect.errors import ConfigurationError, DivergenceError, HorizonError
 from mhect.integrate import rk4_step_with_jacobians
 from mhect.mhe import (DAMPING_INIT, GRAD_TOL, MAX_ITERS, SamplingSet, _WindowProblem,
@@ -111,8 +111,8 @@ def test_make_sampler_explicit():
 
 def test_make_sampler_event_rules():
     model = batch_reactor()
-    w = PiecewiseSignal(0.0, 0.01, np.zeros((300, 3)))
-    truth = integrate(model, np.array([3.0, 1.0]), None, w, 0.0, 3.0, 0.01)
+    w = PiecewiseSignal(0.01, np.zeros((300, 3)))
+    truth = integrate(model, np.array([3.0, 1.0]), None, w, 3.0, 0.01)
     from mhect import output_along
     y = output_along(model, truth, None, w)
 
@@ -158,11 +158,11 @@ def _running_sum_schedule(piece_energy, threshold, k_min, k_max, K):
 def test_event_schedule_matches_the_running_sum(threshold, delta_min, delta_max, t_sim):
     model = batch_reactor()
     K = round(t_sim / 0.01)
-    y = PiecewiseSignal(0.0, 0.01, 4.0 + 0.3 * SplitMix64(K).uniforms((K, 1)))
+    y = PiecewiseSignal(0.01, 4.0 + 0.3 * SplitMix64(K).uniforms((K, 1)))
     x0 = np.array([0.1, 4.5])
     s = make_sampler(EventTriggered(threshold, delta_min, delta_max), t_sim, 0.01,
                      model=model, y=y, x0=x0)
-    nom = integrate(model, x0, None, None, 0.0, t_sim, 0.01)
+    nom = integrate(model, x0, None, None, t_sim, 0.01)
     innov = y.values - model.h(nom.states[:-1], np.zeros((K, 0)), np.zeros((K, 3)))
     piece_energy = np.einsum("ki,ki->k", innov, innov) * 0.01
     expect = _running_sum_schedule(piece_energy, threshold, round(delta_min / 0.01),
@@ -197,9 +197,9 @@ def test_config_validation(ref_cert):
 
 def test_objective_zero_at_perfect_data(ref_cert):
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
-    y = PiecewiseSignal(0.0, 0.01, np.ones((50, 1)))
+    y = PiecewiseSignal(0.01, np.ones((50, 1)))
     prior = np.array([3.0, 1.0])
-    w = PiecewiseSignal(0.0, 0.01, np.zeros((50, 3)))
+    w = PiecewiseSignal(0.01, np.zeros((50, 3)))
     val = mhe_objective(cfg, prior, prior, w, y, y, 0.5)
     assert val == 0.0
 
@@ -210,9 +210,9 @@ def test_objective_hand_computed(ref_cert):
     T_ti = 0.02
     prior = np.array([1.0, 2.0])
     chi = np.array([1.5, 1.8])
-    w = PiecewiseSignal(0.0, 0.01, np.array([[0.1, 0.0, -0.1], [0.0, 0.05, 0.0]]))
-    y_meas = PiecewiseSignal(0.0, 0.01, np.array([[3.0], [3.1]]))
-    y_est = PiecewiseSignal(0.0, 0.01, np.array([[2.9], [3.15]]))
+    w = PiecewiseSignal(0.01, np.array([[0.1, 0.0, -0.1], [0.0, 0.05, 0.0]]))
+    y_meas = PiecewiseSignal(0.01, np.array([[3.0], [3.1]]))
+    y_est = PiecewiseSignal(0.01, np.array([[2.9], [3.15]]))
 
     # independent evaluation straight from the definition
     d0 = chi - prior
@@ -228,9 +228,9 @@ def test_objective_hand_computed(ref_cert):
 
 def test_objective_validates_segments(ref_cert):
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
-    y = PiecewiseSignal(0.0, 0.01, np.ones((50, 1)))
+    y = PiecewiseSignal(0.01, np.ones((50, 1)))
     for shape in ((49, 3), (50, 2)):   # too few pieces, wrong dimension
-        w = PiecewiseSignal(0.0, 0.01, np.zeros(shape))
+        w = PiecewiseSignal(0.01, np.zeros(shape))
         with pytest.raises(ConfigurationError):
             mhe_objective(cfg, np.zeros(2), np.zeros(2), w, y, y, 0.5)
 
@@ -245,7 +245,7 @@ def reactor_setup(ref_cert, t_sim=1.0, chi=(3.0, 1.0), chi_hat=(0.1, 4.5), seed=
     if seed is not None:
         rng = SplitMix64(seed)
         K = int(round(t_sim / 0.01))
-        w = PiecewiseSignal(0.0, 0.01, -0.1 + 0.2 * rng.uniforms((K, 3)))
+        w = PiecewiseSignal(0.01, -0.1 + 0.2 * rng.uniforms((K, 3)))
     run = run_mhe(model, cfg, chi_hat=np.array(chi_hat), t_sim=t_sim,
                   chi=np.array(chi), w=w)
     return model, cfg, run
@@ -275,7 +275,7 @@ def test_solver_reaches_tolerance_and_descends(ref_cert):
 def test_solution_restates_exactly(ref_cert):
     model, cfg, run = reactor_setup(ref_cert, seed=2)
     for s in run.solutions[-3:]:
-        again = integrate(model, s.chi_star, None, s.w_star, 0.0, s.T_ti, cfg.dt)
+        again = integrate(model, s.chi_star, None, s.w_star, s.T_ti, cfg.dt)
         assert again.states.tobytes() == s.x_star.states.tobytes()
 
 
@@ -286,16 +286,46 @@ def test_solver_beats_truth_candidate(ref_cert):
         assert s.cost <= cand * (1.0 + 1e-6) + 1e-12
 
 
-def test_estimate_is_stitched_from_windows(ref_cert):
+def test_estimate_is_stitched_from_windows(ref_cert, tmp_path):
     model, cfg, run = reactor_setup(ref_cert, seed=4)
     ks = run.sampling.k_indices
     assert run.estimate.shape[0] == ks[-1] + 1
     assert np.array_equal(run.estimate[0], run.chi_hat)
-    assert run.node_flags[0] == "prior"
     assert np.all(np.isfinite(run.estimate))
-    # the node at each sample equals the window solution endpoint
+    path = tmp_path / "estimate.csv"
+    run.estimate_csv(str(path))
+    flags = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+    assert len(flags) == ks[-1] + 1 and flags[0] == "prior"
+    # the node at each sample equals the window solution endpoint, and the
+    # nodes since the previous sample carry that solve's flag
+    prev = 0
     for k, sol in zip(ks, run.solutions):
         assert np.array_equal(run.estimate[int(k)], sol.x_star.states[-1])
+        assert set(flags[prev + 1:k + 1]) == {sol.stats.termination}
+        prev = k
+
+
+def test_control_input_coarser_than_dt():
+    # x' = -x + u + w, y = x, with u held for 0.1 at dt = 0.01: windows read
+    # u on the run grid, so the run equals one with u repeated onto dt pieces
+    model = SystemModel(1, 1, 1, 1,
+                        lambda x, u, w: -x + u + w,
+                        lambda x, u, w: x.copy(),
+                        jac_f_x=const_jac(-1.0), jac_f_w=const_jac(1.0),
+                        jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
+                        X=None, U=[[-1.0, 1.0]], W=[[-0.1, 0.1]])
+    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.2,
+                                                 Domain.of_model(model))
+    cfg = MheConfig(cert, 1.0, 0.01, Equidistant(0.1))
+    u_coarse = np.sin(np.arange(10.0))[:, None]
+    w = PiecewiseSignal(0.01, -0.1 + 0.2 * SplitMix64(5).uniforms((100, 1)))
+    runs = [run_mhe(model, cfg, chi_hat=np.array([0.0]), t_sim=1.0, chi=np.array([0.5]),
+                    u=u, w=w)
+            for u in (PiecewiseSignal(0.1, u_coarse),
+                      PiecewiseSignal(0.01, np.repeat(u_coarse, 10, axis=0)))]
+    assert runs[0].estimate.tobytes() == runs[1].estimate.tobytes()
+    report = audit_run(runs[0])
+    assert report.passed and report.prop3_passed and report.sup_passed
 
 
 def test_full_information_matches_windowed(ref_cert):
@@ -323,7 +353,7 @@ def test_warm_start_agrees_with_cold_start(ref_cert):
 def test_prior_outside_domain_is_projected(ref_cert):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
-    truth = integrate(model, np.array([3.0, 1.0]), None, None, 0.0, 0.5, 0.01)
+    truth = integrate(model, np.array([3.0, 1.0]), None, None, 0.5, 0.01)
     from mhect import output_along
     y = output_along(model, truth, None, None)
     sol = solve_mhe(model, cfg, np.array([0.0, 6.0]), None, y.slice(0.0, 0.1), 0.1)
@@ -342,7 +372,7 @@ def _escape_window():
     cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5,
                                                  Domain.of_model(model))
     cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
-    return model, cfg, PiecewiseSignal(0.0, 0.01, np.full((10, 1), 0.1))
+    return model, cfg, PiecewiseSignal(0.01, np.full((10, 1), 0.1))
 
 
 def test_window_divergence_from_the_prior():
@@ -363,7 +393,7 @@ def test_divergence_raises_no_overflow_warning():
     with pytest.raises(DivergenceError):
         solve_mhe(model, cfg, np.array([20.0]), None, y_seg, 0.1)
     with pytest.raises(DivergenceError) as exc:
-        integrate(model, np.array([20.0]), None, None, 0.0, 0.1, 0.01)
+        integrate(model, np.array([20.0]), None, None, 0.1, 0.01)
     assert 0.05 <= exc.value.t <= 0.1
 
 
@@ -377,7 +407,7 @@ def test_penalty_escalation_restores_the_state_constraints():
     cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5,
                                                  Domain.of_model(model))
     cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
-    y_seg = PiecewiseSignal(0.0, 0.01, np.full((50, 1), 5.0))
+    y_seg = PiecewiseSignal(0.01, np.full((50, 1), 5.0))
     sol = solve_mhe(model, cfg, np.array([0.0]), None, y_seg, 0.5)
     assert sol.stats.escalations >= 1
     assert sol.stats.feasible
@@ -460,7 +490,7 @@ def test_window_jacobian_matches_finite_differences(ref_cert):
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
     rng = SplitMix64(13)
     N = 5
-    y_seg = PiecewiseSignal(0.0, 0.01, 3.9 + 0.1 * rng.uniforms((N, 1)))
+    y_seg = PiecewiseSignal(0.01, 3.9 + 0.1 * rng.uniforms((N, 1)))
     prob = _WindowProblem(model, cfg, np.array([3.0, 1.0]), None, y_seg, N * 0.01)
 
     def full_residual(z):
@@ -486,7 +516,7 @@ def _window_with_violations(ref_cert, N):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 8.0, 0.01, Equidistant(0.1))
     rng = SplitMix64(100 + N)
-    y_seg = PiecewiseSignal(0.0, 0.01, 3.9 + 0.2 * rng.uniforms((N, 1)))
+    y_seg = PiecewiseSignal(0.01, 3.9 + 0.2 * rng.uniforms((N, 1)))
     prob = _WindowProblem(model, cfg, np.array([3.0, 1.0]), None, y_seg, N * 0.01)
     z = np.concatenate([[2.9, 1.1], 0.18 * (rng.uniforms((N * 3,)) - 0.5)])
     states = prob.forward(z)
@@ -531,7 +561,7 @@ def test_stage_sweeps_match_the_dense_model(ref_cert, N, seed, log_mu, penalized
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 8.0, 0.01, Equidistant(0.1))
     rng = SplitMix64(seed)
-    y_seg = PiecewiseSignal(0.0, 0.01, 0.2 + 9.8 * rng.uniforms((N, 1)))
+    y_seg = PiecewiseSignal(0.01, 0.2 + 9.8 * rng.uniforms((N, 1)))
     prob = _WindowProblem(model, cfg, rng.uniforms((2,), 0.1, 5.0), None, y_seg, N * 0.01)
     z = np.concatenate([rng.uniforms((2,), 0.1, 5.0), rng.uniforms((N * 3,), -0.1, 0.1)])
     states = prob.forward(z)
@@ -565,7 +595,7 @@ def test_stage_scans_match_the_sequential_sweeps(ref_cert, N, seed, log_mu, pena
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 8.0, 0.01, Equidistant(0.1))
     rng = SplitMix64(seed)
-    y_seg = PiecewiseSignal(0.0, 0.01, 3.9 + 0.2 * rng.uniforms((N, 1)))
+    y_seg = PiecewiseSignal(0.01, 3.9 + 0.2 * rng.uniforms((N, 1)))
     prob = _WindowProblem(model, cfg, rng.uniforms((2,), 0.1, 5.0), None, y_seg, N * 0.01)
     z = np.concatenate([rng.uniforms((2,), 0.1, 5.0), rng.uniforms((N * 3,), -0.1, 0.1)])
     states = prob.forward(z)
@@ -625,7 +655,7 @@ def test_window_step_memory_is_linear_in_the_window(ref_cert):
 def test_active_violations_match_the_scalar_scan(ref_cert):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
-    y_seg = PiecewiseSignal(0.0, 0.01, np.ones((3, 1)))
+    y_seg = PiecewiseSignal(0.01, np.ones((3, 1)))
     prob = _WindowProblem(model, cfg, np.array([3.0, 1.0]), None, y_seg, 0.03)
     states = np.array([[3.0, 1.0], [0.05, 6.0], [5.5, 0.09], [0.1, 5.0]])
     expect = [(j, i, states[j, i] - lo if states[j, i] < lo else states[j, i] - hi)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,10 +127,9 @@ def test_dimension_validation():
 # piecewise-constant signals
 
 def test_signal_slice():
-    sig = PiecewiseSignal(0.0, 0.01, np.arange(20.0).reshape(20, 1))
-    assert sig.end == pytest.approx(0.2)
+    sig = PiecewiseSignal(0.01, np.arange(20.0).reshape(20, 1))
     sub = sig.slice(0.05, 0.12)
-    assert sub.t0 == 0.0 and sub.n_pieces == 7
+    assert sub.n_pieces == 7
     assert sub.values[0, 0] == 5.0 and sub.values[-1, 0] == 11.0
     with pytest.raises(DomainError):
         sig.slice(0.0, 0.21)
@@ -139,9 +139,9 @@ def test_signal_slice():
 
 def test_signal_validation():
     with pytest.raises(ConfigurationError):
-        PiecewiseSignal(0.0, 0.01, np.zeros(5))
+        PiecewiseSignal(0.01, np.zeros(5))
     with pytest.raises(ConfigurationError):
-        PiecewiseSignal(0.0, 0.0, np.zeros((5, 1)))
+        PiecewiseSignal(0.0, np.zeros((5, 1)))
 
 
 def test_as_grid_index():
@@ -150,6 +150,9 @@ def test_as_grid_index():
     assert as_grid_index(0.0, 0.01) == 0
     with pytest.raises(ConfigurationError):
         as_grid_index(0.305, 0.01)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="horizon T = .* is not a finite multiple"):
+            as_grid_index(t, 0.01, "horizon T")
 
 
 # ---------------------------------------------------------------------------
