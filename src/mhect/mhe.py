@@ -17,7 +17,11 @@ step map.  The gradient (the adjoint recursion) and each damped step (the
 Riccati recursion for the cost-to-go and the rollout of the step) solve the
 condensed Gauss-Newton system without forming it, each as an associative
 scan over the N stages in ceil(log2(N + 1)) levels of batched small-matrix
-operations.
+operations.  Each trial rolls out the same way, by Newton over the sequence
+from the current states plus the step's linear rollout, and falls back to
+sequential RK4 steps when that does not reach rounding level.  The accepted
+iterate gets one sequential rollout, and a warm-started window rolls out
+only the steps its predecessor did not run.
 """
 
 import math
@@ -34,6 +38,8 @@ from .sysmodel import PiecewiseSignal, as_grid_index, box_clip, box_contains, wr
 
 # window solver settings
 GRAD_TOL = 1e-8          # converged when the projected gradient norm is at most this
+ROLLOUT_TOL = 8 * np.finfo(float).eps   # Newton rollout: relative defect at every node
+ROLLOUT_MAX_ITERS = 8    # Newton rollout iterations before the sequential fallback
 MAX_ITERS = 100          # Levenberg-Marquardt iterations per penalty stage
 DAMPING_INIT = 1e-3      # initial Levenberg-Marquardt damping
 PENALTY_WEIGHT = 1e6     # initial weight of the state-constraint penalty
@@ -158,6 +164,9 @@ def _event_schedule(spec, K, dt, model, u, y, x0):
     if model is None or y is None or x0 is None:
         raise ConfigurationError(
             "event-triggered sampling needs the data context: model, measured y and x0")
+    if not spec.threshold >= 0.0:
+        raise ConfigurationError(
+            f"event threshold = {spec.threshold} must be >= 0 (Infinity for spacing delta_max)")
     k_min = as_grid_index(spec.delta_min, dt, "delta_min")
     k_max = as_grid_index(spec.delta_max, dt, "delta_max")
     if not 1 <= k_min <= k_max:
@@ -271,6 +280,7 @@ class SolverStats:
     wall_time: float = 0.0
     cost_history: list = field(default_factory=list)
     escalations: int = 0
+    rollout_fallbacks: int = 0   # trials whose Newton rollout gave way to forward
     feasible: bool = True
     warnings: list = field(default_factory=list)
 
@@ -278,9 +288,10 @@ class SolverStats:
 @dataclass(frozen=True)
 class MheSolution:
     """One window solve: initial state, disturbance pieces, the window
-    trajectory of the accepted forward pass (the same RK4 steps on the same
-    inputs as integrate(), so x_star is bit-identical to what it returns)
-    and the window objective at them."""
+    trajectory and the window objective at them.  Trials are compared on
+    Newton rollouts, but x_star comes from one sequential rollout of the
+    accepted decision (the same RK4 steps on the same inputs as integrate(),
+    so it is bit-identical to what integrate() returns)."""
 
     t_i: float
     T_ti: float
@@ -323,22 +334,62 @@ class _WindowProblem:
         self.ub = np.concatenate([X[:, 1], np.tile(W[:, 1], self.N)])
         self.x_lo, self.x_hi = X[:, 0], X[:, 1]
         self.pen = PENALTY_WEIGHT
+        self.rollout_fallbacks = 0
 
     def project(self, z):
         return np.clip(z, self.lb, self.ub)
 
-    def forward(self, z):
-        """Window states for decision z, or None when integration diverges."""
+    def forward(self, z, prefix=None):
+        """Window states for decision z by sequential RK4 steps, or None when
+        integration diverges.  prefix, the states of the first nodes when an
+        earlier rollout of the same steps already holds them, is copied and
+        only the remaining steps run."""
         n, q, N = self.n, self.q, self.N
         states = np.empty((N + 1, n))
-        x = states[0] = z[:n]
+        if prefix is None:
+            prefix = z[None, :n]
+        k = len(prefix) - 1
+        states[:k + 1] = prefix
+        x = states[k]
         Wp = z[n:].reshape(N, q)
         # a non-finite component stays non-finite through RK4, so one check
         # after the rollout finds any step that left float range
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(N):
+            for j in range(k, N):
                 x = states[j + 1] = rk4_step(self.model, x, self.u[j], Wp[j], self.dt)
         return states if np.isfinite(states).all() else None
+
+    def rollout(self, z, guess):
+        """Window states for decision z by Newton over the sequence from the
+        guess states (DEER: Lim et al., ICLR 2024), or None when no iterate
+        within ROLLOUT_MAX_ITERS is finite with every defect at rounding level.
+
+        Each iteration linearizes the step map at the guess s with one batched
+        call and solves d_{j+1} = A_j d_j + (Phi(s_j) - s_{j+1}), d_0 = 0, for
+        the correction by a scan of the bordered maps [[A_j, Phi(s_j) - s_{j+1}],
+        [0, 1]].  It stops once |Phi(s_j) - s_{j+1}| <= ROLLOUT_TOL |Phi(s_j)|
+        componentwise at every node, so the states agree with forward's to
+        rounding, though not bit for bit.
+        """
+        n, q, N = self.n, self.q, self.N
+        Wp = z[n:].reshape(N, q)
+        s = guess.copy()
+        s[0] = z[:n]
+        maps = np.zeros((N, n + 1, n + 1))
+        maps[:, n, n] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(ROLLOUT_MAX_ITERS):
+                phi, A, _ = rk4_step_with_jacobians(self.model, s[:-1], self.u, Wp, self.dt)
+                defect = phi - s[1:]
+                if not (np.isfinite(defect).all() and np.isfinite(A).all()):
+                    return None
+                if np.all(np.abs(defect) <= ROLLOUT_TOL * np.abs(phi)):
+                    return s
+                maps[:, :n, :n] = A
+                maps[:, :n, n] = defect
+                d = _suffix_scan(maps[::-1], np.eye(n + 1)[n], np.matmul, _matvec)
+                s += d[::-1, :n]
+        return None
 
     def _active_violations(self, states):
         """Arrays (node, component, signed violation) of the states outside X,
@@ -362,13 +413,20 @@ class _WindowProblem:
             parts.append(math.sqrt(self.pen) * v)
         return np.concatenate(parts)
 
-    def evaluate(self, z):
-        """(states, r, |r|^2) at decision z, or None when integration diverges."""
-        states = self.forward(z)
-        if states is None:
-            return None
+    def evaluate(self, z, guess):
+        """(states, r, |r|^2, sequential) at decision z, or None when
+        integration diverges.  The states come from the Newton rollout from
+        guess, or from forward when it fails (sequential is then True and
+        rollout_fallbacks counts it)."""
+        states = self.rollout(z, guess)
+        sequential = states is None
+        if sequential:
+            self.rollout_fallbacks += 1
+            states = self.forward(z)
+            if states is None:
+                return None
         r = self.residuals(z, states)
-        return states, r, float(r @ r)
+        return states, r, float(r @ r), sequential
 
     def linearize(self, z, states, r):
         """Stage-wise Gauss-Newton model of |r|^2 around (z, states).
@@ -423,7 +481,8 @@ class _WindowProblem:
 
     def lm_step(self, lin, free, mu):
         """Damped Gauss-Newton step d with ((J'J)_ff + mu I) d_f = -(J'r)_f
-        and d = 0 off the free set, from the stages of linearize in
+        and d = 0 off the free set, and the linearized state changes dx
+        (N + 1, n) it makes, from the stages of linearize in
         ceil(log2(N + 1)) batched levels:
 
         1. dw_j = u_j - E_j xt_j, xt_j = [dx_j; 1], removes each stage's
@@ -464,7 +523,7 @@ class _WindowProblem:
         M[~fx, ~fx] = 1.0
         xt = np.append(np.linalg.solve(M, -V[0, :n, n] * fx), 1.0)
         xt = _suffix_scan((Sx - Sw @ K)[::-1], xt, np.matmul, _matvec)[::-1]
-        return np.concatenate([xt[0, :n], -_matvec(K, xt[:-1]).ravel()])
+        return np.concatenate([xt[0, :n], -_matvec(K, xt[:-1]).ravel()]), xt[:, :n]
 
 
 def _matvec(M, v):
@@ -522,6 +581,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
         prob.prior = box_clip(model.X, prob.prior)
 
     z = np.concatenate([prob.prior, np.zeros(N * q)])
+    prefix = None
     if warm is not None:
         shift = as_grid_index((t_i - T_ti) - (warm.t_i - warm.T_ti), cfg.dt, "warm-start shift")
         if shift < 0:
@@ -530,11 +590,14 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
         if shift <= N_prev:
             z[:n] = warm.x_star.states[shift]
             keep = min(N, N_prev - shift)
-            if keep > 0:
-                z[n:n + keep * q] = warm.w_star.values[shift:shift + keep].ravel()
-    z = prob.project(z)
+            z[n:n + keep * q] = warm.w_star.values[shift:shift + keep].ravel()
+            # the warm window already ran these steps on the same inputs
+            prefix = warm.x_star.states[shift:shift + keep + 1]
+    z_warm, z = z, prob.project(z)
+    if not np.array_equal(z, z_warm):
+        prefix = None
 
-    states = prob.forward(z)
+    states = prob.forward(z, prefix)
     if states is None:
         # fall back to the cold start; the prior is a valid model state
         z = prob.project(np.concatenate([prob.prior, np.zeros(N * q)]))
@@ -543,6 +606,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
             raise DivergenceError("window integration diverges even from the prior")
         stats.warnings.append("warm start diverged, cold start used")
 
+    sequential = True   # states come from forward, so x_star may take them
     max_escalations = 8
     while True:
         r = prob.residuals(z, states)
@@ -567,14 +631,14 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
             for _trial in range(60 if free.any() else 0):
                 stats.trials += 1
                 try:
-                    step = prob.lm_step(lin, free, mu)
+                    step, dx = prob.lm_step(lin, free, mu)
                 except np.linalg.LinAlgError:
                     mu = max(mu, 1e-12) * 10.0
                     continue
                 z_try = prob.project(z + step)
                 if np.linalg.norm(z_try - z) <= 1e-15 * z_scale:
                     break
-                trial = prob.evaluate(z_try)
+                trial = prob.evaluate(z_try, states + dx)
                 if trial is not None and trial[2] < f:
                     mu = max(mu * 0.3, 1e-14)
                     break
@@ -593,7 +657,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
                     gdot = float(g @ (z_try - z))
                     if np.linalg.norm(z_try - z) <= 1e-15 * z_scale or gdot >= 0.0:
                         break
-                    trial = prob.evaluate(z_try)
+                    trial = prob.evaluate(z_try, states)
                     if trial is not None and trial[2] <= f + 1e-4 * gdot:
                         break
                     trial = None
@@ -602,10 +666,17 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
                 term = "stalled"
                 break
             z = z_try
-            states, r, f = trial
+            states, r, f, sequential = trial
             stats.cost_history.append(f)
             stats.iterations += 1
         stats.termination = term
+        if not sequential:
+            # one sequential rollout of the accepted iterate, so the
+            # feasibility check and x_star see integrate()'s states
+            states = prob.forward(z)
+            if states is None:
+                raise DivergenceError("accepted window iterate diverges on the sequential rollout")
+            sequential = True
         if box_contains(model.X, states, tol=1e-9):
             stats.feasible = True
             break
@@ -621,6 +692,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
     x_star = Trajectory(cfg.dt, states)
     y_star = output_along(model, x_star, u_seg, w_star)
     cost = mhe_objective(cfg, prob.prior, chi_star, w_star, y_seg, y_star, T_ti)
+    stats.rollout_fallbacks = prob.rollout_fallbacks
     stats.wall_time = time.perf_counter() - t_start
     return MheSolution(t_i, T_ti, chi_star, w_star, x_star, cost, stats)
 
@@ -629,8 +701,9 @@ def solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=None):
     """Solve the estimation window ending at t_i with horizon min(t_i, T).
 
     u_seg and y_seg are the window segments rebased to [0, T_ti); warm is the
-    previous MheSolution (shifted internally by the inter-sample gap, new
-    tail pieces of w start at zero).
+    previous window's MheSolution of the same model and inputs (shifted
+    internally by the inter-sample gap, new tail pieces of w start at zero;
+    its states over the shared steps are reused as they are).
     """
     T_ti = min(t_i, cfg.T)
     return _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm)

@@ -556,6 +556,10 @@ def _certificate_check_argv(**fields):
                  "no sampling times before t_sim", id="period-past-t_sim"),
     pytest.param(_scenario_argv("estimate", sampler=dict(EVENT, delta_min=2.0, delta_max=2.0)),
                  2, "event rule produced no sampling times", id="delta_min-past-t_sim"),
+    pytest.param(_scenario_argv("estimate", sampler=dict(EVENT, threshold=math.nan)), 2,
+                 "event threshold = nan must be >= 0", id="nan-threshold"),
+    pytest.param(_scenario_argv("estimate", sampler=dict(EVENT, threshold=-1.0)), 2,
+                 "event threshold = -1.0 must be >= 0", id="negative-threshold"),
     pytest.param(_model_file_argv(f=[[{"coeff": 1.0, "x_exp": [2, 0]}]]), 2,
                  "f[0]: exponent lists must have lengths 1 and 1", id="exponent-list-length"),
     pytest.param(_model_file_argv(h=[]), 2, "h must list p coordinates", id="no-h-rows"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,16 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import mhect.mhe
 from mhect import (DetectabilityCertificate, Domain, Equidistant, EventTriggered, Explicit,
-                   MheConfig, PiecewiseSignal, SystemModel, batch_reactor, discount_weights,
-                   audit_run, integrate, make_sampler, mhe_objective, run_mhe, solve_fie,
-                   solve_mhe, truth_candidate_cost)
+                   MheConfig, PiecewiseSignal, SystemModel, Trajectory, batch_reactor,
+                   discount_weights, audit_run, integrate, make_sampler, mhe_objective,
+                   model_from_dict, run_mhe, solve_fie, solve_mhe, truth_candidate_cost)
+from mhect.cli import bench_run
 from mhect.errors import ConfigurationError, DivergenceError, HorizonError
 from mhect.integrate import rk4_step_with_jacobians
-from mhect.mhe import (DAMPING_INIT, GRAD_TOL, MAX_ITERS, SamplingSet, _WindowProblem,
-                       validate_sampling)
+from mhect.mhe import (DAMPING_INIT, GRAD_TOL, MAX_ITERS, ROLLOUT_TOL, SamplingSet,
+                       _WindowProblem, validate_sampling)
 from mhect.rng import SplitMix64
 from tests.conftest import const_jac
+from tests.test_sysmodel import polynomial_points
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +132,11 @@ def test_make_sampler_event_rules():
     # missing context is an error when realized directly
     with pytest.raises(ConfigurationError):
         make_sampler(EventTriggered(1.0, 0.05, 0.25), 3.0, 0.01)
+
+    # a NaN threshold would never fire, a negative one always
+    for threshold in (math.nan, -1e-3):
+        with pytest.raises(ConfigurationError, match="threshold"):
+            make_sampler(EventTriggered(threshold, 0.05, 0.25), 3.0, 0.01, **data)
 
     # gaps always within [delta_min, delta_max] for intermediate thresholds
     s3 = make_sampler(EventTriggered(1e-4, 0.05, 0.25), 3.0, 0.01, **data)
@@ -274,7 +283,7 @@ def test_solver_reaches_tolerance_and_descends(ref_cert):
 
 def test_solution_restates_exactly(ref_cert):
     model, cfg, run = reactor_setup(ref_cert, seed=2)
-    for s in run.solutions[-3:]:
+    for s in run.solutions:
         again = integrate(model, s.chi_star, None, s.w_star, s.T_ti, cfg.dt)
         assert again.states.tobytes() == s.x_star.states.tobytes()
 
@@ -397,6 +406,143 @@ def test_divergence_raises_no_overflow_warning():
     assert 0.05 <= exc.value.t <= 0.1
 
 
+# ---------------------------------------------------------------------------
+# trial rollouts
+
+def _rollout_window(model, N):
+    """A window of N pieces of the model with unit weights and zero outputs."""
+    n, q, p = model.n, model.q, model.p
+    cert = DetectabilityCertificate.from_weights(np.eye(n), np.eye(q), np.eye(p), 0.5,
+                                                 Domain.of_model(model))
+    cfg = MheConfig(cert, 8.0, 0.01, Equidistant(0.1))
+    return _WindowProblem(model, cfg, np.zeros(n), None,
+                          PiecewiseSignal(0.01, np.zeros((N, p))), N * 0.01)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["reactor", "polynomial", "escape"]), case=polynomial_points(),
+       N=st.one_of(st.integers(1, 400), st.integers(300, 400)),
+       seed=st.integers(0, 2 ** 32 - 1), log_eps=st.floats(-10.0, -1.0), flat=st.booleans())
+def test_newton_rollout_matches_the_sequential_rollout(kind, case, N, seed, log_eps, flat):
+    # the reactor, random polynomial models and x' = x^2 + w started to
+    # escape between half the window and just past its end; the guess is the
+    # rollout of a perturbed decision or the initial state held at every node
+    rng = SplitMix64(seed)
+    if kind == "reactor":
+        model = batch_reactor()
+        z = np.concatenate([rng.uniforms((2,), 0.1, 5.0), rng.uniforms((N * 3,), -0.1, 0.1)])
+    elif kind == "polynomial":
+        spec, X, _ = case
+        model = model_from_dict(spec)
+        z = np.concatenate([X[0], rng.uniforms((N * model.q,), -1.0, 1.0)])
+    else:
+        model = _escape_window()[0]
+        z = np.concatenate([rng.uniforms((1,), 0.9, 2.0) / (N * 0.01),
+                            rng.uniforms((N,), -0.1, 0.1)])
+    prob = _rollout_window(model, N)
+    seq = prob.forward(z)
+    guess = None if flat else prob.forward(z * (1.0 + 10.0 ** log_eps * rng.uniforms(z.shape)))
+    if guess is None:
+        guess = np.tile(z[:model.n], (N + 1, 1))
+    newton = prob.rollout(z, guess)
+    if seq is None:
+        assert newton is None
+    elif newton is not None and kind != "escape":
+        assert newton[0].tobytes() == z[:model.n].tobytes()
+        assert np.abs(newton - seq).max() <= 1e-12 * np.abs(seq).max()
+    elif newton is not None:
+        # near the escape the steps amplify any rounding: bound the gap by
+        # the accepted defects, ROLLOUT_TOL |Phi| plus one rounding of the
+        # sequential step, carried along the linearized steps
+        phi, A, _ = rk4_step_with_jacobians(model, seq[:-1], prob.u, z[1:, None], 0.01)
+        bound = np.zeros(N + 1)
+        for j in range(N):
+            bound[j + 1] = abs(A[j, 0, 0]) * bound[j] + (ROLLOUT_TOL + 1e-16) * abs(phi[j, 0])
+        assert np.all(np.abs(newton - seq)[:, 0] <= 2.0 * bound)
+    if kind == "reactor" and not flat:
+        assert newton is not None
+
+
+def test_diverging_trial_falls_back_and_is_rejected(monkeypatch):
+    # outputs of 1e3 pull chi towards the escape, so trials diverge: each
+    # falls back to the sequential rollout and is rejected as it always was
+    model, cfg, _ = _escape_window()
+    y_seg = PiecewiseSignal(0.01, np.full((10, 1), 1e3))
+    prob = _WindowProblem(model, cfg, np.array([1.0]), None, y_seg, 0.1)
+    z = np.concatenate([[20.0], np.zeros(10)])
+    assert prob.forward(z) is None and prob.rollout(z, np.ones((11, 1))) is None
+    assert prob.evaluate(z, np.ones((11, 1))) is None
+    assert prob.rollout_fallbacks == 1
+
+    sol = solve_mhe(model, cfg, np.array([1.0]), None, y_seg, 0.1)
+    monkeypatch.setattr(_WindowProblem, "rollout", lambda self, z, guess: None)
+    seq = solve_mhe(model, cfg, np.array([1.0]), None, y_seg, 0.1)
+    assert 0 < sol.stats.rollout_fallbacks < seq.stats.rollout_fallbacks
+    for key in ("trials", "iterations", "termination"):
+        assert getattr(sol.stats, key) == getattr(seq.stats, key)
+    assert sol.stats.cost_history == pytest.approx(seq.stats.cost_history, rel=1e-14)
+    assert sol.x_star.states.tobytes() == seq.x_star.states.tobytes()
+
+
+def test_bench_windows_roll_out_sequentially_once_per_step(monkeypatch):
+    # the sequential kernel runs only for the new tail of each warm start
+    # and once over the accepted iterate, at most N_i + gap_i steps per
+    # window, and no trial's Newton rollout falls back
+    calls = []
+    step = mhect.mhe.rk4_step
+    monkeypatch.setattr(mhect.mhe, "rk4_step", lambda *args: calls.append(1) or step(*args))
+    for seed in (1, 2, 3):
+        calls.clear()
+        run, _ = bench_run(seed)
+        gaps = np.diff(run.sampling.k_indices, prepend=0)
+        assert len(calls) <= sum(s.w_star.n_pieces for s in run.solutions) + gaps.sum()
+        assert all(s.stats.rollout_fallbacks == 0 for s in run.solutions)
+
+
+def _record_forward(monkeypatch, check):
+    """Wrap _WindowProblem.forward to pass each call's problem, decision,
+    prefix and states to check."""
+    forward = _WindowProblem.forward
+
+    def recorded(self, z, prefix=None):
+        states = forward(self, z, prefix)
+        check(self, z, prefix, states)
+        return states
+    monkeypatch.setattr(_WindowProblem, "forward", recorded)
+    return forward
+
+
+def test_warm_start_prefix_is_the_full_rollout(ref_cert, monkeypatch):
+    reused = []
+
+    def check(prob, z, prefix, states):
+        if prefix is not None:
+            reused.append(len(prefix))
+            assert states.tobytes() == forward(prob, z).tobytes()
+    forward = _record_forward(monkeypatch, check)
+    _, _, run = reactor_setup(ref_cert, seed=2)
+    assert len(reused) == len(run.solutions) - 1 and min(reused) > 1
+
+
+def test_warm_start_moved_by_the_projection_rolls_out_in_full(ref_cert, monkeypatch):
+    model, cfg, run = reactor_setup(ref_cert, t_sim=2.5, seed=2)
+    i = len(run.solutions) - 1
+    prev, sol = run.solutions[i - 1], run.solutions[i]
+    k_i = int(run.sampling.k_indices[i])
+    s_i = k_i - sol.w_star.n_pieces
+    shift = s_i - (int(run.sampling.k_indices[i - 1]) - prev.w_star.n_pieces)
+    assert shift > 0
+    states = prev.x_star.states.copy()
+    states[shift, 0] = model.X[0, 1] + 0.5     # the warm chi leaves X
+    warm = dataclasses.replace(prev, x_star=Trajectory(cfg.dt, states))
+    prefixes = []
+    _record_forward(monkeypatch, lambda prob, z, prefix, states: prefixes.append(prefix))
+    y_seg = run.y.slice(s_i * cfg.dt, k_i * cfg.dt)
+    again = solve_mhe(model, cfg, run.estimate[s_i], None, y_seg, sol.t_i, warm=warm)
+    assert prefixes[0] is None
+    assert again.cost == pytest.approx(sol.cost, rel=1e-9, abs=1e-12)
+
+
 def test_penalty_escalation_restores_the_state_constraints():
     # x' = w, y = x with X = [-1, 1]: outputs of 5 pull every state out of X,
     # and only a heavier penalty brings the window back inside
@@ -452,8 +598,9 @@ def _sequential_gradient(prob, lin):
 
 
 def _sequential_step(prob, lin, free, mu):
-    """The masked damped step by a backward Riccati sweep and a forward
-    rollout, one stage at a time; the reference for the solver's scans."""
+    """The masked damped step and its state changes dx by a backward Riccati
+    sweep and a forward rollout, one stage at a time; the reference for the
+    solver's scans."""
     G, S = lin
     n, q, N = prob.n, prob.q, prob.N
     fw = free[n:].reshape(N, q)
@@ -475,14 +622,17 @@ def _sequential_step(prob, lin, free, mu):
     M = (V[:n, :n] + mu * np.eye(n)) * np.outer(fx, fx)
     M[~fx, ~fx] = 1.0
     step = np.empty(prob.nv)
+    dx = np.empty((N + 1, n))
     v = np.empty(q + n + 1)
     v[q:-1] = step[:n] = np.linalg.solve(M, -V[:n, n] * fx)
     v[-1] = 1.0
     for j in range(N):
+        dx[j] = v[q:-1]
         v[:q] = -K[j] @ v[q:]
         step[n + j * q:n + (j + 1) * q] = v[:q]
         v[q:] = S[j] @ v
-    return step
+    dx[N] = v[q:-1]
+    return step, dx
 
 
 def test_window_jacobian_matches_finite_differences(ref_cert):
@@ -547,7 +697,7 @@ def test_riccati_step_matches_the_dense_solve(ref_cert, N):
         for mu in (1e-3, 1.0, 1e4):
             dense = np.zeros(prob.nv)
             dense[free] = np.linalg.solve(JTJ[np.ix_(free, free)] + mu * np.eye(nf), -Jtr[free])
-            step = prob.lm_step(lin, free, mu)
+            step, _ = prob.lm_step(lin, free, mu)
             assert np.all(step[~free] == 0.0)
             assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -578,7 +728,7 @@ def test_stage_sweeps_match_the_dense_model(ref_cert, N, seed, log_mu, penalized
     dense = np.zeros(prob.nv)
     dense[free] = np.linalg.solve((J.T @ J)[np.ix_(free, free)] + mu * np.eye(free.sum()),
                                   -Jtr[free])
-    step = prob.lm_step(lin, free, mu)
+    step, _ = prob.lm_step(lin, free, mu)
     assert np.all(step[~free] == 0.0)
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -612,10 +762,11 @@ def test_stage_scans_match_the_sequential_sweeps(ref_cert, N, seed, log_mu, pena
     lin = prob.linearize(z, states, r)
     g = _sequential_gradient(prob, lin)
     assert np.linalg.norm(prob.gradient(lin) - g) <= 1e-10 * np.linalg.norm(g)
-    seq = _sequential_step(prob, lin, free, mu)
-    step = prob.lm_step(lin, free, mu)
+    seq, seq_dx = _sequential_step(prob, lin, free, mu)
+    step, dx = prob.lm_step(lin, free, mu)
     assert np.all(step[~free] == 0.0)
     assert np.linalg.norm(step - seq) <= 1e-10 * np.linalg.norm(seq)
+    assert np.linalg.norm(dx - seq_dx) <= 1e-10 * np.linalg.norm(seq_dx)
 
 
 def test_window_step_solves_in_logarithmic_levels(ref_cert, monkeypatch):
