@@ -182,11 +182,11 @@ def audit_run(run):
     eq_res = abs(rho ** Tdb - 4.0 * lmax * cert.lam ** Tdb)
     consts = sup_bound_constants(cert, rho, factor)
 
-    chi_hat = run.chi_hat
     w = run.truth.w
     x_true = run.truth.x_true.states
     chi = x_true[0]
     est = run.estimate
+    chi_hat = est[0]
     n_s = len(run.solutions)
     times = np.empty(n_s)
     lhs = np.empty(n_s)
@@ -196,8 +196,7 @@ def audit_run(run):
     sup_lhs = np.empty(n_s)
     sup_rhs = np.empty(n_s)
     s0 = float(np.linalg.norm(chi - chi_hat))
-    for i, sol in enumerate(run.solutions):
-        k_i = as_grid_index(sol.t_i, run.dt, "sample time")
+    for i, (sol, k_i) in enumerate(zip(run.solutions, run.sampling.k_indices.tolist())):
         N_i = sol.w_star.n_pieces
         s_i = k_i - N_i
         err = x_true[k_i] - est[k_i]

@@ -65,33 +65,28 @@ def discount_weights(rate, n_pieces, dt, horizon):
 
 @dataclass(frozen=True)
 class SamplingSet:
-    """Strictly increasing sampling times, each an integer multiple of dt."""
+    """A realized schedule: strictly increasing grid indices k_i >= 0 of the
+    sampling times t_i = k_i * dt.  make_sampler builds it from a spec."""
 
-    times: np.ndarray
+    k_indices: np.ndarray
     dt: float
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size < 1:
+        ks = np.asarray(self.k_indices)
+        if ks.ndim != 1 or ks.size < 1:
             raise ConfigurationError("sampling set needs at least one time")
-        ks = np.array([as_grid_index(t, self.dt, "sampling time") for t in times])
-        if np.any(ks < 0) or np.any(np.diff(ks) <= 0):
+        if ks.dtype.kind not in "iu" or np.any(ks < 0) or np.any(np.diff(ks) <= 0):
             raise ConfigurationError("sampling times must be strictly increasing and >= 0")
-        object.__setattr__(self, "times", ks * self.dt)
-        object.__setattr__(self, "_k", ks)
+        object.__setattr__(self, "k_indices", ks)
 
     @property
-    def k_indices(self):
-        return self._k
+    def times(self):
+        return self.k_indices * self.dt
 
     @property
     def delta_bar(self):
         """Largest gap, counting the initial gap from t = 0 to the first sample."""
-        ks = self._k
-        g = ks[0]
-        if ks.size > 1:
-            g = max(g, int(np.diff(ks).max()))
-        return g * self.dt
+        return int(np.diff(self.k_indices, prepend=0).max()) * self.dt
 
 
 @dataclass(frozen=True)
@@ -122,14 +117,15 @@ class EventTriggered:
     delta_max: float
 
 
-def make_sampler(spec, t_sim, dt, horizon=None, *, model=None, u=None, y=None, x0=None):
-    """Realize a sampler spec as a SamplingSet on [0, t_sim].
+def make_sampler(spec, t_sim, dt, horizon, *, model=None, u=None, y=None, x0=None):
+    """Realize a sampler spec as a SamplingSet on [0, t_sim] and check it
+    against the horizon: the one place where a schedule is built and the
+    largest gap delta_bar is held strictly below T (HorizonError otherwise,
+    since no window would be admissible).
 
     Equidistant and Explicit specs need nothing else; EventTriggered needs
     the data context model, u (None without controls), measured y and
     nominal x0, which run_mhe passes as its own model, u, y and chi_hat.
-    With horizon given, raises HorizonError when the realized largest gap
-    delta_bar reaches or exceeds it (no admissible window).
     """
     K = as_grid_index(t_sim, dt, "t_sim")
     if isinstance(spec, Equidistant):
@@ -147,17 +143,12 @@ def make_sampler(spec, t_sim, dt, horizon=None, *, model=None, u=None, y=None, x
         ks = _event_schedule(spec, K, dt, model, u, y, x0)
     else:
         raise ConfigurationError("unknown sampler spec")
-    sampling = SamplingSet(ks * dt, dt)
-    if horizon is not None:
-        _check_gap(sampling, horizon)
-    return sampling
-
-
-def _check_gap(sampling, T):
-    if sampling.delta_bar >= T - 1e-12:
+    sampling = SamplingSet(ks, dt)
+    if sampling.delta_bar >= horizon - 1e-12:
         raise HorizonError(
             f"largest sampling gap delta_bar = {sampling.delta_bar} must stay "
-            f"strictly below the horizon T = {T}")
+            f"strictly below the horizon T = {horizon}")
+    return sampling
 
 
 def _event_schedule(spec, K, dt, model, u, y, x0):
@@ -197,39 +188,32 @@ def _event_schedule(spec, K, dt, model, u, y, x0):
 
 @dataclass(frozen=True)
 class MheConfig:
-    """Estimator configuration: certificate, horizon, grid and sampling."""
+    """Estimator configuration: certificate, horizon T, grid step dt and the
+    sampler spec (Equidistant, Explicit or EventTriggered), which run_mhe
+    realizes on its run with make_sampler.  equidistant_mode (the tightened
+    bound bookkeeping) needs an Equidistant spec whose period divides T."""
 
     cert: DetectabilityCertificate
     T: float
     dt: float
-    sampling: object  # SamplingSet or a sampler spec, realized by run_mhe
+    sampling: object
     equidistant_mode: bool = False
 
     def __post_init__(self):
         if not (self.T > 0 and self.dt > 0):
             raise ConfigurationError("T and dt must be positive")
         as_grid_index(self.T, self.dt, "horizon T")
-        if isinstance(self.sampling, SamplingSet):
-            validate_sampling(self, self.sampling)
+        if self.equidistant_mode:
+            kd = (as_grid_index(self.sampling.delta, self.dt, "sampling period")
+                  if isinstance(self.sampling, Equidistant) else 0)
+            if kd < 1 or self.n_steps_T % kd:
+                raise ConfigurationError(
+                    "equidistant_mode requires an equidistant sampler whose period divides "
+                    "T (window boundaries must land on sampling times)")
 
     @property
     def n_steps_T(self):
         return as_grid_index(self.T, self.dt, "horizon T")
-
-
-def validate_sampling(cfg, sampling):
-    """Check a realized sampling set against the configuration."""
-    if abs(sampling.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
-        raise ConfigurationError("sampling set and configuration use different dt")
-    _check_gap(sampling, cfg.T)
-    if cfg.equidistant_mode:
-        gaps = np.diff(np.concatenate(([0], sampling.k_indices)))
-        if np.any(gaps != gaps[0]):
-            raise ConfigurationError("equidistant_mode requires equal sampling gaps from t = 0")
-        if cfg.n_steps_T % int(gaps[0]) != 0:
-            raise ConfigurationError(
-                "equidistant_mode requires T to be an integer multiple of the period "
-                "(window boundaries must land on sampling times)")
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +721,6 @@ class EstimationRun:
     cfg: MheConfig
     sampling: SamplingSet
     dt: float
-    chi_hat: np.ndarray
     estimate: np.ndarray
     solutions: list
     y: PiecewiseSignal
@@ -801,10 +784,7 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
     elif y.n_pieces < K:
         raise ConfigurationError("recorded y must cover [0, t_sim)")
 
-    sampling = cfg.sampling
-    if not isinstance(sampling, SamplingSet):
-        sampling = make_sampler(sampling, t_sim, dt, model=model, u=u, y=y, x0=chi_hat)
-    validate_sampling(cfg, sampling)
+    sampling = make_sampler(cfg.sampling, t_sim, dt, cfg.T, model=model, u=u, y=y, x0=chi_hat)
 
     ks = sampling.k_indices
     k_last = int(ks[-1])
@@ -830,7 +810,7 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
         estimate[span] = sol.x_star.states[prev_k + 1 - s_i:k_i + 1 - s_i]
         warm = sol
         prev_k = k_i
-    return EstimationRun(cfg, sampling, dt, chi_hat, estimate, solutions, y, truth)
+    return EstimationRun(cfg, sampling, dt, estimate, solutions, y, truth)
 
 
 def truth_candidate_cost(run, i):
@@ -845,7 +825,7 @@ def truth_candidate_cost(run, i):
         raise ConfigurationError("run carries no ground truth")
     cfg = run.cfg
     sol = run.solutions[i]
-    k_i = as_grid_index(sol.t_i, run.dt, "sample time")
+    k_i = int(run.sampling.k_indices[i])
     N_i = sol.w_star.n_pieces
     s_i = k_i - N_i
     prior = run.estimate[s_i]

@@ -147,6 +147,8 @@ def as_grid_index(t, dt, what="time"):
     s = t / dt
     if not math.isfinite(s):
         raise ConfigurationError(f"{what} = {t} is not a finite multiple of dt = {dt}")
+    if abs(s) > np.iinfo(np.intp).max:
+        raise ConfigurationError(f"{what} = {t} over dt = {dt} exceeds the grid index range")
     k = round(s)
     if abs(s - k) > GRID_TOL * max(1.0, abs(s)):
         raise ConfigurationError(f"{what} = {t} is not an integer multiple of dt = {dt}")

@@ -18,7 +18,7 @@ import pytest
 
 from mhect import (DetectabilityCertificate, Equidistant, Explicit, FixedQR, MheConfig,
                    PiecewiseSignal, SystemModel, as_box, audit_run, batch_reactor,
-                   contraction_rate, integrate, make_sampler, min_horizon, run_mhe,
+                   contraction_rate, integrate, min_horizon, run_mhe,
                    solve_fie, synthesize_certificate, truth_candidate_cost,
                    verify_certificate)
 from mhect.cli import DisturbanceSpec, bench_run, bench_times, generate_disturbance
@@ -65,8 +65,7 @@ def stress_runs():
         chi_hat, T, spec, w = _randomized_case(k)
         from mhect.cli import bench_certificate
         cert = bench_certificate()
-        sampling = make_sampler(spec, 3.0, 0.01, horizon=T)
-        cfg = MheConfig(cert, T, 0.01, sampling)
+        cfg = MheConfig(cert, T, 0.01, spec)
         run = run_mhe(model, cfg, chi_hat=chi_hat, t_sim=3.0,
                       chi=np.array([3.0, 1.0]), w=w)
         cases.append((f"random config {k}", run, audit_run(run)))
@@ -167,8 +166,7 @@ def test_06_solver_never_loses_to_the_truth(stress_runs):
 
 
 def test_07_noise_free_run_is_exact(reactor, ref_cert):
-    sampling = make_sampler(Explicit(tuple(bench_times())), 5.0, 0.01, horizon=2.0)
-    cfg = MheConfig(ref_cert, 2.0, 0.01, sampling)
+    cfg = MheConfig(ref_cert, 2.0, 0.01, Explicit(tuple(bench_times())))
     run = run_mhe(reactor, cfg, chi_hat=np.array([3.0, 1.0]), t_sim=5.0,
                   chi=np.array([3.0, 1.0]))
     errs = [np.linalg.norm(run.truth.x_true.states[int(k)] - run.estimate[int(k)])
@@ -205,8 +203,7 @@ def test_09_equidistant_bookkeeping_tightens_the_bound():
 
 
 def test_10_full_information_limit(reactor, ref_cert):
-    sampling = make_sampler(Equidistant(0.1), 2.0, 0.01, horizon=2.0)
-    cfg = MheConfig(ref_cert, 2.0, 0.01, sampling)
+    cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
     w = generate_disturbance(DisturbanceSpec([[-0.1, 0.1]] * 3, 0.01, 2.0),
                              seed=11, w_box=reactor.W)
     run = run_mhe(reactor, cfg, chi_hat=np.array([0.1, 4.5]), t_sim=2.0,

@@ -560,6 +560,14 @@ def _certificate_check_argv(**fields):
                  "event threshold = nan must be >= 0", id="nan-threshold"),
     pytest.param(_scenario_argv("estimate", sampler=dict(EVENT, threshold=-1.0)), 2,
                  "event threshold = -1.0 must be >= 0", id="negative-threshold"),
+    pytest.param(_scenario_argv("estimate", sampler=EXPLICIT, equidistant_mode=True), 2,
+                 "equidistant_mode requires an equidistant sampler", id="equidistant-mode-explicit"),
+    pytest.param(_scenario_argv("estimate", dt=1e-300), 2,
+                 "horizon T = 2.0 over dt = 1e-300 exceeds the grid index range",
+                 id="dt-past-index-range"),
+    pytest.param(_scenario_argv("estimate", disturbance={"bound": 0.05, "dt": 1e-300}), 2,
+                 "disturbance t_sim = 1.0 over dt = 1e-300 exceeds the grid index range",
+                 id="disturbance-dt-past-index-range"),
     pytest.param(_model_file_argv(f=[[{"coeff": 1.0, "x_exp": [2, 0]}]]), 2,
                  "f[0]: exponent lists must have lengths 1 and 1", id="exponent-list-length"),
     pytest.param(_model_file_argv(h=[]), 2, "h must list p coordinates", id="no-h-rows"),

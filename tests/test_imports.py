@@ -1,6 +1,7 @@
 """Every name a package module imports is referenced in that module, every
-public name has a caller in the package, no module converts a JSON field by
-hand, and every name the benchmark tracer rebinds is bound.
+public name, private helper, method and property has a caller in the
+package, no module converts a JSON field by hand, and every name the
+benchmark tracer rebinds is bound.
 
 There is no linter in the toolchain, so this stdlib-ast check stands in for
 the unused-import rule.  __init__.py is exempt: it imports to re-export.
@@ -61,6 +62,38 @@ def test_every_public_name_has_a_package_caller():
     public = set(mhect.__all__) - {"errors", "__version__"} - set(PUBLIC_ONLY)
     assert not public - used, \
         f"public names no package module references: {sorted(public - used)}"
+
+
+# methods and properties that only callers outside the package use, each with its reason
+OUTSIDE_ONLY = {
+    "SplitMix64.uniform": "the scalar reference stream that test_rng and the acceptance "
+                          "recipes draw from",
+}
+
+
+def helpers_and_methods(tree):
+    """(qualified name, name) of each module-level private function and of
+    each method and property of a module-level class, dunders excluded."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f.name) for f in node.body
+                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("__"))
+
+
+def test_every_helper_and_method_has_a_package_caller():
+    trees = [ast.parse((SRC / m).read_text(), filename=m) for m in MODULES]
+    used = set().union(*map(referenced_names, trees))
+    dead = sorted(q for tree in trees for q, name in helpers_and_methods(tree)
+                  if name not in used and q not in OUTSIDE_ONLY)
+    assert not dead, f"private helpers, methods or properties nothing references: {dead}"
+
+
+def test_helper_rule_catches_an_unreferenced_helper():
+    tree = ast.parse("def _dead(): pass\nclass C:\n    def m(self): pass\n"
+                     "    def __init__(self): pass\ndef public(): pass")
+    assert list(helpers_and_methods(tree)) == [("_dead", "_dead"), ("C.m", "m")]
 
 
 CONVERTERS = {"float", "int", "bool", "str"}

@@ -15,7 +15,7 @@ from mhect.cli import bench_run
 from mhect.errors import ConfigurationError, DivergenceError, HorizonError
 from mhect.integrate import rk4_step_with_jacobians
 from mhect.mhe import (DAMPING_INIT, GRAD_TOL, MAX_ITERS, ROLLOUT_TOL, SamplingSet,
-                       _WindowProblem, validate_sampling)
+                       _WindowProblem)
 from mhect.rng import SplitMix64
 from tests.conftest import const_jac
 from tests.test_sysmodel import polynomial_points
@@ -64,40 +64,40 @@ def test_discount_weights_explicit_horizon():
 # sampling sets
 
 def test_sampling_set_gap_statistics():
-    s = SamplingSet(np.array([0.1, 0.3]), 0.01)
+    s = SamplingSet(np.array([10, 30]), 0.01)
     assert s.delta_bar == pytest.approx(0.2)
     assert s.times[-1] == pytest.approx(0.3)
     assert np.array_equal(s.k_indices, [10, 30])
 
-    single = SamplingSet(np.array([0.5]), 0.01)
+    single = SamplingSet(np.array([50]), 0.01)
     assert single.delta_bar == pytest.approx(0.5)
 
     rng = SplitMix64(5)
     for _ in range(20):
         ks = np.unique((rng.uniforms((12,)) * 400).astype(int) + 1)
-        s = SamplingSet(ks * 0.01, 0.01)
+        s = SamplingSet(ks, 0.01)
         gaps = np.diff(np.concatenate(([0], ks)))
         assert s.delta_bar == pytest.approx(gaps.max() * 0.01)
 
 
 def test_sampling_set_validation():
     with pytest.raises(ConfigurationError):
-        SamplingSet(np.array([0.1, 0.1]), 0.01)       # not strictly increasing
+        SamplingSet(np.array([10, 10]), 0.01)         # not strictly increasing
     with pytest.raises(ConfigurationError):
-        SamplingSet(np.array([0.105]), 0.01)          # off-grid
+        SamplingSet(np.array([10.5]), 0.01)           # not a grid index
     with pytest.raises(ConfigurationError):
-        SamplingSet(np.array([-0.1]), 0.01)
-    s = SamplingSet(np.array([3 * 0.1]), 0.01)        # float dust snaps
-    assert s.k_indices[0] == 30
+        SamplingSet(np.array([-10]), 0.01)
+    with pytest.raises(ConfigurationError):
+        SamplingSet(np.array([], dtype=int), 0.01)
 
 
 def test_make_sampler_equidistant():
-    s = make_sampler(Equidistant(0.1), 5.0, 0.01)
+    s = make_sampler(Equidistant(0.1), 5.0, 0.01, 2.0)
     assert s.times.size == 50
     assert s.delta_bar == pytest.approx(0.1)
     assert s.times[-1] == pytest.approx(5.0)
     with pytest.raises(ConfigurationError):
-        make_sampler(Equidistant(0.004), 5.0, 0.01)   # finer than the grid
+        make_sampler(Equidistant(0.004), 5.0, 0.01, 2.0)   # finer than the grid
     with pytest.raises(HorizonError):
         make_sampler(Equidistant(0.5), 5.0, 0.01, horizon=0.5)
 
@@ -105,12 +105,55 @@ def test_make_sampler_equidistant():
 def test_make_sampler_explicit():
     gaps = [0.02] * 10 + [0.04] * 10 + [0.06] * 10 + [0.19] * 20
     times = np.cumsum(gaps)
-    s = make_sampler(Explicit(tuple(times)), 5.0, 0.01)
+    s = make_sampler(Explicit(tuple(times)), 5.0, 0.01, 2.0)
     assert s.times.size == 50
     assert s.delta_bar == pytest.approx(0.19)
     assert s.times[-1] == pytest.approx(5.0)
     with pytest.raises(ConfigurationError):
-        make_sampler(Explicit((1.0, 6.0)), 5.0, 0.01)
+        make_sampler(Explicit((1.0, 6.0)), 5.0, 0.01, 2.0)
+    for bad in ((0.1, 0.1), (0.105,), (-0.1,), ()):   # repeated, off-grid, negative, empty
+        with pytest.raises(ConfigurationError):
+            make_sampler(Explicit(bad), 5.0, 0.01, 2.0)
+    # float dust snaps to the grid
+    assert make_sampler(Explicit((3 * 0.1,)), 5.0, 0.01, 2.0).k_indices.tolist() == [30]
+
+
+@settings(max_examples=200)
+@given(dt=st.sampled_from([0.01, 0.1, 0.001, 0.05, 0.3]), K=st.integers(1, 2000),
+       equidistant=st.booleans(), dust=st.sampled_from(["product", "cumsum", "jitter"]),
+       jitter=st.floats(-1e-12, 1e-12), data=st.data())
+def test_realized_schedules(dt, K, equidistant, dust, jitter, data):
+    """Random Equidistant and Explicit specs, their times given as grid
+    multiples with float dust, realize the intended grid indices."""
+    def on_grid(ks):
+        if dust == "cumsum":
+            return np.cumsum(np.diff(ks, prepend=0) * dt)
+        return ks * dt * (1.0 + (jitter if dust == "jitter" else 0.0))
+
+    if equidistant:
+        kd = data.draw(st.integers(1, K))
+        expect = np.arange(kd, K + 1, kd)
+        spec = Equidistant(float(on_grid(np.array([kd]))[0]))
+    else:
+        expect = np.array(sorted(data.draw(st.lists(st.integers(0, K), min_size=1,
+                                                    max_size=60, unique=True))))
+        spec = Explicit(tuple(on_grid(expect).tolist()))
+    s = make_sampler(spec, K * dt, dt, math.inf)
+    ks = s.k_indices
+    assert ks.tolist() == expect.tolist()
+    assert np.all(np.diff(ks) > 0) and 0 <= ks[0] and ks[-1] <= K
+    assert s.times.tobytes() == (ks * dt).tobytes()
+    delta_bar = int(np.diff(expect, prepend=0).max()) * dt
+    assert s.delta_bar == delta_bar
+
+    horizon = data.draw(st.one_of(st.floats(1e-3, 2.0 * K * dt),
+                                  st.integers(1, K + 1).map(lambda k: k * dt)))
+    try:
+        make_sampler(spec, K * dt, dt, horizon)
+        refused = False
+    except HorizonError:
+        refused = True
+    assert refused == (delta_bar >= horizon - 1e-12)
 
 
 def test_make_sampler_event_rules():
@@ -122,24 +165,24 @@ def test_make_sampler_event_rules():
 
     # infinite threshold: never triggers early, every gap is delta_max
     data = dict(model=model, y=y, x0=np.array([0.1, 4.5]))
-    s = make_sampler(EventTriggered(math.inf, 0.05, 0.25), 3.0, 0.01, **data)
+    s = make_sampler(EventTriggered(math.inf, 0.05, 0.25), 3.0, 0.01, 2.0, **data)
     assert np.all(np.diff(np.concatenate(([0], s.k_indices))) == 25)
 
     # zero threshold with a wrong nominal state: fires at delta_min every time
-    s2 = make_sampler(EventTriggered(0.0, 0.05, 0.25), 3.0, 0.01, **data)
+    s2 = make_sampler(EventTriggered(0.0, 0.05, 0.25), 3.0, 0.01, 2.0, **data)
     assert np.all(np.diff(np.concatenate(([0], s2.k_indices))) == 5)
 
     # missing context is an error when realized directly
     with pytest.raises(ConfigurationError):
-        make_sampler(EventTriggered(1.0, 0.05, 0.25), 3.0, 0.01)
+        make_sampler(EventTriggered(1.0, 0.05, 0.25), 3.0, 0.01, 2.0)
 
     # a NaN threshold would never fire, a negative one always
     for threshold in (math.nan, -1e-3):
         with pytest.raises(ConfigurationError, match="threshold"):
-            make_sampler(EventTriggered(threshold, 0.05, 0.25), 3.0, 0.01, **data)
+            make_sampler(EventTriggered(threshold, 0.05, 0.25), 3.0, 0.01, 2.0, **data)
 
     # gaps always within [delta_min, delta_max] for intermediate thresholds
-    s3 = make_sampler(EventTriggered(1e-4, 0.05, 0.25), 3.0, 0.01, **data)
+    s3 = make_sampler(EventTriggered(1e-4, 0.05, 0.25), 3.0, 0.01, 2.0, **data)
     g = np.diff(np.concatenate(([0], s3.k_indices)))
     assert np.all(g >= 5) and np.all(g <= 25)
 
@@ -169,7 +212,7 @@ def test_event_schedule_matches_the_running_sum(threshold, delta_min, delta_max,
     K = round(t_sim / 0.01)
     y = PiecewiseSignal(0.01, 4.0 + 0.3 * SplitMix64(K).uniforms((K, 1)))
     x0 = np.array([0.1, 4.5])
-    s = make_sampler(EventTriggered(threshold, delta_min, delta_max), t_sim, 0.01,
+    s = make_sampler(EventTriggered(threshold, delta_min, delta_max), t_sim, 0.01, 2.0,
                      model=model, y=y, x0=x0)
     nom = integrate(model, x0, None, None, t_sim, 0.01)
     innov = y.values - model.h(nom.states[:-1], np.zeros((K, 0)), np.zeros((K, 3)))
@@ -188,17 +231,19 @@ def test_config_validation(ref_cert):
     assert cfg.n_steps_T == 200
     assert GRAD_TOL == 1e-8 and MAX_ITERS == 100 and DAMPING_INIT == 1e-3
 
-    with pytest.raises(HorizonError):
-        validate_sampling(cfg, SamplingSet(np.array([2.5]), 0.01))
-    with pytest.raises(ConfigurationError):
-        validate_sampling(cfg, SamplingSet(np.array([0.1]), 0.02))
+    # the gap check runs where run_mhe realizes the spec
+    model = batch_reactor()
+    with pytest.raises(HorizonError, match="delta_bar = 2.5"):
+        run_mhe(model, MheConfig(ref_cert, 2.0, 0.01, Explicit((2.5,))),
+                chi_hat=np.array([3.0, 1.0]), t_sim=3.0, chi=np.array([3.0, 1.0]))
 
+    # equidistant_mode is a property of the spec, checked with the configuration
     eq = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1), equidistant_mode=True)
-    validate_sampling(eq, make_sampler(Equidistant(0.1), 4.0, 0.01))
-    with pytest.raises(ConfigurationError):   # unequal gaps
-        validate_sampling(eq, SamplingSet(np.array([0.1, 0.3]), 0.01))
-    with pytest.raises(ConfigurationError):   # T not a multiple of the period
-        validate_sampling(eq, SamplingSet(np.array([0.3, 0.6]), 0.01))
+    assert make_sampler(eq.sampling, 4.0, eq.dt, eq.T).k_indices.size == 40
+    for spec in (Explicit((0.1, 0.3)), Explicit((0.1, 0.2)), Equidistant(0.3),
+                 Equidistant(0.0), EventTriggered(math.inf, 0.1, 0.1)):
+        with pytest.raises(ConfigurationError, match="equidistant_mode"):
+            MheConfig(ref_cert, 2.0, 0.01, spec, equidistant_mode=True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +344,6 @@ def test_estimate_is_stitched_from_windows(ref_cert, tmp_path):
     model, cfg, run = reactor_setup(ref_cert, seed=4)
     ks = run.sampling.k_indices
     assert run.estimate.shape[0] == ks[-1] + 1
-    assert np.array_equal(run.estimate[0], run.chi_hat)
     assert np.all(np.isfinite(run.estimate))
     path = tmp_path / "estimate.csv"
     run.estimate_csv(str(path))

@@ -13,7 +13,7 @@ def tick_counts(path):
 def test_nearly_constant_series_get_few_ticks(tmp_path):
     # equidistant sampling times accumulate rounding, so their gaps spread
     # by a few ulps around 0.1
-    st = make_sampler(Equidistant(0.1), 5.0, 0.01).times
+    st = make_sampler(Equidistant(0.1), 5.0, 0.01, horizon=2.0).times
     gaps = np.diff(np.concatenate(([0.0], st)))
     assert 0.0 < np.ptp(gaps) < 1e-14
     one_ulp = np.array([0.2, np.nextafter(0.2, 1.0)])
