@@ -11,8 +11,8 @@ from .certify import (DetectabilityCertificate, Domain, FixedQR, GridSpec, SdpOp
                       load_certificate, min_horizon, save_certificate, synthesize_certificate,
                       verify_certificate)
 from .mhe import (Equidistant, EstimationRun, EventTriggered, Explicit, MheConfig,
-                  MheSolution, SamplingSet, discount_weights, make_sampler,
-                  mhe_objective, run_mhe, solve_fie, solve_mhe, truth_candidate_cost)
+                  MheSolution, SamplingSet, discount_weights, make_sampler, run_mhe,
+                  solve_fie, solve_mhe, truth_candidate_cost)
 from .analysis import (BoundReport, SupBoundConstants, audit_run, prop3_bound,
                        sup_bound_constants, theorem1_bound)
 
@@ -28,7 +28,7 @@ __all__ = [
     "load_certificate", "min_horizon", "save_certificate",
     "synthesize_certificate", "verify_certificate", "Equidistant", "EstimationRun",
     "EventTriggered", "Explicit", "MheConfig", "MheSolution", "SamplingSet",
-    "discount_weights", "make_sampler", "mhe_objective", "run_mhe",
+    "discount_weights", "make_sampler", "run_mhe",
     "solve_fie", "solve_mhe", "truth_candidate_cost", "BoundReport",
     "SupBoundConstants", "audit_run", "prop3_bound", "sup_bound_constants",
     "theorem1_bound", "__version__",

@@ -15,16 +15,8 @@ import numpy as np
 
 from .errors import AuditError, ConfigurationError, DomainError
 from .certify import contraction_rate, geneig_max
-from .mhe import _quad, discount_weights
+from .mhe import _discounted_energy, _quad
 from .sysmodel import as_grid_index, write_csv
-
-
-def _disturbance_energy(Q, rate, w, N, horizon):
-    """int over [0, horizon) of rate^(horizon - tau) |w|^2_Q on the first N
-    pieces of w, with the exact per-piece discount weights."""
-    om = discount_weights(rate, N, w.dt, horizon=horizon)
-    wv = w.values[:N]
-    return float(np.sum(om * np.einsum("ji,ik,jk->j", wv, Q, wv)))
 
 
 def theorem1_bound(cert, rho, chi, chi_hat, w, t_i, factor=8):
@@ -46,7 +38,7 @@ def theorem1_bound(cert, rho, chi, chi_hat, w, t_i, factor=8):
         raise ConfigurationError("w must cover [0, t_i)")
     d0 = np.asarray(chi, dtype=float) - np.asarray(chi_hat, dtype=float)
     return (4.0 * rho ** t_i * _quad(cert.P2, d0)
-            + factor * _disturbance_energy(cert.Q, rho, w, N, t_i))
+            + factor * _discounted_energy(cert.Q, rho, w.values[:N], w.dt, t_i))
 
 
 def prop3_bound(cert, t, t_i, T_ti, U_prior, w):
@@ -66,7 +58,7 @@ def prop3_bound(cert, t, t_i, T_ti, U_prior, w):
     if w.n_pieces < N:
         raise ConfigurationError("w segment shorter than the window")
     return lam ** (t - t_i) * (4.0 * lmax * lam ** T_ti * float(U_prior)
-                               + 4.0 * _disturbance_energy(cert.Q, lam, w, N, T_ti))
+                               + 4.0 * _discounted_energy(cert.Q, lam, w.values[:N], w.dt, T_ti))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ def _check_sym(M, name):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigurationError(f"{name} must be a square matrix")
+    if not np.isfinite(M).all():
+        raise ConfigurationError(f"{name} has a non-finite entry")
     scale = max(1.0, float(np.abs(M).max()))
     if float(np.abs(M - M.T).max()) > 1e-10 * scale:
         raise ConfigurationError(f"{name} must be symmetric")
@@ -52,6 +54,13 @@ def check_weight_sizes(model, **weights):
         if M.shape != (d, d):
             raise ConfigurationError(f"weight {name} is {M.shape[0]}x{M.shape[1]}, "
                                      f"but the model needs {d}x{d}")
+
+
+def _kappa_of(lam):
+    """kappa = -ln(lambda) of a decay rate lambda, which must lie in (0, 1)."""
+    if not 0.0 < lam < 1.0:
+        raise ConfigurationError("lambda must lie strictly inside (0, 1)")
+    return -math.log(lam)
 
 
 def geneig_max(A, B):
@@ -145,9 +154,7 @@ class DetectabilityCertificate:
             object.__setattr__(self, name, _check_sym_pd(getattr(self, name), name))
         if self.P1.shape != self.P2.shape:
             raise ConfigurationError("P1 and P2 must have the same shape")
-        if not 0.0 < self.lam < 1.0:
-            raise ConfigurationError("lambda must lie strictly inside (0, 1)")
-        if abs(self.kappa + math.log(self.lam)) > 1e-12:
+        if abs(self.kappa - _kappa_of(self.lam)) > 1e-12:
             raise ConfigurationError("kappa must equal -ln(lambda) to 1e-12")
         gap = np.linalg.eigvalsh(self.P2 - self.P1)[0]
         if gap < -1e-9 * max(1.0, float(np.abs(self.P2).max())):
@@ -158,7 +165,7 @@ class DetectabilityCertificate:
         """Single-P certificate (P1 = P2 = P), kappa derived from lambda."""
         P = np.asarray(P, dtype=float)
         return cls(P, P.copy(), np.asarray(Q, dtype=float), np.asarray(R, dtype=float),
-                   float(lam), -math.log(float(lam)), domain, verification)
+                   float(lam), _kappa_of(float(lam)), domain, verification)
 
     def to_dict(self):
         d = {"P1": self.P1.tolist(), "P2": self.P2.tolist(), "Q": self.Q.tolist(),
@@ -437,9 +444,7 @@ def synthesize_certificate(model, lam, mode, grid):
     returned.  Raises InfeasibleError with the most violating grid point when
     no strictly feasible point is found.
     """
-    if not 0.0 < lam < 1.0:
-        raise ConfigurationError("lambda must lie strictly inside (0, 1)")
-    kappa = -math.log(lam)
+    kappa = _kappa_of(lam)
     domain = Domain.of_model(model)
     points, _ = grid_points(domain, grid)
 

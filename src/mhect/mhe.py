@@ -223,27 +223,11 @@ def _quad(M, v):
     return float(v @ M @ v)
 
 
-def mhe_objective(cfg, prior, chi, w, y_meas, y_est, T_ti):
-    """Discounted window objective with exact per-interval discount weights."""
-    N = as_grid_index(T_ti, cfg.dt, "window length")
-    for sig, name, d in ((w, "w", cfg.cert.Q.shape[0]), (y_meas, "y_meas", cfg.cert.R.shape[0]),
-                         (y_est, "y_est", cfg.cert.R.shape[0])):
-        if sig.n_pieces != N:
-            raise ConfigurationError(f"{name} must have exactly {N} pieces")
-        if abs(sig.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
-            raise ConfigurationError(f"{name} grid step differs from cfg.dt")
-        if sig.dim != d:
-            raise ConfigurationError(f"{name} has dimension {sig.dim}, expected {d}")
-    cert = cfg.cert
-    lam = cert.lam
-    d0 = np.asarray(chi, dtype=float) - np.asarray(prior, dtype=float)
-    val = 2.0 * lam ** T_ti * _quad(cert.P2, d0)
-    if N:
-        om = discount_weights(lam, N, cfg.dt, horizon=T_ti)
-        dy = y_meas.values - y_est.values
-        val += float(np.sum(om * (2.0 * np.einsum("ji,ik,jk->j", w.values, cert.Q, w.values)
-                                  + np.einsum("ji,ik,jk->j", dy, cert.R, dy))))
-    return val
+def _discounted_energy(M, rate, v, dt, horizon):
+    """int_0^horizon rate^(horizon - tau) |v(tau)|^2_M dtau over the pieces v,
+    row j on [j*dt, (j+1)*dt), with the exact per-piece discount weights."""
+    om = discount_weights(rate, len(v), dt, horizon)
+    return float(np.sum(om * np.einsum("ji,ik,jk->j", v, M, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +259,9 @@ class MheSolution:
     trajectory and the window objective at them.  Trials are compared on
     Newton rollouts, but x_star comes from one sequential rollout of the
     accepted decision (the same RK4 steps on the same inputs as integrate(),
-    so it is bit-identical to what integrate() returns)."""
+    so it is bit-identical to what integrate() returns).  cost is the squared
+    norm of the solver's objective rows (prior, disturbance and output rows;
+    not the state-penalty rows) at chi_star, w_star and x_star."""
 
     t_i: float
     T_ti: float
@@ -674,11 +660,10 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
     chi_star = z[:n].copy()
     w_star = PiecewiseSignal(cfg.dt, z[n:].reshape(N, q).copy())
     x_star = Trajectory(cfg.dt, states)
-    y_star = output_along(model, x_star, u_seg, w_star)
-    cost = mhe_objective(cfg, prob.prior, chi_star, w_star, y_seg, y_star, T_ti)
+    r = prob.residuals(z, states)[:n + N * (q + prob.p)]   # the objective rows
     stats.rollout_fallbacks = prob.rollout_fallbacks
     stats.wall_time = time.perf_counter() - t_start
-    return MheSolution(t_i, T_ti, chi_star, w_star, x_star, cost, stats)
+    return MheSolution(t_i, T_ti, chi_star, w_star, x_star, float(r @ r), stats)
 
 
 def solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=None):
@@ -818,18 +803,16 @@ def truth_candidate_cost(run, i):
     the solver's cost when the solve is globally optimal).
 
     Because the measurements were generated by the same step map, restarting
-    from the stored true node state reproduces the window bit-identically and
-    the output residual vanishes exactly.
+    from the stored true node state reproduces the window bit-identically, so
+    only the prior and disturbance terms remain: the output mismatch is zero.
     """
     if run.truth is None:
         raise ConfigurationError("run carries no ground truth")
-    cfg = run.cfg
+    cert = run.cfg.cert
     sol = run.solutions[i]
     k_i = int(run.sampling.k_indices[i])
-    N_i = sol.w_star.n_pieces
-    s_i = k_i - N_i
-    prior = run.estimate[s_i]
-    chi_true = run.truth.x_true.states[s_i]
-    w_seg = run.truth.w.slice(s_i * run.dt, k_i * run.dt)
-    y_seg = run.y.slice(s_i * run.dt, k_i * run.dt)
-    return mhe_objective(cfg, prior, chi_true, w_seg, y_seg, y_seg, sol.T_ti)
+    s_i = k_i - sol.w_star.n_pieces
+    d0 = run.truth.x_true.states[s_i] - run.estimate[s_i]
+    return (2.0 * cert.lam ** sol.T_ti * _quad(cert.P2, d0)
+            + 2.0 * _discounted_energy(cert.Q, cert.lam, run.truth.w.values[s_i:k_i], run.dt,
+                                       sol.T_ti))

@@ -7,7 +7,8 @@ from mhect import (DetectabilityCertificate, Domain, FixedQR, GridSpec, SystemMo
                    batch_reactor, contraction_rate, geneig_max, integrate, lmi_matrix,
                    load_certificate, min_horizon, save_certificate,
                    synthesize_certificate, verify_certificate)
-from mhect.certify import _min_horizon_formula, _sym_basis, _synthesis_problem, grid_points
+from mhect.certify import (_check_sym_pd, _min_horizon_formula, _sym_basis, _synthesis_problem,
+                           grid_points)
 from mhect.errors import ConfigurationError, HorizonError, InfeasibleError
 from mhect.rng import SplitMix64
 from tests.conftest import Q_BENCH, R_BENCH, VERTS, const_jac
@@ -161,6 +162,15 @@ def test_certificate_invariants(reactor):
     with pytest.raises(ConfigurationError):
         DetectabilityCertificate.from_weights(np.array([[1.0, 2.0], [2.0, 1.0]]),
                                               np.eye(3), np.eye(1), 0.4, dom)
+    # refused before the symmetry check, whose inf - inf would read as nan
+    with pytest.raises(ConfigurationError, match="P has a non-finite entry"):
+        _check_sym_pd(np.array([[1.0, np.inf], [np.inf, 1.0]]), "P")
+    with pytest.raises(ConfigurationError, match="Q has a non-finite entry"):
+        DetectabilityCertificate.from_weights(P, np.diag([np.inf, 1.0, 1.0]), np.eye(1), 0.4,
+                                              dom)
+    for lam in (0.0, -0.5, math.nan):
+        with pytest.raises(ConfigurationError, match="lambda must lie strictly inside"):
+            DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), lam, dom)
     c = DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), 0.4, dom)
     assert c.kappa == pytest.approx(-math.log(0.4), abs=1e-15)
     assert np.array_equal(c.P1, c.P2)

@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -517,6 +520,12 @@ def _model_file_argv(**changes):
     return argv
 
 
+def _inline_certificate_argv(**fields):
+    cert = {"P": cli.BENCH_P.tolist(), "Q": cli.BENCH_Q.tolist(), "R": cli.BENCH_R.tolist(),
+            "lambda": cli.BENCH_LAMBDA, **fields}
+    return _scenario_argv("estimate", certificate=cert)
+
+
 def _certificate_check_argv(**fields):
     def argv(tmp_path):
         path = tmp_path / "cert.json"
@@ -580,6 +589,15 @@ def _certificate_check_argv(**fields):
     pytest.param(lambda tmp_path: ["certify", "--lambda", "0.01", "--Q", "1,1,1", "--R", "1",
                                    "--vertices", "--affine", "--out", str(tmp_path)],
                  3, "infeasible:", id="infeasible-synthesis"),
+    pytest.param(lambda tmp_path: ["certify", "--lambda", "0.4", "--Q", "inf,1,1", "--R", "1",
+                                   "--vertices", "--affine", "--out", str(tmp_path)],
+                 2, "Q has a non-finite entry", id="infinite-Q"),
+    pytest.param(_inline_certificate_argv(R=[[math.inf]]), 2, "R has a non-finite entry",
+                 id="inline-infinite-R"),
+    pytest.param(_inline_certificate_argv(**{"lambda": 0}), 2,
+                 "lambda must lie strictly inside (0, 1)", id="inline-zero-lambda"),
+    pytest.param(_inline_certificate_argv(**{"lambda": -0.5}), 2,
+                 "lambda must lie strictly inside (0, 1)", id="inline-negative-lambda"),
 ])
 def test_refusal_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv(tmp_path)) == code
@@ -658,3 +676,27 @@ def test_bench_subcommand(tmp_path, capsys):
     assert summary["seeds"][0]["passed"] is True
     assert (tmp_path / "bounds.csv").exists()
     assert (tmp_path / "summary.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the README's documented commands
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    """The README's scenario block audits with exit 0, and its two certify
+    lines synthesize a certificate and then check it."""
+    text = README.read_text()
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(blocks[0])
+    assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "audit")]) == 0
+    lines = re.findall(r"^mhect (certify .*)$", text, re.M)
+    assert len(lines) == 2 and "--check" in lines[1]
+    for line in lines:
+        argv = [str(tmp_path / a[len("out/"):]) if a.startswith("out/") else a
+                for a in shlex.split(line)]
+        assert main(argv) == 0
+    assert "PASS" in capsys.readouterr().out

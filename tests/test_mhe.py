@@ -9,13 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 import mhect.mhe
 from mhect import (DetectabilityCertificate, Domain, Equidistant, EventTriggered, Explicit,
                    MheConfig, PiecewiseSignal, SystemModel, Trajectory, batch_reactor,
-                   discount_weights, audit_run, integrate, make_sampler, mhe_objective,
-                   model_from_dict, run_mhe, solve_fie, solve_mhe, truth_candidate_cost)
+                   discount_weights, audit_run, integrate, make_sampler, model_from_dict,
+                   output_along, run_mhe, solve_fie, solve_mhe, truth_candidate_cost)
 from mhect.cli import bench_run
 from mhect.errors import ConfigurationError, DivergenceError, HorizonError
 from mhect.integrate import rk4_step_with_jacobians
-from mhect.mhe import (DAMPING_INIT, GRAD_TOL, MAX_ITERS, ROLLOUT_TOL, SamplingSet,
-                       _WindowProblem)
+from mhect.mhe import (DAMPING_INIT, GRAD_TOL, MAX_ITERS, PENALTY_WEIGHT, ROLLOUT_TOL,
+                       SamplingSet, _WindowProblem)
 from mhect.rng import SplitMix64
 from tests.conftest import const_jac
 from tests.test_sysmodel import polynomial_points
@@ -249,52 +249,89 @@ def test_config_validation(ref_cert):
 # ---------------------------------------------------------------------------
 # objective
 
-def test_objective_zero_at_perfect_data(ref_cert):
+def _objective_by_definition(model, cert, prior, y, T, w, x):
+    """The objective of the window [0, T] with outputs y (pieces of length
+    0.01) at disturbance pieces w and node states x, straight from its
+    definition: 2 lam^T |x_0 - prior|^2_P2 plus, on each piece j, the
+    integral om_j of lam^(T - tau) times 2 |w_j|^2_Q + |y_j - h(x_j, w_j)|^2_R."""
+    lam, dt = cert.lam, 0.01
+    d0 = x[0] - prior
+    expect = 2.0 * lam ** T * (d0 @ cert.P2 @ d0)
+    for j, wj in enumerate(w):
+        om = (lam ** (T - (j + 1) * dt) - lam ** (T - j * dt)) / (-math.log(lam))
+        dyj = y[j] - model.h(x[j], np.zeros(model.m), wj)
+        expect += om * (2.0 * wj @ cert.Q @ wj + dyj @ cert.R @ dyj)
+    return expect
+
+
+def _cost_by_definition(model, cert, prior, y_seg, sol):
+    return _objective_by_definition(model, cert, prior, y_seg.values, sol.T_ti,
+                                    sol.w_star.values, sol.x_star.states)
+
+
+def _reactor_window(ref_cert, chi, prior, t_i, seed=None):
+    """Solve the reactor window [0, t_i] on outputs of the truth from chi,
+    driven by a seeded disturbance when seed is given."""
+    model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
-    y = PiecewiseSignal(0.01, np.ones((50, 1)))
-    prior = np.array([3.0, 1.0])
-    w = PiecewiseSignal(0.01, np.zeros((50, 3)))
-    val = mhe_objective(cfg, prior, prior, w, y, y, 0.5)
-    assert val == 0.0
+    K = int(round(t_i / 0.01))
+    w = None
+    if seed is not None:
+        w = PiecewiseSignal(0.01, -0.1 + 0.2 * SplitMix64(seed).uniforms((K, 3)))
+    y_seg = output_along(model, integrate(model, np.array(chi), None, w, t_i, 0.01), None, w)
+    prior = np.array(prior)
+    return model, prior, y_seg, solve_mhe(model, cfg, prior, None, y_seg, t_i)
+
+
+def test_objective_zero_at_perfect_data(ref_cert):
+    # noise-free outputs and the true state as prior: the prior itself costs 0
+    model, prior, y_seg, sol = _reactor_window(ref_cert, (3.0, 1.0), (3.0, 1.0), 0.5)
+    assert sol.cost == 0.0
+    assert _cost_by_definition(model, ref_cert, prior, y_seg, sol) == 0.0
 
 
 def test_objective_hand_computed(ref_cert):
-    cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
-    lam = 0.4
-    T_ti = 0.02
-    prior = np.array([1.0, 2.0])
-    chi = np.array([1.5, 1.8])
-    w = PiecewiseSignal(0.01, np.array([[0.1, 0.0, -0.1], [0.0, 0.05, 0.0]]))
-    y_meas = PiecewiseSignal(0.01, np.array([[3.0], [3.1]]))
-    y_est = PiecewiseSignal(0.01, np.array([[2.9], [3.15]]))
-
-    # independent evaluation straight from the definition
-    d0 = chi - prior
-    expect = 2.0 * lam ** T_ti * (d0 @ ref_cert.P2 @ d0)
-    for j in range(2):
-        om = (lam ** (T_ti - (j + 1) * 0.01) - lam ** (T_ti - j * 0.01)) / (-math.log(lam))
-        wj = w.values[j]
-        dyj = y_meas.values[j] - y_est.values[j]
-        expect += om * (2.0 * wj @ ref_cert.Q @ wj + dyj @ ref_cert.R @ dyj)
-    got = mhe_objective(cfg, prior, chi, w, y_meas, y_est, T_ti)
-    assert got == pytest.approx(expect, rel=1e-13)
+    # sol.cost is the squared norm of the solver's objective rows; it must
+    # equal the objective written out from its definition
+    model, prior, y_seg, sol = _reactor_window(ref_cert, (3.0, 1.0), (2.5, 1.6), 0.05, seed=8)
+    expect = _cost_by_definition(model, ref_cert, prior, y_seg, sol)
+    assert expect > 1e-3
+    assert sol.cost == pytest.approx(expect, rel=1e-12)
+    # the escalation window ends with states just outside X, so the solver's
+    # residual carries penalty rows; they are not part of the objective
+    model, cert, y_seg, sol = _escalation_window()
+    expect = _cost_by_definition(model, cert, np.array([0.0]), y_seg, sol)
+    assert sol.cost == pytest.approx(expect, rel=1e-12)
+    # at the weight the escalations left (doubled each time) those rows would
+    # move the cost well past the tolerance
+    violation = np.clip(np.abs(sol.x_star.states) - 1.0, 0.0, None)
+    weight = PENALTY_WEIGHT * 2.0 ** sol.stats.escalations
+    assert weight * float(np.sum(violation ** 2)) > 1e-11 * expect
 
 
 def test_objective_validates_segments(ref_cert):
+    # the window solver refuses output and control segments off its grid
+    model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
-    y = PiecewiseSignal(0.01, np.ones((50, 1)))
-    for shape in ((49, 3), (50, 2)):   # too few pieces, wrong dimension
-        w = PiecewiseSignal(0.01, np.zeros(shape))
-        with pytest.raises(ConfigurationError):
-            mhe_objective(cfg, np.zeros(2), np.zeros(2), w, y, y, 0.5)
+    for shape in ((49, 1), (50, 2)):   # too few pieces, wrong dimension
+        y_seg = PiecewiseSignal(0.01, np.ones(shape))
+        with pytest.raises(ConfigurationError, match="y segment does not match"):
+            solve_mhe(model, cfg, np.array([3.0, 1.0]), None, y_seg, 0.5)
+    model, cfg = _controlled_scalar_model()
+    y_seg = PiecewiseSignal(0.01, np.zeros((50, 1)))
+    for u_seg in (None, PiecewiseSignal(0.01, np.zeros((49, 1))),
+                  PiecewiseSignal(0.01, np.zeros((50, 2)))):
+        with pytest.raises(ConfigurationError, match="u segment does not match"):
+            solve_mhe(model, cfg, np.array([0.0]), u_seg, y_seg, 0.5)
 
 
 # ---------------------------------------------------------------------------
 # window solver
 
-def reactor_setup(ref_cert, t_sim=1.0, chi=(3.0, 1.0), chi_hat=(0.1, 4.5), seed=None):
+def reactor_setup(ref_cert, t_sim=1.0, chi=(3.0, 1.0), chi_hat=(0.1, 4.5), seed=None,
+                  sampling=Equidistant(0.1)):
     model = batch_reactor()
-    cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
+    cfg = MheConfig(ref_cert, 2.0, 0.01, sampling)
     w = None
     if seed is not None:
         rng = SplitMix64(seed)
@@ -340,6 +377,32 @@ def test_solver_beats_truth_candidate(ref_cert):
         assert s.cost <= cand * (1.0 + 1e-6) + 1e-12
 
 
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 100), equidistant=st.booleans(),
+       chi_hat=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)), data=st.data())
+def test_solver_never_loses_to_the_truth_candidate(ref_cert, seed, K, equidistant, chi_hat,
+                                                    data):
+    """On small random reactor runs, each window's cost (the squared norm of
+    the solver's objective rows) stays at or below the objective of the true
+    trajectory, which truth_candidate_cost evaluates from its quadratic forms
+    and which is checked against the objective's definition."""
+    if equidistant:
+        sampling = Equidistant(data.draw(st.integers(max(1, K // 10), K)) * 0.01)
+    else:
+        ks = data.draw(st.lists(st.integers(0, K), min_size=1, max_size=8, unique=True))
+        sampling = Explicit(tuple(k * 0.01 for k in sorted(ks)))
+    model, _, run = reactor_setup(ref_cert, t_sim=K * 0.01, chi_hat=chi_hat, seed=seed,
+                                  sampling=sampling)
+    x_true, w_true = run.truth.x_true.states, run.truth.w.values
+    for i, (s, k) in enumerate(zip(run.solutions, run.sampling.k_indices)):
+        cand = truth_candidate_cost(run, i)
+        j = k - s.w_star.n_pieces
+        assert cand == pytest.approx(_objective_by_definition(
+            model, ref_cert, run.estimate[j], run.y.values[j:k], s.T_ti, w_true[j:k],
+            x_true[j:k + 1]), rel=1e-12)
+        assert s.cost <= cand * (1.0 + 1e-6) + 1e-12
+
+
 def test_estimate_is_stitched_from_windows(ref_cert, tmp_path):
     model, cfg, run = reactor_setup(ref_cert, seed=4)
     ks = run.sampling.k_indices
@@ -358,9 +421,8 @@ def test_estimate_is_stitched_from_windows(ref_cert, tmp_path):
         prev = k
 
 
-def test_control_input_coarser_than_dt():
-    # x' = -x + u + w, y = x, with u held for 0.1 at dt = 0.01: windows read
-    # u on the run grid, so the run equals one with u repeated onto dt pieces
+def _controlled_scalar_model():
+    """x' = -x + u + w, y = x with a control input, and a configuration for it."""
     model = SystemModel(1, 1, 1, 1,
                         lambda x, u, w: -x + u + w,
                         lambda x, u, w: x.copy(),
@@ -369,7 +431,13 @@ def test_control_input_coarser_than_dt():
                         X=None, U=[[-1.0, 1.0]], W=[[-0.1, 0.1]])
     cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.2,
                                                  Domain.of_model(model))
-    cfg = MheConfig(cert, 1.0, 0.01, Equidistant(0.1))
+    return model, MheConfig(cert, 1.0, 0.01, Equidistant(0.1))
+
+
+def test_control_input_coarser_than_dt():
+    # x' = -x + u + w, y = x, with u held for 0.1 at dt = 0.01: windows read
+    # u on the run grid, so the run equals one with u repeated onto dt pieces
+    model, cfg = _controlled_scalar_model()
     u_coarse = np.sin(np.arange(10.0))[:, None]
     w = PiecewiseSignal(0.01, -0.1 + 0.2 * SplitMix64(5).uniforms((100, 1)))
     runs = [run_mhe(model, cfg, chi_hat=np.array([0.0]), t_sim=1.0, chi=np.array([0.5]),
@@ -587,9 +655,9 @@ def test_warm_start_moved_by_the_projection_rolls_out_in_full(ref_cert, monkeypa
     assert again.cost == pytest.approx(sol.cost, rel=1e-9, abs=1e-12)
 
 
-def test_penalty_escalation_restores_the_state_constraints():
-    # x' = w, y = x with X = [-1, 1]: outputs of 5 pull every state out of X,
-    # and only a heavier penalty brings the window back inside
+def _escalation_window():
+    """x' = w, y = x with X = [-1, 1]: outputs of 5 pull every state out of X,
+    and only a heavier penalty brings the window back inside."""
     model = SystemModel(1, 0, 1, 1, lambda x, u, w: w.copy(), lambda x, u, w: x.copy(),
                         jac_f_x=const_jac(0.0), jac_f_w=const_jac(1.0),
                         jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
@@ -598,7 +666,11 @@ def test_penalty_escalation_restores_the_state_constraints():
                                                  Domain.of_model(model))
     cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
     y_seg = PiecewiseSignal(0.01, np.full((50, 1), 5.0))
-    sol = solve_mhe(model, cfg, np.array([0.0]), None, y_seg, 0.5)
+    return model, cert, y_seg, solve_mhe(model, cfg, np.array([0.0]), None, y_seg, 0.5)
+
+
+def test_penalty_escalation_restores_the_state_constraints():
+    _, _, _, sol = _escalation_window()
     assert sol.stats.escalations >= 1
     assert sol.stats.feasible
     assert np.all(np.abs(sol.x_star.states) <= 1.0 + 1e-9)
