@@ -330,8 +330,8 @@ class _WindowProblem:
         return states if np.isfinite(states).all() else None
 
     def rollout(self, z, guess):
-        """Window states for decision z by Newton over the sequence from the
-        guess states (DEER: Lim et al., ICLR 2024), or None when no iterate
+        """(states, (A, B)) for decision z by Newton over the sequence from
+        the guess states (DEER: Lim et al., ICLR 2024), or None when no iterate
         within ROLLOUT_MAX_ITERS is finite with every defect at rounding level.
 
         Each iteration linearizes the step map at the guess s with one batched
@@ -339,7 +339,8 @@ class _WindowProblem:
         the correction by a scan of the bordered maps [[A_j, Phi(s_j) - s_{j+1}],
         [0, 1]].  It stops once |Phi(s_j) - s_{j+1}| <= ROLLOUT_TOL |Phi(s_j)|
         componentwise at every node, so the states agree with forward's to
-        rounding, though not bit for bit.
+        rounding, though not bit for bit.  The step Jacobians (A, B) of that
+        last check are the ones linearize needs at the returned states.
         """
         n, q, N = self.n, self.q, self.N
         Wp = z[n:].reshape(N, q)
@@ -349,12 +350,12 @@ class _WindowProblem:
         maps[:, n, n] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(ROLLOUT_MAX_ITERS):
-                phi, A, _ = rk4_step_with_jacobians(self.model, s[:-1], self.u, Wp, self.dt)
+                phi, A, B = rk4_step_with_jacobians(self.model, s[:-1], self.u, Wp, self.dt)
                 defect = phi - s[1:]
                 if not (np.isfinite(defect).all() and np.isfinite(A).all()):
                     return None
                 if np.all(np.abs(defect) <= ROLLOUT_TOL * np.abs(phi)):
-                    return s
+                    return s, (A, B)
                 maps[:, :n, :n] = A
                 maps[:, :n, n] = defect
                 d = _suffix_scan(maps[::-1], np.eye(n + 1)[n], np.matmul, _matvec)
@@ -384,21 +385,20 @@ class _WindowProblem:
         return np.concatenate(parts)
 
     def evaluate(self, z, guess):
-        """(states, r, |r|^2, sequential) at decision z, or None when
-        integration diverges.  The states come from the Newton rollout from
-        guess, or from forward when it fails (sequential is then True and
-        rollout_fallbacks counts it)."""
-        states = self.rollout(z, guess)
-        sequential = states is None
-        if sequential:
+        """(states, r, |r|^2, jac) at decision z, or None when integration
+        diverges.  The states and their step Jacobians jac come from the
+        Newton rollout from guess; when it fails the states come from forward,
+        jac is None and rollout_fallbacks counts it."""
+        out = self.rollout(z, guess)
+        if out is None:
             self.rollout_fallbacks += 1
-            states = self.forward(z)
-            if states is None:
+            out = self.forward(z), None
+            if out[0] is None:
                 return None
-        r = self.residuals(z, states)
-        return states, r, float(r @ r), sequential
+        r = self.residuals(z, out[0])
+        return out[0], r, float(r @ r), out[1]
 
-    def linearize(self, z, states, r):
+    def linearize(self, z, states, r, jac=None):
         """Stage-wise Gauss-Newton model of |r|^2 around (z, states).
 
         With dx_0 = dchi and dx_{j+1} = A_j dx_j + B_j dw_j, the residual
@@ -406,11 +406,13 @@ class _WindowProblem:
         over (dw_j, dx_j, 1), m = q + n + 1: the J'J blocks of the stage,
         J'r in the last row and column, and no dw at node N.  The
         transitions are S (N, n+1, m) with [dx_{j+1}; 1] = S_j [dw_j; dx_j; 1].
-        The prior sits in node 0, state-penalty rows at their node.
+        The prior sits in node 0, state-penalty rows at their node.  jac, the
+        step Jacobians (A, B) at these nodes when a rollout holds them, saves
+        their evaluation.
         """
         n, q, N, p = self.n, self.q, self.N, self.p
         nodes = (states[:-1], self.u, z[n:].reshape(N, q))
-        _, A, B = rk4_step_with_jacobians(self.model, *nodes, self.dt)
+        A, B = jac or rk4_step_with_jacobians(self.model, *nodes, self.dt)[1:]
         Hx = self.model.jac_h_x(*nodes)
         Hw = self.model.jac_h_w(*nodes)
         r_p = r[:n]
@@ -576,7 +578,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
             raise DivergenceError("window integration diverges even from the prior")
         stats.warnings.append("warm start diverged, cold start used")
 
-    sequential = True   # states come from forward, so x_star may take them
+    jac = None   # step Jacobians of a rollout's states; None while they come from forward
     max_escalations = 8
     while True:
         r = prob.residuals(z, states)
@@ -585,7 +587,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
         mu = DAMPING_INIT
         term = "max_iters"
         for _ in range(MAX_ITERS):
-            lin = prob.linearize(z, states, r)
+            lin = prob.linearize(z, states, r, jac)
             g = 2.0 * prob.gradient(lin)
             pg = z - prob.project(z - g)
             stats.grad_norm = float(np.linalg.norm(pg))
@@ -636,17 +638,16 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
                 term = "stalled"
                 break
             z = z_try
-            states, r, f, sequential = trial
+            states, r, f, jac = trial
             stats.cost_history.append(f)
             stats.iterations += 1
         stats.termination = term
-        if not sequential:
+        if jac is not None:
             # one sequential rollout of the accepted iterate, so the
             # feasibility check and x_star see integrate()'s states
-            states = prob.forward(z)
+            states, jac = prob.forward(z), None
             if states is None:
                 raise DivergenceError("accepted window iterate diverges on the sequential rollout")
-            sequential = True
         if box_contains(model.X, states, tol=1e-9):
             stats.feasible = True
             break
