@@ -19,9 +19,11 @@ condensed Gauss-Newton system without forming it, each as an associative
 scan over the N stages in ceil(log2(N + 1)) levels of batched small-matrix
 operations.  Each trial rolls out the same way, by Newton over the sequence
 from the current states plus the step's linear rollout, and falls back to
-sequential RK4 steps when that does not reach rounding level.  The accepted
-iterate gets one sequential rollout, and a warm-started window rolls out
-only the steps its predecessor did not run.
+sequential RK4 steps when that does not reach rounding level; its last
+step Jacobians serve the next linearization.  The accepted iterate gets one
+sequential rollout, and a warm-started window rolls out only the steps its
+predecessor did not run.  A solve stops at the gradient tolerance, or at the
+precision floor when the model credits a step with no more than rounding.
 """
 
 import math
@@ -38,6 +40,7 @@ from .sysmodel import PiecewiseSignal, as_grid_index, box_clip, box_contains, wr
 
 # window solver settings
 GRAD_TOL = 1e-8          # converged when the projected gradient norm is at most this
+PRECISION_TOL = 1e-12    # converged_at_precision at a predicted decrease <= this * cost
 ROLLOUT_TOL = 8 * np.finfo(float).eps   # Newton rollout: relative defect at every node
 ROLLOUT_MAX_ITERS = 8    # Newton rollout iterations before the sequential fallback
 MAX_ITERS = 100          # Levenberg-Marquardt iterations per penalty stage
@@ -389,14 +392,14 @@ class _WindowProblem:
         diverges.  The states and their step Jacobians jac come from the
         Newton rollout from guess; when it fails the states come from forward,
         jac is None and rollout_fallbacks counts it."""
-        out = self.rollout(z, guess)
-        if out is None:
+        states, jac = self.rollout(z, guess) or (None, None)
+        if states is None:
             self.rollout_fallbacks += 1
-            out = self.forward(z), None
-            if out[0] is None:
+            states = self.forward(z)
+            if states is None:
                 return None
-        r = self.residuals(z, out[0])
-        return out[0], r, float(r @ r), out[1]
+        r = self.residuals(z, states)
+        return states, r, float(r @ r), jac
 
     def linearize(self, z, states, r, jac=None):
         """Stage-wise Gauss-Newton model of |r|^2 around (z, states).
@@ -406,9 +409,8 @@ class _WindowProblem:
         over (dw_j, dx_j, 1), m = q + n + 1: the J'J blocks of the stage,
         J'r in the last row and column, and no dw at node N.  The
         transitions are S (N, n+1, m) with [dx_{j+1}; 1] = S_j [dw_j; dx_j; 1].
-        The prior sits in node 0, state-penalty rows at their node.  jac, the
-        step Jacobians (A, B) at these nodes when a rollout holds them, saves
-        their evaluation.
+        The prior sits in node 0, state-penalty rows at their node.  jac, a
+        rollout's step Jacobians (A, B) at these nodes, saves their evaluation.
         """
         n, q, N, p = self.n, self.q, self.N, self.p
         nodes = (states[:-1], self.u, z[n:].reshape(N, q))
@@ -496,6 +498,15 @@ class _WindowProblem:
         xt = np.append(np.linalg.solve(M, -V[0, :n, n] * fx), 1.0)
         xt = _suffix_scan((Sx - Sw @ K)[::-1], xt, np.matmul, _matvec)[::-1]
         return np.concatenate([xt[0, :n], -_matvec(K, xt[:-1]).ravel()]), xt[:, :n]
+
+    def predicted_decrease(self, lin, step, dx):
+        """|r|^2 - |r + J d|^2 for the step d with state changes dx, from the
+        J'J and J'r parts of the stage matrices over x_j = [dw_j; dx_j] (no
+        dw at node N)."""
+        G, n, q = lin[0], self.n, self.q
+        x = np.hstack([np.append(step[n:], np.zeros(q)).reshape(-1, q), dx])
+        return -float(np.einsum("ji,jik,jk->", x, G[:, :-1, :-1], x)
+                      + 2.0 * np.einsum("ji,ji->", x, G[:, :-1, -1]))
 
 
 def _matvec(M, v):
@@ -585,7 +596,6 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
         f = float(r @ r)
         stats.cost_history = [f]
         mu = DAMPING_INIT
-        term = "max_iters"
         for _ in range(MAX_ITERS):
             lin = prob.linearize(z, states, r, jac)
             g = 2.0 * prob.gradient(lin)
@@ -596,10 +606,8 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
                 break
             # Coordinates pinned at a bound with the gradient pushing outward
             # stay pinned this iteration; the damped step acts on the face.
-            binding = ((z <= prob.lb) & (g > 0.0)) | ((z >= prob.ub) & (g < 0.0))
-            free = ~binding
-            trial = None
-            z_scale = 1.0 + float(np.linalg.norm(z))
+            free = ~(((z <= prob.lb) & (g > 0.0)) | ((z >= prob.ub) & (g < 0.0)))
+            trial, term = None, "stalled"
             for _trial in range(60 if free.any() else 0):
                 stats.trials += 1
                 try:
@@ -608,7 +616,13 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
                     mu = max(mu, 1e-12) * 10.0
                     continue
                 z_try = prob.project(z + step)
-                if np.linalg.norm(z_try - z) <= 1e-15 * z_scale:
+                # an unclipped step whose gain the model puts at rounding of f:
+                # no trial can tell it apart (Dennis & Schnabel 1996, sec. 7.2)
+                if (np.array_equal(z_try, z + step)
+                        and prob.predicted_decrease(lin, step, dx) <= PRECISION_TOL * f):
+                    term = "converged_at_precision"
+                    break
+                if np.linalg.norm(z_try - z) <= 1e-15 * (1.0 + np.linalg.norm(z)):
                     break
                 trial = prob.evaluate(z_try, states + dx)
                 if trial is not None and trial[2] < f:
@@ -619,28 +633,13 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
                 if mu > 1e15:
                     break
             if trial is None:
-                # Damped steps clipped at the box can cycle without descent;
-                # backtrack along the projection arc of -g, which always
-                # admits an Armijo step away from a non-stationary point.
-                alpha = 1.0
-                for _trial in range(50):
-                    stats.trials += 1
-                    z_try = prob.project(z - alpha * g)
-                    gdot = float(g @ (z_try - z))
-                    if np.linalg.norm(z_try - z) <= 1e-15 * z_scale or gdot >= 0.0:
-                        break
-                    trial = prob.evaluate(z_try, states)
-                    if trial is not None and trial[2] <= f + 1e-4 * gdot:
-                        break
-                    trial = None
-                    alpha *= 0.5
-            if trial is None:
-                term = "stalled"
                 break
             z = z_try
             states, r, f, jac = trial
             stats.cost_history.append(f)
             stats.iterations += 1
+        else:
+            term = "max_iters"
         stats.termination = term
         if jac is not None:
             # one sequential rollout of the accepted iterate, so the
@@ -649,7 +648,6 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
             if states is None:
                 raise DivergenceError("accepted window iterate diverges on the sequential rollout")
         if box_contains(model.X, states, tol=1e-9):
-            stats.feasible = True
             break
         if stats.escalations >= max_escalations:
             stats.feasible = False
