@@ -305,7 +305,6 @@ def cmd_certify(args):
     grid = GridSpec(vertices_only=args.vertices, affinity_asserted=args.affine) \
         if args.vertices else GridSpec(x_points=args.grid, u_points=args.grid,
                                        w_points=args.grid)
-    out = _resolve_out(args)
     if args.check:
         cert = load_certificate(args.check)
         report = verify_certificate(model, cert, grid, tol_psd=args.tol)
@@ -322,7 +321,7 @@ def cmd_certify(args):
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3
-    path = os.path.join(out, args.cert_name)
+    path = os.path.join(_resolve_out(args), args.cert_name)
     save_certificate(cert, path)
     print(f"synthesized certificate -> {path}")
     print(f"max inequality eigenvalue {cert.verification.max_eig:.6e} "

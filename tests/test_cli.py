@@ -112,9 +112,12 @@ def test_certify_synthesize_then_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "synthesized certificate" in out
 
-    rc = main(["certify", "--check", str(cert_path), "--vertices", "--affine"])
+    # a check writes nothing, so it makes no output directory
+    rc = main(["certify", "--check", str(cert_path), "--vertices", "--affine",
+               "--out", str(tmp_path / "o")])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+    assert not (tmp_path / "o").exists()
 
 
 def test_certify_check_reference_weights(tmp_path, capsys):
@@ -531,7 +534,8 @@ def _certificate_check_argv(**fields):
         path = tmp_path / "cert.json"
         save_certificate(bench_certificate(), path)
         path.write_text(json.dumps(dict(json.loads(path.read_text()), **fields)))
-        return ["certify", "--check", str(path), "--vertices", "--affine"]
+        return ["certify", "--check", str(path), "--vertices", "--affine",
+                "--out", str(tmp_path / "o")]
     return argv
 
 
@@ -587,10 +591,10 @@ def _certificate_check_argv(**fields):
     pytest.param(_certificate_check_argv(P2=np.diag([10.0] * 3).tolist()), 2,
                  "P1 and P2 must have the same shape", id="P1-P2-sizes"),
     pytest.param(lambda tmp_path: ["certify", "--lambda", "0.01", "--Q", "1,1,1", "--R", "1",
-                                   "--vertices", "--affine", "--out", str(tmp_path)],
+                                   "--vertices", "--affine", "--out", str(tmp_path / "o")],
                  3, "infeasible:", id="infeasible-synthesis"),
     pytest.param(lambda tmp_path: ["certify", "--lambda", "0.4", "--Q", "inf,1,1", "--R", "1",
-                                   "--vertices", "--affine", "--out", str(tmp_path)],
+                                   "--vertices", "--affine", "--out", str(tmp_path / "o")],
                  2, "Q has a non-finite entry", id="infinite-Q"),
     pytest.param(_inline_certificate_argv(R=[[math.inf]]), 2, "R has a non-finite entry",
                  id="inline-infinite-R"),
@@ -600,6 +604,7 @@ def _certificate_check_argv(**fields):
                  "lambda must lie strictly inside (0, 1)", id="inline-negative-lambda"),
 ])
 def test_refusal_exit_codes(tmp_path, capsys, argv, code, message):
+    # a refused command leaves no output directory behind
     assert main(argv(tmp_path)) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
