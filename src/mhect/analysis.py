@@ -16,7 +16,7 @@ import numpy as np
 from .errors import AuditError, ConfigurationError, DomainError
 from .certify import contraction_rate, geneig_max
 from .mhe import _discounted_energy, _quad
-from .sysmodel import as_grid_index, write_csv
+from .sysmodel import PiecewiseSignal, as_grid_index, write_csv
 
 
 def theorem1_bound(cert, rho, chi, chi_hat, w, t_i, factor=8):
@@ -197,8 +197,8 @@ def audit_run(run):
         rhs[i] = theorem1_bound(cert, rho, chi, chi_hat, w, sol.t_i, factor)
         err0 = x_true[s_i] - est[s_i]
         u_prior[i] = _quad(cert.P2, err0)
-        w_seg = w.slice(s_i * run.dt, k_i * run.dt)
-        p3_rhs[i] = prop3_bound(cert, sol.t_i, sol.t_i, sol.T_ti, u_prior[i], w_seg)
+        p3_rhs[i] = prop3_bound(cert, sol.t_i, sol.t_i, sol.T_ti, u_prior[i],
+                                PiecewiseSignal(w.dt, w.values[s_i:k_i]))
         sup_lhs[i] = float(np.linalg.norm(err))
         w_sup = float(np.max(np.linalg.norm(w.values[:k_i], axis=1))) if k_i else 0.0
         sup_rhs[i] = max(consts.C * s0 * consts.rho_s ** sol.t_i, consts.gamma(w_sup))
