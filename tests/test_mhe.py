@@ -406,12 +406,14 @@ def test_precision_stops_leave_no_decrease_to_an_oracle(ref_cert):
     assert stops >= 3
 
 
+FACES = st.tuples(*[st.sampled_from([0.1, 0.1001, 4.999, 5.0])] * 2)
+
+
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(5, 40), gap=st.floats(0.25, 1.0),
-       chi=st.lists(st.sampled_from([0.1, 0.1001, 4.999, 5.0]), min_size=4, max_size=4),
-       amp=st.floats(0.3, 1.0), offset=st.floats(-6.0, 6.0))
-def test_box_active_windows_stop_at_tolerance_or_precision(ref_cert, seed, K, gap, chi, amp,
-                                                           offset):
+       chi=FACES, chi_hat=FACES, amp=st.floats(0.3, 1.0), offset=st.floats(-6.0, 6.0))
+def test_box_active_windows_stop_at_tolerance_or_precision(ref_cert, seed, K, gap, chi, chi_hat,
+                                                           amp, offset):
     """Windows that press on the boxes: reactor outputs of a disturbance at
     the corners of W from states on or next to the faces of X, shifted by up
     to 6 and alternating by up to 1 each step, which no w in W follows, so
@@ -422,9 +424,9 @@ def test_box_active_windows_stop_at_tolerance_or_precision(ref_cert, seed, K, ga
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(max(1, round(gap * K)) * 0.01))
     w = PiecewiseSignal(0.01, np.where(SplitMix64(seed).uniforms((K, 3)) < 0.5, -0.1, 0.1))
-    x = integrate(model, np.array(chi[:2]), None, w, K * 0.01, 0.01)
+    x = integrate(model, np.array(chi), None, w, K * 0.01, 0.01)
     y = output_along(model, x, None, w).values + offset + amp * (-1.0) ** np.arange(K)[:, None]
-    run = run_mhe(model, cfg, chi_hat=np.array(chi[2:]), t_sim=K * 0.01,
+    run = run_mhe(model, cfg, chi_hat=np.array(chi_hat), t_sim=K * 0.01,
                   y=PiecewiseSignal(0.01, y))
     assert any(np.any(np.abs(s.w_star.values) == 0.1) for s in run.solutions)
     for s in run.solutions:
@@ -642,6 +644,21 @@ def test_newton_rollout_matches_the_sequential_rollout(kind, case, N, seed, log_
         assert np.all(np.abs(newton - seq)[:, 0] <= 2.0 * bound)
     if kind == "reactor" and not flat:
         assert newton is not None
+
+
+def test_rollout_jacobians_are_those_of_its_states():
+    # linearize at a rollout's states with the step Jacobians the rollout
+    # returned is bit for bit the linearization that evaluates them afresh
+    model = batch_reactor()
+    rng = SplitMix64(5)
+    N = 60
+    prob = _rollout_window(model, N)
+    z = np.concatenate([rng.uniforms((2,), 0.5, 4.5), rng.uniforms((N * 3,), -0.1, 0.1)])
+    guess = prob.forward(z * (1.0 + 1e-4 * rng.uniforms(z.shape)))
+    states, jac = prob.rollout(z, guess)
+    r = prob.residuals(z, states)
+    for reused, fresh in zip(prob.linearize(z, states, r, jac), prob.linearize(z, states, r)):
+        assert reused.tobytes() == fresh.tobytes()
 
 
 def test_diverging_trial_falls_back_and_is_rejected(monkeypatch):
