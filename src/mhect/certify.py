@@ -216,9 +216,22 @@ def lmi_matrix(model, P, Q, R, kappa, x, u, w):
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
+def _distinct_points(model, points):
+    """The first of the stacked points (x, u, w) with each distinct set of
+    model Jacobians, in grid order.  lmi_matrix reads a point only through
+    A, B, C, D, and a batched call gives each row the bits of a single call,
+    so these points hold every inequality block of the stack."""
+    jacs = [J(*points) for J in (model.jac_f_x, model.jac_f_w, model.jac_h_x, model.jac_h_w)]
+    rows = np.concatenate([J.reshape(len(J), -1) for J in jacs], axis=1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    return tuple(v[first] for v in points)
+
+
 def _max_eig(model, P, Q, R, kappa, points):
     """Largest inequality eigenvalue over the stacked points (x, u, w) and the
-    first point attaining it."""
+    first point attaining it; each distinct Jacobian point is evaluated once."""
+    points = _distinct_points(model, points)
     eigs = np.linalg.eigvalsh(lmi_matrix(model, P, Q, R, kappa, *points))[:, -1]
     k = int(np.argmax(eigs))
     return float(eigs[k]), tuple(v[k] for v in points)
@@ -355,9 +368,10 @@ class _BarrierSDP:
     def solve(self, y0):
         """Returns (feasible, y, iters).  feasible means t = y[-1] < -FEAS_STOP."""
         y = np.asarray(y0, dtype=float).copy()
-        if math.isinf(self._fval(y, MU0)):
-            raise ConfigurationError("barrier initialization is not strictly feasible")
         mu = MU0
+        f0 = self._fval(y, mu)   # the objective at y, carried from the accepted trial
+        if math.isinf(f0):
+            raise ConfigurationError("barrier initialization is not strictly feasible")
         iters = 0
         while True:
             while iters < MAX_NEWTON_ITERS:
@@ -374,21 +388,22 @@ class _BarrierSDP:
                 decrement = float(-grad @ d)
                 if decrement <= 2.0 * NEWTON_TOL:
                     break
-                f0 = self._fval(y, mu)
                 alpha = 1.0
                 while alpha > 1e-14:
-                    if self._fval(y + alpha * d, mu) <= f0 - 1e-4 * alpha * decrement:
+                    f = self._fval(y + alpha * d, mu)
+                    if f <= f0 - 1e-4 * alpha * decrement:
                         break
                     alpha *= 0.5
                 if alpha <= 1e-14:
                     break  # stage stalled; shrink mu
-                y = y + alpha * d
+                y, f0 = y + alpha * d, f
                 iters += 1
             if y[-1] < -FEAS_STOP:
                 return True, y, iters
             if mu <= MU_MIN or iters >= MAX_NEWTON_ITERS:
                 return False, y, iters
             mu *= MU_FACTOR
+            f0 = self._fval(y, mu)
 
 
 def _synthesis_problem(model, kappa, Q_fix, R_fix, points):
@@ -398,9 +413,11 @@ def _synthesis_problem(model, kappa, Q_fix, R_fix, points):
     The unknown weights are P, or P, Q and R when Q_fix is None (joint
     mode); y holds their coordinates in the symmetric bases, then t.  Points
     with the same inequality block constrain the weights alike, so the
-    barrier holds each distinct block once, at its first point.
+    barrier holds each distinct block once, at its first point; blocks are
+    built at the distinct Jacobian points only, which keep every first one.
     """
     n, q, p = model.n, model.q, model.p
+    points = _distinct_points(model, points)
     dims = (n,) if Q_fix is not None else (n, q, p)
     bases = [_sym_basis(d) for d in dims]
     offsets = np.cumsum([0] + [len(m) for m in bases])

@@ -715,10 +715,11 @@ class EstimationRun:
         return self.dt * np.arange(self.estimate.shape[0])
 
     def estimate_csv(self, path):
-        """Each node with the termination flag of the solve that wrote it;
-        node 0 is the prior."""
+        """Each node with the termination flag of the solve that wrote it,
+        penalty_infeasible if that solve ended outside X; node 0 is the prior."""
         header = ["t"] + [f"xhat{i + 1}" for i in range(self.estimate.shape[1])] + ["flag"]
-        flags = ["prior", *np.repeat([s.stats.termination for s in self.solutions],
+        flags = ["prior", *np.repeat([s.stats.termination if s.stats.feasible
+                                      else "penalty_infeasible" for s in self.solutions],
                                      np.diff(self.sampling.k_indices, prepend=0))]
         write_csv(path, header, ([t, *x, flag] for t, x, flag in
                                  zip(self.times, self.estimate, flags)))

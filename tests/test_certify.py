@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import mhect.certify
 from mhect import (DetectabilityCertificate, Domain, FixedQR, GridSpec, SystemModel,
                    batch_reactor, contraction_rate, geneig_max, integrate, lmi_matrix,
-                   load_certificate, min_horizon, save_certificate,
+                   load_certificate, min_horizon, model_from_dict, save_certificate,
                    synthesize_certificate, verify_certificate)
-from mhect.certify import (_check_sym_pd, _min_horizon_formula, _sym_basis, _synthesis_problem,
-                           grid_points)
+from mhect.certify import (MU0, _BarrierSDP, _check_sym_pd, _distinct_points,
+                           _min_horizon_formula, _sym_basis, _synthesis_problem, grid_points)
+from mhect.cli import bench_certificate
 from mhect.errors import ConfigurationError, HorizonError, InfeasibleError
 from mhect.rng import SplitMix64
 from tests.conftest import Q_BENCH, R_BENCH, VERTS, const_jac
@@ -129,6 +131,74 @@ def test_grid_points_modes(reactor):
         grid_points(dom, GridSpec(vertices_only=True))
     with pytest.raises(ConfigurationError):
         grid_points(Domain([[0.0, None]], [], [[-1.0, 1.0]]), VERTS)
+
+
+def _term(coeff, x_exp, w_exp):
+    return {"coeff": coeff, "x_exp": x_exp, "w_exp": w_exp}
+
+
+def _polynomial_model(f, h):
+    """A file-built model with n = 2, q = 1, p = 1 on X = [-1, 1]^2, W = [-1, 1]."""
+    return model_from_dict({"state_dim": 2, "dist_dim": 1, "output_dim": 1, "f": f, "h": h,
+                            "X": [[-1.0, 1.0]] * 2, "W": [[-1.0, 1.0]]})
+
+
+def _oracle_case(name):
+    """(model, certificate, grid) of an oracle case for verify_certificate."""
+    if name == "reactor":
+        return batch_reactor(), bench_certificate(), GridSpec(x_points=20, w_points=2)
+    if name == "all_distinct":
+        # every Jacobian entry group moves with its own coordinate: no point repeats
+        model = _polynomial_model(
+            [[_term(-1.0, [1, 0], [0]), _term(0.3, [2, 0], [0]), _term(0.2, [0, 1], [1])],
+             [_term(-1.0, [0, 1], [0]), _term(0.1, [1, 1], [0]), _term(1.0, [0, 0], [2])]],
+            [[_term(1.0, [1, 0], [0]), _term(0.5, [0, 1], [1])]])
+        grid = GridSpec(x_points=4, w_points=3)
+    else:
+        # f = (x1^2 / 2, w - x2), y = x1 + x2: the block grows with x1 alone, so
+        # the maximum is reached at all 9 points with x1 = 1, none of them first
+        model = _polynomial_model([[_term(0.5, [2, 0], [0])],
+                                   [_term(-1.0, [0, 1], [0]), _term(1.0, [0, 0], [1])]],
+                                  [[_term(1.0, [1, 0], [0]), _term(1.0, [0, 1], [0])]])
+        grid = GridSpec(x_points=3, w_points=3)
+    return model, DetectabilityCertificate.from_weights(
+        np.eye(model.n), np.eye(model.q), np.eye(model.p), 0.5, Domain.of_model(model)), grid
+
+
+@pytest.mark.parametrize("name", ["reactor", "all_distinct", "ties"])
+def test_verify_matches_every_point_by_brute_force(name):
+    model, cert, grid = _oracle_case(name)
+    points, mode = grid_points(cert.domain, grid)
+    eigs = np.linalg.eigvalsh(lmi_matrix(model, cert.P1, cert.Q, cert.R, cert.kappa,
+                                         *points))[:, -1]
+    k = int(np.argmax(eigs))
+    rep = verify_certificate(model, cert, grid, tol_psd=1e-4)
+    assert rep.max_eig.hex() == float(eigs[k]).hex()
+    assert rep.passed == (eigs[k] <= 1e-4) and rep.n_points == len(eigs) and rep.mode == mode
+    for got, want in zip((rep.worst_x, rep.worst_u, rep.worst_w), points):
+        assert got.tobytes() == want[k].tobytes()
+    distinct = len(_distinct_points(model, points)[0])
+    if name == "reactor":
+        assert distinct == 20           # the inequality depends on x1 only
+    elif name == "all_distinct":
+        assert distinct == len(eigs) == 48
+    else:
+        assert np.count_nonzero(eigs == eigs[k]) == 9 and k == 18
+
+
+def test_reactor_grid_verification_evaluates_distinct_points_only(reactor, ref_cert,
+                                                                   monkeypatch):
+    # a work count in place of a timing gate: 3200 grid points, 20 distinct x1
+    evaluated = []
+    block = mhect.certify.lmi_matrix
+
+    def counted(model, P, Q, R, kappa, x, u, w):
+        evaluated.append(len(x))
+        return block(model, P, Q, R, kappa, x, u, w)
+
+    monkeypatch.setattr(mhect.certify, "lmi_matrix", counted)
+    rep = verify_certificate(reactor, ref_cert, GridSpec(x_points=20, w_points=2))
+    assert rep.n_points == 3200 and sum(evaluated) <= 20
 
 
 def test_generalized_eigenvalue_examples():
@@ -269,6 +339,45 @@ def test_synthesis_constrains_each_distinct_block_once(reactor):
     assert len(points[0]) == 675 and len(sdp.groups[0][0]) == 5
     cert = synthesize_certificate(reactor, 0.4, "joint", grid)
     assert cert.verification.n_points == 675
+    assert verify_certificate(reactor, cert, grid).passed
+
+
+@pytest.mark.parametrize("mode", ["fixed", "joint"])
+@pytest.mark.parametrize("grid", [VERTS, GridSpec(x_points=3, w_points=3)],
+                         ids=["vertices", "grid3"])
+def test_synthesis_on_distinct_points_is_bit_identical(reactor, monkeypatch, mode, grid):
+    """Certificates equal those built with every grid point kept, and the
+    barrier evaluates its objective once per trial and once per stage start."""
+    mode = FixedQR(Q_BENCH, R_BENCH) if mode == "fixed" else mode
+    calls = []
+    fval = _BarrierSDP._fval
+
+    def counted(self, y, mu):
+        calls.append((y.tobytes(), mu))
+        return fval(self, y, mu)
+
+    monkeypatch.setattr(_BarrierSDP, "_fval", counted)
+    cert = synthesize_certificate(reactor, 0.4, mode, grid)
+    # no point is evaluated twice at one barrier weight: the accepted trial's
+    # value is carried, and each stage after the first starts where the
+    # previous one accepted its last trial
+    assert len(set(calls)) == len(calls) and calls[0][1] == MU0
+    for (_, mu_prev), (y, mu) in zip(calls, calls[1:]):
+        if mu != mu_prev:
+            assert (y, mu_prev) in calls
+
+    monkeypatch.setattr(mhect.certify, "_distinct_points", lambda model, points: points)
+    every = synthesize_certificate(reactor, 0.4, mode, grid)
+    for a, b in ((cert.P1, every.P1), (cert.Q, every.Q), (cert.R, every.R)):
+        assert a.tobytes() == b.tobytes()
+    assert cert.verification.to_dict() == every.verification.to_dict()
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.4, 0.5])
+def test_synthesis_joint_on_the_five_point_grid(reactor, lam):
+    grid = GridSpec(x_points=5, w_points=2)
+    cert = synthesize_certificate(reactor, lam, "joint", grid)
+    assert cert.verification.passed and cert.verification.n_points == 200
     assert verify_certificate(reactor, cert, grid).passed
 
 

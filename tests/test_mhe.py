@@ -765,6 +765,26 @@ def test_penalty_escalation_restores_the_state_constraints():
     assert np.all(np.abs(sol.x_star.states) <= 1.0 + 1e-9)
 
 
+def test_window_left_outside_x_is_flagged_penalty_infeasible(tmp_path):
+    """x' = 1, y = x with X = [-0.01, 0.01]: over a window of 0.1 no state in
+    X explains the outputs, so the last escalation still ends outside X."""
+    model = SystemModel(1, 0, 1, 1, lambda x, u, w: np.ones_like(x), lambda x, u, w: x.copy(),
+                        jac_f_x=const_jac(0.0), jac_f_w=const_jac(0.0),
+                        jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
+                        X=[[-0.01, 0.01]], U=[], W=[[-1.0, 1.0]])
+    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5,
+                                                 Domain.of_model(model))
+    run = run_mhe(model, MheConfig(cert, 0.5, 0.01, Equidistant(0.1)), chi_hat=[0.0],
+                  t_sim=0.1, chi=[0.0])
+    (sol,) = run.solutions
+    assert not sol.stats.feasible and sol.stats.escalations == 8
+    assert sol.stats.termination in ("converged", "converged_at_precision")
+    path = tmp_path / "estimate.csv"
+    run.estimate_csv(str(path))
+    flags = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+    assert flags == ["prior"] + ["penalty_infeasible"] * 10
+
+
 def _dense_jacobian(prob, z, states):
     """Residual Jacobian of a window, assembled densely from the forward RK4
     sensitivities G_j = dx_j/dz; the reference for the stage-wise solver."""
