@@ -6,7 +6,7 @@ from . import errors
 from .sysmodel import (PiecewiseSignal, SystemModel, as_box, batch_reactor, box_clip,
                        box_contains, get_model, load_model, model_from_dict)
 from .integrate import Trajectory, integrate, output_along, rk4_step, rk4_step_with_jacobians
-from .certify import (DetectabilityCertificate, Domain, FixedQR, GridSpec, SdpOptions,
+from .certify import (DetectabilityCertificate, FixedQR, GridSpec, SdpOptions,
                       VerificationReport, contraction_rate, geneig_max, lmi_matrix,
                       load_certificate, min_horizon, save_certificate, synthesize_certificate,
                       verify_certificate)
@@ -23,7 +23,7 @@ __all__ = [
     "box_clip", "box_contains",
     "get_model", "load_model", "model_from_dict", "Trajectory",
     "integrate", "output_along", "rk4_step", "rk4_step_with_jacobians",
-    "DetectabilityCertificate", "Domain", "FixedQR", "GridSpec", "SdpOptions",
+    "DetectabilityCertificate", "FixedQR", "GridSpec", "SdpOptions",
     "VerificationReport", "contraction_rate", "geneig_max", "lmi_matrix",
     "load_certificate", "min_horizon", "save_certificate",
     "synthesize_certificate", "verify_certificate", "Equidistant", "EstimationRun",

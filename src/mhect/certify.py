@@ -9,10 +9,11 @@ pointwise matrix inequality in the model Jacobians:
     [ PA + A'P + kappa*P - C'RC   PB - C'RD  ]
     [ (PB - C'RD)'               -D'RD - Q   ]  <=  0
 
-at every point of the certified domain, with kappa = -ln(lambda).  The
-module verifies given weights on a grid, synthesizes feasible weights with a
-log-det barrier interior-point method, and derives the horizon threshold and
-contraction rate used by the estimator error bounds.
+at every point of the model's boxes X x U x W, with kappa = -ln(lambda).  A
+certificate file holds P1, P2, Q, R, lambda and its verification record.
+The module verifies given weights on a grid, synthesizes feasible weights
+with a log-det barrier interior-point method, and derives the horizon
+threshold and contraction rate used by the estimator error bounds.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, HorizonError, InfeasibleError
 from .sysmodel import (_boolean, _float_array, _integer, _numeric, _section, as_box,
-                       box_grid_axes, box_within)
+                       box_grid_axes)
 
 
 def _check_sym(M, name):
@@ -76,36 +77,6 @@ def geneig_max(A, B):
 # certificate type
 
 @dataclass(frozen=True)
-class Domain:
-    """Axis-aligned boxes the certificate is claimed on."""
-
-    X: np.ndarray
-    U: np.ndarray
-    W: np.ndarray
-
-    def __post_init__(self):
-        for name in ("X", "U", "W"):
-            object.__setattr__(self, name, as_box(getattr(self, name), None, f"domain {name}"))
-
-    @classmethod
-    def of_model(cls, model):
-        return cls(model.X, model.U, model.W)
-
-    def to_dict(self):
-        def rows(box):
-            return [[None if not math.isfinite(lo) else lo,
-                     None if not math.isfinite(hi) else hi] for lo, hi in box]
-        return {"X": rows(self.X), "U": rows(self.U), "W": rows(self.W)}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = _section(d, "certificate domain")
-        return cls(*(_numeric(d, k, "certificate domain",
-                              lambda v, k=k: as_box(v, None, f"domain {k}"))
-                     for k in ("X", "U", "W")))
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     passed: bool
     max_eig: float
@@ -133,11 +104,10 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class DetectabilityCertificate:
-    """Quadratic detectability weights with decay rate lambda = exp(-kappa).
+    """Quadratic detectability weights with decay rate lambda on the model's boxes.
 
     Invariants enforced at construction: all weights symmetric positive
-    definite, P1 <= P2 (as matrices), lambda in (0, 1), and kappa consistent
-    with -ln(lambda) to 1e-12.
+    definite, P1 <= P2 (as matrices) and lambda in (0, 1).
     """
 
     P1: np.ndarray
@@ -145,8 +115,6 @@ class DetectabilityCertificate:
     Q: np.ndarray
     R: np.ndarray
     lam: float
-    kappa: float
-    domain: Domain
     verification: VerificationReport | None = None
 
     def __post_init__(self):
@@ -154,34 +122,37 @@ class DetectabilityCertificate:
             object.__setattr__(self, name, _check_sym_pd(getattr(self, name), name))
         if self.P1.shape != self.P2.shape:
             raise ConfigurationError("P1 and P2 must have the same shape")
-        if abs(self.kappa - _kappa_of(self.lam)) > 1e-12:
-            raise ConfigurationError("kappa must equal -ln(lambda) to 1e-12")
+        _kappa_of(self.lam)
         gap = np.linalg.eigvalsh(self.P2 - self.P1)[0]
         if gap < -1e-9 * max(1.0, float(np.abs(self.P2).max())):
             raise ConfigurationError("P1 <= P2 violated")
 
     @classmethod
-    def from_weights(cls, P, Q, R, lam, domain, verification=None):
-        """Single-P certificate (P1 = P2 = P), kappa derived from lambda."""
-        P = np.asarray(P, dtype=float)
-        return cls(P, P.copy(), np.asarray(Q, dtype=float), np.asarray(R, dtype=float),
-                   float(lam), _kappa_of(float(lam)), domain, verification)
+    def from_weights(cls, P, Q, R, lam):
+        """Single-P certificate (P1 = P2 = P)."""
+        return cls(P, P, Q, R, float(lam))
 
     def to_dict(self):
-        d = {"P1": self.P1.tolist(), "P2": self.P2.tolist(), "Q": self.Q.tolist(),
-             "R": self.R.tolist(), "lambda": self.lam, "kappa": self.kappa,
-             "domain": self.domain.to_dict(),
-             "verification": self.verification.to_dict() if self.verification else None}
-        return d
+        return {"P1": self.P1.tolist(), "P2": self.P2.tolist(), "Q": self.Q.tolist(),
+                "R": self.R.tolist(), "lambda": self.lam,
+                "verification": self.verification.to_dict() if self.verification else None}
 
     @classmethod
     def from_dict(cls, d):
+        """Older files also hold kappa, which must equal -ln(lambda) to 1e-12,
+        and domain, boxes X, U, W that must be well-formed but go unused."""
         d = _section(d, "certificate")
         ver = VerificationReport.from_dict(d["verification"]) if d.get("verification") else None
-        return cls(*(_numeric(d, k, "certificate", convert) for k, convert in (
+        cert = cls(*(_numeric(d, k, "certificate", convert) for k, convert in (
             ("P1", _float_array), ("P2", _float_array), ("Q", _float_array),
-            ("R", _float_array), ("lambda", float), ("kappa", float),
-            ("domain", Domain.from_dict))), ver)
+            ("R", _float_array), ("lambda", float))), ver)
+        if "kappa" in d and abs(_numeric(d, "kappa", "certificate") - _kappa_of(cert.lam)) > 1e-12:
+            raise ConfigurationError("kappa must equal -ln(lambda) to 1e-12")
+        if "domain" in d:
+            dom = _section(d["domain"], "certificate domain")
+            for k in ("X", "U", "W"):
+                _numeric(dom, k, "certificate domain", lambda v: as_box(v, None, f"domain {k}"))
+        return cert
 
 
 def save_certificate(cert, path):
@@ -239,13 +210,11 @@ def _max_eig(model, P, Q, R, kappa, points):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid over a Domain.
-
-    Points per axis, one count for every axis of the block, or
-    vertices_only, the grid of two points per axis.  Vertex mode is only
-    honored when the caller asserts that the inequality entries are affine
-    along each axis (affinity_asserted), which makes corner checking
-    sufficient on the box.
+    """Evaluation grid over the model's boxes X, U and W: points per axis,
+    one count for every axis of the block, or vertices_only, the grid of two
+    points per axis.  Vertex mode is only honored when the caller asserts
+    that the inequality entries are affine along each axis
+    (affinity_asserted), which makes corner checking sufficient on the box.
     """
 
     x_points: int = 2
@@ -255,9 +224,10 @@ class GridSpec:
     affinity_asserted: bool = False
 
 
-def grid_points(domain, grid):
-    """Evaluation points of a GridSpec over a Domain, stacked as arrays
-    (x (B, n), u (B, m), w (B, q)) in x-major, then u, then w order."""
+def grid_points(model, grid):
+    """Evaluation points of a GridSpec over the model's boxes, stacked as
+    arrays (x (B, n), u (B, m), w (B, q)) in x-major, then u, then w order.
+    A box with an unbounded side cannot be gridded and is refused."""
     counts = (grid.x_points, grid.u_points, grid.w_points)
     if grid.vertices_only:
         if not grid.affinity_asserted:
@@ -266,26 +236,23 @@ def grid_points(domain, grid):
                 "sufficient when the inequality entries are affine per axis")
         counts = (2, 2, 2)
     axes = [np.array(list(itertools.product(*box_grid_axes(box, c))), dtype=float)
-            for box, c in zip((domain.X, domain.U, domain.W), counts)]
+            for box, c in zip((model.X, model.U, model.W), counts)]
     k = np.indices([len(a) for a in axes]).reshape(3, -1)
     return tuple(a[i] for a, i in zip(axes, k)), "vertices" if grid.vertices_only else "grid"
 
 
 def verify_certificate(model, cert, grid, tol_psd=1e-8):
-    """Evaluate the inequality at every grid point of the certificate domain.
+    """Evaluate the inequality at every grid point of the model's boxes.
 
     Passes iff the maximum eigenvalue over all points is <= tol_psd
     (absolute).  Only defined for single-P certificates (P1 = P2), the only
     kind this module produces; a certificate file with P1 != P2 is refused.
     """
-    for name in ("X", "U", "W"):
-        if not box_within(getattr(cert.domain, name), getattr(model, name)):
-            raise ConfigurationError(f"certificate domain {name} does not fit the model's {name}")
     check_weight_sizes(model, P=cert.P1, Q=cert.Q, R=cert.R)
     if not np.allclose(cert.P1, cert.P2, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cert.P2).max()))):
         raise ConfigurationError("pointwise verification requires P1 = P2")
-    points, mode = grid_points(cert.domain, grid)
-    max_eig, worst = _max_eig(model, cert.P1, cert.Q, cert.R, cert.kappa, points)
+    points, mode = grid_points(model, grid)
+    max_eig, worst = _max_eig(model, cert.P1, cert.Q, cert.R, _kappa_of(cert.lam), points)
     return VerificationReport(max_eig <= tol_psd, max_eig, *worst, tol_psd,
                               len(points[0]), mode)
 
@@ -462,8 +429,7 @@ def synthesize_certificate(model, lam, mode, grid):
     no strictly feasible point is found.
     """
     kappa = _kappa_of(lam)
-    domain = Domain.of_model(model)
-    points, _ = grid_points(domain, grid)
+    points, _ = grid_points(model, grid)
 
     if isinstance(mode, str) and mode == "joint":
         Q_fix = R_fix = None
@@ -484,7 +450,7 @@ def synthesize_certificate(model, lam, mode, grid):
             f"best max eigenvalue {worst_eig:.3e} at x = {worst_pt[0]}, u = {worst_pt[1]}, "
             f"w = {worst_pt[2]}", worst_point=worst_pt, worst_eig=worst_eig)
 
-    cert = DetectabilityCertificate.from_weights(P, Q, R, lam, domain)
+    cert = DetectabilityCertificate.from_weights(P, Q, R, lam)
     report = verify_certificate(model, cert, grid, tol_psd=SdpOptions().recheck_tol)
     if not report.passed:
         raise RuntimeError(

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import svgplot
 from .analysis import audit_run
-from .certify import (DetectabilityCertificate, Domain, FixedQR, GridSpec, contraction_rate,
+from .certify import (DetectabilityCertificate, FixedQR, GridSpec, contraction_rate,
                       load_certificate, min_horizon, save_certificate,
                       synthesize_certificate, verify_certificate)
 from .errors import (ConfigurationError, DivergenceError, DomainError, HorizonError,
@@ -96,9 +96,7 @@ def bench_times():
 
 
 def bench_certificate():
-    model = batch_reactor()
-    return DetectabilityCertificate.from_weights(
-        BENCH_P, BENCH_Q, BENCH_R, BENCH_LAMBDA, Domain.of_model(model))
+    return DetectabilityCertificate.from_weights(BENCH_P, BENCH_Q, BENCH_R, BENCH_LAMBDA)
 
 
 def bench_run(seed=1, *, sampler_spec=None, t_sim=BENCH_T_SIM, equidistant_mode=False,
@@ -229,7 +227,7 @@ def _scenario_model(cfg):
     raise ConfigurationError("model must be a registry name or {\"file\": path}")
 
 
-def _scenario_certificate(cfg, model):
+def _scenario_certificate(cfg):
     c = cfg.get("certificate")
     if c is None:
         raise ConfigurationError("config needs a certificate (path or inline weights)")
@@ -238,7 +236,7 @@ def _scenario_certificate(cfg, model):
     if isinstance(c, dict) and "P" in c:
         P, Q, R = [_numeric(c, k, "certificate", _float_array) for k in ("P", "Q", "R")]
         lam = _numeric(c, "lambda", "certificate")
-        return DetectabilityCertificate.from_weights(P, Q, R, lam, Domain.of_model(model))
+        return DetectabilityCertificate.from_weights(P, Q, R, lam)
     raise ConfigurationError("certificate must be a file path or inline {P, Q, R, lambda}")
 
 
@@ -276,7 +274,7 @@ def _scenario_disturbance(cfg, model, dt, t_sim):
 def _assemble_scenario(path):
     cfg = _load_scenario(path)
     model = _scenario_model(cfg)
-    cert = _scenario_certificate(cfg, model)
+    cert = _scenario_certificate(cfg)
     T, dt, t_sim = (_numeric(cfg, k, "config") for k in ("T", "dt", "t_sim"))
     chi_hat = _numeric(cfg, "chi_hat", "config", _float_array)
     sampler = _scenario_sampler(cfg)

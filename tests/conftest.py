@@ -14,6 +14,17 @@ settings.register_profile("derandomized", derandomize=True, deadline=None)
 settings.load_profile("derandomized")
 
 
+def older_certificate_file(**domain):
+    """The reference weights as a certificate file of the earlier format,
+    which also stored kappa = -ln(lambda) and, as domain, the boxes it was
+    checked on; keyword boxes replace the reactor's."""
+    return {"P1": [[4.009, 3.768], [3.768, 3.549]], "P2": [[4.009, 3.768], [3.768, 3.549]],
+            "Q": [[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0], [0.0, 0.0, 100.0]], "R": [[100.0]],
+            "lambda": 0.4, "kappa": 0.916290731874155,
+            "domain": {"X": [[0.1, 5.0], [0.1, 5.0]], "U": [], "W": [[-0.1, 0.1]] * 3, **domain},
+            "verification": None}
+
+
 def const_jac(value):
     """Constant Jacobian callback of a model with n = q = p = 1, shaped
     (..., 1, 1) for states of shape (..., 1)."""

@@ -83,7 +83,7 @@ def test_01_reference_weights_verify_strictly(reactor, ref_cert):
     rounded = np.array([[float(f"{v:.4g}") for v in row] for row in P_WITNESS])
     quoted = bool(np.array_equal(rounded, ref_cert.P1))
     cert = DetectabilityCertificate.from_weights(
-        P_WITNESS, ref_cert.Q, ref_cert.R, ref_cert.lam, ref_cert.domain)
+        P_WITNESS, ref_cert.Q, ref_cert.R, ref_cert.lam)
     t0 = time.perf_counter()
     report = verify_certificate(reactor, cert, VERTS, tol_psd=1e-6)
     took = time.perf_counter() - t0
@@ -123,7 +123,7 @@ def test_04_error_bounds_hold_across_runs(stress_runs):
 
 
 def test_05_certified_decrease_inequality(reactor, synth_cert):
-    P, Q, R, kappa = synth_cert.P1, synth_cert.Q, synth_cert.R, synth_cert.kappa
+    P, Q, R, kappa = synth_cert.P1, synth_cert.Q, synth_cert.R, -math.log(synth_cert.lam)
     rng = SplitMix64(909)
     dt, steps = 0.01, 25
     checked = 0

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import mhect.certify
-from mhect import (DetectabilityCertificate, Domain, FixedQR, GridSpec, SystemModel,
+from mhect import (DetectabilityCertificate, FixedQR, GridSpec, SystemModel,
                    batch_reactor, contraction_rate, geneig_max, integrate, lmi_matrix,
                    load_certificate, min_horizon, model_from_dict, save_certificate,
                    synthesize_certificate, verify_certificate)
@@ -13,19 +14,19 @@ from mhect.certify import (MU0, _BarrierSDP, _check_sym_pd, _distinct_points,
 from mhect.cli import bench_certificate
 from mhect.errors import ConfigurationError, HorizonError, InfeasibleError
 from mhect.rng import SplitMix64
-from tests.conftest import Q_BENCH, R_BENCH, VERTS, const_jac
+from tests.conftest import Q_BENCH, R_BENCH, VERTS, const_jac, older_certificate_file
 
 GOLDEN = (-3.0 + math.sqrt(5.0)) / 2.0  # max eig of [[-2, 1], [1, -1]]
 
 
-def scalar_model():
+def scalar_model(X=((-1.0, 1.0),)):
     # x' = -x + w, y = x: A = -1, B = 1, C = 1, D = 0
     return SystemModel(1, 0, 1, 1,
                        lambda x, u, w: -x + w,
                        lambda x, u, w: x.copy(),
                        jac_f_x=const_jac(-1.0), jac_f_w=const_jac(1.0),
                        jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                       X=[[-1.0, 1.0]], U=[], W=[[-1.0, 1.0]])
+                       X=X, U=[], W=[[-1.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +89,13 @@ def test_inequality_is_affine_in_the_weights(reactor):
 def test_verify_scalar_certificate():
     m = scalar_model()
     cert = DetectabilityCertificate.from_weights(
-        np.eye(1), np.eye(1), np.eye(1), math.exp(-1.0), Domain.of_model(m))
+        np.eye(1), np.eye(1), np.eye(1), math.exp(-1.0))
     rep = verify_certificate(m, cert, VERTS)
     assert rep.passed and rep.mode == "vertices" and rep.n_points == 4
     assert rep.max_eig == pytest.approx(GOLDEN, abs=1e-12)
 
     tight = DetectabilityCertificate.from_weights(
-        np.eye(1), np.eye(1), np.eye(1), math.exp(-3.0), Domain.of_model(m))
+        np.eye(1), np.eye(1), np.eye(1), math.exp(-3.0))
     rep3 = verify_certificate(m, tight, VERTS)
     assert not rep3.passed
     assert rep3.max_eig == pytest.approx((-1.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
@@ -111,26 +112,29 @@ def test_verify_reference_weights(reactor, ref_cert):
     assert rep.worst_x[0] == pytest.approx(0.1)
 
 
-def test_verify_requires_matching_domain(reactor, ref_cert):
-    import dataclasses
-    big = dataclasses.replace(ref_cert, domain=Domain([[0.1, 6.0]] * 2, [], [[-0.1, 0.1]] * 3))
-    with pytest.raises(ConfigurationError):
-        verify_certificate(reactor, big, VERTS)
+@pytest.mark.parametrize("X", [[[0.6, 5.0]] * 2, [[0.1, 6.0]] * 2], ids=["inside-X", "past-X"])
+def test_verify_runs_on_the_models_boxes_whatever_domain_a_file_stored(tmp_path, reactor, X):
+    # an older file's domain is not used, whether it lies inside X and leaves
+    # out the failing corner x = (0.1, 0.1) or reaches past X: the check runs on X
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(older_certificate_file(X=X)))
+    rep = verify_certificate(reactor, load_certificate(str(path)), VERTS, tol_psd=1e-6)
+    assert not rep.passed and rep.max_eig == pytest.approx(6.0880638968054e-05, abs=1e-10)
+    assert rep.worst_x.tolist() == [0.1, 0.1]
 
 
 def test_grid_points_modes(reactor):
-    dom = Domain.of_model(reactor)
-    pts, mode = grid_points(dom, GridSpec(x_points=3, w_points=3))
+    pts, mode = grid_points(reactor, GridSpec(x_points=3, w_points=3))
     assert mode == "grid" and [v.shape for v in pts] == [(9 * 27, 2), (9 * 27, 0), (9 * 27, 3)]
-    pts, mode = grid_points(dom, VERTS)
+    pts, mode = grid_points(reactor, VERTS)
     assert mode == "vertices" and [v.shape for v in pts] == [(32, 2), (32, 0), (32, 3)]
     # vertex mode is the two-point grid: every corner once, an empty U as one point
     assert sorted(map(tuple, pts[0][::8])) == [(0.1, 0.1), (0.1, 5.0), (5.0, 0.1), (5.0, 5.0)]
     assert len(np.unique(pts[2], axis=0)) == 8 and np.all(np.abs(pts[2]) == 0.1)
     with pytest.raises(ConfigurationError):
-        grid_points(dom, GridSpec(vertices_only=True))
-    with pytest.raises(ConfigurationError):
-        grid_points(Domain([[0.0, None]], [], [[-1.0, 1.0]]), VERTS)
+        grid_points(reactor, GridSpec(vertices_only=True))
+    with pytest.raises(ConfigurationError, match="cannot grid an unbounded axis"):
+        grid_points(scalar_model(X=[[0.0, None]]), VERTS)
 
 
 def _term(coeff, x_exp, w_exp):
@@ -162,14 +166,14 @@ def _oracle_case(name):
                                   [[_term(1.0, [1, 0], [0]), _term(1.0, [0, 1], [0])]])
         grid = GridSpec(x_points=3, w_points=3)
     return model, DetectabilityCertificate.from_weights(
-        np.eye(model.n), np.eye(model.q), np.eye(model.p), 0.5, Domain.of_model(model)), grid
+        np.eye(model.n), np.eye(model.q), np.eye(model.p), 0.5), grid
 
 
 @pytest.mark.parametrize("name", ["reactor", "all_distinct", "ties"])
 def test_verify_matches_every_point_by_brute_force(name):
     model, cert, grid = _oracle_case(name)
-    points, mode = grid_points(cert.domain, grid)
-    eigs = np.linalg.eigvalsh(lmi_matrix(model, cert.P1, cert.Q, cert.R, cert.kappa,
+    points, mode = grid_points(model, grid)
+    eigs = np.linalg.eigvalsh(lmi_matrix(model, cert.P1, cert.Q, cert.R, -math.log(cert.lam),
                                          *points))[:, -1]
     k = int(np.argmax(eigs))
     rep = verify_certificate(model, cert, grid, tol_psd=1e-4)
@@ -219,31 +223,31 @@ def test_generalized_eigenvalue_examples():
 # ---------------------------------------------------------------------------
 # certificate construction and serialization
 
-def test_certificate_invariants(reactor):
-    dom = Domain.of_model(reactor)
+def test_certificate_invariants():
     P = np.eye(2)
     with pytest.raises(ConfigurationError):
-        DetectabilityCertificate(2 * P, P, np.eye(3), np.eye(1), 0.4,
-                                 -math.log(0.4), dom)      # P1 > P2
+        DetectabilityCertificate(2 * P, P, np.eye(3), np.eye(1), 0.4)      # P1 > P2
     with pytest.raises(ConfigurationError):
-        DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), 1.2, dom)
-    with pytest.raises(ConfigurationError):
-        DetectabilityCertificate(P, P, np.eye(3), np.eye(1), 0.4, 0.5, dom)
+        DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), 1.2)
     with pytest.raises(ConfigurationError):
         DetectabilityCertificate.from_weights(np.array([[1.0, 2.0], [2.0, 1.0]]),
-                                              np.eye(3), np.eye(1), 0.4, dom)
+                                              np.eye(3), np.eye(1), 0.4)
     # refused before the symmetry check, whose inf - inf would read as nan
     with pytest.raises(ConfigurationError, match="P has a non-finite entry"):
         _check_sym_pd(np.array([[1.0, np.inf], [np.inf, 1.0]]), "P")
     with pytest.raises(ConfigurationError, match="Q has a non-finite entry"):
-        DetectabilityCertificate.from_weights(P, np.diag([np.inf, 1.0, 1.0]), np.eye(1), 0.4,
-                                              dom)
+        DetectabilityCertificate.from_weights(P, np.diag([np.inf, 1.0, 1.0]), np.eye(1), 0.4)
     for lam in (0.0, -0.5, math.nan):
         with pytest.raises(ConfigurationError, match="lambda must lie strictly inside"):
-            DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), lam, dom)
-    c = DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), 0.4, dom)
-    assert c.kappa == pytest.approx(-math.log(0.4), abs=1e-15)
+            DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), lam)
+    c = DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), 0.4)
     assert np.array_equal(c.P1, c.P2)
+    # kappa is derived from lambda; a file that stores it must agree to 1e-12
+    assert list(c.to_dict()) == ["P1", "P2", "Q", "R", "lambda", "verification"]
+    older = older_certificate_file()
+    assert DetectabilityCertificate.from_dict(dict(older, kappa=-math.log(0.4) + 9e-13)).lam == 0.4
+    with pytest.raises(ConfigurationError, match="kappa must equal"):
+        DetectabilityCertificate.from_dict(dict(older, kappa=-math.log(0.4) + 2e-12))
 
 
 def test_certificate_json_round_trip(tmp_path, reactor, synth_cert):
@@ -254,20 +258,24 @@ def test_certificate_json_round_trip(tmp_path, reactor, synth_cert):
     assert np.array_equal(back.P2, synth_cert.P2)
     assert np.array_equal(back.Q, synth_cert.Q)
     assert np.array_equal(back.R, synth_cert.R)
-    assert back.lam == synth_cert.lam and back.kappa == synth_cert.kappa
-    assert np.array_equal(back.domain.X, synth_cert.domain.X)
+    assert back.lam == synth_cert.lam
     assert back.verification is not None
     assert back.verification.max_eig == synth_cert.verification.max_eig
     # the reloaded certificate still verifies
     assert verify_certificate(reactor, back, VERTS, tol_psd=1e-8).passed
 
 
-def test_domain_serialization_with_unbounded_axes():
-    dom = Domain([[0.0, None]], [], [[-1.0, 1.0]])
-    back = Domain.from_dict(dom.to_dict())
-    assert back.X[0, 0] == 0.0 and back.X[0, 1] == np.inf
-    assert back.U.shape == (0, 2)
-    assert np.array_equal(back.W, [[-1.0, 1.0]])
+def test_older_file_with_unbounded_domain_axes_loads(tmp_path, reactor, ref_cert):
+    # the earlier format wrote an unbounded side as null; such a file loads,
+    # and its stored domain changes nothing
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(older_certificate_file(X=[[0.0, None]], W=[[-1.0, 1.0]])))
+    back = load_certificate(str(path))
+    for name in ("P1", "P2", "Q", "R"):
+        assert np.array_equal(getattr(back, name), getattr(ref_cert, name))
+    assert back.lam == ref_cert.lam and back.verification is None
+    assert (verify_certificate(reactor, back, VERTS).to_dict()
+            == verify_certificate(reactor, ref_cert, VERTS).to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +305,7 @@ def test_synthesis_fixed_weights_match_reference_digits(synth_cert):
 @pytest.mark.parametrize("mode", ["fixed", "joint"])
 @pytest.mark.parametrize("mu", [1.0, 0.01])
 def test_barrier_newton_system_matches_finite_differences(reactor, mode, mu):
-    points, _ = grid_points(Domain.of_model(reactor), VERTS)
+    points, _ = grid_points(reactor, VERTS)
     Q, R = (Q_BENCH, R_BENCH) if mode == "fixed" else (None, None)
     sdp, y0, _ = _synthesis_problem(reactor, -math.log(0.4), Q, R, points)
     # a generic interior point: the identity start with its weights perturbed
@@ -334,7 +342,7 @@ def test_synthesis_constrains_each_distinct_block_once(reactor):
     # the reactor's inequality depends on x1 only: 675 points hold 5 distinct
     # blocks, and repeating a block must not make a feasible problem fail
     grid = GridSpec(x_points=5, w_points=3)
-    points, _ = grid_points(Domain.of_model(reactor), grid)
+    points, _ = grid_points(reactor, grid)
     sdp, _, _ = _synthesis_problem(reactor, -math.log(0.4), None, None, points)
     assert len(points[0]) == 675 and len(sdp.groups[0][0]) == 5
     cert = synthesize_certificate(reactor, 0.4, "joint", grid)
@@ -461,7 +469,7 @@ def test_contraction_rate_horizon_gate(ref_cert):
 def test_certified_decrease_along_trajectory_pairs(reactor, synth_cert):
     """Along any two admissible trajectories the certified quadratic V obeys
     d/dt V <= -kappa V + |w1-w2|_Q^2 + |y1-y2|_R^2 pointwise in X."""
-    P, Q, R, kappa = synth_cert.P1, synth_cert.Q, synth_cert.R, synth_cert.kappa
+    P, Q, R, kappa = synth_cert.P1, synth_cert.Q, synth_cert.R, -math.log(synth_cert.lam)
     rng = SplitMix64(2024)
     dt, steps = 0.01, 25
     checked = 0

@@ -4,6 +4,7 @@ import math
 import pathlib
 import re
 import shlex
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from mhect import cli
 from mhect.cli import (DisturbanceSpec, _parse_diag, bench_certificate, bench_times,
                        generate_disturbance, main)
 from mhect.errors import ConfigurationError
-from mhect.certify import DetectabilityCertificate, save_certificate
+from mhect.certify import (DetectabilityCertificate, contraction_rate, load_certificate,
+                           save_certificate)
 from mhect.rng import SplitMix64
+from tests.conftest import older_certificate_file
 
 
 DROP = object()   # an override that removes the field
@@ -134,6 +137,21 @@ def test_certify_check_reference_weights(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("X, tol, code, says", [
+    # the file as the earlier format wrote it passes at the print-rounding scale
+    ([[0.1, 5.0]] * 2, "1e-4", 0, "PASS"),
+    # a stored domain inside X that leaves out the failing corner x = (0.1, 0.1)
+    # is not used: the strict check fails there
+    ([[0.6, 5.0]] * 2, "1e-6", 3, "max inequality eigenvalue 6.088064e-05 over 32 points"),
+], ids=["as-written", "domain-inside-X"])
+def test_certify_check_reads_an_older_file_on_the_models_boxes(tmp_path, capsys, X, tol, code,
+                                                                 says):
+    path = tmp_path / "older.json"
+    path.write_text(json.dumps(older_certificate_file(X=X)))
+    assert main(["certify", "--check", str(path), "--vertices", "--affine", "--tol", tol]) == code
+    assert says in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mode", [["--Q", "1000,1000,100", "--R", "100"], ["--joint"]])
 def test_certify_synthesizes_on_the_default_grid(tmp_path, capsys, mode):
     # 5 points per axis: 3125 points, of which the reactor has 5 distinct blocks
@@ -149,7 +167,7 @@ def test_certify_check_refuses_mis_sized_weights(tmp_path, capsys, weight, value
     weights = {"P": ref.P1, "Q": ref.Q, "R": ref.R, weight: value}
     path = tmp_path / "cert.json"
     save_certificate(DetectabilityCertificate.from_weights(
-        weights["P"], weights["Q"], weights["R"], ref.lam, ref.domain), str(path))
+        weights["P"], weights["Q"], weights["R"], ref.lam), str(path))
     assert main(["certify", "--check", str(path), "--vertices", "--affine"]) == 2
     d = len(value)
     assert f"weight {weight} is {d}x{d}" in capsys.readouterr().err
@@ -222,6 +240,30 @@ def test_audit_passes_and_writes_report(tmp_path, capsys):
     data = np.loadtxt(out / "bounds.csv", delimiter=",", skiprows=1)
     assert data.shape == (10, 9)
     assert np.all(data[:, 3] >= 0.0)
+
+
+@pytest.mark.parametrize("source", ["certify", "older"])
+def test_audit_reads_the_certificate_from_a_file(tmp_path, capsys, source):
+    # "certificate": "<path>"; the older file holds the inline weights of the
+    # default scenario, so it audits exactly as they do
+    path = tmp_path / "cert.json"
+    if source == "certify":
+        assert main(["certify", "--lambda", "0.4", "--Q", "1000,1000,100", "--R", "100",
+                     "--vertices", "--affine", "--out", str(tmp_path), "--cert-name",
+                     "cert.json"]) == 0
+    else:
+        path.write_text(json.dumps(older_certificate_file()))
+    out = tmp_path / "file"
+    assert main(["audit", "--config", scenario(tmp_path, certificate=str(path)),
+                 "--out", str(out)]) == 0
+    assert "decay bound holds" in capsys.readouterr().out
+    rho = json.loads((out / "summary.json").read_text())["rho"]
+    assert rho == contraction_rate(load_certificate(str(path)), 2.0, 0.1)
+    if source == "older":
+        inline = tmp_path / "inline"
+        assert main(["audit", "--config", scenario(tmp_path), "--out", str(inline)]) == 0
+        for name in ("estimate.csv", "bounds.csv", "summary.json"):
+            assert (out / name).read_bytes() == (inline / name).read_bytes()
 
 
 def test_audit_event_sampler(tmp_path, capsys):
@@ -366,11 +408,10 @@ def test_non_numeric_model_field_exit_code(tmp_path, capsys, path, value):
     assert f"field {key!r} is not numeric" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("drop", ["P1", "lambda", "domain", "domain.X", "verification.mode"])
+@pytest.mark.parametrize("drop", ["P1", "lambda", "domain.X", "verification.mode"])
 def test_missing_certificate_field_exit_code(tmp_path, capsys, drop):
     path = tmp_path / "cert.json"
-    save_certificate(bench_certificate(), path)
-    d = json.loads(path.read_text())
+    d = older_certificate_file()
     d["verification"] = {"passed": True, "max_eig": -1.0, "worst_x": [], "worst_u": [],
                          "worst_w": [], "tol_psd": 1e-8, "n_points": 1, "mode": "vertices"}
     outer, _, inner = drop.partition(".")
@@ -392,12 +433,13 @@ VERIFICATION = {"passed": True, "max_eig": -1.0, "worst_x": [], "worst_u": [], "
     ("verification.max_eig", "z", "field 'max_eig'"),
     ("verification.passed", "yes", "field 'passed'"),
     ("domain.X", 5, "domain X"), ("domain.W", [[-0.1, 0.1, 0.2]] * 3, "domain W"),
+    ("kappa", "abc", "field 'kappa'"),
 ])
 def test_non_numeric_certificate_field_exit_code(tmp_path, capsys, field, value, named):
-    # a field that is present but malformed, down to a box row of three entries
+    # a field that is present but malformed, down to a box row of three entries;
+    # an older file's kappa and domain are refused when malformed, though unused
     path = tmp_path / "cert.json"
-    save_certificate(bench_certificate(), path)
-    d = json.loads(path.read_text())
+    d = older_certificate_file()
     d["verification"] = dict(VERIFICATION)
     outer, _, inner = field.partition(".")
     if inner:
@@ -581,6 +623,10 @@ def _certificate_check_argv(**fields):
     pytest.param(_scenario_argv("estimate", disturbance={"bound": 0.05, "dt": 1e-300}), 2,
                  "disturbance t_sim = 1.0 over dt = 1e-300 exceeds the grid index range",
                  id="disturbance-dt-past-index-range"),
+    pytest.param(_scenario_argv("estimate", t_sim=0, disturbance=DROP), 2,
+                 "t_sim must cover at least one step", id="zero-t_sim"),
+    pytest.param(_scenario_argv("estimate", t_sim=0), 2,
+                 "t_sim must cover at least one disturbance piece", id="zero-t_sim-disturbance"),
     pytest.param(_model_file_argv(f=[[{"coeff": 1.0, "x_exp": [2, 0]}]]), 2,
                  "f[0]: exponent lists must have lengths 1 and 1", id="exponent-list-length"),
     pytest.param(_model_file_argv(h=[]), 2, "h must list p coordinates", id="no-h-rows"),
@@ -590,6 +636,8 @@ def _certificate_check_argv(**fields):
                  "P1 must be a square matrix", id="non-square-P"),
     pytest.param(_certificate_check_argv(P2=np.diag([10.0] * 3).tolist()), 2,
                  "P1 and P2 must have the same shape", id="P1-P2-sizes"),
+    pytest.param(_certificate_check_argv(kappa=0.9), 2,
+                 "kappa must equal -ln(lambda) to 1e-12", id="kappa-not-of-lambda"),
     pytest.param(lambda tmp_path: ["certify", "--lambda", "0.01", "--Q", "1,1,1", "--R", "1",
                                    "--vertices", "--affine", "--out", str(tmp_path / "o")],
                  3, "infeasible:", id="infeasible-synthesis"),
@@ -681,6 +729,44 @@ def test_bench_subcommand(tmp_path, capsys):
     assert summary["seeds"][0]["passed"] is True
     assert (tmp_path / "bounds.csv").exists()
     assert (tmp_path / "summary.json").exists()
+
+
+def test_bench_assertions_name_each_failure(monkeypatch):
+    slow = SimpleNamespace(cost=2.0, stats=SimpleNamespace(wall_time=1.5))
+    run = SimpleNamespace(solutions=[slow, slow])
+    report = SimpleNamespace(passed=False, worst_margin=-0.25, prop3_passed=False,
+                             sup_passed=False, rho=0.9)
+    monkeypatch.setattr(cli, "truth_candidate_cost", lambda run, i: 1.0)
+    # the cost check stops at the first sample that loses to the truth
+    assert cli._bench_assertions(run, report) == [
+        "decay bound violated (worst relative margin -2.500e-01)",
+        "window-wise bound violated",
+        "sup-norm bound violated",
+        "contraction rate 0.90000 departs from 0.86",
+        "sample 0: cost 2.000000e+00 exceeds the true-trajectory candidate 1.000000e+00",
+        "slowest window solve took 1.50 s (budget 1 s)",
+    ]
+
+
+def test_bench_failure_exits_4_with_the_failures_on_stderr(tmp_path, capsys, monkeypatch):
+    # a contraction rate that the reference weights do not give fails the seed
+    monkeypatch.setattr(cli, "BENCH_RHO", 0.5)
+    assert main(["bench-s5", "--seed", "1", "--out", str(tmp_path)]) == 4
+    out, err = capsys.readouterr()
+    assert "seed 1: FAIL" in out
+    assert err == "  contraction rate 0.86038 departs from 0.5\n"
+    summary = json.loads((tmp_path / "bench_summary.json").read_text())
+    assert summary["seeds"][0]["failures"] == ["contraction rate 0.86038 departs from 0.5"]
+    assert summary["seeds"][0]["passed"] is False
+
+
+def test_bench_stops_when_the_reference_weights_fail_verification(tmp_path, capsys,
+                                                                   monkeypatch):
+    # at the strict tolerance the quoted weights fail (README "Reference weights")
+    monkeypatch.setattr(cli, "BENCH_VERIFY_TOL", 1e-6)
+    assert main(["bench-s5", "--seed", "1", "--out", str(tmp_path)]) == 3
+    assert "reference weights failed verification" in capsys.readouterr().err
+    assert not (tmp_path / "bench_summary.json").exists()
 
 
 # ---------------------------------------------------------------------------

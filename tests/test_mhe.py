@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mhect.mhe
-from mhect import (DetectabilityCertificate, Domain, Equidistant, EventTriggered, Explicit,
+from mhect import (DetectabilityCertificate, Equidistant, EventTriggered, Explicit,
                    MheConfig, PiecewiseSignal, SystemModel, Trajectory, batch_reactor,
                    discount_weights, audit_run, integrate, make_sampler, model_from_dict,
                    output_along, run_mhe, solve_fie, solve_mhe, truth_candidate_cost)
@@ -116,6 +116,9 @@ def test_make_sampler_explicit():
             make_sampler(Explicit(bad), 5.0, 0.01, 2.0)
     # float dust snaps to the grid
     assert make_sampler(Explicit((3 * 0.1,)), 5.0, 0.01, 2.0).k_indices.tolist() == [30]
+    # bare times are not a spec
+    with pytest.raises(ConfigurationError, match="unknown sampler spec"):
+        make_sampler(tuple(times), 5.0, 0.01, 2.0)
 
 
 @settings(max_examples=200)
@@ -175,6 +178,10 @@ def test_make_sampler_event_rules():
     # missing context is an error when realized directly
     with pytest.raises(ConfigurationError):
         make_sampler(EventTriggered(1.0, 0.05, 0.25), 3.0, 0.01, 2.0)
+
+    # the shortest gap may not exceed the longest
+    with pytest.raises(ConfigurationError, match="need dt <= delta_min <= delta_max"):
+        make_sampler(EventTriggered(1e-4, 0.25, 0.05), 3.0, 0.01, 2.0, **data)
 
     # a NaN threshold would never fire, a negative one always
     for threshold in (math.nan, -1e-3):
@@ -500,8 +507,7 @@ def _controlled_scalar_model():
                         jac_f_x=const_jac(-1.0), jac_f_w=const_jac(1.0),
                         jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                         X=None, U=[[-1.0, 1.0]], W=[[-0.1, 0.1]])
-    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.2,
-                                                 Domain.of_model(model))
+    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.2)
     return model, MheConfig(cert, 1.0, 0.01, Equidistant(0.1))
 
 
@@ -540,6 +546,10 @@ def test_warm_start_agrees_with_cold_start(ref_cert):
     warm = run.solutions[i]
     assert cold.cost == pytest.approx(warm.cost, rel=1e-9, abs=1e-12)
     assert np.abs(cold.chi_star - warm.chi_star).max() < 1e-5
+    # a window that starts later cannot warm-start one that starts earlier
+    later = dataclasses.replace(warm, t_i=warm.t_i + 0.1)
+    with pytest.raises(ConfigurationError, match="warm start must come from an earlier window"):
+        solve_mhe(model, cfg, prior, None, y_seg, k_i * cfg.dt, warm=later)
 
 
 def test_prior_outside_domain_is_projected(ref_cert):
@@ -561,8 +571,7 @@ def _escape_window():
                         jac_f_x=lambda x, u, w: 2.0 * x[..., None],
                         jac_f_w=const_jac(1.0), jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                         X=None, U=[], W=[[-0.1, 0.1]])
-    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5,
-                                                 Domain.of_model(model))
+    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5)
     cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
     return model, cfg, PiecewiseSignal(0.01, np.full((10, 1), 0.1))
 
@@ -595,8 +604,7 @@ def test_divergence_raises_no_overflow_warning():
 def _rollout_window(model, N):
     """A window of N pieces of the model with unit weights and zero outputs."""
     n, q, p = model.n, model.q, model.p
-    cert = DetectabilityCertificate.from_weights(np.eye(n), np.eye(q), np.eye(p), 0.5,
-                                                 Domain.of_model(model))
+    cert = DetectabilityCertificate.from_weights(np.eye(n), np.eye(q), np.eye(p), 0.5)
     cfg = MheConfig(cert, 8.0, 0.01, Equidistant(0.1))
     return _WindowProblem(model, cfg, np.zeros(n), None,
                           PiecewiseSignal(0.01, np.zeros((N, p))), N * 0.01)
@@ -748,8 +756,7 @@ def _escalation_window():
                         jac_f_x=const_jac(0.0), jac_f_w=const_jac(1.0),
                         jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                         X=[[-1.0, 1.0]], U=[], W=[[-10.0, 10.0]])
-    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5,
-                                                 Domain.of_model(model))
+    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5)
     cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
     y_seg = PiecewiseSignal(0.01, np.full((50, 1), 5.0))
     return model, cert, y_seg, solve_mhe(model, cfg, np.array([0.0]), None, y_seg, 0.5)
@@ -765,6 +772,13 @@ def test_penalty_escalation_restores_the_state_constraints():
     assert np.all(np.abs(sol.x_star.states) <= 1.0 + 1e-9)
 
 
+def _flags(run, tmp_path):
+    """The flag column of the run's estimate.csv."""
+    path = tmp_path / "estimate.csv"
+    run.estimate_csv(str(path))
+    return [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+
+
 def test_window_left_outside_x_is_flagged_penalty_infeasible(tmp_path):
     """x' = 1, y = x with X = [-0.01, 0.01]: over a window of 0.1 no state in
     X explains the outputs, so the last escalation still ends outside X."""
@@ -772,17 +786,52 @@ def test_window_left_outside_x_is_flagged_penalty_infeasible(tmp_path):
                         jac_f_x=const_jac(0.0), jac_f_w=const_jac(0.0),
                         jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                         X=[[-0.01, 0.01]], U=[], W=[[-1.0, 1.0]])
-    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5,
-                                                 Domain.of_model(model))
+    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5)
     run = run_mhe(model, MheConfig(cert, 0.5, 0.01, Equidistant(0.1)), chi_hat=[0.0],
                   t_sim=0.1, chi=[0.0])
     (sol,) = run.solutions
     assert not sol.stats.feasible and sol.stats.escalations == 8
     assert sol.stats.termination in ("converged", "converged_at_precision")
-    path = tmp_path / "estimate.csv"
-    run.estimate_csv(str(path))
-    flags = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
-    assert flags == ["prior"] + ["penalty_infeasible"] * 10
+    assert _flags(run, tmp_path) == ["prior"] + ["penalty_infeasible"] * 10
+
+
+def test_a_stage_out_of_iterations_is_flagged_max_iters(ref_cert, monkeypatch, tmp_path):
+    monkeypatch.setattr(mhect.mhe, "MAX_ITERS", 1)
+    _, _, run = reactor_setup(ref_cert, t_sim=0.3)
+    assert [s.stats.iterations for s in run.solutions] == [1, 1, 1]
+    assert _flags(run, tmp_path) == ["prior"] + ["max_iters"] * 30
+
+
+@pytest.mark.parametrize("cause, trials", [("damping", 30), ("clipped", 1), ("singular", 60)])
+def test_a_stage_no_trial_improves_is_flagged_stalled(ref_cert, monkeypatch, tmp_path, cause,
+                                                      trials):
+    """The three ways a stage stalls, on the first reactor window, whose
+    prior x1 = 0.1 lies on the lower face of X.  damping: every trial is
+    rejected, so the damping grows fourfold from 1e-2 (after one singular
+    step system, which costs a trial and raises it tenfold) until it passes
+    1e15; each trial proposes the step at the initial damping, which neither
+    the precision floor nor the vanishing-step test stops.  clipped: a step
+    that the box clips to nothing ends the stage.  singular: a step system
+    singular at every damping uses all 60 trials."""
+    lm_step = _WindowProblem.lm_step
+    raised = []
+
+    def step(self, lin, free, mu):
+        if cause == "singular" or (cause == "damping" and not raised):
+            raised.append(mu)
+            raise np.linalg.LinAlgError("Singular matrix")
+        if cause == "damping":
+            return lm_step(self, lin, free, DAMPING_INIT)
+        s = np.zeros(free.size)
+        s[0] = -1.0
+        return s, np.zeros((self.N + 1, self.n))
+    monkeypatch.setattr(_WindowProblem, "lm_step", step)
+    monkeypatch.setattr(_WindowProblem, "evaluate", lambda self, z, guess: None)
+    _, _, run = reactor_setup(ref_cert, t_sim=0.1)
+    (sol,) = run.solutions
+    assert sol.stats.termination == "stalled" and sol.stats.trials == trials
+    assert sol.stats.iterations == 0 and len(sol.stats.cost_history) == 1
+    assert _flags(run, tmp_path) == ["prior"] + ["stalled"] * 10
 
 
 def _dense_jacobian(prob, z, states):
@@ -1062,3 +1111,5 @@ def test_run_from_recorded_measurements(ref_cert):
     assert np.array_equal(replay.estimate, run.estimate)
     with pytest.raises(ConfigurationError):
         truth_candidate_cost(replay, 0)
+    with pytest.raises(ConfigurationError, match="recorded y must cover"):
+        run_mhe(model, cfg, chi_hat=np.array([0.1, 4.5]), t_sim=1.0, y=run.y.slice(0.0, 0.5))
