@@ -22,11 +22,11 @@ from .sysmodel import PiecewiseSignal, as_grid_index, write_csv
 def theorem1_bound(cert, rho, chi, chi_hat, w, t_i, factor=8):
     """Decay-plus-energy bound on |x(t_i) - xhat(t_i)|^2_P1:
 
-        factor/2 * rho^t_i * |chi - chi_hat|^2_P2
+        4 * rho^t_i * |chi - chi_hat|^2_P2
           + factor * int_0^t_i rho^(t_i - tau) |w|^2_Q dtau
 
-    with the leading coefficient fixed at 4 regardless of factor; factor = 8
-    for general sampling sets, 4 under the tightened equidistant bookkeeping.
+    with the leading coefficient 4 for either factor; factor = 8 for general
+    sampling sets, 4 under the tightened equidistant bookkeeping.
     w must cover [0, t_i) on its own grid.
     """
     if factor not in (4, 8):

@@ -378,6 +378,8 @@ def cmd_audit(args):
 def cmd_bench(args):
     if args.seeds < 1:
         raise ConfigurationError("--seeds must be at least 1")
+    if args.jobs < 1:
+        raise ConfigurationError("--jobs must be at least 1")
     out = _resolve_out(args)
     model = batch_reactor()
     cert = bench_certificate()

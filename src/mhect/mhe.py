@@ -23,7 +23,8 @@ sequential RK4 steps when that does not reach rounding level; its last
 step Jacobians serve the next linearization.  The accepted iterate gets one
 sequential rollout, and a warm-started window rolls out only the steps its
 predecessor did not run.  A solve stops at the gradient tolerance, or at the
-precision floor when the model credits a step with no more than rounding.
+precision floor when, before any rejection, the model credits the damped
+step d with no more than rounding (its decrease is mu |d|^2 - g.d/2).
 """
 
 import math
@@ -499,15 +500,6 @@ class _WindowProblem:
         xt = _suffix_scan((Sx - Sw @ K)[::-1], xt, np.matmul, _matvec)[::-1]
         return np.concatenate([xt[0, :n], -_matvec(K, xt[:-1]).ravel()]), xt[:, :n]
 
-    def predicted_decrease(self, lin, step, dx):
-        """|r|^2 - |r + J d|^2 for the step d with state changes dx, from the
-        J'J and J'r parts of the stage matrices over x_j = [dw_j; dx_j] (no
-        dw at node N)."""
-        G, n, q = lin[0], self.n, self.q
-        x = np.hstack([np.append(step[n:], np.zeros(q)).reshape(-1, q), dx])
-        return -float(np.einsum("ji,jik,jk->", x, G[:, :-1, :-1], x)
-                      + 2.0 * np.einsum("ji,ji->", x, G[:, :-1, -1]))
-
 
 def _matvec(M, v):
     return np.einsum("kij,kj->ki", M, v)
@@ -607,8 +599,8 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
             # Coordinates pinned at a bound with the gradient pushing outward
             # stay pinned this iteration; the damped step acts on the face.
             free = ~(((z <= prob.lb) & (g > 0.0)) | ((z >= prob.ub) & (g < 0.0)))
-            trial, term = None, "stalled"
-            for _trial in range(60 if free.any() else 0):
+            trial, term, rejected = None, "stalled", False
+            for _trial in range(60):
                 stats.trials += 1
                 try:
                     step, dx = prob.lm_step(lin, free, mu)
@@ -616,10 +608,12 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
                     mu = max(mu, 1e-12) * 10.0
                     continue
                 z_try = prob.project(z + step)
-                # an unclipped step whose gain the model puts at rounding of f:
-                # no trial can tell it apart (Dennis & Schnabel 1996, sec. 7.2)
-                if (np.array_equal(z_try, z + step)
-                        and prob.predicted_decrease(lin, step, dx) <= PRECISION_TOL * f):
+                # before any rejection, an unclipped step whose gain the model
+                # puts at rounding of f ends the stage: no trial can tell it
+                # apart (Dennis & Schnabel 1996, sec. 7.2).  That gain,
+                # |J d|^2 + 2 mu |d|^2, is mu |d|^2 - g.d/2 (More 1978).
+                if (not rejected and np.array_equal(z_try, z + step)
+                        and mu * step @ step - 0.5 * g @ step <= PRECISION_TOL * f):
                     term = "converged_at_precision"
                     break
                 if np.linalg.norm(z_try - z) <= 1e-15 * (1.0 + np.linalg.norm(z)):
@@ -628,7 +622,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
                 if trial is not None and trial[2] < f:
                     mu = max(mu * 0.3, 1e-14)
                     break
-                trial = None
+                trial, rejected = None, True
                 mu = max(mu, 1e-14) * 4.0
                 if mu > 1e15:
                     break
@@ -766,6 +760,8 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
         x_true = integrate(model, chi, u, w, t_sim, dt)
         y = output_along(model, x_true, u, w)
         truth = TruthRecord(w, x_true)
+    elif not math.isclose(y.dt, dt, rel_tol=1e-9):
+        raise ConfigurationError(f"recorded y has dt = {y.dt}, not the run's dt = {dt}")
     elif y.n_pieces < K:
         raise ConfigurationError("recorded y must cover [0, t_sim)")
 

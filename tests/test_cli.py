@@ -644,6 +644,10 @@ def _certificate_check_argv(**fields):
     pytest.param(lambda tmp_path: ["certify", "--lambda", "0.4", "--Q", "inf,1,1", "--R", "1",
                                    "--vertices", "--affine", "--out", str(tmp_path / "o")],
                  2, "Q has a non-finite entry", id="infinite-Q"),
+    pytest.param(lambda tmp_path: ["bench-s5", "--jobs", "0", "--out", str(tmp_path / "o")],
+                 2, "--jobs must be at least 1", id="zero-jobs"),
+    pytest.param(lambda tmp_path: ["bench-s5", "--jobs", "-1", "--out", str(tmp_path / "o")],
+                 2, "--jobs must be at least 1", id="negative-jobs"),
     pytest.param(_inline_certificate_argv(R=[[math.inf]]), 2, "R has a non-finite entry",
                  id="inline-infinite-R"),
     pytest.param(_inline_certificate_argv(**{"lambda": 0}), 2,

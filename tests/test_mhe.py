@@ -806,26 +806,21 @@ def test_a_stage_out_of_iterations_is_flagged_max_iters(ref_cert, monkeypatch, t
 def test_a_stage_no_trial_improves_is_flagged_stalled(ref_cert, monkeypatch, tmp_path, cause,
                                                       trials):
     """The three ways a stage stalls, on the first reactor window, whose
-    prior x1 = 0.1 lies on the lower face of X.  damping: every trial is
-    rejected, so the damping grows fourfold from 1e-2 (after one singular
-    step system, which costs a trial and raises it tenfold) until it passes
-    1e15; each trial proposes the step at the initial damping, which neither
-    the precision floor nor the vanishing-step test stops.  clipped: a step
-    that the box clips to nothing ends the stage.  singular: a step system
-    singular at every damping uses all 60 trials."""
-    lm_step = _WindowProblem.lm_step
-    raised = []
-
+    prior x1 = 0.1 lies on the lower face of X.  damping: every trial
+    diverges and is rejected, so the damping grows fourfold from 1e-3 until
+    it passes 1e15; the steps shrink with it, but the precision floor is
+    tested only before the first rejection, so the window does not read as
+    converged.  clipped: a step that the box clips to nothing ends the
+    stage.  singular: a step system singular at every damping uses all 60
+    trials."""
     def step(self, lin, free, mu):
-        if cause == "singular" or (cause == "damping" and not raised):
-            raised.append(mu)
+        if cause == "singular":
             raise np.linalg.LinAlgError("Singular matrix")
-        if cause == "damping":
-            return lm_step(self, lin, free, DAMPING_INIT)
         s = np.zeros(free.size)
         s[0] = -1.0
         return s, np.zeros((self.N + 1, self.n))
-    monkeypatch.setattr(_WindowProblem, "lm_step", step)
+    if cause != "damping":
+        monkeypatch.setattr(_WindowProblem, "lm_step", step)
     monkeypatch.setattr(_WindowProblem, "evaluate", lambda self, z, guess: None)
     _, _, run = reactor_setup(ref_cert, t_sim=0.1)
     (sol,) = run.solutions
@@ -1005,6 +1000,10 @@ def test_stage_sweeps_match_the_dense_model(ref_cert, N, seed, log_mu, penalized
     step, _ = prob.lm_step(lin, free, mu)
     assert np.all(step[~free] == 0.0)
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+    # the precision stop reads the model decrease |r|^2 - |r + J d|^2 off
+    # the damped equations
+    g, Jd = 2.0 * prob.gradient(lin), J @ step
+    assert mu * step @ step - 0.5 * g @ step == pytest.approx(-(2.0 * r + Jd) @ Jd, rel=1e-10)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -1113,3 +1112,20 @@ def test_run_from_recorded_measurements(ref_cert):
         truth_candidate_cost(replay, 0)
     with pytest.raises(ConfigurationError, match="recorded y must cover"):
         run_mhe(model, cfg, chi_hat=np.array([0.1, 4.5]), t_sim=1.0, y=run.y.slice(0.0, 0.5))
+
+
+@pytest.mark.parametrize("sampling", [Equidistant(0.1), EventTriggered(1e-3, 0.05, 0.19)],
+                         ids=["equidistant", "event"])
+@pytest.mark.parametrize("y_dt", [0.02, 0.005])
+def test_recorded_measurements_on_another_grid_are_refused(ref_cert, monkeypatch, y_dt,
+                                                           sampling):
+    # a y that covers [0, t_sim) on a coarser or finer grid than cfg.dt is
+    # refused before the schedule or any window reads it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sampler read y")
+    monkeypatch.setattr(mhect.mhe, "make_sampler", unreachable)
+    cfg = MheConfig(ref_cert, 2.0, 0.01, sampling)
+    y = PiecewiseSignal(y_dt, np.full((round(1.0 / y_dt), 1), 4.0))
+    with pytest.raises(ConfigurationError, match=f"recorded y has dt = {y_dt}, not the run's "
+                                                 f"dt = 0.01"):
+        run_mhe(batch_reactor(), cfg, chi_hat=np.array([0.1, 4.5]), t_sim=1.0, y=y)
