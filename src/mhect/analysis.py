@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AuditError, ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .certify import contraction_rate, geneig_max
 from .mhe import _discounted_energy, _quad
 from .sysmodel import PiecewiseSignal, as_grid_index, write_csv
@@ -51,7 +51,7 @@ def prop3_bound(cert, t, t_i, T_ti, U_prior, w):
     window's disturbance segment (T_ti long on its own grid).
     """
     if t > t_i:
-        raise DomainError("prop3_bound is only valid for t <= t_i")
+        raise ConfigurationError("prop3_bound is only valid for t <= t_i")
     lam = cert.lam
     lmax = geneig_max(cert.P2, cert.P1)
     N = as_grid_index(T_ti, w.dt, "window length")
@@ -158,7 +158,7 @@ def audit_run(run):
     the admissible minimum.
     """
     if run.truth is None:
-        raise AuditError("audit needs a run with ground truth attached")
+        raise ConfigurationError("run carries no ground truth")
     cfg = run.cfg
     cert = cfg.cert
     sampling = run.sampling

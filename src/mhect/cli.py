@@ -24,8 +24,7 @@ from .analysis import audit_run
 from .certify import (DetectabilityCertificate, FixedQR, GridSpec, contraction_rate,
                       load_certificate, min_horizon, save_certificate,
                       synthesize_certificate, verify_certificate)
-from .errors import (ConfigurationError, DivergenceError, DomainError, HorizonError,
-                     InfeasibleError)
+from .errors import ConfigurationError, DivergenceError, InfeasibleError
 from .integrate import integrate, output_along
 from .mhe import (Equidistant, EventTriggered, Explicit, MheConfig, make_sampler, run_mhe,
                   truth_candidate_cost)
@@ -314,11 +313,7 @@ def cmd_certify(args):
         raise ConfigurationError("synthesis needs --lambda")
     mode = "joint" if args.joint else FixedQR(_parse_diag(args.Q, "--Q"),
                                               _parse_diag(args.R, "--R"))
-    try:
-        cert = synthesize_certificate(model, args.lam, mode, grid)
-    except InfeasibleError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return 3
+    cert = synthesize_certificate(model, args.lam, mode, grid)
     path = os.path.join(_resolve_out(args), args.cert_name)
     save_certificate(cert, path)
     print(f"synthesized certificate -> {path}")
@@ -462,12 +457,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, HorizonError, DomainError) as e:
+    except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as e:
         print(f"configuration error: {e!r}", file=sys.stderr)
         return 2
+    except InfeasibleError as e:
+        print(f"infeasible: {e}", file=sys.stderr)
+        return 3
     except DivergenceError as e:
         print(f"integration failure: {e}", file=sys.stderr)
         return 1

@@ -1,12 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types, one per cause; cli.main maps each to its exit code
+(ConfigurationError and its HorizonError 2, DivergenceError 1, InfeasibleError 3)."""
 
 
 class ConfigurationError(ValueError):
-    """Inconsistent dimensions, misaligned grids, or invalid options."""
+    """Invalid input: bad dimensions, misaligned grids or options, missing data."""
 
 
-class DomainError(ValueError):
-    """Evaluation outside a signal's domain or a sampling set's range."""
+class HorizonError(ConfigurationError):
+    """Horizon too short for the certificate and sampling-gap bound."""
 
 
 class DivergenceError(RuntimeError):
@@ -17,10 +18,6 @@ class DivergenceError(RuntimeError):
         self.t = t
 
 
-class HorizonError(ValueError):
-    """Horizon too short for the certificate and sampling-gap bound."""
-
-
 class InfeasibleError(RuntimeError):
     """Matrix-inequality feasibility problem has no strictly feasible point."""
 
@@ -28,7 +25,3 @@ class InfeasibleError(RuntimeError):
         super().__init__(message)
         self.worst_point = worst_point
         self.worst_eig = worst_eig
-
-
-class AuditError(ValueError):
-    """Error-bound audit cannot run on the supplied estimation record."""

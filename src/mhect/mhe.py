@@ -762,6 +762,8 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
         truth = TruthRecord(w, x_true)
     elif not math.isclose(y.dt, dt, rel_tol=1e-9):
         raise ConfigurationError(f"recorded y has dt = {y.dt}, not the run's dt = {dt}")
+    elif y.dim != model.p:
+        raise ConfigurationError(f"recorded y has {y.dim} columns, not the model's p = {model.p}")
     elif y.n_pieces < K:
         raise ConfigurationError("recorded y must cover [0, t_sim)")
 
@@ -780,8 +782,8 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
         N_i = min(k_i, n_T)
         s_i = k_i - N_i
         t_i = k_i * dt
-        u_seg = u.slice(s_i * dt, k_i * dt)
-        y_seg = y.slice(s_i * dt, k_i * dt)
+        u_seg = PiecewiseSignal(dt, u.values[s_i:k_i])
+        y_seg = PiecewiseSignal(dt, y.values[s_i:k_i])
         # every gap is below T, so the window starts at or before prev_k,
         # a node the previous solves have written
         prior = estimate[s_i]

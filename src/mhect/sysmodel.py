@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 GRID_TOL = 1e-9  # relative tolerance for "is an integer multiple of dt" checks
 
@@ -111,7 +111,8 @@ class SystemModel:
 class PiecewiseSignal:
     """Right-continuous piecewise-constant signal on [0, K*dt).
 
-    values has shape (K, d); piece k holds on [k*dt, (k+1)*dt).
+    values has shape (K, d); piece k holds on [k*dt, (k+1)*dt).  A window
+    on grid nodes [s, k) is PiecewiseSignal(dt, values[s:k]).
     """
 
     dt: float
@@ -132,14 +133,6 @@ class PiecewiseSignal:
     @property
     def n_pieces(self):
         return self.values.shape[0]
-
-    def slice(self, t_start, t_end):
-        """Grid-aligned sub-signal on [t_start, t_end), shifted to start at 0."""
-        k0 = as_grid_index(t_start, self.dt, "slice start")
-        k1 = as_grid_index(t_end, self.dt, "slice end")
-        if k0 < 0 or k1 > self.n_pieces or k0 > k1:
-            raise DomainError("slice outside signal domain")
-        return PiecewiseSignal(self.dt, self.values[k0:k1].copy())
 
 
 def as_grid_index(t, dt, what="time"):

@@ -209,10 +209,10 @@ def test_10_full_information_limit(reactor, ref_cert):
     run = run_mhe(reactor, cfg, chi_hat=np.array([0.1, 4.5]), t_sim=2.0,
                   chi=np.array([3.0, 1.0]), w=w)
     worst = 0.0
-    for sol in run.solutions:
+    for sol, k_i in zip(run.solutions, run.sampling.k_indices):
         assert sol.t_i <= cfg.T + 1e-12
         fie = solve_fie(reactor, cfg, np.array([0.1, 4.5]), None,
-                        run.y.slice(0.0, sol.t_i), sol.t_i)
+                        PiecewiseSignal(cfg.dt, run.y.values[:k_i]), sol.t_i)
         worst = max(worst, abs(fie.cost - sol.cost) / max(abs(sol.cost), 1e-300))
     ok = worst <= 1e-12
     assert _line(10, ok, f"{len(run.solutions)} windows with t_i <= T, worst "

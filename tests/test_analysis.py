@@ -6,7 +6,7 @@ import pytest
 from mhect import (Equidistant, MheConfig, PiecewiseSignal, audit_run, batch_reactor,
                    contraction_rate, geneig_max, prop3_bound, run_mhe,
                    sup_bound_constants, theorem1_bound)
-from mhect.errors import AuditError, ConfigurationError, DomainError, HorizonError
+from mhect.errors import ConfigurationError, HorizonError
 from mhect.rng import SplitMix64
 
 
@@ -80,7 +80,7 @@ def test_prop3_bound_values(ref_cert):
     got = prop3_bound(ref_cert, 2.0, 2.0, 2.0, 0.0, w)
     assert got == pytest.approx(4.0 * energy, rel=1e-11)
 
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError, match="only valid for t <= t_i"):
         prop3_bound(ref_cert, 2.1, 2.0, 2.0, 1.0, w0)
     with pytest.raises(ConfigurationError):
         prop3_bound(ref_cert, 1.0, 1.0, 3.0, 1.0, w0)
@@ -170,8 +170,8 @@ def test_audit_needs_ground_truth(ref_cert, clean_run):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
     replay = run_mhe(model, cfg, chi_hat=np.array([3.0, 1.0]), t_sim=0.5,
-                     y=clean_run.y.slice(0.0, 0.5))
-    with pytest.raises(AuditError):
+                     y=PiecewiseSignal(0.01, clean_run.y.values[:50]))
+    with pytest.raises(ConfigurationError, match="run carries no ground truth"):
         audit_run(replay)
 
 

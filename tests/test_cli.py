@@ -12,7 +12,9 @@ import pytest
 from mhect import cli
 from mhect.cli import (DisturbanceSpec, _parse_diag, bench_certificate, bench_times,
                        generate_disturbance, main)
-from mhect.errors import ConfigurationError
+from mhect import errors
+from mhect.errors import (ConfigurationError, DivergenceError, HorizonError,
+                          InfeasibleError)
 from mhect.certify import (DetectabilityCertificate, contraction_rate, load_certificate,
                            save_certificate)
 from mhect.rng import SplitMix64
@@ -530,6 +532,21 @@ def test_programming_key_error_propagates(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_mhe", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["estimate", "--config", scenario(tmp_path), "--out", str(tmp_path / "o")])
+
+
+EXIT_CODES = {ConfigurationError: 2, HorizonError: 2, DivergenceError: 1, InfeasibleError: 3}
+
+
+@pytest.mark.parametrize("error", EXIT_CODES, ids=lambda e: e.__name__)
+def test_each_error_class_has_its_exit_code(tmp_path, capsys, monkeypatch, error):
+    # main alone maps exceptions to exit codes, whichever subcommand raises them
+    assert set(EXIT_CODES) == {c for c in vars(errors).values() if isinstance(c, type)}
+    def failing(*args, **kwargs):
+        raise error("made to fail")
+    monkeypatch.setattr(cli, "run_mhe", failing)
+    argv = ["estimate", "--config", scenario(tmp_path), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CODES[error]
+    assert "made to fail" in capsys.readouterr().err
 
 
 def test_window_divergence_exit_code(tmp_path, capsys):

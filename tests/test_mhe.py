@@ -528,9 +528,9 @@ def test_control_input_coarser_than_dt():
 
 def test_full_information_matches_windowed(ref_cert):
     model, cfg, run = reactor_setup(ref_cert, t_sim=2.0, seed=5)
-    for sol in run.solutions:
+    for sol, k_i in zip(run.solutions, run.sampling.k_indices):
         fie = solve_fie(model, cfg, np.array([0.1, 4.5]), None,
-                        run.y.slice(0.0, sol.t_i), sol.t_i)
+                        PiecewiseSignal(cfg.dt, run.y.values[:k_i]), sol.t_i)
         assert fie.cost == pytest.approx(sol.cost, rel=1e-12, abs=1e-15)
 
 
@@ -541,7 +541,7 @@ def test_warm_start_agrees_with_cold_start(ref_cert):
     k_i = int(ks[i])
     s_i = k_i - min(k_i, cfg.n_steps_T)
     prior = run.estimate[s_i]
-    y_seg = run.y.slice(s_i * cfg.dt, k_i * cfg.dt)
+    y_seg = PiecewiseSignal(cfg.dt, run.y.values[s_i:k_i])
     cold = solve_mhe(model, cfg, prior, None, y_seg, k_i * cfg.dt, warm=None)
     warm = run.solutions[i]
     assert cold.cost == pytest.approx(warm.cost, rel=1e-9, abs=1e-12)
@@ -558,7 +558,8 @@ def test_prior_outside_domain_is_projected(ref_cert):
     truth = integrate(model, np.array([3.0, 1.0]), None, None, 0.5, 0.01)
     from mhect import output_along
     y = output_along(model, truth, None, None)
-    sol = solve_mhe(model, cfg, np.array([0.0, 6.0]), None, y.slice(0.0, 0.1), 0.1)
+    sol = solve_mhe(model, cfg, np.array([0.0, 6.0]), None,
+                    PiecewiseSignal(0.01, y.values[:10]), 0.1)
     assert any("projected" in msg for msg in sol.stats.warnings)
     assert np.all(sol.chi_star >= 0.1) and np.all(sol.chi_star <= 5.0)
 
@@ -596,6 +597,22 @@ def test_divergence_raises_no_overflow_warning():
     with pytest.raises(DivergenceError) as exc:
         integrate(model, np.array([20.0]), None, None, 0.1, 0.01)
     assert 0.05 <= exc.value.t <= 0.1
+
+
+def test_diverging_warm_start_falls_back_to_the_cold_start():
+    # a warm start whose states sit at 20 escapes inside the window, so the
+    # solve drops it and returns exactly what the cold solve returns
+    model, cfg, y_seg = _escape_window()
+    first = solve_mhe(model, cfg, np.array([0.1]), None, y_seg, 0.1)
+    states = np.full_like(first.x_star.states, 20.0)
+    warm = dataclasses.replace(first, x_star=Trajectory(cfg.dt, states))
+    y20 = PiecewiseSignal(0.01, np.full((20, 1), 0.1))
+    cold = solve_mhe(model, cfg, np.array([0.1]), None, y20, 0.2)
+    again = solve_mhe(model, cfg, np.array([0.1]), None, y20, 0.2, warm=warm)
+    assert "warm start diverged, cold start used" in again.stats.warnings
+    assert "warm start diverged, cold start used" not in cold.stats.warnings
+    assert again.x_star.states.tobytes() == cold.x_star.states.tobytes()
+    assert again.cost == cold.cost
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +760,7 @@ def test_warm_start_moved_by_the_projection_rolls_out_in_full(ref_cert, monkeypa
     warm = dataclasses.replace(prev, x_star=Trajectory(cfg.dt, states))
     prefixes = []
     _record_forward(monkeypatch, lambda prob, z, prefix, states: prefixes.append(prefix))
-    y_seg = run.y.slice(s_i * cfg.dt, k_i * cfg.dt)
+    y_seg = PiecewiseSignal(cfg.dt, run.y.values[s_i:k_i])
     again = solve_mhe(model, cfg, run.estimate[s_i], None, y_seg, sol.t_i, warm=warm)
     assert prefixes[0] is None
     assert again.cost == pytest.approx(sol.cost, rel=1e-9, abs=1e-12)
@@ -1111,7 +1128,8 @@ def test_run_from_recorded_measurements(ref_cert):
     with pytest.raises(ConfigurationError):
         truth_candidate_cost(replay, 0)
     with pytest.raises(ConfigurationError, match="recorded y must cover"):
-        run_mhe(model, cfg, chi_hat=np.array([0.1, 4.5]), t_sim=1.0, y=run.y.slice(0.0, 0.5))
+        run_mhe(model, cfg, chi_hat=np.array([0.1, 4.5]), t_sim=1.0,
+                y=PiecewiseSignal(0.01, run.y.values[:50]))
 
 
 @pytest.mark.parametrize("sampling", [Equidistant(0.1), EventTriggered(1e-3, 0.05, 0.19)],
@@ -1128,4 +1146,18 @@ def test_recorded_measurements_on_another_grid_are_refused(ref_cert, monkeypatch
     y = PiecewiseSignal(y_dt, np.full((round(1.0 / y_dt), 1), 4.0))
     with pytest.raises(ConfigurationError, match=f"recorded y has dt = {y_dt}, not the run's "
                                                  f"dt = 0.01"):
+        run_mhe(batch_reactor(), cfg, chi_hat=np.array([0.1, 4.5]), t_sim=1.0, y=y)
+
+
+@pytest.mark.parametrize("sampling", [Equidistant(0.1), EventTriggered(1e-3, 0.05, 0.19)],
+                         ids=["equidistant", "event"])
+def test_recorded_measurements_of_another_width_are_refused(ref_cert, monkeypatch, sampling):
+    # the reactor has p = 1: a y of two columns is refused by its width
+    # before the sampler (an event schedule would broadcast it) reads it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sampler read y")
+    monkeypatch.setattr(mhect.mhe, "make_sampler", unreachable)
+    cfg = MheConfig(ref_cert, 2.0, 0.01, sampling)
+    y = PiecewiseSignal(0.01, np.full((100, 2), 4.0))
+    with pytest.raises(ConfigurationError, match="recorded y has 2 columns, not the model's p = 1"):
         run_mhe(batch_reactor(), cfg, chi_hat=np.array([0.1, 4.5]), t_sim=1.0, y=y)

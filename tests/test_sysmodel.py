@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from mhect import (PiecewiseSignal, SystemModel, as_box, batch_reactor, box_clip,
                    box_contains, get_model, lmi_matrix, model_from_dict, rk4_step,
                    rk4_step_with_jacobians)
-from mhect.errors import ConfigurationError, DomainError
+from mhect.errors import ConfigurationError
 from mhect.rng import SplitMix64
 from mhect.sysmodel import as_grid_index, box_grid_axes, box_within
 from tests.conftest import const_jac
@@ -125,17 +125,6 @@ def test_dimension_validation():
 
 # ---------------------------------------------------------------------------
 # piecewise-constant signals
-
-def test_signal_slice():
-    sig = PiecewiseSignal(0.01, np.arange(20.0).reshape(20, 1))
-    sub = sig.slice(0.05, 0.12)
-    assert sub.n_pieces == 7
-    assert sub.values[0, 0] == 5.0 and sub.values[-1, 0] == 11.0
-    with pytest.raises(DomainError):
-        sig.slice(0.0, 0.21)
-    with pytest.raises(ConfigurationError):
-        sig.slice(0.005, 0.05)
-
 
 def test_signal_validation():
     with pytest.raises(ConfigurationError):
