@@ -47,6 +47,7 @@ ROLLOUT_MAX_ITERS = 8    # Newton rollout iterations before the sequential fallb
 MAX_ITERS = 100          # Levenberg-Marquardt iterations per penalty stage
 DAMPING_INIT = 1e-3      # initial Levenberg-Marquardt damping
 PENALTY_WEIGHT = 1e6     # initial weight of the state-constraint penalty
+MAX_ESCALATIONS = 8      # doublings of the penalty weight before a window is infeasible
 
 
 def discount_weights(rate, n_pieces, dt, horizon):
@@ -545,6 +546,62 @@ def _riccati_combine(a, b):
                      Aa.transpose(0, 2, 1) @ Lb @ XA + La], axis=1)
 
 
+def _lm_stage(prob, stats, z, states, jac):
+    """One projected Levenberg-Marquardt stage at the current penalty weight
+    from z, its window states and their step Jacobians jac (None when the
+    states come from forward).  Returns the last accepted iterate as (z,
+    states, r, jac) with its stop: converged, converged_at_precision,
+    stalled or max_iters."""
+    r = prob.residuals(z, states)
+    f = float(r @ r)
+    stats.cost_history = [f]
+    mu = DAMPING_INIT
+    for _ in range(MAX_ITERS):
+        lin = prob.linearize(z, states, r, jac)
+        g = 2.0 * prob.gradient(lin)
+        pg = z - prob.project(z - g)
+        stats.grad_norm = float(np.linalg.norm(pg))
+        if stats.grad_norm <= GRAD_TOL:
+            return z, states, r, jac, "converged"
+        # Coordinates pinned at a bound with the gradient pushing outward
+        # stay pinned this iteration; the damped step acts on the face.
+        free = ~(((z <= prob.lb) & (g > 0.0)) | ((z >= prob.ub) & (g < 0.0)))
+        trial, term, rejected = None, "stalled", False
+        for _trial in range(60):
+            stats.trials += 1
+            try:
+                step, dx = prob.lm_step(lin, free, mu)
+            except np.linalg.LinAlgError:
+                mu = max(mu, 1e-12) * 10.0
+                continue
+            z_try = prob.project(z + step)
+            # before any rejection, an unclipped step whose gain the model
+            # puts at rounding of f ends the stage: no trial can tell it
+            # apart (Dennis & Schnabel 1996, sec. 7.2).  That gain,
+            # |J d|^2 + 2 mu |d|^2, is mu |d|^2 - g.d/2 (More 1978).
+            if (not rejected and np.array_equal(z_try, z + step)
+                    and mu * step @ step - 0.5 * g @ step <= PRECISION_TOL * f):
+                term = "converged_at_precision"
+                break
+            if np.linalg.norm(z_try - z) <= 1e-15 * (1.0 + np.linalg.norm(z)):
+                break
+            trial = prob.evaluate(z_try, states + dx)
+            if trial is not None and trial[2] < f:
+                mu = max(mu * 0.3, 1e-14)
+                break
+            trial, rejected = None, True
+            mu = max(mu, 1e-14) * 4.0
+            if mu > 1e15:
+                break
+        if trial is None:
+            return z, states, r, jac, term
+        z = z_try
+        states, r, f, jac = trial
+        stats.cost_history.append(f)
+        stats.iterations += 1
+    return z, states, r, jac, "max_iters"
+
+
 def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
     t_start = time.perf_counter()
     stats = SolverStats()
@@ -582,70 +639,16 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
         stats.warnings.append("warm start diverged, cold start used")
 
     jac = None   # step Jacobians of a rollout's states; None while they come from forward
-    max_escalations = 8
     while True:
-        r = prob.residuals(z, states)
-        f = float(r @ r)
-        stats.cost_history = [f]
-        mu = DAMPING_INIT
-        for _ in range(MAX_ITERS):
-            lin = prob.linearize(z, states, r, jac)
-            g = 2.0 * prob.gradient(lin)
-            pg = z - prob.project(z - g)
-            stats.grad_norm = float(np.linalg.norm(pg))
-            if stats.grad_norm <= GRAD_TOL:
-                term = "converged"
-                break
-            # Coordinates pinned at a bound with the gradient pushing outward
-            # stay pinned this iteration; the damped step acts on the face.
-            free = ~(((z <= prob.lb) & (g > 0.0)) | ((z >= prob.ub) & (g < 0.0)))
-            trial, term, rejected = None, "stalled", False
-            for _trial in range(60):
-                stats.trials += 1
-                try:
-                    step, dx = prob.lm_step(lin, free, mu)
-                except np.linalg.LinAlgError:
-                    mu = max(mu, 1e-12) * 10.0
-                    continue
-                z_try = prob.project(z + step)
-                # before any rejection, an unclipped step whose gain the model
-                # puts at rounding of f ends the stage: no trial can tell it
-                # apart (Dennis & Schnabel 1996, sec. 7.2).  That gain,
-                # |J d|^2 + 2 mu |d|^2, is mu |d|^2 - g.d/2 (More 1978).
-                if (not rejected and np.array_equal(z_try, z + step)
-                        and mu * step @ step - 0.5 * g @ step <= PRECISION_TOL * f):
-                    term = "converged_at_precision"
-                    break
-                if np.linalg.norm(z_try - z) <= 1e-15 * (1.0 + np.linalg.norm(z)):
-                    break
-                trial = prob.evaluate(z_try, states + dx)
-                if trial is not None and trial[2] < f:
-                    mu = max(mu * 0.3, 1e-14)
-                    break
-                trial, rejected = None, True
-                mu = max(mu, 1e-14) * 4.0
-                if mu > 1e15:
-                    break
-            if trial is None:
-                break
-            z = z_try
-            states, r, f, jac = trial
-            stats.cost_history.append(f)
-            stats.iterations += 1
-        else:
-            term = "max_iters"
-        stats.termination = term
+        z, states, r, jac, stats.termination = _lm_stage(prob, stats, z, states, jac)
         if jac is not None:
             # one sequential rollout of the accepted iterate, so the
             # feasibility check and x_star see integrate()'s states
             states, jac = prob.forward(z), None
             if states is None:
                 raise DivergenceError("accepted window iterate diverges on the sequential rollout")
-        if box_contains(model.X, states, tol=1e-9):
-            break
-        if stats.escalations >= max_escalations:
-            stats.feasible = False
-            stats.warnings.append("state constraints violated beyond tolerance after penalty escalation")
+        stats.feasible = box_contains(model.X, states, tol=1e-9)
+        if stats.feasible or stats.escalations == MAX_ESCALATIONS:
             break
         stats.escalations += 1
         prob.pen *= 2.0
