@@ -441,11 +441,13 @@ def test_box_active_windows_stop_at_tolerance_or_precision(ref_cert, seed, K, ga
         assert np.all(np.diff(s.stats.cost_history) <= 0.0)
 
 
-def test_solution_restates_exactly(ref_cert):
+def test_solution_restates_to_rounding(ref_cert):
+    # x_star is the accepted trial's Newton rollout, so integrate() restates
+    # it to rounding, not bit for bit
     model, cfg, run = reactor_setup(ref_cert, seed=2)
     for s in run.solutions:
-        again = integrate(model, s.chi_star, None, s.w_star, s.T_ti, cfg.dt)
-        assert again.states.tobytes() == s.x_star.states.tobytes()
+        again = integrate(model, s.chi_star, None, s.w_star, s.T_ti, cfg.dt).states
+        assert np.abs(s.x_star.states - again).max() <= 1e-12 * np.abs(again).max()
 
 
 def test_solver_beats_truth_candidate(ref_cert):
@@ -704,21 +706,21 @@ def test_diverging_trial_falls_back_and_is_rejected(monkeypatch):
     for key in ("trials", "iterations", "termination"):
         assert getattr(sol.stats, key) == getattr(seq.stats, key)
     assert sol.stats.cost_history == pytest.approx(seq.stats.cost_history, rel=1e-14)
-    assert sol.x_star.states.tobytes() == seq.x_star.states.tobytes()
+    x_seq = seq.x_star.states
+    assert np.abs(sol.x_star.states - x_seq).max() <= 1e-12 * np.abs(x_seq).max()
 
 
 def test_bench_windows_roll_out_sequentially_once_per_step(monkeypatch):
-    # the sequential kernel runs only for the new tail of each warm start
-    # and once over the accepted iterate, at most N_i + gap_i steps per
-    # window, and no trial's Newton rollout falls back
+    # the sequential kernel runs only for the cold first window and the new
+    # tail of each warm start, so at most once per grid step of the run,
+    # and no trial's Newton rollout falls back
     calls = []
     step = mhect.mhe.rk4_step
     monkeypatch.setattr(mhect.mhe, "rk4_step", lambda *args: calls.append(1) or step(*args))
     for seed in (1, 2, 3):
         calls.clear()
         run, _ = bench_run(seed)
-        gaps = np.diff(run.sampling.k_indices, prepend=0)
-        assert len(calls) <= sum(s.w_star.n_pieces for s in run.solutions) + gaps.sum()
+        assert len(calls) <= run.sampling.k_indices[-1]
         assert all(s.stats.rollout_fallbacks == 0 for s in run.solutions)
 
 
@@ -741,7 +743,8 @@ def test_warm_start_prefix_is_the_full_rollout(ref_cert, monkeypatch):
     def check(prob, z, prefix, states):
         if prefix is not None:
             reused.append(len(prefix))
-            assert states.tobytes() == forward(prob, z).tobytes()
+            full = forward(prob, z)
+            assert np.abs(states - full).max() <= 1e-12 * np.abs(full).max()
     forward = _record_forward(monkeypatch, check)
     _, _, run = reactor_setup(ref_cert, seed=2)
     assert len(reused) == len(run.solutions) - 1 and min(reused) > 1
