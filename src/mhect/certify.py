@@ -171,7 +171,9 @@ def load_certificate(path):
 def lmi_matrix(model, P, Q, R, kappa, x, u, w):
     """The (n+q) x (n+q) detectability inequality block, symmetrized by
     averaging with its transpose.  x, u, w may carry leading batch axes;
-    the result then holds one block per point, with shape (..., n+q, n+q)."""
+    the result then holds one block per point, with shape (..., n+q, n+q).
+    P, Q and R may carry leading batch axes too, which broadcast against
+    the points' axes as in matmul: (U, 1, d, d) at B points give (U, B, ...)."""
     A = model.jac_f_x(x, u, w)
     B = model.jac_f_w(x, u, w)
     C = model.jac_h_x(x, u, w)
@@ -187,15 +189,25 @@ def lmi_matrix(model, P, Q, R, kappa, x, u, w):
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
+def _distinct_rows(rows):
+    """Indices of the first of each distinct row of a 2-D float array, in
+    row order.  Adding 0.0 turns -0.0 into 0.0, so rows equal as floats have
+    equal int64 views; a stable sort of the views makes equal rows adjacent
+    and puts the first one at the head of its run."""
+    v = (np.asarray(rows, dtype=float) + 0.0).view(np.int64)
+    order = np.lexsort(v.T)
+    v = v[order]
+    head = np.concatenate([[True], np.any(v[1:] != v[:-1], axis=1)])
+    return np.sort(order[head])
+
+
 def _distinct_points(model, points):
     """The first of the stacked points (x, u, w) with each distinct set of
     model Jacobians, in grid order.  lmi_matrix reads a point only through
     A, B, C, D, and a batched call gives each row the bits of a single call,
     so these points hold every inequality block of the stack."""
     jacs = [J(*points) for J in (model.jac_f_x, model.jac_f_w, model.jac_h_x, model.jac_h_w)]
-    rows = np.concatenate([J.reshape(len(J), -1) for J in jacs], axis=1)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
-    first = np.sort(np.unique(keys, return_index=True)[1])
+    first = _distinct_rows(np.concatenate([J.reshape(len(J), -1) for J in jacs], axis=1))
     return tuple(v[first] for v in points)
 
 
@@ -296,41 +308,38 @@ def _sym_basis(n):
 
 
 class _BarrierSDP:
-    """min y[-1] subject to S_g(y) = K0_g + sum_k y_k K_gk > 0 for each group g.
+    """min y[-1] subject to S(y) = K0 + sum_k y_k K_k > 0.
 
-    A group stacks B blocks: K0 has shape (B, s, s) and K shape (B, nvar, s, s).
-    The last coordinate of y is t; its basis matrix is I in the inequality
-    blocks (slack t*I - M(z)) and 0 in the positivity blocks.  Newton's
-    method on t + mu * sum -log det S with exact Hessian, feasibility-preserving
-    backtracking and Armijo acceptance.
+    Every slack block sits in one stack, padded to a common size s: K0 has
+    shape (B, s, s) and K shape (B, nvar, s, s).  A block smaller than s
+    holds an identity diagonal in K0 and zeros in every basis matrix past
+    its own size, so its padding adds I to the slack and nothing to the
+    log-determinant or its derivatives.  The last coordinate of y is t; its
+    basis matrix is I in the inequality blocks (slack t*I - M(z)) and 0 in
+    the positivity blocks.  Newton's method on t + mu * sum -log det S with
+    exact Hessian, feasibility-preserving backtracking and Armijo acceptance.
     """
 
-    def __init__(self, groups):
-        self.groups = groups  # [(K0, K)]
+    def __init__(self, K0, K):
+        self.K0, self.K = K0, K
 
-    def _slacks(self, y):
-        return [K0 + np.einsum("k,bkij->bij", y, K) for K0, K in self.groups]
+    def _slack(self, y):
+        return self.K0 + np.einsum("k,bkij->bij", y, self.K)
 
     def _fval(self, y, mu):
-        logdet = 0.0
-        for S in self._slacks(y):
-            try:
-                L = np.linalg.cholesky(S)
-            except np.linalg.LinAlgError:
-                return math.inf
-            logdet += 2.0 * float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
+        try:
+            L = np.linalg.cholesky(self._slack(y))
+        except np.linalg.LinAlgError:
+            return math.inf
+        logdet = 2.0 * float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
         return y[-1] - mu * logdet
 
     def _newton_system(self, y, mu):
         """Gradient and Hessian of _fval: -tr(S^-1 K_k) and tr(S^-1 K_k S^-1 K_l)."""
-        grad = np.zeros(len(y))
-        grad[-1] = 1.0
-        hess = np.zeros((len(y), len(y)))
-        for S, (_, K) in zip(self._slacks(y), self.groups):
-            W = np.linalg.inv(S)[:, None] @ K
-            grad -= mu * np.einsum("bkii->k", W)
-            hess += mu * np.einsum("bkij,blji->kl", W, W)
-        return grad, hess
+        W = np.linalg.inv(self._slack(y))[:, None] @ self.K
+        grad = -mu * np.einsum("bkii->k", W)
+        grad[-1] += 1.0
+        return grad, mu * np.einsum("bkij,blji->kl", W, W)
 
     def solve(self, y0):
         """Returns (feasible, y, iters).  feasible means t = y[-1] < -FEAS_STOP."""
@@ -382,6 +391,8 @@ def _synthesis_problem(model, kappa, Q_fix, R_fix, points):
     with the same inequality block constrain the weights alike, so the
     barrier holds each distinct block once, at its first point; blocks are
     built at the distinct Jacobian points only, which keep every first one.
+    The stack holds those blocks, then one positivity block per unknown
+    weight, padded to s = max(n + q, p) in joint mode and n + q otherwise.
     """
     n, q, p = model.n, model.q, model.p
     points = _distinct_points(model, points)
@@ -389,34 +400,44 @@ def _synthesis_problem(model, kappa, Q_fix, R_fix, points):
     bases = [_sym_basis(d) for d in dims]
     offsets = np.cumsum([0] + [len(m) for m in bases])
     nvar = offsets[-1] + 1
+    s = max(n + q, *dims)
 
     def weights(y):
         W = [np.tensordot(y[o:o + len(m)], m, 1) for m, o in zip(bases, offsets)]
         return W if Q_fix is None else W + [Q_fix, R_fix]
 
     # the inequality is affine in (P, Q, R): its value at a basis matrix of
-    # one weight, the others zero, is that coordinate's block
+    # one weight, the others zero, is that coordinate's block.  One call on
+    # the stacked unit weights, and in fixed mode (0, Q_fix, R_fix) last,
+    # gives every block at every point
     zeros = [np.zeros((d, d)) for d in (n, q, p)]
     units = [zeros[:i] + [E] + zeros[i + 1:] for i, m in enumerate(bases) for E in m]
-    shape = (len(points[0]), n + q, n + q)
-    K = np.stack([-lmi_matrix(model, *unit, kappa, *points) for unit in units]
-                 + [np.broadcast_to(np.eye(n + q), shape)], axis=1)
-    K0 = np.zeros(shape) if Q_fix is None else -lmi_matrix(model, zeros[0], Q_fix, R_fix,
-                                                           kappa, *points)
+    fixed = [] if Q_fix is None else [[zeros[0], Q_fix, R_fix]]
+    stacked = [np.stack(W)[:, None] for W in zip(*(units + fixed))]
+    M = -lmi_matrix(model, *stacked, kappa, *points)
+    K0 = M[-1] if fixed else np.zeros_like(M[0])
+    K = M[:len(units)].swapaxes(0, 1)
     blocks = np.concatenate([K0.reshape(len(K0), -1), K.reshape(len(K), -1)], axis=1)
-    first = np.sort(np.unique(blocks, axis=0, return_index=True)[1])
-    groups = [(K0[first], K[first])]
+    first = _distinct_rows(blocks)
+    nb = len(first)
 
-    # positivity blocks: each unknown weight >= EPS_PD * I; the start point
-    # sets each weight to I, the sum of its d diagonal basis matrices
+    # the stack: inequality blocks t*I - M(z), then each unknown weight
+    # >= EPS_PD * I; padding is I in K0 and 0 in K
+    K0s = np.broadcast_to(np.eye(s), (nb + len(dims), s, s)).copy()
+    Ks = np.zeros((nb + len(dims), nvar, s, s))
+    K0s[:nb, :n + q, :n + q] = K0[first]
+    Ks[:nb, :-1, :n + q, :n + q] = K[first]
+    Ks[:nb, -1, :n + q, :n + q] = np.eye(n + q)
+    # the start point sets each weight to I, the sum of its d diagonal
+    # basis matrices, and t one above the largest inequality eigenvalue
     y0 = np.zeros(nvar)
-    for d, m, o in zip(dims, bases, offsets):
-        Kpos = np.zeros((1, nvar, d, d))
-        Kpos[0, o:o + len(m)] = m
-        groups.append((-EPS_PD * np.eye(d)[None], Kpos))
+    for b, (d, m, o) in enumerate(zip(dims, bases, offsets), start=nb):
+        K0s[b, :d, :d] = -EPS_PD * np.eye(d)
+        Ks[b, o:o + len(m), :d, :d] = m
         y0[o:o + d] = 1.0
-    y0[-1] = _max_eig(model, *weights(y0), kappa, points)[0] + 1.0
-    return _BarrierSDP(groups), y0, weights
+    S0 = K0s[:nb] + np.einsum("k,bkij->bij", y0, Ks[:nb])
+    y0[-1] = 1.0 - float(np.linalg.eigvalsh(S0)[:, 0].min())
+    return _BarrierSDP(K0s, Ks), y0, weights
 
 
 def synthesize_certificate(model, lam, mode, grid):

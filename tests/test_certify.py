@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mhect.certify
 from mhect import (DetectabilityCertificate, FixedQR, GridSpec, SystemModel,
                    batch_reactor, contraction_rate, geneig_max, integrate, lmi_matrix,
                    load_certificate, min_horizon, model_from_dict, save_certificate,
                    synthesize_certificate, verify_certificate)
-from mhect.certify import (MU0, _BarrierSDP, _check_sym_pd, _distinct_points,
+from mhect.certify import (MU0, _BarrierSDP, _check_sym_pd, _distinct_points, _distinct_rows,
                            _min_horizon_formula, _sym_basis, _synthesis_problem, grid_points)
 from mhect.cli import bench_certificate
 from mhect.errors import ConfigurationError, HorizonError, InfeasibleError
@@ -205,6 +207,20 @@ def test_reactor_grid_verification_evaluates_distinct_points_only(reactor, ref_c
     assert rep.n_points == 3200 and sum(evaluated) <= 20
 
 
+@given(st.data())
+def test_distinct_rows_match_numpy_unique(data):
+    # a small value pool plants duplicates; -0.0 and 0.0 are one value, as
+    # in np.unique, which compares rows as floats
+    ncols = data.draw(st.integers(1, 4))
+    pool = st.sampled_from([0.0, -0.0, 1.0, -1.5, 5e-324, 3e300])
+    base = data.draw(arrays(float, (data.draw(st.integers(1, 6)), ncols), elements=pool))
+    rows = base[data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=30))]
+    flip = data.draw(arrays(bool, rows.shape))
+    rows = np.where(flip & (rows == 0.0), -rows, rows)
+    want = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    assert np.array_equal(_distinct_rows(rows), want)
+
+
 def test_generalized_eigenvalue_examples():
     assert geneig_max(np.diag([2.0, 1.0]), np.eye(2)) == pytest.approx(2.0)
     assert geneig_max(np.diag([2.0, 1.0]), np.diag([4.0, 1.0])) == pytest.approx(1.0)
@@ -330,6 +346,164 @@ def test_barrier_newton_system_matches_finite_differences(reactor, mode, mu):
     assert np.abs(hess - hess_fd).max() <= 1e-6 * np.abs(hess_fd).max()
 
 
+def _per_group(sdp):
+    """The stacked barrier split back into its groups, each block cut to its
+    own size: the inequality blocks (nonzero t basis matrix) as one group,
+    then each positivity block alone.  Checks that every padded block holds
+    I in K0 and 0 in K past its size."""
+    K0, K = sdp.K0, sdp.K
+    s = K0.shape[-1]
+    ineq = np.flatnonzero(np.any(K[:, -1] != 0.0, axis=(1, 2)))
+    groups = []
+    for g in [ineq] + [[b] for b in range(len(K0)) if b not in ineq]:
+        d = 1 + int(np.flatnonzero(np.any(K[g] != 0.0, axis=(0, 1, 3)))[-1])
+        assert all(np.array_equal(K0[b, d:, d:], np.eye(s - d)) for b in g)
+        assert not (K0[g][:, :d, d:].any() or K0[g][:, d:, :d].any())
+        assert not (K[g][..., :d, d:].any() or K[g][..., d:, :].any())
+        groups.append((K0[g][:, :d, :d], K[g][..., :d, :d]))
+    return groups
+
+
+class _PerGroupBarrier(_BarrierSDP):
+    """The barrier before the stack: one Cholesky and one inverse per group
+    of equally sized blocks, the group terms summed in order."""
+
+    def __init__(self, K0, K):
+        super().__init__(K0, K)
+        self.groups = _per_group(self)
+
+    def _slacks(self, y):
+        return [K0 + np.einsum("k,bkij->bij", y, K) for K0, K in self.groups]
+
+    def _fval(self, y, mu):
+        logdet = 0.0
+        for S in self._slacks(y):
+            try:
+                L = np.linalg.cholesky(S)
+            except np.linalg.LinAlgError:
+                return math.inf
+            logdet += 2.0 * float(np.sum(np.log(np.diagonal(L, axis1=1, axis2=2))))
+        return y[-1] - mu * logdet
+
+    def _newton_system(self, y, mu):
+        grad = np.zeros(len(y))
+        grad[-1] = 1.0
+        hess = np.zeros((len(y), len(y)))
+        for S, (_, K) in zip(self._slacks(y), self.groups):
+            W = np.linalg.inv(S)[:, None] @ K
+            grad -= mu * np.einsum("bkii->k", W)
+            hess += mu * np.einsum("bkij,blji->kl", W, W)
+        return grad, hess
+
+
+@pytest.mark.parametrize("mode", ["fixed", "joint"])
+@pytest.mark.parametrize("mu", [1.0, 0.01])
+def test_stacked_barrier_matches_the_per_group_barrier(reactor, mode, mu):
+    points, _ = grid_points(reactor, GridSpec(x_points=3, w_points=2))
+    Q, R = (Q_BENCH, R_BENCH) if mode == "fixed" else (None, None)
+    sdp, y0, _ = _synthesis_problem(reactor, -math.log(0.4), Q, R, points)
+    ref = _PerGroupBarrier(sdp.K0, sdp.K)
+    assert len(ref.groups) == (2 if mode == "fixed" else 4)
+    rng = SplitMix64(17)
+    for _ in range(5):
+        y = y0 + np.append(rng.uniforms((len(y0) - 1,), -0.05, 0.05), 0.0)
+        f, f_ref = sdp._fval(y, mu), ref._fval(y, mu)
+        assert math.isfinite(f_ref) and abs(f - f_ref) <= 1e-12 * abs(f_ref)
+        for got, want in zip(sdp._newton_system(y, mu), ref._newton_system(y, mu)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _synthesize_counting(monkeypatch, barrier, model, lam, mode, grid):
+    """A synthesis with the given barrier class, and the number of Newton
+    systems it formed."""
+    calls = []
+
+    class Counted(barrier):
+        def _newton_system(self, y, mu):
+            calls.append(mu)
+            return super()._newton_system(y, mu)
+
+    monkeypatch.setattr(mhect.certify, "_BarrierSDP", Counted)
+    return synthesize_certificate(model, lam, mode, grid), len(calls)
+
+
+# Newton systems formed by the per-group barrier in the benchmark's three
+# syntheses: FixedQR on the vertices, joint on the vertices, FixedQR on the
+# 3 x 2 grid
+NEWTON_SYSTEMS = {0.3: (43, 17, 44), 0.4: (39, 16, 39), 0.5: (32, 16, 32)}
+
+
+@pytest.mark.parametrize("lam", sorted(NEWTON_SYSTEMS))
+def test_stacked_synthesis_takes_the_per_group_path(reactor, monkeypatch, lam):
+    fixed = FixedQR(Q_BENCH, R_BENCH)
+    cases = ((fixed, VERTS), ("joint", VERTS), (fixed, GridSpec(x_points=3, w_points=2)))
+    for (mode, grid), count in zip(cases, NEWTON_SYSTEMS[lam]):
+        cert, n = _synthesize_counting(monkeypatch, _BarrierSDP, reactor, lam, mode, grid)
+        ref, n_ref = _synthesize_counting(monkeypatch, _PerGroupBarrier, reactor, lam, mode, grid)
+        assert n == n_ref == count
+        for a, b in ((cert.P1, ref.P1), (cert.Q, ref.Q), (cert.R, ref.R)):
+            assert np.abs(a - b).max() <= 1e-8 * np.abs(b).max()
+
+
+def test_synthesis_pads_the_stack_to_the_output_weight():
+    # n = 1, q = 1, p = 3: R's positivity block (3 x 3) is larger than the
+    # inequality blocks (2 x 2), so every block is padded to 3 x 3
+    model = model_from_dict({
+        "state_dim": 1, "dist_dim": 1, "output_dim": 3,
+        "f": [[_term(-1.0, [1], [0]), _term(0.2, [2], [0]), _term(1.0, [0], [1])]],
+        "h": [[_term(1.0, [1], [0])], [_term(1.0, [1], [0]), _term(1.0, [0], [1])],
+              [_term(0.5, [2], [0])]],
+        "X": [[-1.0, 1.0]], "W": [[-1.0, 1.0]]})
+    grid = GridSpec(x_points=3, w_points=2)
+    points, _ = grid_points(model, grid)
+    sdp, _, _ = _synthesis_problem(model, -math.log(0.5), None, None, points)
+    assert sdp.K0.shape[1:] == (3, 3)
+    assert [K0.shape[-1] for K0, _ in _PerGroupBarrier(sdp.K0, sdp.K).groups] == [2, 1, 1, 3]
+    cert = synthesize_certificate(model, 0.5, "joint", grid)
+    assert cert.R.shape == (3, 3) and np.linalg.eigvalsh(cert.R)[0] > 0.0
+    assert verify_certificate(model, cert, grid).passed
+
+
+@pytest.mark.parametrize("mode", ["fixed", "joint"])
+def test_synthesis_factors_the_stack_once_per_evaluation(reactor, monkeypatch, mode):
+    # a work count in place of a timing gate: one Cholesky per objective
+    # value, one inverse per Newton system, one inequality evaluation per problem
+    calls = {"cholesky": 0, "inv": 0, "lmi_matrix": 0}
+    per_call = {"_fval": [], "_newton_system": [], "_synthesis_problem": []}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    def measure(owner, name, inner):
+        fn = getattr(owner, name)
+
+        def measured(*args):
+            before = calls[inner]
+            try:
+                return fn(*args)
+            finally:
+                per_call[name].append(calls[inner] - before)
+        monkeypatch.setattr(owner, name, measured)
+
+    for owner, name in ((np.linalg, "cholesky"), (np.linalg, "inv"),
+                        (mhect.certify, "lmi_matrix")):
+        count(owner, name)
+    for owner, name, inner in ((_BarrierSDP, "_fval", "cholesky"),
+                               (_BarrierSDP, "_newton_system", "inv"),
+                               (mhect.certify, "_synthesis_problem", "lmi_matrix")):
+        measure(owner, name, inner)
+    mode = FixedQR(Q_BENCH, R_BENCH) if mode == "fixed" else mode
+    synthesize_certificate(reactor, 0.4, mode, GridSpec(x_points=3, w_points=2))
+    assert per_call["_synthesis_problem"] == [1]
+    assert len(per_call["_fval"]) > 10 and set(per_call["_fval"]) == {1}
+    assert len(per_call["_newton_system"]) > 10 and set(per_call["_newton_system"]) == {1}
+
+
 def test_synthesis_joint_weights(reactor):
     cert = synthesize_certificate(reactor, 0.4, "joint", VERTS)
     assert cert.verification.passed
@@ -344,7 +518,10 @@ def test_synthesis_constrains_each_distinct_block_once(reactor):
     grid = GridSpec(x_points=5, w_points=3)
     points, _ = grid_points(reactor, grid)
     sdp, _, _ = _synthesis_problem(reactor, -math.log(0.4), None, None, points)
-    assert len(points[0]) == 675 and len(sdp.groups[0][0]) == 5
+    # inequality blocks are those whose t basis matrix is nonzero; one
+    # positivity block each for P, Q and R follows them
+    ineq = np.any(sdp.K[:, -1] != 0.0, axis=(1, 2))
+    assert len(points[0]) == 675 and ineq.sum() == 5 and len(sdp.K0) == 5 + 3
     cert = synthesize_certificate(reactor, 0.4, "joint", grid)
     assert cert.verification.n_points == 675
     assert verify_certificate(reactor, cert, grid).passed
