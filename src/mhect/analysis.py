@@ -70,26 +70,23 @@ class SupBoundConstants:
     rho_s: float
     gamma_coeff: float
 
-    def gamma(self, w_sup):
-        return self.gamma_coeff * w_sup
-
 
 def sup_bound_constants(cert, rho, factor=8):
     """Convert the squared-energy bound into sup-norm form.
 
-    C = sqrt(8 * eigmax(P2) / eigmin(P1)) (independent of factor),
+    C = sqrt(8 * eigmax(P) / eigmin(P)) (independent of factor),
     rho_s = sqrt(rho), gamma_coeff = sqrt(2*factor*eigmax(Q) /
-    (-eigmin(P1) * ln rho)).
+    (-eigmin(P) * ln rho)).
     """
     if factor not in (4, 8):
         raise ConfigurationError("factor must be 4 or 8")
     if not 0.0 < rho < 1.0:
         raise ConfigurationError("rho must lie strictly inside (0, 1)")
-    p1_min = float(np.linalg.eigvalsh(cert.P1)[0])
-    p2_max = float(np.linalg.eigvalsh(cert.P2)[-1])
+    p = np.linalg.eigvalsh(cert.P1)
+    p_min, p_max = float(p[0]), float(p[-1])
     q_max = float(np.linalg.eigvalsh(cert.Q)[-1])
-    C = math.sqrt(8.0 * p2_max / p1_min)
-    gamma_coeff = math.sqrt(2.0 * factor * q_max / (-p1_min * math.log(rho)))
+    C = math.sqrt(8.0 * p_max / p_min)
+    gamma_coeff = math.sqrt(2.0 * factor * q_max / (-p_min * math.log(rho)))
     return SupBoundConstants(C, math.sqrt(rho), gamma_coeff)
 
 
@@ -151,11 +148,9 @@ def audit_run(run):
 
     Uses delta_bar = 0 and factor 4 under the equidistant bookkeeping
     (cfg.equidistant_mode), otherwise the sampling set's delta_bar and factor
-    8.  The window-wise records evaluate U through the P1 form on the left
-    and the P2 form for U_prior on the right; for single-P certificates
-    (P1 = P2) both are exact, otherwise they bracket U conservatively so the
-    check stays sound.  Refuses (HorizonError) when T is not strictly above
-    the admissible minimum.
+    8.  The window-wise records evaluate U = |x - xhat|^2_P on both sides.
+    Refuses (HorizonError) when T is not strictly above the admissible
+    minimum.
     """
     if run.truth is None:
         raise ConfigurationError("run carries no ground truth")
@@ -201,7 +196,7 @@ def audit_run(run):
                                 PiecewiseSignal(w.dt, w.values[s_i:k_i]))
         sup_lhs[i] = float(np.linalg.norm(err))
         w_sup = float(np.max(np.linalg.norm(w.values[:k_i], axis=1))) if k_i else 0.0
-        sup_rhs[i] = max(consts.C * s0 * consts.rho_s ** sol.t_i, consts.gamma(w_sup))
+        sup_rhs[i] = max(consts.C * s0 * consts.rho_s ** sol.t_i, consts.gamma_coeff * w_sup)
     margin = rhs - lhs
     passed = bool(np.all(margin >= -REL_TOL * np.abs(rhs)))
     prop3_passed = bool(np.all(p3_rhs - lhs >= -1e-6 * np.abs(p3_rhs)))

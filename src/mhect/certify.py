@@ -1,19 +1,20 @@
 """Detectability certificates for nonlinear models.
 
-A certificate is a set of quadratic weights (P1, P2, Q, R) and a decay rate
-lambda in (0, 1) such that V(a, b) = |a - b|^2_P (P1 = P2 = P for
-certificates produced here) decays at rate lambda between two trajectories,
-up to a supply term weighted by Q and R.  Sufficiency is checked through a
-pointwise matrix inequality in the model Jacobians:
+A certificate is a set of quadratic weights (P, Q, R) and a decay rate
+lambda in (0, 1) such that V(a, b) = |a - b|^2_P decays at rate lambda
+between two trajectories, up to a supply term weighted by Q and R.
+Sufficiency is checked through a pointwise matrix inequality in the model
+Jacobians:
 
     [ PA + A'P + kappa*P - C'RC   PB - C'RD  ]
     [ (PB - C'RD)'               -D'RD - Q   ]  <=  0
 
 at every point of the model's boxes X x U x W, with kappa = -ln(lambda).  A
-certificate file holds P1, P2, Q, R, lambda and its verification record.
-The module verifies given weights on a grid, synthesizes feasible weights
-with a log-det barrier interior-point method, and derives the horizon
-threshold and contraction rate used by the estimator error bounds.
+certificate file holds P twice, as P1 and P2, which must be equal, then Q,
+R, lambda and the verification record.  The module verifies given weights
+on a grid, synthesizes feasible weights with a log-det barrier
+interior-point method, and derives the horizon threshold and contraction
+rate used by the estimator error bounds.
 """
 
 import dataclasses
@@ -107,7 +108,8 @@ class DetectabilityCertificate:
     """Quadratic detectability weights with decay rate lambda on the model's boxes.
 
     Invariants enforced at construction: all weights symmetric positive
-    definite, P1 <= P2 (as matrices) and lambda in (0, 1).
+    definite, P2 = P1 to 1e-12 * max(1, max|P2|), after which both fields
+    hold P1's array, and lambda in (0, 1).
     """
 
     P1: np.ndarray
@@ -118,14 +120,14 @@ class DetectabilityCertificate:
     verification: VerificationReport | None = None
 
     def __post_init__(self):
-        for name in ("P1", "P2", "Q", "R"):
+        for name in ("P1", "Q", "R"):
             object.__setattr__(self, name, _check_sym_pd(getattr(self, name), name))
-        if self.P1.shape != self.P2.shape:
-            raise ConfigurationError("P1 and P2 must have the same shape")
+        P2 = np.asarray(self.P2, dtype=float)
+        if P2.shape != self.P1.shape or not np.allclose(
+                P2, self.P1, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(P2).max()))):
+            raise ConfigurationError("P2 must equal P1: the certificate has one weight P")
+        object.__setattr__(self, "P2", self.P1)
         _kappa_of(self.lam)
-        gap = np.linalg.eigvalsh(self.P2 - self.P1)[0]
-        if gap < -1e-9 * max(1.0, float(np.abs(self.P2).max())):
-            raise ConfigurationError("P1 <= P2 violated")
 
     @classmethod
     def from_weights(cls, P, Q, R, lam):
@@ -257,12 +259,11 @@ def verify_certificate(model, cert, grid, tol_psd=1e-8):
     """Evaluate the inequality at every grid point of the model's boxes.
 
     Passes iff the maximum eigenvalue over all points is <= tol_psd
-    (absolute).  Only defined for single-P certificates (P1 = P2), the only
-    kind this module produces; a certificate file with P1 != P2 is refused.
+    (absolute), which must be finite.
     """
+    if not math.isfinite(tol_psd):
+        raise ConfigurationError(f"verification tolerance {tol_psd} must be finite")
     check_weight_sizes(model, P=cert.P1, Q=cert.Q, R=cert.R)
-    if not np.allclose(cert.P1, cert.P2, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cert.P2).max()))):
-        raise ConfigurationError("pointwise verification requires P1 = P2")
     points, mode = grid_points(model, grid)
     max_eig, worst = _max_eig(model, cert.P1, cert.Q, cert.R, _kappa_of(cert.lam), points)
     return VerificationReport(max_eig <= tol_psd, max_eig, *worst, tol_psd,

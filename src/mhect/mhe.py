@@ -28,9 +28,10 @@ credits the damped step d with no more than rounding (its decrease is
 mu |d|^2 - g.d/2).
 """
 
+import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +50,8 @@ MAX_ITERS = 100          # Levenberg-Marquardt iterations per penalty stage
 DAMPING_INIT = 1e-3      # initial Levenberg-Marquardt damping
 PENALTY_WEIGHT = 1e6     # initial weight of the state-constraint penalty
 MAX_ESCALATIONS = 8      # doublings of the penalty weight before a window is infeasible
+
+_log = logging.getLogger(__name__)
 
 
 def discount_weights(rate, n_pieces, dt, horizon):
@@ -252,11 +255,9 @@ class SolverStats:
     grad_norm: float = math.nan
     termination: str = ""
     wall_time: float = 0.0
-    cost_history: list = field(default_factory=list)
     escalations: int = 0
     rollout_fallbacks: int = 0   # trials whose Newton rollout gave way to forward
     feasible: bool = True
-    warnings: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -284,10 +285,8 @@ class _WindowProblem:
         cert = cfg.cert
         self.N = as_grid_index(T_ti, cfg.dt, "window length")
         self.dt = cfg.dt
-        n, q, p = model.n, model.q, model.p
-        self.n, self.q, self.p = n, q, p
-        self.nv = n + self.N * q
-        if y_seg.n_pieces != self.N or y_seg.dim != p:
+        self.n, self.q, self.p = model.n, model.q, model.p
+        if y_seg.n_pieces != self.N or y_seg.dim != self.p:
             raise ConfigurationError("y segment does not match the window grid")
         self.y = y_seg.values
         if model.m > 0:
@@ -555,7 +554,6 @@ def _lm_stage(prob, stats, z, states, jac):
     stalled or max_iters."""
     r = prob.residuals(z, states)
     f = float(r @ r)
-    stats.cost_history = [f]
     mu = DAMPING_INIT
     for _ in range(MAX_ITERS):
         lin = prob.linearize(z, states, r, jac)
@@ -598,7 +596,6 @@ def _lm_stage(prob, stats, z, states, jac):
             return z, states, r, jac, term
         z = z_try
         states, r, f, jac = trial
-        stats.cost_history.append(f)
         stats.iterations += 1
     return z, states, r, jac, "max_iters"
 
@@ -610,7 +607,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
     n, q, N = prob.n, prob.q, prob.N
 
     if not box_contains(model.X, prob.prior, tol=1e-9):
-        stats.warnings.append("prior outside X, projected")
+        _log.warning("prior outside X, projected")
         prob.prior = box_clip(model.X, prob.prior)
 
     z = np.concatenate([prob.prior, np.zeros(N * q)])
@@ -637,7 +634,7 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
         states = prob.forward(z)
         if states is None:
             raise DivergenceError("window integration diverges even from the prior")
-        stats.warnings.append("warm start diverged, cold start used")
+        _log.warning("warm start diverged, cold start used")
 
     jac = None   # step Jacobians of a rollout's states; None while they come from forward
     while True:

@@ -97,8 +97,6 @@ def test_sup_bound_constants(ref_cert):
     assert abs(c.rho_s - 0.9276) < 1e-4
     assert c.gamma_coeff == pytest.approx(
         math.sqrt(16.0 * q[-1] / (-p1[0] * math.log(rho))), rel=1e-13)
-    assert c.gamma(0.0) == 0.0
-    assert c.gamma(0.2) == pytest.approx(2.0 * c.gamma(0.1), rel=1e-13)
 
     four = sup_bound_constants(ref_cert, rho, factor=4)
     assert four.C == c.C

@@ -114,6 +114,15 @@ def test_verify_reference_weights(reactor, ref_cert):
     assert rep.worst_x[0] == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_verify_refuses_a_tolerance_that_is_not_finite(reactor, tol):
+    # unit weights peak at +1.248 on the vertices: an infinite tolerance
+    # would pass them, and a nan one fail them as if they were checked
+    cert = DetectabilityCertificate.from_weights(np.eye(2), np.eye(3), np.eye(1), 0.4)
+    with pytest.raises(ConfigurationError, match=f"verification tolerance {tol} must be finite"):
+        verify_certificate(reactor, cert, VERTS, tol_psd=tol)
+
+
 @pytest.mark.parametrize("X", [[[0.6, 5.0]] * 2, [[0.1, 6.0]] * 2], ids=["inside-X", "past-X"])
 def test_verify_runs_on_the_models_boxes_whatever_domain_a_file_stored(tmp_path, reactor, X):
     # an older file's domain is not used, whether it lies inside X and leaves
@@ -241,7 +250,7 @@ def test_generalized_eigenvalue_examples():
 
 def test_certificate_invariants():
     P = np.eye(2)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="P2 must equal P1"):
         DetectabilityCertificate(2 * P, P, np.eye(3), np.eye(1), 0.4)      # P1 > P2
     with pytest.raises(ConfigurationError):
         DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), 1.2)

@@ -588,14 +588,26 @@ def _inline_certificate_argv(**fields):
     return _scenario_argv("estimate", certificate=cert)
 
 
-def _certificate_check_argv(**fields):
-    def argv(tmp_path):
-        path = tmp_path / "cert.json"
-        save_certificate(bench_certificate(), path)
-        path.write_text(json.dumps(dict(json.loads(path.read_text()), **fields)))
-        return ["certify", "--check", str(path), "--vertices", "--affine",
-                "--out", str(tmp_path / "o")]
-    return argv
+def _certificate_file(tmp_path, **fields):
+    path = tmp_path / "cert.json"
+    save_certificate(bench_certificate(), path)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **fields)))
+    return str(path)
+
+
+def _certificate_check_argv(*options, **fields):
+    return lambda tmp_path: ["certify", "--check", _certificate_file(tmp_path, **fields),
+                             "--vertices", "--affine", *options, "--out", str(tmp_path / "o")]
+
+
+def _certificate_file_scenario_argv(command, T, **fields):
+    return lambda tmp_path: _scenario_argv(
+        command, T=T, certificate=_certificate_file(tmp_path, **fields))(tmp_path)
+
+
+UNIT_WEIGHTS = {"P1": np.eye(2).tolist(), "P2": np.eye(2).tolist(), "Q": np.eye(3).tolist(),
+                "R": [[1.0]], "lambda": 0.4}   # the inequality peaks at +1.248
+TWICE_P = (2.0 * cli.BENCH_P).tolist()
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -647,12 +659,20 @@ def _certificate_check_argv(**fields):
     pytest.param(_model_file_argv(f=[[{"coeff": 1.0, "x_exp": [2, 0]}]]), 2,
                  "f[0]: exponent lists must have lengths 1 and 1", id="exponent-list-length"),
     pytest.param(_model_file_argv(h=[]), 2, "h must list p coordinates", id="no-h-rows"),
-    pytest.param(_certificate_check_argv(P2=(2.0 * cli.BENCH_P).tolist()), 2,
-                 "pointwise verification requires P1 = P2", id="P1-not-P2"),
+    pytest.param(_certificate_check_argv(P2=TWICE_P), 2,
+                 "P2 must equal P1", id="P1-not-P2"),
+    pytest.param(_certificate_file_scenario_argv("estimate", 2.0, P2=TWICE_P),
+                 2, "P2 must equal P1", id="estimate-P1-not-P2"),
+    pytest.param(_certificate_file_scenario_argv("audit", 3.0, P2=TWICE_P),
+                 2, "P2 must equal P1", id="audit-P1-not-P2"),
     pytest.param(_certificate_check_argv(P1=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 2,
                  "P1 must be a square matrix", id="non-square-P"),
     pytest.param(_certificate_check_argv(P2=np.diag([10.0] * 3).tolist()), 2,
-                 "P1 and P2 must have the same shape", id="P1-P2-sizes"),
+                 "P2 must equal P1", id="P1-P2-sizes"),
+    pytest.param(_certificate_check_argv("--tol", "inf", **UNIT_WEIGHTS), 2,
+                 "verification tolerance inf must be finite", id="infinite-tol"),
+    pytest.param(_certificate_check_argv("--tol", "nan", **UNIT_WEIGHTS), 2,
+                 "verification tolerance nan must be finite", id="nan-tol"),
     pytest.param(_certificate_check_argv(kappa=0.9), 2,
                  "kappa must equal -ln(lambda) to 1e-12", id="kappa-not-of-lambda"),
     pytest.param(lambda tmp_path: ["certify", "--lambda", "0.01", "--Q", "1,1,1", "--R", "1",

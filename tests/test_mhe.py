@@ -358,16 +358,32 @@ def test_noise_free_perfect_prior_is_exact(ref_cert):
     assert all(s.stats.termination == "converged" for s in run.solutions)
 
 
-def test_solver_reaches_tolerance_and_descends(ref_cert):
+def _stage_costs(mp):
+    """Spy on _WindowProblem.linearize through the monkeypatch mp: the costs
+    it is called at, one list per window and penalty stage.  Each LM
+    iteration linearizes at the accepted iterate, so a stage's list is its
+    accepted-cost sequence."""
+    stages, linearize = {}, _WindowProblem.linearize
+
+    def spy(self, z, states, r, jac):
+        stages.setdefault((self, self.pen), []).append(float(r @ r))
+        return linearize(self, z, states, r, jac)
+    mp.setattr(_WindowProblem, "linearize", spy)
+    return stages
+
+
+def test_solver_reaches_tolerance_and_descends(ref_cert, monkeypatch):
     # every window stops at the gradient tolerance or at the precision
     # floor, none stalls, and the cost never rises on the way
+    stages = _stage_costs(monkeypatch)
     model, cfg, run = reactor_setup(ref_cert, seed=1)
+    assert len(stages) >= len(run.solutions)
+    for costs in stages.values():
+        assert np.all(np.diff(costs) <= 0.0)
     for s in run.solutions:
         assert s.stats.termination in ("converged", "converged_at_precision")
         if s.stats.termination == "converged":
             assert s.stats.grad_norm <= GRAD_TOL
-        hist = np.array(s.stats.cost_history)
-        assert np.all(np.diff(hist) <= 0.0)
         assert s.stats.feasible
         assert np.all(s.x_star.states >= 0.1 - 1e-9)
         assert np.all(s.x_star.states <= 5.0 + 1e-9)
@@ -433,12 +449,16 @@ def test_box_active_windows_stop_at_tolerance_or_precision(ref_cert, seed, K, ga
     w = PiecewiseSignal(0.01, np.where(SplitMix64(seed).uniforms((K, 3)) < 0.5, -0.1, 0.1))
     x = integrate(model, np.array(chi), None, w, K * 0.01, 0.01)
     y = output_along(model, x, None, w).values + offset + amp * (-1.0) ** np.arange(K)[:, None]
-    run = run_mhe(model, cfg, chi_hat=np.array(chi_hat), t_sim=K * 0.01,
-                  y=PiecewiseSignal(0.01, y))
+    with pytest.MonkeyPatch.context() as mp:
+        stages = _stage_costs(mp)
+        run = run_mhe(model, cfg, chi_hat=np.array(chi_hat), t_sim=K * 0.01,
+                      y=PiecewiseSignal(0.01, y))
     assert any(np.any(np.abs(s.w_star.values) == 0.1) for s in run.solutions)
     for s in run.solutions:
         assert s.stats.termination in ("converged", "converged_at_precision")
-        assert np.all(np.diff(s.stats.cost_history) <= 0.0)
+    assert len(stages) >= len(run.solutions)
+    for costs in stages.values():
+        assert np.all(np.diff(costs) <= 0.0)
 
 
 def test_solution_restates_to_rounding(ref_cert):
@@ -554,7 +574,7 @@ def test_warm_start_agrees_with_cold_start(ref_cert):
         solve_mhe(model, cfg, prior, None, y_seg, k_i * cfg.dt, warm=later)
 
 
-def test_prior_outside_domain_is_projected(ref_cert):
+def test_prior_outside_domain_is_projected(ref_cert, caplog):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
     truth = integrate(model, np.array([3.0, 1.0]), None, None, 0.5, 0.01)
@@ -562,7 +582,7 @@ def test_prior_outside_domain_is_projected(ref_cert):
     y = output_along(model, truth, None, None)
     sol = solve_mhe(model, cfg, np.array([0.0, 6.0]), None,
                     PiecewiseSignal(0.01, y.values[:10]), 0.1)
-    assert any("projected" in msg for msg in sol.stats.warnings)
+    assert "prior outside X, projected" in caplog.messages
     assert np.all(sol.chi_star >= 0.1) and np.all(sol.chi_star <= 5.0)
 
 
@@ -601,7 +621,7 @@ def test_divergence_raises_no_overflow_warning():
     assert 0.05 <= exc.value.t <= 0.1
 
 
-def test_diverging_warm_start_falls_back_to_the_cold_start():
+def test_diverging_warm_start_falls_back_to_the_cold_start(caplog):
     # a warm start whose states sit at 20 escapes inside the window, so the
     # solve drops it and returns exactly what the cold solve returns
     model, cfg, y_seg = _escape_window()
@@ -610,9 +630,9 @@ def test_diverging_warm_start_falls_back_to_the_cold_start():
     warm = dataclasses.replace(first, x_star=Trajectory(cfg.dt, states))
     y20 = PiecewiseSignal(0.01, np.full((20, 1), 0.1))
     cold = solve_mhe(model, cfg, np.array([0.1]), None, y20, 0.2)
+    assert "warm start diverged, cold start used" not in caplog.messages
     again = solve_mhe(model, cfg, np.array([0.1]), None, y20, 0.2, warm=warm)
-    assert "warm start diverged, cold start used" in again.stats.warnings
-    assert "warm start diverged, cold start used" not in cold.stats.warnings
+    assert "warm start diverged, cold start used" in caplog.messages
     assert again.x_star.states.tobytes() == cold.x_star.states.tobytes()
     assert again.cost == cold.cost
 
@@ -699,13 +719,16 @@ def test_diverging_trial_falls_back_and_is_rejected(monkeypatch):
     assert prob.evaluate(z, np.ones((11, 1))) is None
     assert prob.rollout_fallbacks == 1
 
+    stages = _stage_costs(monkeypatch)
     sol = solve_mhe(model, cfg, np.array([1.0]), None, y_seg, 0.1)
+    costs = [c for stage in stages.values() for c in stage]
+    stages.clear()
     monkeypatch.setattr(_WindowProblem, "rollout", lambda self, z, guess: None)
     seq = solve_mhe(model, cfg, np.array([1.0]), None, y_seg, 0.1)
     assert 0 < sol.stats.rollout_fallbacks < seq.stats.rollout_fallbacks
     for key in ("trials", "iterations", "termination"):
         assert getattr(sol.stats, key) == getattr(seq.stats, key)
-    assert sol.stats.cost_history == pytest.approx(seq.stats.cost_history, rel=1e-14)
+    assert costs == pytest.approx([c for stage in stages.values() for c in stage], rel=1e-14)
     x_seq = seq.x_star.states
     assert np.abs(sol.x_star.states - x_seq).max() <= 1e-12 * np.abs(x_seq).max()
 
@@ -842,17 +865,19 @@ def test_a_stage_no_trial_improves_is_flagged_stalled(ref_cert, monkeypatch, tmp
     if cause != "damping":
         monkeypatch.setattr(_WindowProblem, "lm_step", step)
     monkeypatch.setattr(_WindowProblem, "evaluate", lambda self, z, guess: None)
+    stages = _stage_costs(monkeypatch)
     _, _, run = reactor_setup(ref_cert, t_sim=0.1)
     (sol,) = run.solutions
     assert sol.stats.termination == "stalled" and sol.stats.trials == trials
-    assert sol.stats.iterations == 0 and len(sol.stats.cost_history) == 1
+    assert sol.stats.iterations == 0 and [len(c) for c in stages.values()] == [1]
     assert _flags(run, tmp_path) == ["prior"] + ["stalled"] * 10
 
 
 def _dense_jacobian(prob, z, states):
     """Residual Jacobian of a window, assembled densely from the forward RK4
     sensitivities G_j = dx_j/dz; the reference for the stage-wise solver."""
-    n, q, N, p, nv = prob.n, prob.q, prob.N, prob.p, prob.nv
+    n, q, N, p = prob.n, prob.q, prob.N, prob.p
+    nv = n + N * q
     Wp = z[n:].reshape(N, q)
     G = np.zeros((N + 1, n, nv))
     G[0, :, :n] = np.eye(n)
@@ -910,7 +935,7 @@ def _sequential_step(prob, lin, free, mu):
     fx = free[:n]
     M = (V[:n, :n] + mu * np.eye(n)) * np.outer(fx, fx)
     M[~fx, ~fx] = 1.0
-    step = np.empty(prob.nv)
+    step = np.empty(n + N * q)
     dx = np.empty((N + 1, n))
     v = np.empty(q + n + 1)
     v[q:-1] = step[:n] = np.linalg.solve(M, -V[:n, n] * fx)
@@ -968,6 +993,7 @@ def _window_with_violations(ref_cert, N):
 def test_riccati_step_matches_the_dense_solve(ref_cert, N):
     prob, z, states = _window_with_violations(ref_cert, N)
     n, q = prob.n, prob.q
+    nv = n + prob.N * q
     r = prob.residuals(z, states)
     J = _dense_jacobian(prob, z, states)
     lin = prob.linearize(z, states, r)
@@ -976,15 +1002,15 @@ def test_riccati_step_matches_the_dense_solve(ref_cert, N):
     assert np.linalg.norm(g - Jtr) <= 1e-10 * np.linalg.norm(Jtr)
 
     rng = SplitMix64(7 * N)
-    some = rng.uniforms((prob.nv,)) < 0.8
+    some = rng.uniforms((nv,)) < 0.8
     some[n + (N // 2) * q:n + (N // 2 + 1) * q] = False   # one stage with w all pinned
     no_chi = some.copy()
     no_chi[:n] = False
     JTJ = J.T @ J
-    for free in (np.ones(prob.nv, bool), some, no_chi):
+    for free in (np.ones(nv, bool), some, no_chi):
         nf = int(free.sum())
         for mu in (1e-3, 1.0, 1e4):
-            dense = np.zeros(prob.nv)
+            dense = np.zeros(nv)
             dense[free] = np.linalg.solve(JTJ[np.ix_(free, free)] + mu * np.eye(nf), -Jtr[free])
             step, _ = prob.lm_step(lin, free, mu)
             assert np.all(step[~free] == 0.0)
@@ -1006,7 +1032,8 @@ def test_stage_sweeps_match_the_dense_model(ref_cert, N, seed, log_mu, penalized
     states = prob.forward(z)
     if penalized:
         prob.x_hi = states[N] - 1e-3 * np.abs(states[N])
-    free = np.array(data.draw(st.lists(st.booleans(), min_size=prob.nv, max_size=prob.nv)))
+    nv = prob.n + prob.N * prob.q
+    free = np.array(data.draw(st.lists(st.booleans(), min_size=nv, max_size=nv)))
     assume(free.any())
     mu = 10.0 ** log_mu
     r = prob.residuals(z, states)
@@ -1014,7 +1041,7 @@ def test_stage_sweeps_match_the_dense_model(ref_cert, N, seed, log_mu, penalized
     lin = prob.linearize(z, states, r)
     Jtr = J.T @ r
     assert np.linalg.norm(prob.gradient(lin) - Jtr) <= 1e-10 * np.linalg.norm(Jtr)
-    dense = np.zeros(prob.nv)
+    dense = np.zeros(nv)
     dense[free] = np.linalg.solve((J.T @ J)[np.ix_(free, free)] + mu * np.eye(free.sum()),
                                   -Jtr[free])
     step, _ = prob.lm_step(lin, free, mu)
@@ -1044,7 +1071,7 @@ def test_stage_scans_match_the_sequential_sweeps(ref_cert, N, seed, log_mu, pena
     states = prob.forward(z)
     if penalized:
         prob.x_hi = states[N] - 1e-3 * np.abs(states[N])
-    free = rng.uniforms((prob.nv,)) >= pinned
+    free = rng.uniforms((prob.n + prob.N * prob.q,)) >= pinned
     stage = data.draw(st.integers(0, N - 1))
     free[2 + 3 * stage:2 + 3 * (stage + 1)] = False
     if pin_chi:
@@ -1075,7 +1102,7 @@ def test_window_step_solves_in_logarithmic_levels(ref_cert, monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     prob.gradient(lin)
-    prob.lm_step(lin, np.ones(prob.nv, bool), 1.0)
+    prob.lm_step(lin, np.ones(prob.n + prob.N * prob.q, bool), 1.0)
     assert 0 < len(calls) <= 4 * math.ceil(math.log2(N + 1)) + 4
 
 
@@ -1084,7 +1111,7 @@ def test_window_step_memory_is_linear_in_the_window(ref_cert):
     # take tens of MB; the stage-wise arrays stay well below 4 MB
     prob, z, states = _window_with_violations(ref_cert, 800)
     r = prob.residuals(z, states)
-    free = np.ones(prob.nv, bool)
+    free = np.ones(prob.n + prob.N * prob.q, bool)
     tracemalloc.start()
     try:
         lin = prob.linearize(z, states, r)
