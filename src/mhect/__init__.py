@@ -12,7 +12,7 @@ from .certify import (DetectabilityCertificate, FixedQR, GridSpec, SdpOptions,
                       verify_certificate)
 from .mhe import (Equidistant, EstimationRun, EventTriggered, Explicit, MheConfig,
                   MheSolution, SamplingSet, discount_weights, make_sampler, run_mhe,
-                  solve_fie, solve_mhe, truth_candidate_cost)
+                  solve_mhe, truth_candidate_cost)
 from .analysis import (BoundReport, SupBoundConstants, audit_run, prop3_bound,
                        sup_bound_constants, theorem1_bound)
 
@@ -29,7 +29,7 @@ __all__ = [
     "synthesize_certificate", "verify_certificate", "Equidistant", "EstimationRun",
     "EventTriggered", "Explicit", "MheConfig", "MheSolution", "SamplingSet",
     "discount_weights", "make_sampler", "run_mhe",
-    "solve_fie", "solve_mhe", "truth_candidate_cost", "BoundReport",
+    "solve_mhe", "truth_candidate_cost", "BoundReport",
     "SupBoundConstants", "audit_run", "prop3_bound", "sup_bound_constants",
     "theorem1_bound", "__version__",
 ]

@@ -4,8 +4,11 @@ The estimator's guarantee has three faces, all derived from the same
 certificate: a window-wise bound at each sampling time (prop3_bound), a
 global geometric-decay bound from the initial error and the disturbance
 energy (theorem1_bound), and a sup-norm form with explicit constants
-(sup_bound_constants).  audit_run evaluates all of them numerically along a
-finished estimation run against the stored ground truth.
+(sup_bound_constants).  The last two decay at the certificate's contraction
+rate for the run's delta_bar (_bound_rate, which `mhect estimate` also
+applies to refuse a horizon that is too short).  audit_run evaluates all
+three numerically along a finished estimation run against the stored ground
+truth.
 """
 
 import math
@@ -53,6 +56,8 @@ def prop3_bound(cert, t, t_i, T_ti, U_prior, w):
     if t > t_i:
         raise ConfigurationError("prop3_bound is only valid for t <= t_i")
     lam = cert.lam
+    # lmax is 1 for a certificate (P2 = P1); the call stays while
+    # perfbench/tracing.py binds and counts analysis.geneig_max
     lmax = geneig_max(cert.P2, cert.P1)
     N = as_grid_index(T_ti, w.dt, "window length")
     if w.n_pieces < N:
@@ -105,9 +110,7 @@ class BoundReport:
     rho: float
     factor: int
     delta_bar_used: float
-    lmax: float
     constants: SupBoundConstants
-    eq_rate_residual: float    # |rho^(T-db) - 4*lmax*lam^(T-db)| consistency check
     passed: bool
     prop3_passed: bool
     sup_passed: bool
@@ -129,12 +132,10 @@ class BoundReport:
             "rho": self.rho,
             "factor": self.factor,
             "delta_bar_used": self.delta_bar_used,
-            "lmax": self.lmax,
             "worst_margin": self.worst_margin,
             "C": self.constants.C,
             "rho_s": self.constants.rho_s,
             "gamma_coeff": self.constants.gamma_coeff,
-            "eq_rate_residual": self.eq_rate_residual,
             "n_samples": int(self.times.size),
         }
 
@@ -142,31 +143,26 @@ class BoundReport:
 REL_TOL = 1e-9   # relative slack of the decay and sup-norm checks (rounding only)
 
 
+def _bound_rate(run):
+    """(rho, factor, delta_bar) of the bounds on a run: delta_bar = 0 and
+    factor 4 under the equidistant bookkeeping (cfg.equidistant_mode),
+    otherwise the sampling set's delta_bar and factor 8.  Refuses
+    (HorizonError) when T is not strictly above the admissible minimum."""
+    cfg = run.cfg
+    delta_bar, factor = (0.0, 4) if cfg.equidistant_mode else (run.sampling.delta_bar, 8)
+    return contraction_rate(cfg.cert, cfg.T, delta_bar), factor, delta_bar
+
+
 def audit_run(run):
     """Check the error bounds of run.cfg.cert along a finished run against
-    its ground truth.
-
-    Uses delta_bar = 0 and factor 4 under the equidistant bookkeeping
-    (cfg.equidistant_mode), otherwise the sampling set's delta_bar and factor
-    8.  The window-wise records evaluate U = |x - xhat|^2_P on both sides.
-    Refuses (HorizonError) when T is not strictly above the admissible
-    minimum.
+    its ground truth, at the rate, factor and delta_bar of _bound_rate
+    (HorizonError when T is too short).  The window-wise records evaluate
+    U = |x - xhat|^2_P on both sides.
     """
     if run.truth is None:
         raise ConfigurationError("run carries no ground truth")
-    cfg = run.cfg
-    cert = cfg.cert
-    sampling = run.sampling
-    if cfg.equidistant_mode:
-        delta_bar = 0.0
-        factor = 4
-    else:
-        delta_bar = sampling.delta_bar
-        factor = 8
-    rho = contraction_rate(cert, cfg.T, delta_bar)
-    lmax = geneig_max(cert.P2, cert.P1)
-    Tdb = cfg.T - delta_bar
-    eq_res = abs(rho ** Tdb - 4.0 * lmax * cert.lam ** Tdb)
+    cert = run.cfg.cert
+    rho, factor, delta_bar = _bound_rate(run)
     consts = sup_bound_constants(cert, rho, factor)
 
     w = run.truth.w
@@ -202,6 +198,5 @@ def audit_run(run):
     prop3_passed = bool(np.all(p3_rhs - lhs >= -1e-6 * np.abs(p3_rhs)))
     sup_passed = bool(np.all(sup_rhs - sup_lhs >= -REL_TOL * np.abs(sup_rhs)))
     worst = float(np.min(margin / np.where(np.abs(rhs) > 0, np.abs(rhs), 1.0)))
-    return BoundReport(times, lhs, rhs, margin, u_prior, p3_rhs, sup_lhs,
-                       sup_rhs, rho, factor, delta_bar, lmax, consts, eq_res,
-                       passed, prop3_passed, sup_passed, worst)
+    return BoundReport(times, lhs, rhs, margin, u_prior, p3_rhs, sup_lhs, sup_rhs, rho,
+                       factor, delta_bar, consts, passed, prop3_passed, sup_passed, worst)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svgplot
-from .analysis import audit_run
+from .analysis import _bound_rate, audit_run
 from .certify import (DetectabilityCertificate, FixedQR, GridSpec, contraction_rate,
                       load_certificate, min_horizon, save_certificate,
                       synthesize_certificate, verify_certificate)
@@ -353,6 +353,7 @@ def _run_from_config(args):
 
 def cmd_estimate(args):
     run = _run_from_config(args)
+    _bound_rate(run)   # refuses, as audit does, a T at or below the minimal horizon
     out = _resolve_out(args)
     _write_run_outputs(run, None, out)
     worst = max((s.stats.wall_time for s in run.solutions), default=0.0)

@@ -110,8 +110,6 @@ def integrate(model, chi, u, w, t_end, dt):
     steps = as_grid_index(t_end, dt, "integration span")
     states = np.empty((steps + 1, model.n))
     states[0] = chi
-    if steps == 0:
-        return Trajectory(dt, states)
     u = _resolve_signal(u, model.m, dt, steps, "u")
     w = _resolve_signal(w, model.q, dt, steps, "w")
     x = chi

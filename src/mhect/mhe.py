@@ -600,8 +600,18 @@ def _lm_stage(prob, stats, z, states, jac):
     return z, states, r, jac, "max_iters"
 
 
-def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
+def solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=None):
+    """Solve the estimation window ending at t_i with horizon T_ti = min(t_i, T).
+
+    u_seg and y_seg are the window segments rebased to [0, T_ti); warm is the
+    previous window's MheSolution of the same model and inputs (shifted
+    internally by the inter-sample gap, new tail pieces of w start at zero;
+    its states over the shared steps are reused as they are).  With
+    cfg.T >= t_i the window spans [0, t_i], and a cold solve from the initial
+    prior is the full-information estimate at t_i.
+    """
     t_start = time.perf_counter()
+    T_ti = min(t_i, cfg.T)
     stats = SolverStats()
     prob = _WindowProblem(model, cfg, prior, u_seg, y_seg, T_ti)
     n, q, N = prob.n, prob.q, prob.N
@@ -652,25 +662,6 @@ def _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm=None):
     stats.rollout_fallbacks = prob.rollout_fallbacks
     stats.wall_time = time.perf_counter() - t_start
     return MheSolution(t_i, T_ti, chi_star, w_star, x_star, float(r @ r), stats)
-
-
-def solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=None):
-    """Solve the estimation window ending at t_i with horizon min(t_i, T).
-
-    u_seg and y_seg are the window segments rebased to [0, T_ti); warm is the
-    previous window's MheSolution of the same model and inputs (shifted
-    internally by the inter-sample gap, new tail pieces of w start at zero;
-    its states over the shared steps are reused as they are).
-    """
-    T_ti = min(t_i, cfg.T)
-    return _solve_window(model, cfg, prior, u_seg, y_seg, t_i, T_ti, warm)
-
-
-def solve_fie(model, cfg, chi_hat, u_seg, y_seg, t_i):
-    """Full-information variant: the window always spans [0, t_i] with the
-    initial prior chi_hat.  Coincides with solve_mhe while t_i <= T."""
-    return _solve_window(model, cfg, np.asarray(chi_hat, dtype=float), u_seg, y_seg,
-                         t_i, float(t_i))
 
 
 # ---------------------------------------------------------------------------

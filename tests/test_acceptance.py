@@ -19,7 +19,7 @@ import pytest
 from mhect import (DetectabilityCertificate, Equidistant, Explicit, FixedQR, MheConfig,
                    PiecewiseSignal, SystemModel, as_box, audit_run, batch_reactor,
                    contraction_rate, integrate, min_horizon, run_mhe,
-                   solve_fie, synthesize_certificate, truth_candidate_cost,
+                   solve_mhe, synthesize_certificate, truth_candidate_cost,
                    verify_certificate)
 from mhect.cli import DisturbanceSpec, bench_run, bench_times, generate_disturbance
 from mhect.rng import SplitMix64
@@ -211,7 +211,8 @@ def test_10_full_information_limit(reactor, ref_cert):
     worst = 0.0
     for sol, k_i in zip(run.solutions, run.sampling.k_indices):
         assert sol.t_i <= cfg.T + 1e-12
-        fie = solve_fie(reactor, cfg, np.array([0.1, 4.5]), None,
+        # cold, from the initial prior: T >= t_i makes this the full-information estimate
+        fie = solve_mhe(reactor, cfg, np.array([0.1, 4.5]), None,
                         PiecewiseSignal(cfg.dt, run.y.values[:k_i]), sol.t_i)
         worst = max(worst, abs(fie.cost - sol.cost) / max(abs(sol.cost), 1e-300))
     ok = worst <= 1e-12

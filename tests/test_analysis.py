@@ -126,11 +126,8 @@ def test_audit_noisy_run(noisy_run):
     assert rep.times.size == len(noisy_run.solutions)
     assert np.all(rep.margin >= -1e-9 * np.abs(rep.rhs))
     assert rep.worst_margin > 0.0
-    # the decay rate satisfies its defining identity at T - delta_bar
-    Tdb = 2.0 - 0.1
-    assert rep.eq_rate_residual <= 1e-10 * rep.rho ** Tdb
-    assert rep.rho == pytest.approx(
-        (4.0 * rep.lmax) ** (1.0 / Tdb) * noisy_run.cfg.cert.lam, rel=1e-12)
+    # the audit's rate is the certificate's at T = 2 and delta_bar = 0.1
+    assert rep.rho == contraction_rate(noisy_run.cfg.cert, 2.0, 0.1)
     # lhs recomputes from the stored trajectories
     P1 = noisy_run.cfg.cert.P1
     for i, t_i in enumerate(rep.times):
@@ -189,4 +186,4 @@ def test_report_serialization(noisy_run, tmp_path):
     assert s["n_samples"] == rep.times.size
     assert s["rho"] == rep.rho and s["worst_margin"] == rep.worst_margin
     assert set(s) >= {"C", "rho_s", "gamma_coeff", "delta_bar_used",
-                      "lmax", "eq_rate_residual", "prop3_passed", "sup_passed"}
+                      "prop3_passed", "sup_passed"}

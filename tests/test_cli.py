@@ -656,6 +656,8 @@ TWICE_P = (2.0 * cli.BENCH_P).tolist()
                  "t_sim must cover at least one step", id="zero-t_sim"),
     pytest.param(_scenario_argv("estimate", t_sim=0), 2,
                  "t_sim must cover at least one disturbance piece", id="zero-t_sim-disturbance"),
+    pytest.param(_scenario_argv("estimate", T=1.0, t_sim=3.0, disturbance={"bound": 0.1}), 2,
+                 "horizon T = 1.0 must strictly exceed", id="estimate-short-horizon"),
     pytest.param(_model_file_argv(f=[[{"coeff": 1.0, "x_exp": [2, 0]}]]), 2,
                  "f[0]: exponent lists must have lengths 1 and 1", id="exponent-list-length"),
     pytest.param(_model_file_argv(h=[]), 2, "h must list p coordinates", id="no-h-rows"),

@@ -45,12 +45,6 @@ def test_every_import_is_used(module):
     assert not unused, f"{module}: unused imports (name: line) {unused}"
 
 
-# public names that only callers outside the package use, each with its reason
-PUBLIC_ONLY = {
-    "solve_fie": "acceptance requirement 10 compares MHE with the full-information estimator",
-}
-
-
 def referenced_names(tree):
     return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
@@ -59,7 +53,7 @@ def referenced_names(tree):
 def test_every_public_name_has_a_package_caller():
     used = set().union(*(referenced_names(ast.parse((SRC / m).read_text(), filename=m))
                          for m in MODULES))
-    public = set(mhect.__all__) - {"errors", "__version__"} - set(PUBLIC_ONLY)
+    public = set(mhect.__all__) - {"errors", "__version__"}
     assert not public - used, \
         f"public names no package module references: {sorted(public - used)}"
 

@@ -42,6 +42,13 @@ def test_zero_length_horizon():
     assert traj.states[0, 0] == 2.5
 
 
+def test_zero_length_span_checks_its_inputs():
+    # a span of no steps still refuses a w of the wrong width
+    with pytest.raises(ConfigurationError, match="w has dimension 2, expected 3"):
+        integrate(batch_reactor(), np.array([1.0, 1.0]), None,
+                  PiecewiseSignal(0.01, np.zeros((0, 2))), 0.0, 0.01)
+
+
 def test_bit_identical_repeat():
     m = batch_reactor()
     w = PiecewiseSignal(0.01, 0.05 * np.sin(np.arange(300)).reshape(100, 3))

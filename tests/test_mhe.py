@@ -10,7 +10,7 @@ import mhect.mhe
 from mhect import (DetectabilityCertificate, Equidistant, EventTriggered, Explicit,
                    MheConfig, PiecewiseSignal, SystemModel, Trajectory, batch_reactor,
                    discount_weights, audit_run, integrate, make_sampler, model_from_dict,
-                   output_along, run_mhe, solve_fie, solve_mhe, truth_candidate_cost)
+                   output_along, run_mhe, solve_mhe, truth_candidate_cost)
 from mhect.cli import bench_run
 from mhect.errors import ConfigurationError, DivergenceError, HorizonError
 from mhect.integrate import rk4_step_with_jacobians
@@ -551,7 +551,8 @@ def test_control_input_coarser_than_dt():
 def test_full_information_matches_windowed(ref_cert):
     model, cfg, run = reactor_setup(ref_cert, t_sim=2.0, seed=5)
     for sol, k_i in zip(run.solutions, run.sampling.k_indices):
-        fie = solve_fie(model, cfg, np.array([0.1, 4.5]), None,
+        # cold, from the initial prior: T >= t_i makes this the full-information estimate
+        fie = solve_mhe(model, cfg, np.array([0.1, 4.5]), None,
                         PiecewiseSignal(cfg.dt, run.y.values[:k_i]), sol.t_i)
         assert fie.cost == pytest.approx(sol.cost, rel=1e-12, abs=1e-15)
 
