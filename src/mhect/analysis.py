@@ -5,10 +5,10 @@ certificate: a window-wise bound at each sampling time (prop3_bound), a
 global geometric-decay bound from the initial error and the disturbance
 energy (theorem1_bound), and a sup-norm form with explicit constants
 (sup_bound_constants).  The last two decay at the certificate's contraction
-rate for the run's delta_bar (_bound_rate, which `mhect estimate` also
-applies to refuse a horizon that is too short).  audit_run evaluates all
-three numerically along a finished estimation run against the stored ground
-truth.
+rate for the run's delta_bar (_bound_rate, which `mhect estimate` and
+`mhect audit` also apply to refuse a horizon that is too short).  audit_run
+evaluates all three numerically along a finished estimation run against the
+stored ground truth.
 """
 
 import math
@@ -143,13 +143,13 @@ class BoundReport:
 REL_TOL = 1e-9   # relative slack of the decay and sup-norm checks (rounding only)
 
 
-def _bound_rate(run):
-    """(rho, factor, delta_bar) of the bounds on a run: delta_bar = 0 and
-    factor 4 under the equidistant bookkeeping (cfg.equidistant_mode),
-    otherwise the sampling set's delta_bar and factor 8.  Refuses
-    (HorizonError) when T is not strictly above the admissible minimum."""
-    cfg = run.cfg
-    delta_bar, factor = (0.0, 4) if cfg.equidistant_mode else (run.sampling.delta_bar, 8)
+def _bound_rate(cfg, sampling):
+    """(rho, factor, delta_bar) of the bounds on a run of cfg over sampling:
+    delta_bar = 0 and factor 4 under the equidistant bookkeeping
+    (cfg.equidistant_mode), otherwise the sampling set's delta_bar and
+    factor 8.  Refuses (HorizonError) when T is not strictly above the
+    admissible minimum."""
+    delta_bar, factor = (0.0, 4) if cfg.equidistant_mode else (sampling.delta_bar, 8)
     return contraction_rate(cfg.cert, cfg.T, delta_bar), factor, delta_bar
 
 
@@ -162,7 +162,7 @@ def audit_run(run):
     if run.truth is None:
         raise ConfigurationError("run carries no ground truth")
     cert = run.cfg.cert
-    rho, factor, delta_bar = _bound_rate(run)
+    rho, factor, delta_bar = _bound_rate(run.cfg, run.sampling)
     consts = sup_bound_constants(cert, rho, factor)
 
     w = run.truth.w

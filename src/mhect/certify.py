@@ -470,7 +470,7 @@ def synthesize_certificate(model, lam, mode, grid):
         raise InfeasibleError(
             f"no strictly feasible weights found ({iters} Newton iterations); "
             f"best max eigenvalue {worst_eig:.3e} at x = {worst_pt[0]}, u = {worst_pt[1]}, "
-            f"w = {worst_pt[2]}", worst_point=worst_pt, worst_eig=worst_eig)
+            f"w = {worst_pt[2]}")
 
     cert = DetectabilityCertificate.from_weights(P, Q, R, lam)
     report = verify_certificate(model, cert, grid, tol_psd=SdpOptions().recheck_tol)

@@ -98,12 +98,11 @@ def bench_certificate():
     return DetectabilityCertificate.from_weights(BENCH_P, BENCH_Q, BENCH_R, BENCH_LAMBDA)
 
 
-def bench_run(seed=1, *, sampler_spec=None, t_sim=BENCH_T_SIM, equidistant_mode=False,
-              T=BENCH_T):
+def bench_run(seed=1, *, sampler_spec=None, t_sim=BENCH_T_SIM, T=BENCH_T):
     """One benchmark estimation run; returns (run, report)."""
     model = batch_reactor()
     spec = sampler_spec if sampler_spec is not None else Explicit(tuple(bench_times()))
-    cfg = MheConfig(bench_certificate(), T, BENCH_DT, spec, equidistant_mode=equidistant_mode)
+    cfg = MheConfig(bench_certificate(), T, BENCH_DT, spec)
     w = generate_disturbance(
         DisturbanceSpec([[-BENCH_W_BOUND, BENCH_W_BOUND]] * model.q, BENCH_DT, t_sim),
         seed, w_box=model.W)
@@ -345,15 +344,21 @@ def cmd_simulate(args):
 
 
 def _run_from_config(args):
+    """The scenario's estimation run, refused (HorizonError) when T is at or
+    below the minimal horizon: before any window for a schedule known in
+    advance, after the run for an event-triggered one, which needs it."""
     model, cfg, chi, chi_hat, w, t_sim = _assemble_scenario(args.config)
     if chi is None:
         raise ConfigurationError("estimation from config needs ground truth chi")
-    return run_mhe(model, cfg, chi_hat=chi_hat, t_sim=t_sim, chi=chi, w=w)
+    if not isinstance(cfg.sampling, EventTriggered):
+        _bound_rate(cfg, make_sampler(cfg.sampling, t_sim, cfg.dt, cfg.T))
+    run = run_mhe(model, cfg, chi_hat=chi_hat, t_sim=t_sim, chi=chi, w=w)
+    _bound_rate(cfg, run.sampling)
+    return run
 
 
 def cmd_estimate(args):
     run = _run_from_config(args)
-    _bound_rate(run)   # refuses, as audit does, a T at or below the minimal horizon
     out = _resolve_out(args)
     _write_run_outputs(run, None, out)
     worst = max((s.stats.wall_time for s in run.solutions), default=0.0)

@@ -13,15 +13,6 @@ class HorizonError(ConfigurationError):
 class DivergenceError(RuntimeError):
     """Numerical integration produced a non-finite state."""
 
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
-
 
 class InfeasibleError(RuntimeError):
     """Matrix-inequality feasibility problem has no strictly feasible point."""
-
-    def __init__(self, message, worst_point=None, worst_eig=None):
-        super().__init__(message)
-        self.worst_point = worst_point
-        self.worst_eig = worst_eig

@@ -97,8 +97,8 @@ def integrate(model, chi, u, w, t_end, dt):
     """Integrate x' = f(x, u(t), w(t)) from chi over [0, t_end] on a fixed grid.
 
     dt must divide t_end and the signals' piece lengths exactly; u and w
-    may be None for zero inputs.  Raises DivergenceError (with the offending
-    time attached) if the state leaves float range.
+    may be None for zero inputs.  Raises DivergenceError (its message names
+    the offending time) if the state leaves float range.
     """
     chi = np.asarray(chi, dtype=float)
     if chi.shape != (model.n,):
@@ -120,9 +120,8 @@ def integrate(model, chi, u, w, t_end, dt):
             x = states[k + 1] = rk4_step(model, x, u[k], w[k], dt)
     bad = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
     if bad.size:
-        tk = int(bad[0]) * dt
         raise DivergenceError(
-            f"integration diverged at t = {tk + dt} (non-finite state)", t=tk + dt)
+            f"integration diverged at t = {int(bad[0]) * dt + dt} (non-finite state)")
     return Trajectory(dt, states)
 
 

@@ -18,14 +18,14 @@ Riccati recursion for the cost-to-go and the rollout of the step) solve the
 condensed Gauss-Newton system without forming it, each as an associative
 scan over the N stages in ceil(log2(N + 1)) levels of batched small-matrix
 operations.  Each trial rolls out the same way, by Newton over the sequence
-from the current states plus the step's linear rollout, and falls back to
-sequential RK4 steps when that does not reach rounding level; its last
-step Jacobians serve the next linearization, and the accepted trial's
-states are the window's.  A warm-started window rolls out sequentially only
-the steps its predecessor did not run.  A solve stops at the gradient
-tolerance, or at the precision floor when, before any rejection, the model
-credits the damped step d with no more than rounding (its decrease is
-mu |d|^2 - g.d/2).
+from the current states plus the step's linear rollout, and is rejected
+when that does not reach rounding level; its last step Jacobians serve the
+next linearization, and the accepted trial's states are the window's.  Only
+the window start rolls out by sequential RK4 steps, and a warm-started
+window runs only the steps its predecessor did not.  A solve stops at the
+gradient tolerance, or at the precision floor when, before any rejection,
+the model credits the damped step d with no more than rounding (its
+decrease is mu |d|^2 - g.d/2).
 """
 
 import logging
@@ -45,7 +45,7 @@ from .sysmodel import PiecewiseSignal, as_grid_index, box_clip, box_contains, wr
 GRAD_TOL = 1e-8          # converged when the projected gradient norm is at most this
 PRECISION_TOL = 1e-12    # converged_at_precision at a predicted decrease <= this * cost
 ROLLOUT_TOL = 8 * np.finfo(float).eps   # Newton rollout: relative defect at every node
-ROLLOUT_MAX_ITERS = 8    # Newton rollout iterations before the sequential fallback
+ROLLOUT_MAX_ITERS = 8    # Newton rollout iterations before the trial is rejected
 MAX_ITERS = 100          # Levenberg-Marquardt iterations per penalty stage
 DAMPING_INIT = 1e-3      # initial Levenberg-Marquardt damping
 PENALTY_WEIGHT = 1e6     # initial weight of the state-constraint penalty
@@ -137,6 +137,8 @@ def make_sampler(spec, t_sim, dt, horizon, *, model=None, u=None, y=None, x0=Non
     nominal x0, which run_mhe passes as its own model, u, y and chi_hat.
     """
     K = as_grid_index(t_sim, dt, "t_sim")
+    if K < 1:
+        raise ConfigurationError("t_sim must cover at least one step")
     if isinstance(spec, Equidistant):
         kd = as_grid_index(spec.delta, dt, "sampling period")
         if kd < 1:
@@ -256,7 +258,6 @@ class SolverStats:
     termination: str = ""
     wall_time: float = 0.0
     escalations: int = 0
-    rollout_fallbacks: int = 0   # trials whose Newton rollout gave way to forward
     feasible: bool = True
 
 
@@ -309,16 +310,15 @@ class _WindowProblem:
         self.ub = np.concatenate([X[:, 1], np.tile(W[:, 1], self.N)])
         self.x_lo, self.x_hi = X[:, 0], X[:, 1]
         self.pen = PENALTY_WEIGHT
-        self.rollout_fallbacks = 0
 
     def project(self, z):
         return np.clip(z, self.lb, self.ub)
 
     def forward(self, z, prefix=None):
-        """Window states for decision z by sequential RK4 steps, or None when
-        integration diverges.  prefix, the states of the first nodes when an
-        earlier rollout of the same steps already holds them, is copied and
-        only the remaining steps run."""
+        """Window start states for decision z by sequential RK4 steps, or None
+        when integration diverges.  prefix, the states of the first nodes
+        when an earlier rollout of the same steps already holds them, is
+        copied and only the remaining steps run."""
         n, q, N = self.n, self.q, self.N
         states = np.empty((N + 1, n))
         if prefix is None:
@@ -390,16 +390,12 @@ class _WindowProblem:
         return np.concatenate(parts)
 
     def evaluate(self, z, guess):
-        """(states, r, |r|^2, jac) at decision z, or None when integration
-        diverges.  The states and their step Jacobians jac come from the
-        Newton rollout from guess; when it fails the states come from forward,
-        jac is None and rollout_fallbacks counts it."""
+        """(states, r, |r|^2, jac) at decision z, or None when the Newton
+        rollout from guess does not settle.  The states and their step
+        Jacobians jac come from that rollout."""
         states, jac = self.rollout(z, guess) or (None, None)
         if states is None:
-            self.rollout_fallbacks += 1
-            states = self.forward(z)
-            if states is None:
-                return None
+            return None
         r = self.residuals(z, states)
         return states, r, float(r @ r), jac
 
@@ -659,7 +655,6 @@ def solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=None):
     w_star = PiecewiseSignal(cfg.dt, z[n:].reshape(N, q).copy())
     x_star = Trajectory(cfg.dt, states)
     r = r[:n + N * (q + prob.p)]   # the objective rows
-    stats.rollout_fallbacks = prob.rollout_fallbacks
     stats.wall_time = time.perf_counter() - t_start
     return MheSolution(t_i, T_ti, chi_star, w_star, x_star, float(r @ r), stats)
 
@@ -729,8 +724,6 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
     """
     dt = cfg.dt
     K = as_grid_index(t_sim, dt, "t_sim")
-    if K < 1:
-        raise ConfigurationError("t_sim must cover at least one step")
     chi_hat = _initial_state(model, chi_hat, "chi_hat")
     check_weight_sizes(model, P=cfg.cert.P1, Q=cfg.cert.Q, R=cfg.cert.R)
     # u and the truth's w on the run grid, so windows and audits slice them

@@ -21,7 +21,9 @@ from mhect import (DetectabilityCertificate, Equidistant, Explicit, FixedQR, Mhe
                    contraction_rate, integrate, min_horizon, run_mhe,
                    solve_mhe, synthesize_certificate, truth_candidate_cost,
                    verify_certificate)
-from mhect.cli import DisturbanceSpec, bench_run, bench_times, generate_disturbance
+from mhect.cli import (BENCH_CHI, BENCH_CHI_HAT, BENCH_DT, BENCH_T, BENCH_T_SIM,
+                       BENCH_W_BOUND, DisturbanceSpec, bench_run, bench_times,
+                       generate_disturbance)
 from mhect.rng import SplitMix64
 from tests.conftest import Q_BENCH, R_BENCH, VERTS, const_jac
 
@@ -193,9 +195,14 @@ def test_08_integrator_is_fourth_order():
                         f"endpoint error {errs[2]:.3e} at dt = 0.01")
 
 
-def test_09_equidistant_bookkeeping_tightens_the_bound():
-    run, report = bench_run(seed=1, sampler_spec=Equidistant(0.1),
-                            equidistant_mode=True)
+def test_09_equidistant_bookkeeping_tightens_the_bound(reactor, ref_cert):
+    # the benchmark run of seed 1 on an equidistant schedule, with the
+    # equidistant bookkeeping
+    cfg = MheConfig(ref_cert, BENCH_T, BENCH_DT, Equidistant(0.1), equidistant_mode=True)
+    w = generate_disturbance(DisturbanceSpec([[-BENCH_W_BOUND, BENCH_W_BOUND]] * 3, BENCH_DT,
+                                             BENCH_T_SIM), seed=1, w_box=reactor.W)
+    report = audit_run(run_mhe(reactor, cfg, chi_hat=BENCH_CHI_HAT, t_sim=BENCH_T_SIM,
+                               chi=BENCH_CHI, w=w))
     ok = (report.passed and report.prop3_passed and report.sup_passed
           and report.factor == 4 and report.delta_bar_used == 0.0)
     assert _line(9, ok, f"factor {report.factor}, delta_bar {report.delta_bar_used}, "

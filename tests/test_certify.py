@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -592,8 +593,10 @@ def test_synthesis_infeasible_model():
                     X=[[-1.0, 1.0]], U=[], W=[[-1.0, 1.0]])
     with pytest.raises(InfeasibleError) as exc:
         synthesize_certificate(m, 0.5, FixedQR(np.eye(1), np.eye(1)), VERTS)
-    assert exc.value.worst_eig > 0.0
-    assert len(exc.value.worst_point) == 3
+    # the message names the worst eigenvalue and its point (x, u, w)
+    found = re.search(r"eigenvalue (\S+) at x = (.+), u = (.+), w = (.+)$", str(exc.value))
+    assert float(found[1]) > 0.0
+    assert all(part.startswith("[") for part in found.groups()[1:])
 
 
 def test_synthesis_singular_slack_is_infeasible(reactor, monkeypatch):

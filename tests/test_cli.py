@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mhect.mhe
 from mhect import cli
 from mhect.cli import (DisturbanceSpec, _parse_diag, bench_certificate, bench_times,
                        generate_disturbance, main)
@@ -554,7 +555,7 @@ def test_window_divergence_exit_code(tmp_path, capsys):
     # every window candidate from the prior 20 blows up within 0.05
     mpath = tmp_path / "escape.json"
     mpath.write_text(json.dumps(ESCAPE_MODEL))
-    cfg = scenario(tmp_path, model={"file": str(mpath)}, certificate=SCALAR_CERT, T=0.5,
+    cfg = scenario(tmp_path, model={"file": str(mpath)}, certificate=SCALAR_CERT, T=3.0,
                    t_sim=0.3, chi=[0.1], chi_hat=[20.0], disturbance=None)
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -701,6 +702,20 @@ def test_refusal_exit_codes(tmp_path, capsys, argv, code, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "audit"])
+def test_short_horizon_is_refused_before_any_window(tmp_path, capsys, monkeypatch, command):
+    # T = 1.0 is at or below the minimal horizon at delta_bar = 0.1, so the
+    # command solves no window, writes nothing and exits 2
+    calls = []
+    solve = mhect.mhe.solve_mhe
+    monkeypatch.setattr(mhect.mhe, "solve_mhe", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    cfg = scenario(tmp_path, T=1.0, t_sim=3.0, disturbance={"bound": 0.1})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "horizon T = 1.0 must strictly exceed" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"T": math.inf}, "horizon T = inf is not a finite multiple"),
     ({"t_sim": math.inf}, "t_sim = inf is not a finite multiple"),
@@ -718,7 +733,7 @@ def test_non_finite_scenario_number_exit_code(tmp_path, capsys, overrides, messa
     mpath = tmp_path / "escape.json"
     mpath.write_text(json.dumps(ESCAPE_MODEL))
     cfg = scenario(tmp_path, **{"model": {"file": str(mpath)}, "certificate": SCALAR_CERT,
-                                "T": 0.5, "t_sim": 0.3, "chi": [0.1], "chi_hat": [0.1],
+                                "T": 3.0, "t_sim": 0.3, "chi": [0.1], "chi_hat": [0.1],
                                 "sampler": {"type": "equidistant", "delta": 0.1},
                                 **overrides})
     assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -619,7 +620,7 @@ def test_divergence_raises_no_overflow_warning():
         solve_mhe(model, cfg, np.array([20.0]), None, y_seg, 0.1)
     with pytest.raises(DivergenceError) as exc:
         integrate(model, np.array([20.0]), None, None, 0.1, 0.01)
-    assert 0.05 <= exc.value.t <= 0.1
+    assert 0.05 <= float(re.search(r"at t = (\S+) ", str(exc.value))[1]) <= 0.1
 
 
 def test_diverging_warm_start_falls_back_to_the_cold_start(caplog):
@@ -709,35 +710,31 @@ def test_rollout_jacobians_are_those_of_its_states():
         assert reused.tobytes() == fresh.tobytes()
 
 
-def test_diverging_trial_falls_back_and_is_rejected(monkeypatch):
-    # outputs of 1e3 pull chi towards the escape, so trials diverge: each
-    # falls back to the sequential rollout and is rejected as it always was
+def test_unsettled_rollout_rejects_the_trial(monkeypatch):
+    # outputs of 1e3 pull chi towards the escape, where neither rollout
+    # stays finite and the trial is rejected
     model, cfg, _ = _escape_window()
     y_seg = PiecewiseSignal(0.01, np.full((10, 1), 1e3))
     prob = _WindowProblem(model, cfg, np.array([1.0]), None, y_seg, 0.1)
     z = np.concatenate([[20.0], np.zeros(10)])
     assert prob.forward(z) is None and prob.rollout(z, np.ones((11, 1))) is None
     assert prob.evaluate(z, np.ones((11, 1))) is None
-    assert prob.rollout_fallbacks == 1
 
-    stages = _stage_costs(monkeypatch)
-    sol = solve_mhe(model, cfg, np.array([1.0]), None, y_seg, 0.1)
-    costs = [c for stage in stages.values() for c in stage]
-    stages.clear()
+    # a trial whose Newton rollout does not settle is rejected even where
+    # the sequential rollout of the same decision is finite
+    model = batch_reactor()
+    N = 60
+    prob = _rollout_window(model, N)
+    z = np.concatenate([[1.0, 2.0], np.zeros(N * 3)])
+    states = prob.forward(z)
+    assert np.isfinite(states).all()
     monkeypatch.setattr(_WindowProblem, "rollout", lambda self, z, guess: None)
-    seq = solve_mhe(model, cfg, np.array([1.0]), None, y_seg, 0.1)
-    assert 0 < sol.stats.rollout_fallbacks < seq.stats.rollout_fallbacks
-    for key in ("trials", "iterations", "termination"):
-        assert getattr(sol.stats, key) == getattr(seq.stats, key)
-    assert costs == pytest.approx([c for stage in stages.values() for c in stage], rel=1e-14)
-    x_seq = seq.x_star.states
-    assert np.abs(sol.x_star.states - x_seq).max() <= 1e-12 * np.abs(x_seq).max()
+    assert prob.evaluate(z, states) is None
 
 
 def test_bench_windows_roll_out_sequentially_once_per_step(monkeypatch):
     # the sequential kernel runs only for the cold first window and the new
-    # tail of each warm start, so at most once per grid step of the run,
-    # and no trial's Newton rollout falls back
+    # tail of each warm start, so at most once per grid step of the run
     calls = []
     step = mhect.mhe.rk4_step
     monkeypatch.setattr(mhect.mhe, "rk4_step", lambda *args: calls.append(1) or step(*args))
@@ -745,7 +742,6 @@ def test_bench_windows_roll_out_sequentially_once_per_step(monkeypatch):
         calls.clear()
         run, _ = bench_run(seed)
         assert len(calls) <= run.sampling.k_indices[-1]
-        assert all(s.stats.rollout_fallbacks == 0 for s in run.solutions)
 
 
 def _record_forward(monkeypatch, check):
