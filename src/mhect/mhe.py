@@ -431,8 +431,9 @@ class _WindowProblem:
         G[0, q:-1, q:-1] += self.sq_prior.T @ self.sq_prior
         G[0, q:-1, -1] += self.sq_prior.T @ r_p
         j, i, _ = self._active_violations(states)
-        np.add.at(G, (j, q + i, q + i), self.pen)
-        np.add.at(G, (j, q + i, -1), math.sqrt(self.pen) * r_v)
+        if j.size:
+            np.add.at(G, (j, q + i, q + i), self.pen)
+            np.add.at(G, (j, q + i, -1), math.sqrt(self.pen) * r_v)
         G[:, -1, :-1] = G[:, :-1, -1]
         S = np.zeros((N, n + 1, q + n + 1))
         S[:, :n, :q] = B
@@ -460,32 +461,35 @@ class _WindowProblem:
         1. dw_j = u_j - E_j xt_j, xt_j = [dx_j; 1], removes each stage's
            cross term: cost u'R u + xt'L xt and xt_{j+1} = F xt + B u.
         2. The cost-to-go matrices V_j over xt_j come from a suffix scan of
-           the elements (F, B R^-1 B', L) with the combination rule of
-           Sarkka and Garcia-Fernandez (IEEE TAC 68(2), 2023).
+           the elements [F | B R^-1 B' | L], packed side by side, with the
+           combination rule of Sarkka and Garcia-Fernandez (IEEE TAC 68(2),
+           2023).
         3. One batched Q_j = S_j' V_{j+1} S_j + H_j gives every gain K_j with
            dw_j = -K_j xt_j; chi is solved last from V_0.
         4. The step rolls out by prefix products of Phi_j = S_j [-K_j; I].
 
-        Pinned coordinates of w are masked, not sliced out: a zero column of
-        B_j, a zero row and column with a unit diagonal in the stage matrix,
-        so their step is exactly 0 and the free block is unchanged.
+        Pinned coordinates of w, if any, are masked, not sliced out: a zero
+        column of B_j, a zero row and column with a unit diagonal in the
+        stage matrix, so their step is exactly 0 and the free block is
+        unchanged.
         """
         G, S = lin
         n, q, N = self.n, self.q, self.N
         fw = free[n:].reshape(N, q)
         H = G[:N].copy()
         H[:, :q, :q] += mu * np.eye(q)
-        H[:, :q] *= fw[:, :, None]
-        H[:, :, :q] *= fw[:, None, :]
-        j, i = np.nonzero(~fw)
-        H[j, i, i] = 1.0
-        S = S.copy()
-        S[:, :n, :q] *= fw[:, None, :]
+        if not fw.all():
+            H[:, :q] *= fw[:, :, None]
+            H[:, :, :q] *= fw[:, None, :]
+            j, i = np.nonzero(~fw)
+            H[j, i, i] = 1.0
+            S = S.copy()
+            S[:, :n, :q] *= fw[:, None, :]
         Sw, Sx = S[:, :, :q], S[:, :, q:]
         EY = np.linalg.solve(H[:, :q, :q],
                              np.concatenate([H[:, :q, q:], Sw.transpose(0, 2, 1)], axis=2))
         E, Y = EY[:, :, :n + 1], EY[:, :, n + 1:]
-        elems = np.stack([Sx - Sw @ E, Sw @ Y, H[:, q:, q:] - H[:, q:, :q] @ E], axis=1)
+        elems = np.concatenate([Sx - Sw @ E, Sw @ Y, H[:, q:, q:] - H[:, q:, :q] @ E], axis=2)
         V = _suffix_scan(elems, G[N, q:, q:], _riccati_combine, _riccati_apply)
         Q = S.transpose(0, 2, 1) @ V[1:] @ S + H
         K = np.linalg.solve(Q[:, :q, :q], Q[:, :q, q:])
@@ -523,23 +527,27 @@ def _suffix_scan(elems, last, combine, apply):
 
 
 def _riccati_apply(e, V):
-    """Cost-to-go A'V (I + C V)^-1 A + L of the elements e = (A, C, L) over
-    the next stage's cost-to-go V."""
-    A, C, L = e[:, 0], e[:, 1], e[:, 2]
-    X = np.linalg.solve(np.eye(A.shape[-1]) + C @ V, A)
+    """Cost-to-go A'V (I + C V)^-1 A + L of the elements e = [A | C | L]
+    over the next stage's cost-to-go V."""
+    m = e.shape[1]
+    A, C, L = e[:, :, :m], e[:, :, m:2 * m], e[:, :, 2 * m:]
+    X = np.linalg.solve(np.eye(m) + C @ V, A)
     return A.transpose(0, 2, 1) @ V @ X + L
 
 
 def _riccati_combine(a, b):
     """The element of stage a followed by stage b: with M = I + C_a L_b,
-    (A_b M^-1 A_a, A_b M^-1 C_a A_b' + C_b, A_a' L_b M^-1 A_a + L_a)."""
-    Aa, Ca, La = a[:, 0], a[:, 1], a[:, 2]
-    Ab, Cb, Lb = b[:, 0], b[:, 1], b[:, 2]
-    m = Aa.shape[-1]
-    X = np.linalg.solve(np.eye(m) + Ca @ Lb, np.concatenate([Aa, Ca], axis=2))
+    [A_b M^-1 A_a | A_b M^-1 C_a A_b' + C_b | A_a' L_b M^-1 A_a + L_a],
+    written over a, which the scan does not read again."""
+    m = a.shape[1]
+    Aa, Ca, La = a[:, :, :m], a[:, :, m:2 * m], a[:, :, 2 * m:]
+    Ab, Cb, Lb = b[:, :, :m], b[:, :, m:2 * m], b[:, :, 2 * m:]
+    X = np.linalg.solve(np.eye(m) + Ca @ Lb, a[:, :, :2 * m])
     XA, XC = X[:, :, :m], X[:, :, m:]
-    return np.stack([Ab @ XA, Ab @ XC @ Ab.transpose(0, 2, 1) + Cb,
-                     Aa.transpose(0, 2, 1) @ Lb @ XA + La], axis=1)
+    La += Aa.transpose(0, 2, 1) @ Lb @ XA
+    Ca[...] = Ab @ XC @ Ab.transpose(0, 2, 1) + Cb
+    Aa[...] = Ab @ XA
+    return a
 
 
 def _lm_stage(prob, stats, z, states, jac):

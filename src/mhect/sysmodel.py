@@ -6,6 +6,7 @@ Controls are optional: m = 0 is fully supported and the bundled benchmark
 uses it.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -189,8 +190,10 @@ def batch_reactor():
         J[..., 1, 1] = -k2
         return J
 
+    # one read-only view per batch shape, shared by every call
     def constant(J):
-        return lambda x, u, w: np.broadcast_to(J, x.shape[:-1] + J.shape)
+        view = functools.cache(lambda batch: np.broadcast_to(J, batch + J.shape))
+        return lambda x, u, w: view(x.shape[:-1])
 
     return SystemModel(
         2, 0, 3, 1, f, h, jac_f_x=jac_f_x,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import tracemalloc
@@ -16,7 +17,8 @@ from mhect.cli import bench_run
 from mhect.errors import ConfigurationError, DivergenceError, HorizonError
 from mhect.integrate import rk4_step_with_jacobians
 from mhect.mhe import (DAMPING_INIT, GRAD_TOL, MAX_ITERS, PENALTY_WEIGHT, PRECISION_TOL,
-                       ROLLOUT_TOL, SamplingSet, _WindowProblem)
+                       ROLLOUT_TOL, SamplingSet, _WindowProblem, _riccati_apply,
+                       _riccati_combine, _suffix_scan)
 from mhect.rng import SplitMix64
 from tests.conftest import const_jac
 from tests.test_sysmodel import polynomial_points
@@ -944,6 +946,88 @@ def _sequential_step(prob, lin, free, mu):
         v[q:] = S[j] @ v
     dx[N] = v[q:-1]
     return step, dx
+
+
+def _stacked_riccati_apply(e, V):
+    """_riccati_apply on elements stacked as (k, 3, m, m); the bit-for-bit
+    reference for the packed elements."""
+    A, C, L = e[:, 0], e[:, 1], e[:, 2]
+    X = np.linalg.solve(np.eye(A.shape[-1]) + C @ V, A)
+    return A.transpose(0, 2, 1) @ V @ X + L
+
+
+def _stacked_riccati_combine(a, b):
+    """_riccati_combine on stacked elements, into a new array."""
+    Aa, Ca, La = a[:, 0], a[:, 1], a[:, 2]
+    Ab, Cb, Lb = b[:, 0], b[:, 1], b[:, 2]
+    m = Aa.shape[-1]
+    X = np.linalg.solve(np.eye(m) + Ca @ Lb, np.concatenate([Aa, Ca], axis=2))
+    XA, XC = X[:, :, :m], X[:, :, m:]
+    return np.stack([Ab @ XA, Ab @ XC @ Ab.transpose(0, 2, 1) + Cb,
+                     Aa.transpose(0, 2, 1) @ Lb @ XA + La], axis=1)
+
+
+def _stacked_lm_step(prob, lin, free, mu):
+    """lm_step with stacked Riccati elements and the pinned-coordinate mask
+    applied on every call; the bit-for-bit reference for the packed
+    elements and for the mask skipped when nothing is pinned."""
+    G, S = lin
+    n, q, N = prob.n, prob.q, prob.N
+    fw = free[n:].reshape(N, q)
+    H = G[:N].copy()
+    H[:, :q, :q] += mu * np.eye(q)
+    H[:, :q] *= fw[:, :, None]
+    H[:, :, :q] *= fw[:, None, :]
+    j, i = np.nonzero(~fw)
+    H[j, i, i] = 1.0
+    S = S.copy()
+    S[:, :n, :q] *= fw[:, None, :]
+    Sw, Sx = S[:, :, :q], S[:, :, q:]
+    EY = np.linalg.solve(H[:, :q, :q],
+                         np.concatenate([H[:, :q, q:], Sw.transpose(0, 2, 1)], axis=2))
+    E, Y = EY[:, :, :n + 1], EY[:, :, n + 1:]
+    elems = np.stack([Sx - Sw @ E, Sw @ Y, H[:, q:, q:] - H[:, q:, :q] @ E], axis=1)
+    V = _suffix_scan(elems, G[N, q:, q:], _stacked_riccati_combine, _stacked_riccati_apply)
+    Q = S.transpose(0, 2, 1) @ V[1:] @ S + H
+    K = np.linalg.solve(Q[:, :q, :q], Q[:, :q, q:])
+    fx = free[:n]
+    M = (V[0, :n, :n] + mu * np.eye(n)) * np.outer(fx, fx)
+    M[~fx, ~fx] = 1.0
+    xt = np.append(np.linalg.solve(M, -V[0, :n, n] * fx), 1.0)
+    matvec = functools.partial(np.einsum, "kij,kj->ki")
+    xt = _suffix_scan((Sx - Sw @ K)[::-1], xt, np.matmul, matvec)[::-1]
+    return np.concatenate([xt[0, :n], -matvec(K, xt[:-1]).ravel()]), xt[:, :n]
+
+
+@settings(max_examples=60)
+@given(N=st.integers(1, 64), m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_packed_riccati_scan_matches_the_stacked_elements(N, m, seed):
+    # random elements (A, C, L) with C and L PSD over a PSD terminal
+    # cost-to-go: the scan on packed [A | C | L] gives the stacked scan's
+    # values bit for bit
+    rng = SplitMix64(seed)
+    A = rng.uniforms((N, m, m), -1.5, 1.5)
+    F, R, T = (rng.uniforms((k, m, m), -1.0, 1.0) for k in (N, N, 1))
+    C, L = F @ F.transpose(0, 2, 1), R @ R.transpose(0, 2, 1)
+    last = (T @ T.transpose(0, 2, 1))[0]
+    stacked = _suffix_scan(np.stack([A, C, L], axis=1), last, _stacked_riccati_combine,
+                           _stacked_riccati_apply)
+    packed = _suffix_scan(np.concatenate([A, C, L], axis=2), last, _riccati_combine,
+                          _riccati_apply)
+    assert packed.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_lm_step_matches_the_stacked_reference_bit_for_bit(ref_cert, pinned):
+    # a pinned coordinate takes the mask path, an all-free window the path
+    # without it; neither changes a bit of the step or its state changes
+    prob, z, states = _window_with_violations(ref_cert, 40)
+    lin = prob.linearize(z, states, prob.residuals(z, states))
+    free = np.ones(prob.n + prob.N * prob.q, bool)
+    free[prob.n + 5] = not pinned
+    for mu in (1e-3, 1.0):
+        for got, ref in zip(prob.lm_step(lin, free, mu), _stacked_lm_step(prob, lin, free, mu)):
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_window_jacobian_matches_finite_differences(ref_cert):

@@ -109,6 +109,22 @@ def test_reactor_vector_field_values():
     assert np.array_equal(m.W, [[-0.1, 0.1]] * 3)
 
 
+@pytest.mark.parametrize("batch", [(), (7,), (3, 4)])
+def test_reactor_constant_jacobians_are_shared_read_only_views(batch):
+    # one cached view per batch shape serves every call, so a caller that
+    # writes into it must fail instead of changing the next call's Jacobian
+    m = batch_reactor()
+    x, w = np.full(batch + (2,), 1.0), np.zeros(batch + (3,))
+    for name, expect in (("jac_f_w", [[1, 0, 0], [0, 1, 0]]), ("jac_h_x", [[1.0, 1.0]]),
+                         ("jac_h_w", [[0, 0, 1]])):
+        J = getattr(m, name)(x, None, w)
+        assert J.shape == batch + np.shape(expect)
+        assert np.array_equal(J, np.broadcast_to(expect, J.shape))
+        assert getattr(m, name)(x + 1.0, None, w) is J
+        with pytest.raises(ValueError):
+            J[...] = 0.0
+
+
 def test_model_registry():
     m = get_model("batch_reactor")
     assert (m.n, m.m, m.q, m.p) == (2, 0, 3, 1)
