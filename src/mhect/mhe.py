@@ -25,7 +25,9 @@ the window start rolls out by sequential RK4 steps, and a warm-started
 window runs only the steps its predecessor did not.  A solve stops at the
 gradient tolerance, or at the precision floor when, before any rejection,
 the model credits the damped step d with no more than rounding (its
-decrease is mu |d|^2 - g.d/2).
+decrease is mu |d|^2 - g.d/2), or right after an unclipped step accepted
+without rejection whose actual and predicted decreases are both at most
+STEP_FTOL times the cost, as MINPACK's lmder stops on its last step.
 """
 
 import logging
@@ -44,6 +46,7 @@ from .sysmodel import PiecewiseSignal, as_grid_index, box_clip, box_contains, wr
 # window solver settings
 GRAD_TOL = 1e-8          # converged when the projected gradient norm is at most this
 PRECISION_TOL = 1e-12    # converged_at_precision at a predicted decrease <= this * cost
+STEP_FTOL = 1e-9         # ... or after a step with both decreases <= this * cost
 ROLLOUT_TOL = 8 * np.finfo(float).eps   # Newton rollout: relative defect at every node
 ROLLOUT_MAX_ITERS = 8    # Newton rollout iterations before the trial is rejected
 MAX_ITERS = 100          # Levenberg-Marquardt iterations per penalty stage
@@ -555,7 +558,11 @@ def _lm_stage(prob, stats, z, states, jac):
     from z, its window states and their step Jacobians jac (None when the
     states come from forward).  Returns the last accepted iterate as (z,
     states, r, jac) with its stop: converged, converged_at_precision,
-    stalled or max_iters."""
+    stalled or max_iters.  converged_at_precision is either the precision
+    floor of a step not yet tried, or an accepted step of an iteration with
+    no rejection and no clipping whose actual and predicted decreases are
+    both at most STEP_FTOL f; that stop skips the confirming linearization,
+    so stats.grad_norm then belongs to the iterate before the step."""
     r = prob.residuals(z, states)
     f = float(r @ r)
     mu = DAMPING_INIT
@@ -582,8 +589,9 @@ def _lm_stage(prob, stats, z, states, jac):
             # puts at rounding of f ends the stage: no trial can tell it
             # apart (Dennis & Schnabel 1996, sec. 7.2).  That gain,
             # |J d|^2 + 2 mu |d|^2, is mu |d|^2 - g.d/2 (More 1978).
-            if (not rejected and np.array_equal(z_try, z + step)
-                    and mu * step @ step - 0.5 * g @ step <= PRECISION_TOL * f):
+            quiet = not rejected and np.array_equal(z_try, z + step)
+            pred = mu * step @ step - 0.5 * g @ step
+            if quiet and pred <= PRECISION_TOL * f:
                 term = "converged_at_precision"
                 break
             if np.linalg.norm(z_try - z) <= 1e-15 * (1.0 + np.linalg.norm(z)):
@@ -598,9 +606,13 @@ def _lm_stage(prob, stats, z, states, jac):
                 break
         if trial is None:
             return z, states, r, jac, term
+        # MINPACK lmder's ftol test on the step just taken
+        quiet = quiet and max(f - trial[2], pred) <= STEP_FTOL * f
         z = z_try
         states, r, f, jac = trial
         stats.iterations += 1
+        if quiet:
+            return z, states, r, jac, "converged_at_precision"
     return z, states, r, jac, "max_iters"
 
 

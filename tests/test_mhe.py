@@ -365,7 +365,8 @@ def _stage_costs(mp):
     """Spy on _WindowProblem.linearize through the monkeypatch mp: the costs
     it is called at, one list per window and penalty stage.  Each LM
     iteration linearizes at the accepted iterate, so a stage's list is its
-    accepted-cost sequence."""
+    accepted-cost sequence, less the last cost of a stage that ends on its
+    accepted step."""
     stages, linearize = {}, _WindowProblem.linearize
 
     def spy(self, z, states, r, jac):
@@ -732,6 +733,22 @@ def test_unsettled_rollout_rejects_the_trial(monkeypatch):
     assert np.isfinite(states).all()
     monkeypatch.setattr(_WindowProblem, "rollout", lambda self, z, guess: None)
     assert prob.evaluate(z, states) is None
+
+
+def test_bench_windows_end_on_their_accepted_step(monkeypatch):
+    # a window whose last accepted step moved the cost by at most STEP_FTOL
+    # ends on it, without one more linearize and lm_step that accept
+    # nothing: bench seeds 1-8 made 1705 lm_step calls and 1593
+    # linearizations when every such window confirmed its stop that way
+    calls = dict.fromkeys(("lm_step", "linearize"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(_WindowProblem, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(_WindowProblem, name, counted)
+    for seed in range(1, 9):
+        bench_run(seed)
+    assert calls["lm_step"] <= 1464 and calls["linearize"] <= 1327
 
 
 def test_bench_windows_roll_out_sequentially_once_per_step(monkeypatch):
