@@ -14,10 +14,12 @@ certificate file holds P twice, as P1 and P2, which must be equal, then Q,
 R, lambda and the verification record.  The module verifies given weights
 on a grid, synthesizes feasible weights with a log-det barrier
 interior-point method, and derives the horizon threshold and contraction
-rate used by the estimator error bounds.
+rate used by the estimator error bounds.  Each barrier stage centres on
+t/mu - log det S, the barrier objective scaled by 1/mu, to a fixed Newton
+decrement of that scaled function, and synthesis stops at the first
+strictly feasible slack bound t.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -264,8 +266,13 @@ def verify_certificate(model, cert, grid, tol_psd=1e-8):
     if not math.isfinite(tol_psd):
         raise ConfigurationError(f"verification tolerance {tol_psd} must be finite")
     check_weight_sizes(model, P=cert.P1, Q=cert.Q, R=cert.R)
-    points, mode = grid_points(model, grid)
-    max_eig, worst = _max_eig(model, cert.P1, cert.Q, cert.R, _kappa_of(cert.lam), points)
+    return _report(model, cert.P1, cert.Q, cert.R, _kappa_of(cert.lam),
+                   *grid_points(model, grid), tol_psd)
+
+
+def _report(model, P, Q, R, kappa, points, mode, tol_psd):
+    """The verification report of weights at expanded grid points."""
+    max_eig, worst = _max_eig(model, P, Q, R, kappa, points)
     return VerificationReport(max_eig <= tol_psd, max_eig, *worst, tol_psd,
                               len(points[0]), mode)
 
@@ -286,7 +293,7 @@ MU0 = 1.0            # initial barrier weight
 MU_FACTOR = 0.2      # barrier weight shrink per stage
 MU_MIN = 1e-10       # give up once the barrier weight is at most this
 FEAS_STOP = 1e-8     # feasible as soon as t < -FEAS_STOP
-NEWTON_TOL = 1e-9    # Newton decrement threshold per stage
+NEWTON_TOL = 0.1     # a stage ends at lambda^2/2 <= this for t/mu - log det S
 MAX_NEWTON_ITERS = 200  # total Newton iterations across barrier stages
 
 
@@ -319,6 +326,11 @@ class _BarrierSDP:
     basis matrix is I in the inequality blocks (slack t*I - M(z)) and 0 in
     the positivity blocks.  Newton's method on t + mu * sum -log det S with
     exact Hessian, feasibility-preserving backtracking and Armijo acceptance.
+    A stage ends when the Newton decrement of the scaled objective
+    t/mu - log det S, which is the decrement of t - mu log det S divided by
+    mu, satisfies lambda^2 / 2 <= NEWTON_TOL (Boyd & Vandenberghe, Convex
+    Optimization, 2004, sections 9.5 and 11.3); the centring is then the same
+    at every mu.
     """
 
     def __init__(self, K0, K):
@@ -363,7 +375,7 @@ class _BarrierSDP:
                 except np.linalg.LinAlgError:
                     d = np.linalg.lstsq(hess, -grad, rcond=None)[0]
                 decrement = float(-grad @ d)
-                if decrement <= 2.0 * NEWTON_TOL:
+                if decrement <= 2.0 * NEWTON_TOL * mu:
                     break
                 alpha = 1.0
                 while alpha > 1e-14:
@@ -446,12 +458,13 @@ def synthesize_certificate(model, lam, mode, grid):
 
     mode is FixedQR(Q, R) (solve for P only) or the string "joint" (solve for
     P, Q, R together, all bounded below by EPS_PD * I).  The result is always
-    re-checked with verify_certificate on the same grid before it is
-    returned.  Raises InfeasibleError with the most violating grid point when
-    no strictly feasible point is found.
+    re-checked as verify_certificate checks it, on every point of the same
+    grid, at SdpOptions().recheck_tol before it is returned.  Raises
+    InfeasibleError with the most violating grid point when no strictly
+    feasible point is found.
     """
     kappa = _kappa_of(lam)
-    points, _ = grid_points(model, grid)
+    points, grid_mode = grid_points(model, grid)
 
     if isinstance(mode, str) and mode == "joint":
         Q_fix = R_fix = None
@@ -472,13 +485,12 @@ def synthesize_certificate(model, lam, mode, grid):
             f"best max eigenvalue {worst_eig:.3e} at x = {worst_pt[0]}, u = {worst_pt[1]}, "
             f"w = {worst_pt[2]}")
 
-    cert = DetectabilityCertificate.from_weights(P, Q, R, lam)
-    report = verify_certificate(model, cert, grid, tol_psd=SdpOptions().recheck_tol)
+    report = _report(model, P, Q, R, kappa, points, grid_mode, SdpOptions().recheck_tol)
     if not report.passed:
         raise RuntimeError(
             "internal consistency error: synthesized weights failed re-verification "
             f"(max eigenvalue {report.max_eig:.3e})")
-    return dataclasses.replace(cert, verification=report)
+    return DetectabilityCertificate(P, P, Q, R, float(lam), report)
 
 
 # ---------------------------------------------------------------------------

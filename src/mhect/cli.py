@@ -304,8 +304,7 @@ def cmd_certify(args):
     if args.check:
         cert = load_certificate(args.check)
         report = verify_certificate(model, cert, grid, tol_psd=args.tol)
-        print(f"max inequality eigenvalue {report.max_eig:.6e} over {report.n_points} "
-              f"points ({report.mode}); tolerance {report.tol_psd:g}")
+        _print_report(report)
         print("PASS" if report.passed else "FAIL")
         return 0 if report.passed else 3
     if args.lam is None:
@@ -316,9 +315,13 @@ def cmd_certify(args):
     path = os.path.join(_resolve_out(args), args.cert_name)
     save_certificate(cert, path)
     print(f"synthesized certificate -> {path}")
-    print(f"max inequality eigenvalue {cert.verification.max_eig:.6e} "
-          f"over {cert.verification.n_points} points")
+    _print_report(cert.verification)
     return 0
+
+
+def _print_report(report):
+    print(f"max inequality eigenvalue {report.max_eig:.6e} over {report.n_points} "
+          f"points ({report.mode}); tolerance {report.tol_psd:g}")
 
 
 def _signal_csv(sig, path, prefix):

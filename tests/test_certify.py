@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mhect.certify
-from mhect import (DetectabilityCertificate, FixedQR, GridSpec, SystemModel,
+from mhect import (DetectabilityCertificate, FixedQR, GridSpec, SdpOptions, SystemModel,
                    batch_reactor, contraction_rate, geneig_max, integrate, lmi_matrix,
                    load_certificate, min_horizon, model_from_dict, save_certificate,
                    synthesize_certificate, verify_certificate)
@@ -322,9 +322,11 @@ def test_synthesis_fixed_weights(reactor, synth_cert):
 
 def test_synthesis_fixed_weights_match_reference_digits(synth_cert):
     # the Newton steps' last bits depend on the order the barrier sums its
-    # blocks in, so the pinned digits of P hold to 1e-7, not bit for bit
-    P_ref = np.array([[3.7681536673338054, 3.533302950570048],
-                      [3.533302950570048, 3.315451805974797]])
+    # blocks in, so the pinned digits of P hold to 1e-7, not bit for bit.
+    # P is the first point of the barrier's central path with t < -FEAS_STOP,
+    # so these digits follow the centring rule, not the paper
+    P_ref = np.array([[3.66987835203762, 3.434770814261636],
+                      [3.434770814261636, 3.217300182809284]])
     assert np.abs(synth_cert.P1 - P_ref).max() <= 1e-7 * max(1.0, np.abs(P_ref).max())
 
 
@@ -440,7 +442,7 @@ def _synthesize_counting(monkeypatch, barrier, model, lam, mode, grid):
 # Newton systems formed by the per-group barrier in the benchmark's three
 # syntheses: FixedQR on the vertices, joint on the vertices, FixedQR on the
 # 3 x 2 grid
-NEWTON_SYSTEMS = {0.3: (43, 17, 44), 0.4: (39, 16, 39), 0.5: (32, 16, 32)}
+NEWTON_SYSTEMS = {0.3: (25, 17, 25), 0.4: (22, 16, 23), 0.5: (18, 16, 19)}
 
 
 @pytest.mark.parametrize("lam", sorted(NEWTON_SYSTEMS))
@@ -453,6 +455,43 @@ def test_stacked_synthesis_takes_the_per_group_path(reactor, monkeypatch, lam):
         assert n == n_ref == count
         for a, b in ((cert.P1, ref.P1), (cert.Q, ref.Q), (cert.R, ref.R)):
             assert np.abs(a - b).max() <= 1e-8 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.4, 0.5])
+def test_synthesized_weights_keep_a_margin(reactor, lam):
+    # synthesis stops at the first t < -FEAS_STOP, so the weights' margin is
+    # where the centring left the barrier path: the benchmark's three
+    # syntheses and joint synthesis on the 5 x 2 grid stay below -1e-4
+    fixed = FixedQR(Q_BENCH, R_BENCH)
+    for mode, grid in ((fixed, VERTS), ("joint", VERTS), (fixed, GridSpec(x_points=3, w_points=2)),
+                       ("joint", GridSpec(x_points=5, w_points=2))):
+        cert = synthesize_certificate(reactor, lam, mode, grid)
+        rep = verify_certificate(reactor, cert, grid, tol_psd=SdpOptions().recheck_tol)
+        assert rep.passed and rep.max_eig <= -1e-4
+
+
+def test_synthesis_expands_the_grid_and_builds_the_certificate_once(reactor, monkeypatch):
+    # a work count: the re-check runs on the points synthesis already expanded,
+    # and the certificate is validated once, with its report attached
+    grid = GridSpec(x_points=3, w_points=2)
+    points, _ = grid_points(reactor, grid)
+    calls = {"grid_points": 0, "__post_init__": 0}
+    expand, post_init = mhect.certify.grid_points, DetectabilityCertificate.__post_init__
+
+    def counted_grid(*args):
+        calls["grid_points"] += 1
+        return expand(*args)
+
+    def counted_post_init(self):
+        calls["__post_init__"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(mhect.certify, "grid_points", counted_grid)
+    monkeypatch.setattr(DetectabilityCertificate, "__post_init__", counted_post_init)
+    cert = synthesize_certificate(reactor, 0.4, FixedQR(Q_BENCH, R_BENCH), grid)
+    assert calls == {"grid_points": 1, "__post_init__": 1}
+    assert cert.verification.passed and cert.verification.n_points == len(points[0]) == 72
+    assert cert.verification.mode == "grid"
 
 
 def test_synthesis_pads_the_stack_to_the_output_weight():

@@ -159,7 +159,10 @@ def test_certify_check_reads_an_older_file_on_the_models_boxes(tmp_path, capsys,
 def test_certify_synthesizes_on_the_default_grid(tmp_path, capsys, mode):
     # 5 points per axis: 3125 points, of which the reactor has 5 distinct blocks
     assert main(["certify", "--lambda", "0.4", *mode, "--out", str(tmp_path)]) == 0
-    assert "over 3125 points" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "over 3125 points" in out
+    # the line names the grid mode and the re-check tolerance, as --check does
+    assert re.search(r"eigenvalue -\S+ over 3125 points \(grid\); tolerance 1e-08\n", out)
     assert main(["certify", "--check", str(tmp_path / "certificate.json")]) == 0
     assert "PASS" in capsys.readouterr().out
 
