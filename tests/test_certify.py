@@ -323,8 +323,8 @@ def test_synthesis_fixed_weights(reactor, synth_cert):
 def test_synthesis_fixed_weights_match_reference_digits(synth_cert):
     # the Newton steps' last bits depend on the order the barrier sums its
     # blocks in, so the pinned digits of P hold to 1e-7, not bit for bit.
-    # P is the first point of the barrier's central path with t < -FEAS_STOP,
-    # so these digits follow the centring rule, not the paper
+    # P is the first barrier iterate with t < -FEAS_STOP, so these digits
+    # follow the barrier's centring rule, not the paper
     P_ref = np.array([[3.66987835203762, 3.434770814261636],
                       [3.434770814261636, 3.217300182809284]])
     assert np.abs(synth_cert.P1 - P_ref).max() <= 1e-7 * max(1.0, np.abs(P_ref).max())
