@@ -166,41 +166,16 @@ def batch_reactor():
 
     x1' = -2 k1 x1^2 + 2 k2 x2 + w1,  x2' = k1 x1^2 - k2 x2 + w2,
     y = x1 + x2 + w3, with k1 = 0.16, k2 = 0.0064, X = [0.1, 5]^2 and
-    |w_i| <= 0.1.  No control input.
+    |w_i| <= 0.1.  No control input.  One polynomial spec of model_from_dict.
     """
     k1, k2 = 0.16, 0.0064
-
-    # f and h index the transposes: x.T[i] is x[..., i] with the batch axes
-    # reversed, and a numpy scalar for one row, which keeps the sequential
-    # RK4 loop at scalar speed; the final .T restores the batch axes
-    def f(x, u, w):
-        x, w = x.T, w.T
-        r = k1 * x[0] * x[0]
-        return np.array([-2.0 * r + 2.0 * k2 * x[1] + w[0], r - k2 * x[1] + w[1]]).T
-
-    def h(x, u, w):
-        x, w = x.T, w.T
-        return np.array([x[0] + x[1] + w[2]]).T
-
-    def jac_f_x(x, u, w):
-        J = np.empty(x.shape[:-1] + (2, 2))
-        J[..., 0, 0] = -4.0 * k1 * x[..., 0]
-        J[..., 0, 1] = 2.0 * k2
-        J[..., 1, 0] = 2.0 * k1 * x[..., 0]
-        J[..., 1, 1] = -k2
-        return J
-
-    # one read-only view per batch shape, shared by every call
-    def constant(J):
-        view = functools.cache(lambda batch: np.broadcast_to(J, batch + J.shape))
-        return lambda x, u, w: view(x.shape[:-1])
-
-    return SystemModel(
-        2, 0, 3, 1, f, h, jac_f_x=jac_f_x,
-        jac_f_w=constant(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
-        jac_h_x=constant(np.array([[1.0, 1.0]])),
-        jac_h_w=constant(np.array([[0.0, 0.0, 1.0]])),
-        X=[[0.1, 5.0], [0.1, 5.0]], U=[], W=[[-0.1, 0.1]] * 3)
+    term = lambda c, x=(0, 0), w=(0, 0, 0): {"coeff": c, "x_exp": x, "w_exp": w}
+    return model_from_dict({
+        "state_dim": 2, "dist_dim": 3, "output_dim": 1,
+        "f": [[term(-2.0 * k1, x=(2, 0)), term(2.0 * k2, x=(0, 1)), term(1.0, w=(1, 0, 0))],
+              [term(k1, x=(2, 0)), term(-k2, x=(0, 1)), term(1.0, w=(0, 1, 0))]],
+        "h": [[term(1.0, x=(1, 0)), term(1.0, x=(0, 1)), term(1.0, w=(0, 0, 1))]],
+        "X": [[0.1, 5.0], [0.1, 5.0]], "W": [[-0.1, 0.1]] * 3})
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +200,7 @@ def _numeric(section, key, where, convert=float):
         raise ConfigurationError(f"{where} missing field {key!r}") from None
     except ConfigurationError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigurationError(f"{where} field {key!r} is not numeric: {e}")
 
 
@@ -253,22 +228,50 @@ def _exponents(value):
     return exps
 
 
-def _polynomial(c, e, shape):
-    """Callback for rows r of sum_t c[r, t] * prod_i v_i^e[r, t, i] at
-    v = (x, w), returned with trailing shape `shape`."""
-    def poly(x, u, w):
-        v = np.concatenate([x, w], axis=-1)[..., None, None, :]
-        return np.sum(c * np.prod(v ** e, axis=-1), axis=-1).reshape(x.shape[:-1] + shape)
-    return poly
+def _compile(name, rows, n, shape):
+    """Callback `name` for rows, row-major over the trailing shape, of
+    (coeff, exponents over (x, w), label) terms, compiled once into
+    straight-line numpy source that indexes x.T[i] and w.T[j], so that one
+    row runs on numpy scalars.  Zero terms are dropped, each distinct
+    monomial is one product of integer powers by square-and-multiply, and
+    each row sums its terms in order.  A callback that reads no variable
+    returns one cached read-only view per batch shape."""
+    body, names = [], {}
 
+    def product(*factors):
+        if len(factors) > 1 and factors not in names:
+            names[factors] = f"t{len(names)}"
+            body.append(f"{names[factors]} = {' * '.join(factors)}")
+        return names.get(factors, factors[0])
 
-def _derivative(c, e, cols):
-    """Coefficients and exponents of d row / d v_j for j in cols, rows (r, j)
-    in row-major order; terms without v_j keep coefficient 0."""
-    var = np.arange(e.shape[-1])
-    dc = np.stack([c * e[..., j] for j in cols], axis=1)
-    de = np.stack([np.where(var == j, np.maximum(e - 1.0, 0.0), e) for j in cols], axis=1)
-    return dc.reshape(-1, c.shape[1]), de.reshape(-1, *e.shape[1:])
+    def power(var, e):
+        acc = var
+        for bit in bin(e)[3:]:
+            acc = product(acc, acc, var) if bit == "1" else product(acc, acc)
+        return acc
+
+    sums = []
+    for row in rows:
+        terms = []
+        for c, exps, label in row:
+            if not math.isfinite(c):  # the source holds only finite literals
+                raise ConfigurationError(f"{label} has a non-finite coefficient {c} in {name}")
+            if c != 0.0:
+                factors = [power(f"x[{i}]" if i < n else f"w[{i - n}]", e)
+                           for i, e in enumerate(exps) if e]
+                mono = product(*factors) if factors else repr(c)
+                terms.append(mono if c == 1.0 or not factors else f"{c!r} * {mono}")
+        sums.append(" + ".join(terms) or "0.0")
+    cells = (", ".join(map(str, idx[::-1])) for idx in np.ndindex(shape))
+    exec("\n    ".join([f"def {name}(x, u, w):", f"out = np.empty(x.shape[:-1] + {shape!r})",
+                        "x, w, o = x.T, w.T, out.T", *body,
+                        *(f"o[{c}] = {s}" for c, s in zip(cells, sums)), "return out"]),
+         scope := {"np": np})
+    if any(c and any(e) for row in rows for c, e, _ in row):
+        return scope[name]
+    J = scope[name](np.zeros(n), None, np.zeros(0))  # reads only the batch shape
+    view = functools.cache(lambda batch: np.broadcast_to(J, batch + J.shape))
+    return lambda x, u, w: view(x.shape[:-1])
 
 
 def model_from_dict(spec):
@@ -282,39 +285,38 @@ def model_from_dict(spec):
             "file-based models need state_dim, dist_dim, output_dim >= 1 and are "
             "polynomial in (x, w) only: input_dim must be 0")
 
-    def compile_rows(name):
-        """Coefficients (R, T) and exponents (R, T, n + q) of the rows of
-        spec[name], padded with zero terms to the longest row."""
+    def terms(name):
+        """The rows of spec[name] as lists of (coeff, exponents, label) terms."""
         rows = _numeric(spec, name, "model", lambda v: [list(row) for row in v])
-        T = max([1] + [len(row) for row in rows])
-        c = np.zeros((len(rows), T))
-        e = np.zeros((len(rows), T, n + q))
         for r, row in enumerate(rows):
             coord = f"{name}[{r}]"
             for t, term in enumerate(row):
-                c[r, t] = _numeric(term, "coeff", coord)
+                c = _numeric(term, "coeff", coord)
                 xe = _numeric(term, "x_exp", coord, _exponents) if "x_exp" in term else [0] * n
                 we = _numeric(term, "w_exp", coord, _exponents) if "w_exp" in term else [0] * q
                 if len(xe) != n or len(we) != q:
                     raise ConfigurationError(
                         f"{coord}: exponent lists must have lengths {n} and {q}")
-                e[r, t] = xe + we
-        return c, e
+                row[t] = (c, tuple(xe + we), f"{coord} term {t}")
+        return rows
 
-    fc, fe = compile_rows("f")
-    hc, he = compile_rows("h")
+    def derivative(rows, cols):  # rows (r, j), row-major, of d row_r / d v_j
+        return [[(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:], label) for c, e, label in row if e[j]]
+                for row in rows for j in cols]
+
+    f, h = terms("f"), terms("h")
     X = _numeric(spec, "X", "model", lambda v: as_box(v, n, "X")) if "X" in spec else None
     W = _numeric(spec, "W", "model", lambda v: as_box(v, q, "W")) if "W" in spec else None
-    if len(fc) != n or len(hc) != p:
+    if len(f) != n or len(h) != p:
         raise ConfigurationError("f must list n coordinates and h must list p coordinates")
 
     xs, ws = range(n), range(n, n + q)
     return SystemModel(
-        n, 0, q, p, _polynomial(fc, fe, (n,)), _polynomial(hc, he, (p,)),
-        jac_f_x=_polynomial(*_derivative(fc, fe, xs), (n, n)),
-        jac_f_w=_polynomial(*_derivative(fc, fe, ws), (n, q)),
-        jac_h_x=_polynomial(*_derivative(hc, he, xs), (p, n)),
-        jac_h_w=_polynomial(*_derivative(hc, he, ws), (p, q)),
+        n, 0, q, p, _compile("f", f, n, (n,)), _compile("h", h, n, (p,)),
+        jac_f_x=_compile("jac_f_x", derivative(f, xs), n, (n, n)),
+        jac_f_w=_compile("jac_f_w", derivative(f, ws), n, (n, q)),
+        jac_h_x=_compile("jac_h_x", derivative(h, xs), n, (p, n)),
+        jac_h_w=_compile("jac_h_w", derivative(h, ws), n, (p, q)),
         X=X, U=[], W=W)
 
 
@@ -325,9 +327,9 @@ def load_model(path):
     lists of monomial terms {"coeff": c, "x_exp": [...], "w_exp": [...]}
     with non-negative integer exponents (omitted lists are all zero), box
     sets X/W as [lo, hi] rows (null = unbounded).  A missing or non-numeric
-    field is a ConfigurationError naming it.  The terms are compiled once
-    into coefficient and exponent arrays, and f, h and the four Jacobians
-    evaluate them over leading batch axes.
+    field, or a non-finite coefficient, is a ConfigurationError naming it.
+    f, h and the four Jacobians are each compiled once into a straight-line
+    callback over leading batch axes; the bundled reactor is one such spec.
     """
     with open(path) as fh:
         spec = json.load(fh)

@@ -109,20 +109,30 @@ def test_reactor_vector_field_values():
     assert np.array_equal(m.W, [[-0.1, 0.1]] * 3)
 
 
+# x' = -x + 2 w1, y = 3 x + w2: every Jacobian of this file model is constant
+LINEAR_SPEC = {"state_dim": 1, "dist_dim": 2, "output_dim": 1,
+               "f": [[{"coeff": -1.0, "x_exp": [1]}, {"coeff": 2.0, "w_exp": [1, 0]}]],
+               "h": [[{"coeff": 3.0, "x_exp": [1]}, {"coeff": 1.0, "w_exp": [0, 1]}]]}
+
+
 @pytest.mark.parametrize("batch", [(), (7,), (3, 4)])
 def test_reactor_constant_jacobians_are_shared_read_only_views(batch):
     # one cached view per batch shape serves every call, so a caller that
-    # writes into it must fail instead of changing the next call's Jacobian
-    m = batch_reactor()
-    x, w = np.full(batch + (2,), 1.0), np.zeros(batch + (3,))
-    for name, expect in (("jac_f_w", [[1, 0, 0], [0, 1, 0]]), ("jac_h_x", [[1.0, 1.0]]),
-                         ("jac_h_w", [[0, 0, 1]])):
-        J = getattr(m, name)(x, None, w)
-        assert J.shape == batch + np.shape(expect)
-        assert np.array_equal(J, np.broadcast_to(expect, J.shape))
-        assert getattr(m, name)(x + 1.0, None, w) is J
-        with pytest.raises(ValueError):
-            J[...] = 0.0
+    # writes into it must fail instead of changing the next call's Jacobian;
+    # the same holds for any file model, here one whose Jacobians are all constant
+    for m, constants in (
+            (batch_reactor(), {"jac_f_w": [[1, 0, 0], [0, 1, 0]], "jac_h_x": [[1.0, 1.0]],
+                               "jac_h_w": [[0, 0, 1]]}),
+            (model_from_dict(LINEAR_SPEC), {"jac_f_x": [[-1.0]], "jac_f_w": [[2.0, 0.0]],
+                                            "jac_h_x": [[3.0]], "jac_h_w": [[0.0, 1.0]]})):
+        x, w = np.full(batch + (m.n,), 1.0), np.zeros(batch + (m.q,))
+        for name, expect in constants.items():
+            J = getattr(m, name)(x, None, w)
+            assert J.shape == batch + np.shape(expect)
+            assert np.array_equal(J, np.broadcast_to(expect, J.shape))
+            assert getattr(m, name)(x + 1.0, None, w) is J
+            with pytest.raises(ValueError):
+                J[...] = 0.0
 
 
 def test_model_registry():
@@ -181,18 +191,17 @@ REACTOR_SPEC = {
 
 
 def test_polynomial_model_matches_builtin():
+    # the bundled reactor is this spec, compiled the same way: bit for bit
     filed = model_from_dict(REACTOR_SPEC)
     built = batch_reactor()
     rng = SplitMix64(7)
     for _ in range(25):
         x = 0.1 + 4.9 * rng.uniforms((2,))
         w = -0.1 + 0.2 * rng.uniforms((3,))
-        assert np.abs(filed.f(x, None, w) - built.f(x, None, w)).max() < 1e-13
-        assert np.abs(filed.h(x, None, w) - built.h(x, None, w)).max() < 1e-13
-        assert np.abs(filed.jac_f_x(x, None, w) - built.jac_f_x(x, None, w)).max() < 1e-13
-        assert np.abs(filed.jac_f_w(x, None, w) - built.jac_f_w(x, None, w)).max() < 1e-13
-        assert np.abs(filed.jac_h_x(x, None, w) - built.jac_h_x(x, None, w)).max() < 1e-13
-    assert np.array_equal(filed.X, built.X)
+        for name in CALLBACKS:
+            assert getattr(filed, name)(x, None, w).tobytes() == \
+                getattr(built, name)(x, None, w).tobytes()
+    assert np.array_equal(filed.X, built.X) and np.array_equal(filed.W, built.W)
 
 
 def test_polynomial_model_round_trip(tmp_path):
@@ -232,6 +241,37 @@ def test_polynomial_model_validation():
     x, w = np.array([4.0, 0.5]), np.zeros(3)
     assert np.array_equal(model_from_dict(whole).f(x, None, w),
                           model_from_dict(REACTOR_SPEC).f(x, None, w))
+
+    # a coefficient the compiled source cannot hold is refused, naming the term
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        spec = dict(REACTOR_SPEC, f=[REACTOR_SPEC["f"][0], [{"coeff": 1.0}, {"coeff": bad}]])
+        with pytest.raises(ConfigurationError, match=r"f\[1\] term 1 has a non-finite"):
+            model_from_dict(spec)
+    # as is a derivative coefficient c * e that overflows
+    spec = dict(REACTOR_SPEC, f=[[{"coeff": 1e300, "x_exp": [10 ** 9, 0]}], [{"coeff": 1.0}]])
+    with pytest.raises(ConfigurationError, match=r"f\[0\] term 0 .* inf in jac_f_x"):
+        model_from_dict(spec)
+    # and so is one too large for a float, instead of escaping as OverflowError
+    for key in ("coeff", "x_exp"):
+        term = {"coeff": 1.0, "x_exp": [1, 0]}
+        term[key] = 10 ** 400 if key == "coeff" else [10 ** 400, 0]
+        spec = dict(REACTOR_SPEC, f=[[term], [{"coeff": 1.0}]])
+        with pytest.raises(ConfigurationError, match=f"field {key!r} is not numeric"):
+            model_from_dict(spec)
+
+    # integer powers are square-and-multiply: x^41 within rounding of the
+    # scalar oracle, and x^1000000000 in about 30 products
+    for e in (41, 1000000000):
+        spec = {"state_dim": 1, "dist_dim": 1, "output_dim": 1,
+                "f": [[{"coeff": 0.5, "x_exp": [e], "w_exp": [1]}]],
+                "h": [[{"coeff": 1.0, "x_exp": [0], "w_exp": [0]}]]}
+        model = model_from_dict(spec)
+        points = (0.97, -1.02, 1.0, -1.0, 0.0) if e == 41 else (1.0, -1.0, 0.0)
+        for v in points:
+            x, w = np.array([v]), np.array([0.25])
+            for name, (want, scale) in _oracle(spec, x, w).items():
+                got = getattr(model, name)(x, np.zeros(0), w)
+                assert np.all(np.abs(got - want) <= 1e-14 * scale), (e, v, name)
 
 
 
