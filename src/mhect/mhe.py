@@ -573,14 +573,19 @@ def _lm_stage(prob, stats, z, states, jac):
         stats.grad_norm = float(np.linalg.norm(pg))
         if stats.grad_norm <= GRAD_TOL:
             return z, states, r, jac, "converged"
-        # Coordinates pinned at a bound with the gradient pushing outward
-        # stay pinned this iteration; the damped step acts on the face.
-        free = ~(((z <= prob.lb) & (g > 0.0)) | ((z >= prob.ub) & (g < 0.0)))
+        # Coordinates at a bound with the gradient pushing outward stay
+        # pinned this iteration, and so does one whose step would leave the
+        # box: the step is solved again on that face, never clipped there.
+        lo, hi = z <= prob.lb, z >= prob.ub
+        free = ~((lo & (g > 0.0)) | (hi & (g < 0.0)))
         trial, term, rejected = None, "stalled", False
         for _trial in range(60):
             stats.trials += 1
             try:
                 step, dx = prob.lm_step(lin, free, mu)
+                while (out := free & ((lo & (step < 0.0)) | (hi & (step > 0.0)))).any():
+                    free = free & ~out
+                    step, dx = prob.lm_step(lin, free, mu)
             except np.linalg.LinAlgError:
                 mu = max(mu, 1e-12) * 10.0
                 continue
