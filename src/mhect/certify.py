@@ -228,10 +228,9 @@ def _max_eig(model, P, Q, R, kappa, points):
 class GridSpec:
     """Evaluation grid over the model's boxes X, U and W: points per axis,
     one count for every axis of the block, or vertices_only, the grid of two
-    points per axis.  Vertex mode is only honored when the caller asserts
-    that the inequality entries are affine along each axis
-    (affinity_asserted), which makes corner checking sufficient on the box.
-    """
+    points per axis, which grid_points allows only on a model without a
+    vertex_blocker.  Nothing reads affinity_asserted: the model's exponents
+    decide; it stays only because the benchmark workloads still pass it."""
 
     x_points: int = 2
     u_points: int = 2
@@ -246,10 +245,10 @@ def grid_points(model, grid):
     A box with an unbounded side cannot be gridded and is refused."""
     counts = (grid.x_points, grid.u_points, grid.w_points)
     if grid.vertices_only:
-        if not grid.affinity_asserted:
+        if model.vertex_blocker:
             raise ConfigurationError(
-                "vertices_only requires affinity_asserted: corner checks are only "
-                "sufficient when the inequality entries are affine per axis")
+                "vertex checks bound the box only when A and B are multi-affine and C and D "
+                f"constant; not shown for this model ({model.vertex_blocker}): use a grid")
         counts = (2, 2, 2)
     axes = [np.array(list(itertools.product(*box_grid_axes(box, c))), dtype=float)
             for box, c in zip((model.X, model.U, model.W), counts)]

@@ -298,9 +298,7 @@ def _parse_diag(text, what):
 
 def cmd_certify(args):
     model = load_model(args.model_file) if args.model_file else get_model(args.model)
-    grid = GridSpec(vertices_only=args.vertices, affinity_asserted=args.affine) \
-        if args.vertices else GridSpec(x_points=args.grid, u_points=args.grid,
-                                       w_points=args.grid)
+    grid = GridSpec(args.grid, args.grid, args.grid, vertices_only=args.vertices)
     if args.check:
         cert = load_certificate(args.check)
         report = verify_certificate(model, cert, grid, tol_psd=args.tol)
@@ -387,7 +385,7 @@ def cmd_bench(args):
     out = _resolve_out(args)
     model = batch_reactor()
     cert = bench_certificate()
-    grid = GridSpec(vertices_only=True, affinity_asserted=True)
+    grid = GridSpec(vertices_only=True)
     report = verify_certificate(model, cert, grid, tol_psd=BENCH_VERIFY_TOL)
     print(f"reference weights: max inequality eigenvalue {report.max_eig:.3e} "
           f"on {report.n_points} vertices (tolerance {BENCH_VERIFY_TOL:g}, "
@@ -438,8 +436,6 @@ def build_parser():
     pc.add_argument("--R", default="1", help="diagonal of R (fixed mode)")
     pc.add_argument("--grid", type=int, default=5, help="points per axis")
     pc.add_argument("--vertices", action="store_true", help="evaluate at box vertices only")
-    pc.add_argument("--affine", action="store_true",
-                    help="assert the inequality is affine per axis (required for --vertices)")
     pc.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
     pc.add_argument("--cert-name", default="certificate.json")
     pc.add_argument("--out")

@@ -90,6 +90,7 @@ class SystemModel:
     returns (..., n), h (..., p), jac_f_x (..., n, n), jac_f_w (..., n, q),
     jac_h_x (..., p, n) and jac_h_w (..., p, q).  Results may be read-only
     broadcast views.  Instances are treated as immutable after construction.
+    vertex_blocker names why box vertices may miss the inequality's maximum, or is None.
     """
 
     def __init__(self, n, m, q, p, f, h, *, jac_f_x, jac_f_w, jac_h_x, jac_h_w,
@@ -100,6 +101,7 @@ class SystemModel:
         self.f, self.h = f, h
         self.jac_f_x, self.jac_f_w = jac_f_x, jac_f_w
         self.jac_h_x, self.jac_h_w = jac_h_x, jac_h_w
+        self.vertex_blocker = "hand-built callbacks carry no exponents"
         self.X = as_box(X, self.n, "X")
         self.U = as_box(U, self.m, "U")
         self.W = as_box(W, self.q, "W")
@@ -311,13 +313,16 @@ def model_from_dict(spec):
         raise ConfigurationError("f must list n coordinates and h must list p coordinates")
 
     xs, ws = range(n), range(n, n + q)
-    return SystemModel(
+    A, B, C, D = derivative(f, xs), derivative(f, ws), derivative(h, xs), derivative(h, ws)
+    model = SystemModel(
         n, 0, q, p, _compile("f", f, n, (n,)), _compile("h", h, n, (p,)),
-        jac_f_x=_compile("jac_f_x", derivative(f, xs), n, (n, n)),
-        jac_f_w=_compile("jac_f_w", derivative(f, ws), n, (n, q)),
-        jac_h_x=_compile("jac_h_x", derivative(h, xs), n, (p, n)),
-        jac_h_w=_compile("jac_h_w", derivative(h, ws), n, (p, q)),
+        jac_f_x=_compile("jac_f_x", A, n, (n, n)), jac_f_w=_compile("jac_f_w", B, n, (n, q)),
+        jac_h_x=_compile("jac_h_x", C, n, (p, n)), jac_h_w=_compile("jac_h_w", D, n, (p, q)),
         X=X, U=[], W=W)
+    # A, B multi-affine and C, D constant: lambda_max peaks at a vertex (Boyd et al. 1994)
+    model.vertex_blocker = next((label for rows, top in ((A, 1), (B, 1), (C, 0), (D, 0))
+                                 for row in rows for c, e, label in row if c and max(e) > top), None)
+    return model
 
 
 def load_model(path):

@@ -7,7 +7,15 @@ from mhect.cli import bench_certificate
 
 Q_BENCH = np.diag([1000.0, 1000.0, 100.0])
 R_BENCH = np.array([[100.0]])
-VERTS = GridSpec(vertices_only=True, affinity_asserted=True)
+VERTS = GridSpec(vertices_only=True)
+# x' = -0.1 x - 3 x^3 + w1, y = w2: the Jacobian -0.1 - 9 x^2 peaks inside
+# X, so its vertices miss the inequality's maximum and vertex mode is refused
+CUBIC = {"state_dim": 1, "dist_dim": 2, "output_dim": 1,
+         "f": [[{"coeff": -0.1, "x_exp": [1], "w_exp": [0, 0]},
+                {"coeff": -3.0, "x_exp": [3], "w_exp": [0, 0]},
+                {"coeff": 1.0, "x_exp": [0], "w_exp": [1, 0]}]],
+         "h": [[{"coeff": 1.0, "x_exp": [0], "w_exp": [0, 1]}]],
+         "X": [[-1.0, 1.0]], "W": [[-0.1, 0.1]] * 2}
 
 # the same examples on every run, and no replay of a local example database
 settings.register_profile("derandomized", derandomize=True, deadline=None)

@@ -1,10 +1,11 @@
+import copy
 import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mhect.certify
@@ -17,19 +18,24 @@ from mhect.certify import (MU0, _BarrierSDP, _check_sym_pd, _distinct_points, _d
 from mhect.cli import bench_certificate
 from mhect.errors import ConfigurationError, HorizonError, InfeasibleError
 from mhect.rng import SplitMix64
-from tests.conftest import Q_BENCH, R_BENCH, VERTS, const_jac, older_certificate_file
+from tests.conftest import CUBIC, Q_BENCH, R_BENCH, VERTS, const_jac, older_certificate_file
 
 GOLDEN = (-3.0 + math.sqrt(5.0)) / 2.0  # max eig of [[-2, 1], [1, -1]]
 
 
+def _term(coeff, x_exp, w_exp):
+    return {"coeff": coeff, "x_exp": x_exp, "w_exp": w_exp}
+
+
+def _scalar_spec(f, h, X=((-1.0, 1.0),)):
+    """A file-built model with n = q = p = 1 on X and W = [-1, 1]."""
+    return model_from_dict({"state_dim": 1, "dist_dim": 1, "output_dim": 1, "f": [f], "h": [h],
+                            "X": X, "W": [[-1.0, 1.0]]})
+
+
 def scalar_model(X=((-1.0, 1.0),)):
     # x' = -x + w, y = x: A = -1, B = 1, C = 1, D = 0
-    return SystemModel(1, 0, 1, 1,
-                       lambda x, u, w: -x + w,
-                       lambda x, u, w: x.copy(),
-                       jac_f_x=const_jac(-1.0), jac_f_w=const_jac(1.0),
-                       jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                       X=X, U=[], W=[[-1.0, 1.0]])
+    return _scalar_spec([_term(-1.0, [1], [0]), _term(1.0, [0], [1])], [_term(1.0, [1], [0])], X)
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +144,101 @@ def test_verify_runs_on_the_models_boxes_whatever_domain_a_file_stored(tmp_path,
 def test_grid_points_modes(reactor):
     pts, mode = grid_points(reactor, GridSpec(x_points=3, w_points=3))
     assert mode == "grid" and [v.shape for v in pts] == [(9 * 27, 2), (9 * 27, 0), (9 * 27, 3)]
+    assert reactor.vertex_blocker is None  # A, B affine in x1; C, D constant
     pts, mode = grid_points(reactor, VERTS)
     assert mode == "vertices" and [v.shape for v in pts] == [(32, 2), (32, 0), (32, 3)]
     # vertex mode is the two-point grid: every corner once, an empty U as one point
     assert sorted(map(tuple, pts[0][::8])) == [(0.1, 0.1), (0.1, 5.0), (5.0, 0.1), (5.0, 5.0)]
     assert len(np.unique(pts[2], axis=0)) == 8 and np.all(np.abs(pts[2]) == 0.1)
-    with pytest.raises(ConfigurationError):
-        grid_points(reactor, GridSpec(vertices_only=True))
     with pytest.raises(ConfigurationError, match="cannot grid an unbounded axis"):
         grid_points(scalar_model(X=[[0.0, None]]), VERTS)
+    # the model's exponents decide, whatever affinity_asserted says: the cubic
+    # term is refused, the same spec with its coefficient zeroed is not, and a
+    # hand-built model carries no exponents to decide by
+    hand_built = SystemModel(1, 0, 1, 1, lambda x, u, w: -x, lambda x, u, w: x.copy(),
+                             jac_f_x=const_jac(-1.0), jac_f_w=const_jac(0.0),
+                             jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
+                             X=[[-1.0, 1.0]], U=[], W=[[-1.0, 1.0]])
+    for grid in (VERTS, GridSpec(vertices_only=True, affinity_asserted=True)):
+        with pytest.raises(ConfigurationError, match=re.escape("(f[0] term 1)")):
+            grid_points(model_from_dict(CUBIC), grid)
+        with pytest.raises(ConfigurationError, match="hand-built callbacks carry no exponents"):
+            grid_points(hand_built, grid)
+    zeroed = copy.deepcopy(CUBIC)
+    zeroed["f"][0][1]["coeff"] = 0.0
+    assert grid_points(model_from_dict(zeroed), VERTS)[1] == "vertices"
 
 
-def _term(coeff, x_exp, w_exp):
-    return {"coeff": coeff, "x_exp": x_exp, "w_exp": w_exp}
+@st.composite
+def _vertex_case(draw):
+    """A small polynomial spec (n <= 3, q, p <= 2, degree <= 3) on drawn
+    boxes, with positive definite weights and a decay rate.  One degree cap
+    for f and one for h keep accepted and refused specs both common; zero
+    coefficients are common too."""
+    n, q, p = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    coeff = st.floats(-3.0, 3.0).map(lambda c: 0.0 if abs(c) < 0.5 else c)
+
+    def rows(count, degree):
+        def term():
+            var = st.integers(0, n + q - 1)
+            size = draw(st.integers(0, degree))
+            e = np.bincount(draw(st.lists(var, min_size=size, max_size=size)),
+                            minlength=n + q).tolist()
+            return _term(draw(coeff), e[:n], e[n:])
+        return [[term() for _ in range(draw(st.integers(1, 3)))] for _ in range(count)]
+
+    def box(d):
+        lo = draw(arrays(float, d, elements=st.floats(-2.0, 1.5)))
+        return np.column_stack([lo, lo + draw(arrays(float, d, elements=st.floats(0.1, 2.0)))])
+
+    def pd(d):
+        G = draw(arrays(float, (d, d), elements=st.floats(-1.0, 1.0)))
+        return G @ G.T + 0.1 * np.eye(d)
+
+    spec = {"state_dim": n, "dist_dim": q, "output_dim": p,
+            "f": rows(n, draw(st.integers(1, 3))), "h": rows(p, draw(st.integers(1, 2))),
+            "X": box(n).tolist(), "W": box(q).tolist()}
+    return spec, pd(n), pd(q), pd(p), draw(st.floats(0.05, 0.95))
+
+
+def _partials(term, z):
+    """The monomial term's partial derivatives at z, by the power rule."""
+    c, e = term["coeff"], np.array(term["x_exp"] + term["w_exp"])
+    return np.array([c * e[j] * np.prod(z ** np.maximum(e - (np.arange(len(e)) == j), 0))
+                     for j in range(len(e))])
+
+
+@given(_vertex_case())
+@example((CUBIC, np.eye(1), np.eye(2), np.eye(1), 0.3))
+def test_vertex_checks_are_sufficient_where_the_exponents_allow(case):
+    # accepted: the vertex maximum bounds the maximum at 10^4 uniform interior
+    # points; refused: the named term's partial derivatives really are
+    # non-affine in some variable (f) or non-constant (h), checked by finite
+    # differences on the integer lattice.  The cubic model, whose unit weights
+    # peak at x = 0 above every vertex, is one fixed case.
+    spec, P, Q, R, lam = case
+    model = model_from_dict(spec)
+    cert = DetectabilityCertificate.from_weights(P, Q, R, lam)
+    try:
+        rep = verify_certificate(model, cert, VERTS)
+    except ConfigurationError as e:
+        kind, r, t = re.search(r"\((f|h)\[(\d+)\] term (\d+)\)", str(e)).groups()
+        term = spec[kind][int(r)][int(t)]
+        z, unit = np.ones(model.n + model.q), np.eye(model.n + model.q)
+        if kind == "f":
+            diffs = [_partials(term, z + 2 * u) - 2 * _partials(term, z + u) + _partials(term, z)
+                     for u in unit]
+        else:
+            diffs = [_partials(term, z + u) - _partials(term, z) for u in unit]
+        assert np.any(diffs)
+        return
+    rng = np.random.default_rng(0)
+    X, W = model.X, model.W
+    x = X[:, 0] + (X[:, 1] - X[:, 0]) * rng.random((10_000, model.n))
+    w = W[:, 0] + (W[:, 1] - W[:, 0]) * rng.random((10_000, model.q))
+    blocks = lmi_matrix(model, P, Q, R, -math.log(lam), x, np.zeros((10_000, 0)), w)
+    scale = max(1.0, np.abs(blocks).max())
+    assert rep.max_eig >= np.linalg.eigvalsh(blocks)[:, -1].max() - 1e-9 * scale
 
 
 def _polynomial_model(f, h):
@@ -624,12 +712,7 @@ def test_synthesis_scalar_model():
 def test_synthesis_infeasible_model():
     # x' = x (unstable), y = w: the output carries no state information, so
     # the top-left block (2 + kappa) P stays positive for every P > 0
-    m = SystemModel(1, 0, 1, 1,
-                    lambda x, u, w: x.copy(),
-                    lambda x, u, w: w.copy(),
-                    jac_f_x=const_jac(1.0), jac_f_w=const_jac(0.0),
-                    jac_h_x=const_jac(0.0), jac_h_w=const_jac(1.0),
-                    X=[[-1.0, 1.0]], U=[], W=[[-1.0, 1.0]])
+    m = _scalar_spec([_term(1.0, [1], [0])], [_term(1.0, [0], [1])])
     with pytest.raises(InfeasibleError) as exc:
         synthesize_certificate(m, 0.5, FixedQR(np.eye(1), np.eye(1)), VERTS)
     # the message names the worst eigenvalue and its point (x, u, w)

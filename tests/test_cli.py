@@ -19,7 +19,7 @@ from mhect.errors import (ConfigurationError, DivergenceError, HorizonError,
 from mhect.certify import (DetectabilityCertificate, contraction_rate, load_certificate,
                            save_certificate)
 from mhect.rng import SplitMix64
-from tests.conftest import older_certificate_file
+from tests.conftest import CUBIC, older_certificate_file
 
 
 DROP = object()   # an override that removes the field
@@ -111,7 +111,7 @@ def test_bench_schedule():
 
 def test_certify_synthesize_then_check(tmp_path, capsys):
     rc = main(["certify", "--lambda", "0.4", "--Q", "1000,1000,100", "--R", "100",
-               "--vertices", "--affine", "--out", str(tmp_path)])
+               "--vertices", "--out", str(tmp_path)])
     assert rc == 0
     cert_path = tmp_path / "certificate.json"
     assert cert_path.exists()
@@ -119,7 +119,7 @@ def test_certify_synthesize_then_check(tmp_path, capsys):
     assert "synthesized certificate" in out
 
     # a check writes nothing, so it makes no output directory
-    rc = main(["certify", "--check", str(cert_path), "--vertices", "--affine",
+    rc = main(["certify", "--check", str(cert_path), "--vertices",
                "--out", str(tmp_path / "o")])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
@@ -130,14 +130,15 @@ def test_certify_check_reference_weights(tmp_path, capsys):
     path = tmp_path / "ref.json"
     save_certificate(bench_certificate(), str(path))
     # strict tolerance rejects the rounded reference weights
-    rc = main(["certify", "--check", str(path), "--vertices", "--affine"])
+    rc = main(["certify", "--check", str(path), "--vertices"])
     assert rc == 3
     assert "FAIL" in capsys.readouterr().out
-    # the print-rounding scale accepts them
-    rc = main(["certify", "--check", str(path), "--vertices", "--affine",
-               "--tol", "1e-4"])
+    # the print-rounding scale accepts them; the reactor's exponents make
+    # its vertex check sufficient, so --vertices needs no other flag
+    rc = main(["certify", "--check", str(path), "--vertices", "--tol", "1e-4"])
     assert rc == 0
-    assert "PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "over 32 points (vertices)" in out and "PASS" in out
 
 
 @pytest.mark.parametrize("X, tol, code, says", [
@@ -151,7 +152,7 @@ def test_certify_check_reads_an_older_file_on_the_models_boxes(tmp_path, capsys,
                                                                  says):
     path = tmp_path / "older.json"
     path.write_text(json.dumps(older_certificate_file(X=X)))
-    assert main(["certify", "--check", str(path), "--vertices", "--affine", "--tol", tol]) == code
+    assert main(["certify", "--check", str(path), "--vertices", "--tol", tol]) == code
     assert says in capsys.readouterr().out
 
 
@@ -174,7 +175,7 @@ def test_certify_check_refuses_mis_sized_weights(tmp_path, capsys, weight, value
     path = tmp_path / "cert.json"
     save_certificate(DetectabilityCertificate.from_weights(
         weights["P"], weights["Q"], weights["R"], ref.lam), str(path))
-    assert main(["certify", "--check", str(path), "--vertices", "--affine"]) == 2
+    assert main(["certify", "--check", str(path), "--vertices"]) == 2
     d = len(value)
     assert f"weight {weight} is {d}x{d}" in capsys.readouterr().err
 
@@ -185,8 +186,12 @@ def test_certify_error_paths(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["certify", "--check", str(bad)]) == 2
     assert main(["certify"]) == 2   # synthesis without --lambda
-    assert main(["certify", "--lambda", "1.5", "--vertices", "--affine"]) == 2
-    capsys.readouterr()
+    assert main(["certify", "--lambda", "1.5", "--vertices"]) == 2
+    # the model decides whether vertices suffice: no flag asserts it
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--check", str(bad), "--vertices", "--affine"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --affine" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +260,7 @@ def test_audit_reads_the_certificate_from_a_file(tmp_path, capsys, source):
     path = tmp_path / "cert.json"
     if source == "certify":
         assert main(["certify", "--lambda", "0.4", "--Q", "1000,1000,100", "--R", "100",
-                     "--vertices", "--affine", "--out", str(tmp_path), "--cert-name",
+                     "--vertices", "--out", str(tmp_path), "--cert-name",
                      "cert.json"]) == 0
     else:
         path.write_text(json.dumps(older_certificate_file()))
@@ -426,7 +431,7 @@ def test_missing_certificate_field_exit_code(tmp_path, capsys, drop):
     else:
         del d[outer]
     path.write_text(json.dumps(d))
-    assert main(["certify", "--check", str(path), "--vertices", "--affine"]) == 2
+    assert main(["certify", "--check", str(path), "--vertices"]) == 2
     assert "missing field" in capsys.readouterr().err
 
 
@@ -453,7 +458,7 @@ def test_non_numeric_certificate_field_exit_code(tmp_path, capsys, field, value,
     else:
         d[outer] = value
     path.write_text(json.dumps(d))
-    assert main(["certify", "--check", str(path), "--vertices", "--affine"]) == 2
+    assert main(["certify", "--check", str(path), "--vertices"]) == 2
     assert named in capsys.readouterr().err
 
 
@@ -503,7 +508,7 @@ def test_non_object_certificate_section_exit_code(tmp_path, capsys, section):
     else:
         d[section] = [1, 2]
     path.write_text(json.dumps(d))
-    assert main(["certify", "--check", str(path), "--vertices", "--affine"]) == 2
+    assert main(["certify", "--check", str(path), "--vertices"]) == 2
     err = capsys.readouterr().err
     assert f"{section} must be a JSON object" in err
 
@@ -601,7 +606,14 @@ def _certificate_file(tmp_path, **fields):
 
 def _certificate_check_argv(*options, **fields):
     return lambda tmp_path: ["certify", "--check", _certificate_file(tmp_path, **fields),
-                             "--vertices", "--affine", *options, "--out", str(tmp_path / "o")]
+                             "--vertices", *options, "--out", str(tmp_path / "o")]
+
+
+def _cubic_vertices_argv(tmp_path):
+    mpath = tmp_path / "cubic.json"
+    mpath.write_text(json.dumps(CUBIC))
+    return ["certify", "--model-file", str(mpath), "--lambda", "0.3", "--vertices",
+            "--out", str(tmp_path / "o")]
 
 
 def _certificate_file_scenario_argv(command, T, **fields):
@@ -682,11 +694,12 @@ TWICE_P = (2.0 * cli.BENCH_P).tolist()
     pytest.param(_certificate_check_argv(kappa=0.9), 2,
                  "kappa must equal -ln(lambda) to 1e-12", id="kappa-not-of-lambda"),
     pytest.param(lambda tmp_path: ["certify", "--lambda", "0.01", "--Q", "1,1,1", "--R", "1",
-                                   "--vertices", "--affine", "--out", str(tmp_path / "o")],
+                                   "--vertices", "--out", str(tmp_path / "o")],
                  3, "infeasible:", id="infeasible-synthesis"),
     pytest.param(lambda tmp_path: ["certify", "--lambda", "0.4", "--Q", "inf,1,1", "--R", "1",
-                                   "--vertices", "--affine", "--out", str(tmp_path / "o")],
+                                   "--vertices", "--out", str(tmp_path / "o")],
                  2, "Q has a non-finite entry", id="infinite-Q"),
+    pytest.param(_cubic_vertices_argv, 2, "(f[0] term 1)", id="cubic-vertices"),
     pytest.param(lambda tmp_path: ["bench-s5", "--jobs", "0", "--out", str(tmp_path / "o")],
                  2, "--jobs must be at least 1", id="zero-jobs"),
     pytest.param(lambda tmp_path: ["bench-s5", "--jobs", "-1", "--out", str(tmp_path / "o")],
