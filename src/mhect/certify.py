@@ -9,7 +9,7 @@ Jacobians:
     [ PA + A'P + kappa*P - C'RC   PB - C'RD  ]
     [ (PB - C'RD)'               -D'RD - Q   ]  <=  0
 
-at every point of the model's boxes X x U x W, with kappa = -ln(lambda).  A
+at every point of the model's boxes X x W, with kappa = -ln(lambda).  A
 certificate file holds P twice, as P1 and P2, which must be equal, then Q,
 R, lambda and the verification record.  The module verifies given weights
 on a grid, synthesizes feasible weights with a log-det barrier
@@ -84,15 +84,13 @@ class VerificationReport:
     passed: bool
     max_eig: float
     worst_x: np.ndarray
-    worst_u: np.ndarray
     worst_w: np.ndarray
     tol_psd: float
     n_points: int
     mode: str
 
     def to_dict(self):
-        return {"passed": self.passed, "max_eig": self.max_eig,
-                "worst_x": list(self.worst_x), "worst_u": list(self.worst_u),
+        return {"passed": self.passed, "max_eig": self.max_eig, "worst_x": list(self.worst_x),
                 "worst_w": list(self.worst_w), "tol_psd": self.tol_psd,
                 "n_points": self.n_points, "mode": self.mode}
 
@@ -101,8 +99,7 @@ class VerificationReport:
         d = _section(d, "certificate verification")
         return cls(*(_numeric(d, k, "certificate verification", convert) for k, convert in (
             ("passed", _boolean), ("max_eig", float), ("worst_x", _float_array),
-            ("worst_u", _float_array), ("worst_w", _float_array), ("tol_psd", float),
-            ("n_points", _integer), ("mode", str))))
+            ("worst_w", _float_array), ("tol_psd", float), ("n_points", _integer), ("mode", str))))
 
 
 @dataclass(frozen=True)
@@ -172,16 +169,16 @@ def load_certificate(path):
 # ---------------------------------------------------------------------------
 # the pointwise matrix inequality
 
-def lmi_matrix(model, P, Q, R, kappa, x, u, w):
+def lmi_matrix(model, P, Q, R, kappa, x, w):
     """The (n+q) x (n+q) detectability inequality block, symmetrized by
-    averaging with its transpose.  x, u, w may carry leading batch axes;
+    averaging with its transpose.  x and w may carry leading batch axes;
     the result then holds one block per point, with shape (..., n+q, n+q).
     P, Q and R may carry leading batch axes too, which broadcast against
     the points' axes as in matmul: (U, 1, d, d) at B points give (U, B, ...)."""
-    A = model.jac_f_x(x, u, w)
-    B = model.jac_f_w(x, u, w)
-    C = model.jac_h_x(x, u, w)
-    D = model.jac_h_w(x, u, w)
+    A = model.jac_f_x(x, w)
+    B = model.jac_f_w(x, w)
+    C = model.jac_h_x(x, w)
+    D = model.jac_h_w(x, w)
     Ct = C.swapaxes(-1, -2)
     RC = R @ C
     RD = R @ D
@@ -206,7 +203,7 @@ def _distinct_rows(rows):
 
 
 def _distinct_points(model, points):
-    """The first of the stacked points (x, u, w) with each distinct set of
+    """The first of the stacked points (x, w) with each distinct set of
     model Jacobians, in grid order.  lmi_matrix reads a point only through
     A, B, C, D, and a batched call gives each row the bits of a single call,
     so these points hold every inequality block of the stack."""
@@ -216,7 +213,7 @@ def _distinct_points(model, points):
 
 
 def _max_eig(model, P, Q, R, kappa, points):
-    """Largest inequality eigenvalue over the stacked points (x, u, w) and the
+    """Largest inequality eigenvalue over the stacked points (x, w) and the
     first point attaining it; each distinct Jacobian point is evaluated once."""
     points = _distinct_points(model, points)
     eigs = np.linalg.eigvalsh(lmi_matrix(model, P, Q, R, kappa, *points))[:, -1]
@@ -226,14 +223,13 @@ def _max_eig(model, P, Q, R, kappa, points):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid over the model's boxes X, U and W: points per axis,
+    """Evaluation grid over the model's boxes X and W: points per axis,
     one count for every axis of the block, or vertices_only, the grid of two
     points per axis, which grid_points allows only on a model without a
     vertex_blocker.  Nothing reads affinity_asserted: the model's exponents
     decide; it stays only because the benchmark workloads still pass it."""
 
     x_points: int = 2
-    u_points: int = 2
     w_points: int = 2
     vertices_only: bool = False
     affinity_asserted: bool = False
@@ -241,18 +237,18 @@ class GridSpec:
 
 def grid_points(model, grid):
     """Evaluation points of a GridSpec over the model's boxes, stacked as
-    arrays (x (B, n), u (B, m), w (B, q)) in x-major, then u, then w order.
+    arrays (x (B, n), w (B, q)) in x-major, then w order.
     A box with an unbounded side cannot be gridded and is refused."""
-    counts = (grid.x_points, grid.u_points, grid.w_points)
+    counts = (grid.x_points, grid.w_points)
     if grid.vertices_only:
         if model.vertex_blocker:
             raise ConfigurationError(
                 "vertex checks bound the box only when A and B are multi-affine and C and D "
                 f"constant; not shown for this model ({model.vertex_blocker}): use a grid")
-        counts = (2, 2, 2)
+        counts = (2, 2)
     axes = [np.array(list(itertools.product(*box_grid_axes(box, c))), dtype=float)
-            for box, c in zip((model.X, model.U, model.W), counts)]
-    k = np.indices([len(a) for a in axes]).reshape(3, -1)
+            for box, c in zip((model.X, model.W), counts)]
+    k = np.indices([len(a) for a in axes]).reshape(2, -1)
     return tuple(a[i] for a, i in zip(axes, k)), "vertices" if grid.vertices_only else "grid"
 
 
@@ -481,8 +477,7 @@ def synthesize_certificate(model, lam, mode, grid):
         worst_eig, worst_pt = _max_eig(model, P, Q, R, kappa, points)
         raise InfeasibleError(
             f"no strictly feasible weights found ({iters} Newton iterations); "
-            f"best max eigenvalue {worst_eig:.3e} at x = {worst_pt[0]}, u = {worst_pt[1]}, "
-            f"w = {worst_pt[2]}")
+            f"best max eigenvalue {worst_eig:.3e} at x = {worst_pt[0]}, w = {worst_pt[1]}")
 
     report = _report(model, P, Q, R, kappa, points, grid_mode, SdpOptions().recheck_tol)
     if not report.passed:

@@ -288,7 +288,9 @@ def _assemble_scenario(path):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _parse_diag(text, what):
+def _parse_diag(text, what, dim=None):
+    if text is None:
+        return np.eye(dim)
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError:
@@ -298,7 +300,7 @@ def _parse_diag(text, what):
 
 def cmd_certify(args):
     model = load_model(args.model_file) if args.model_file else get_model(args.model)
-    grid = GridSpec(args.grid, args.grid, args.grid, vertices_only=args.vertices)
+    grid = GridSpec(args.grid, args.grid, vertices_only=args.vertices)
     if args.check:
         cert = load_certificate(args.check)
         report = verify_certificate(model, cert, grid, tol_psd=args.tol)
@@ -307,8 +309,8 @@ def cmd_certify(args):
         return 0 if report.passed else 3
     if args.lam is None:
         raise ConfigurationError("synthesis needs --lambda")
-    mode = "joint" if args.joint else FixedQR(_parse_diag(args.Q, "--Q"),
-                                              _parse_diag(args.R, "--R"))
+    mode = "joint" if args.joint else FixedQR(_parse_diag(args.Q, "--Q", model.q),
+                                              _parse_diag(args.R, "--R", model.p))
     cert = synthesize_certificate(model, args.lam, mode, grid)
     path = os.path.join(_resolve_out(args), args.cert_name)
     save_certificate(cert, path)
@@ -320,6 +322,8 @@ def cmd_certify(args):
 def _print_report(report):
     print(f"max inequality eigenvalue {report.max_eig:.6e} over {report.n_points} "
           f"points ({report.mode}); tolerance {report.tol_psd:g}")
+    if not report.passed:
+        print(f"worst point x = {report.worst_x}, w = {report.worst_w}")
 
 
 def _signal_csv(sig, path, prefix):
@@ -335,8 +339,8 @@ def cmd_simulate(args):
     if w is None:
         raise ConfigurationError("simulate needs a disturbance spec")
     out = _resolve_out(args)
-    truth = integrate(model, chi, None, w, t_sim, cfg.dt)
-    y = output_along(model, truth, None, w)
+    truth = integrate(model, chi, w, t_sim, cfg.dt)
+    y = output_along(model, truth, w)
     truth.to_csv(os.path.join(out, "truth.csv"))
     _signal_csv(y, os.path.join(out, "y.csv"), "y")
     _signal_csv(w, os.path.join(out, "w.csv"), "w")
@@ -432,8 +436,8 @@ def build_parser():
     pc.add_argument("--check", help="verify this certificate JSON instead of synthesizing")
     pc.add_argument("--lambda", dest="lam", type=float, help="decay rate in (0, 1)")
     pc.add_argument("--joint", action="store_true", help="optimize Q and R too")
-    pc.add_argument("--Q", default="1", help="diagonal of Q (fixed mode)")
-    pc.add_argument("--R", default="1", help="diagonal of R (fixed mode)")
+    pc.add_argument("--Q", help="diagonal of Q (fixed mode; default identity)")
+    pc.add_argument("--R", help="diagonal of R (fixed mode; default identity)")
     pc.add_argument("--grid", type=int, default=5, help="points per axis")
     pc.add_argument("--vertices", action="store_true", help="evaluate at box vertices only")
     pc.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")

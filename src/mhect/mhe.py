@@ -120,8 +120,8 @@ class EventTriggered:
     norm) accumulates from the previous sample and the next sample lands on
     the first grid node where it exceeds the threshold, clamped to
     [delta_min, delta_max].  threshold = inf gives spacing delta_max exactly.
-    The data (model, u, y, x0) is not part of the spec: make_sampler takes
-    it, and run_mhe passes its own.
+    The data (model, y, x0) is not part of the spec: make_sampler takes it,
+    and run_mhe passes its own.
     """
 
     threshold: float
@@ -129,15 +129,15 @@ class EventTriggered:
     delta_max: float
 
 
-def make_sampler(spec, t_sim, dt, horizon, *, model=None, u=None, y=None, x0=None):
+def make_sampler(spec, t_sim, dt, horizon, *, model=None, y=None, x0=None):
     """Realize a sampler spec as a SamplingSet on [0, t_sim] and check it
     against the horizon: the one place where a schedule is built and the
     largest gap delta_bar is held strictly below T (HorizonError otherwise,
     since no window would be admissible).
 
     Equidistant and Explicit specs need nothing else; EventTriggered needs
-    the data context model, u (None without controls), measured y and
-    nominal x0, which run_mhe passes as its own model, u, y and chi_hat.
+    the data context model, measured y and nominal x0, which run_mhe passes
+    as its own model, y and chi_hat.
     """
     K = as_grid_index(t_sim, dt, "t_sim")
     if K < 1:
@@ -154,7 +154,7 @@ def make_sampler(spec, t_sim, dt, horizon, *, model=None, u=None, y=None, x0=Non
         if ks.size and ks[-1] > K:
             raise ConfigurationError("explicit sampling times exceed t_sim")
     elif isinstance(spec, EventTriggered):
-        ks = _event_schedule(spec, K, dt, model, u, y, x0)
+        ks = _event_schedule(spec, K, dt, model, y, x0)
     else:
         raise ConfigurationError("unknown sampler spec")
     sampling = SamplingSet(ks, dt)
@@ -165,7 +165,7 @@ def make_sampler(spec, t_sim, dt, horizon, *, model=None, u=None, y=None, x0=Non
     return sampling
 
 
-def _event_schedule(spec, K, dt, model, u, y, x0):
+def _event_schedule(spec, K, dt, model, y, x0):
     if model is None or y is None or x0 is None:
         raise ConfigurationError(
             "event-triggered sampling needs the data context: model, measured y and x0")
@@ -176,8 +176,8 @@ def _event_schedule(spec, K, dt, model, u, y, x0):
     k_max = as_grid_index(spec.delta_max, dt, "delta_max")
     if not 1 <= k_min <= k_max:
         raise ConfigurationError("need dt <= delta_min <= delta_max")
-    nom = integrate(model, np.asarray(x0, dtype=float), u, None, K * dt, dt)
-    y_nom = output_along(model, nom, u, None)
+    nom = integrate(model, np.asarray(x0, dtype=float), None, K * dt, dt)
+    y_nom = output_along(model, nom, None)
     innov = y.values[:K] - y_nom.values[:K]
     piece_energy = np.einsum("ki,ki->k", innov, innov) * dt
     ks, prev = [], 0
@@ -284,7 +284,7 @@ class MheSolution:
 
 
 class _WindowProblem:
-    def __init__(self, model, cfg, prior, u_seg, y_seg, T_ti):
+    def __init__(self, model, cfg, prior, y_seg, T_ti):
         self.model = model
         cert = cfg.cert
         self.N = as_grid_index(T_ti, cfg.dt, "window length")
@@ -293,12 +293,6 @@ class _WindowProblem:
         if y_seg.n_pieces != self.N or y_seg.dim != self.p:
             raise ConfigurationError("y segment does not match the window grid")
         self.y = y_seg.values
-        if model.m > 0:
-            if u_seg is None or u_seg.n_pieces != self.N or u_seg.dim != model.m:
-                raise ConfigurationError("u segment does not match the window grid")
-            self.u = u_seg.values
-        else:
-            self.u = np.zeros((self.N, 0))
         self.prior = np.asarray(prior, dtype=float)
 
         om = discount_weights(cert.lam, self.N, self.dt, horizon=T_ti)
@@ -334,7 +328,7 @@ class _WindowProblem:
         # after the rollout finds any step that left float range
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(k, N):
-                x = states[j + 1] = rk4_step(self.model, x, self.u[j], Wp[j], self.dt)
+                x = states[j + 1] = rk4_step(self.model, x, Wp[j], self.dt)
         return states if np.isfinite(states).all() else None
 
     def rollout(self, z, guess):
@@ -358,7 +352,7 @@ class _WindowProblem:
         maps[:, n, n] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(ROLLOUT_MAX_ITERS):
-                phi, A, B = rk4_step_with_jacobians(self.model, s[:-1], self.u, Wp, self.dt)
+                phi, A, B = rk4_step_with_jacobians(self.model, s[:-1], Wp, self.dt)
                 defect = phi - s[1:]
                 if not (np.isfinite(defect).all() and np.isfinite(A).all()):
                     return None
@@ -385,7 +379,7 @@ class _WindowProblem:
         parts = [self.sq_prior @ (z[:n] - self.prior)]
         if N:
             parts.append((self.sw[:, None] * (Wp @ self.sqQ)).ravel())
-            y_est = self.model.h(states[:-1], self.u, Wp)
+            y_est = self.model.h(states[:-1], Wp)
             parts.append((self.sy[:, None] * ((self.y - y_est) @ self.sqR)).ravel())
         _, _, v = self._active_violations(states)
         if v.size:
@@ -414,7 +408,7 @@ class _WindowProblem:
         rollout's step Jacobians (A, B) at these nodes, saves their evaluation.
         """
         n, q, N, p = self.n, self.q, self.N, self.p
-        nodes = (states[:-1], self.u, z[n:].reshape(N, q))
+        nodes = (states[:-1], z[n:].reshape(N, q))
         A, B = jac or rk4_step_with_jacobians(self.model, *nodes, self.dt)[1:]
         Hx = self.model.jac_h_x(*nodes)
         Hw = self.model.jac_h_w(*nodes)
@@ -621,11 +615,11 @@ def _lm_stage(prob, stats, z, states, jac):
     return z, states, r, jac, "max_iters"
 
 
-def solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=None):
+def solve_mhe(model, cfg, prior, y_seg, t_i, warm=None):
     """Solve the estimation window ending at t_i with horizon T_ti = min(t_i, T).
 
-    u_seg and y_seg are the window segments rebased to [0, T_ti); warm is the
-    previous window's MheSolution of the same model and inputs (shifted
+    y_seg is the window's output segment rebased to [0, T_ti); warm is the
+    previous window's MheSolution of the same model and outputs (shifted
     internally by the inter-sample gap, new tail pieces of w start at zero;
     its states over the shared steps are reused as they are).  With
     cfg.T >= t_i the window spans [0, t_i], and a cold solve from the initial
@@ -634,7 +628,7 @@ def solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=None):
     t_start = time.perf_counter()
     T_ti = min(t_i, cfg.T)
     stats = SolverStats()
-    prob = _WindowProblem(model, cfg, prior, u_seg, y_seg, T_ti)
+    prob = _WindowProblem(model, cfg, prior, y_seg, T_ti)
     n, q, N = prob.n, prob.q, prob.N
 
     if not box_contains(model.X, prob.prior, tol=1e-9):
@@ -652,7 +646,7 @@ def solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=None):
             z[:n] = warm.x_star.states[shift]
             keep = min(N, N_prev - shift)
             z[n:n + keep * q] = warm.w_star.values[shift:shift + keep].ravel()
-            # the warm window already ran these steps on the same inputs
+            # the warm window already ran these steps on the same disturbance
             prefix = warm.x_star.states[shift:shift + keep + 1]
     z_warm, z = z, prob.project(z)
     if not np.array_equal(z, z_warm):
@@ -739,10 +733,10 @@ def _initial_state(model, v, name):
     return v
 
 
-def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
+def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, w=None, y=None):
     """Run the estimator over [0, t_sim].
 
-    Either supply ground truth (chi, optional u and w) to simulate the
+    Either supply ground truth (chi, optional w) to simulate the
     measurements, or recorded measurements y directly.  Returns an
     EstimationRun with the stitched estimate, per-sample solutions and, in
     truth mode, the reference trajectory for later audits.
@@ -751,18 +745,16 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
     K = as_grid_index(t_sim, dt, "t_sim")
     chi_hat = _initial_state(model, chi_hat, "chi_hat")
     check_weight_sizes(model, P=cfg.cert.P1, Q=cfg.cert.Q, R=cfg.cert.R)
-    # u and the truth's w on the run grid, so windows and audits slice them
-    # at sampling times
-    u = PiecewiseSignal(dt, _resolve_signal(u, model.m, dt, K, "u"))
 
     truth = None
     if y is None:
         if chi is None:
             raise ConfigurationError("need ground truth chi (or recorded measurements y)")
         chi = _initial_state(model, chi, "chi")
+        # the truth's w on the run grid, so audits slice it at sampling times
         w = PiecewiseSignal(dt, _resolve_signal(w, model.q, dt, K, "w"))
-        x_true = integrate(model, chi, u, w, t_sim, dt)
-        y = output_along(model, x_true, u, w)
+        x_true = integrate(model, chi, w, t_sim, dt)
+        y = output_along(model, x_true, w)
         truth = TruthRecord(w, x_true)
     elif not math.isclose(y.dt, dt, rel_tol=1e-9):
         raise ConfigurationError(f"recorded y has dt = {y.dt}, not the run's dt = {dt}")
@@ -771,7 +763,7 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
     elif y.n_pieces < K:
         raise ConfigurationError("recorded y must cover [0, t_sim)")
 
-    sampling = make_sampler(cfg.sampling, t_sim, dt, cfg.T, model=model, u=u, y=y, x0=chi_hat)
+    sampling = make_sampler(cfg.sampling, t_sim, dt, cfg.T, model=model, y=y, x0=chi_hat)
 
     ks = sampling.k_indices
     k_last = int(ks[-1])
@@ -786,12 +778,11 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, u=None, w=None, y=None):
         N_i = min(k_i, n_T)
         s_i = k_i - N_i
         t_i = k_i * dt
-        u_seg = PiecewiseSignal(dt, u.values[s_i:k_i])
         y_seg = PiecewiseSignal(dt, y.values[s_i:k_i])
         # every gap is below T, so the window starts at or before prev_k,
         # a node the previous solves have written
         prior = estimate[s_i]
-        sol = solve_mhe(model, cfg, prior, u_seg, y_seg, t_i, warm=warm)
+        sol = solve_mhe(model, cfg, prior, y_seg, t_i, warm=warm)
         solutions.append(sol)
         span = slice(prev_k + 1, k_i + 1)
         estimate[span] = sol.x_star.states[prev_k + 1 - s_i:k_i + 1 - s_i]

@@ -1,9 +1,7 @@
 """System models, box constraint sets, and piecewise-constant signals.
 
-A model is continuous-time, x' = f(x, u, w), y = h(x, u, w), with
-axis-aligned box sets for states (X), controls (U) and disturbances (W).
-Controls are optional: m = 0 is fully supported and the bundled benchmark
-uses it.
+A model is continuous-time, x' = f(x, w), y = h(x, w), with axis-aligned
+box sets for states (X) and disturbances (W).
 """
 
 import functools
@@ -85,25 +83,23 @@ def box_grid_axes(box, count):
 class SystemModel:
     """Continuous-time model with box sets and analytic Jacobians.
 
-    Every callback takes (x, u, w) with shapes (..., n), (..., m), (..., q)
-    that share their leading batch axes and evaluates all rows at once: f
+    Every callback takes (x, w) with shapes (..., n) and (..., q) that
+    share their leading batch axes and evaluates all rows at once: f
     returns (..., n), h (..., p), jac_f_x (..., n, n), jac_f_w (..., n, q),
     jac_h_x (..., p, n) and jac_h_w (..., p, q).  Results may be read-only
     broadcast views.  Instances are treated as immutable after construction.
     vertex_blocker names why box vertices may miss the inequality's maximum, or is None.
     """
 
-    def __init__(self, n, m, q, p, f, h, *, jac_f_x, jac_f_w, jac_h_x, jac_h_w,
-                 X=None, U=None, W=None):
-        if min(n, q, p) < 1 or m < 0:
-            raise ConfigurationError("dimensions must satisfy n, q, p >= 1 and m >= 0")
-        self.n, self.m, self.q, self.p = int(n), int(m), int(q), int(p)
+    def __init__(self, n, q, p, f, h, *, jac_f_x, jac_f_w, jac_h_x, jac_h_w, X=None, W=None):
+        if min(n, q, p) < 1:
+            raise ConfigurationError("dimensions must satisfy n, q, p >= 1")
+        self.n, self.q, self.p = int(n), int(q), int(p)
         self.f, self.h = f, h
         self.jac_f_x, self.jac_f_w = jac_f_x, jac_f_w
         self.jac_h_x, self.jac_h_w = jac_h_x, jac_h_w
         self.vertex_blocker = "hand-built callbacks carry no exponents"
         self.X = as_box(X, self.n, "X")
-        self.U = as_box(U, self.m, "U")
         self.W = as_box(W, self.q, "W")
 
 
@@ -168,7 +164,7 @@ def batch_reactor():
 
     x1' = -2 k1 x1^2 + 2 k2 x2 + w1,  x2' = k1 x1^2 - k2 x2 + w2,
     y = x1 + x2 + w3, with k1 = 0.16, k2 = 0.0064, X = [0.1, 5]^2 and
-    |w_i| <= 0.1.  No control input.  One polynomial spec of model_from_dict.
+    |w_i| <= 0.1.  One polynomial spec of model_from_dict.
     """
     k1, k2 = 0.16, 0.0064
     term = lambda c, x=(0, 0), w=(0, 0, 0): {"coeff": c, "x_exp": x, "w_exp": w}
@@ -265,15 +261,15 @@ def _compile(name, rows, n, shape):
                 terms.append(mono if c == 1.0 or not factors else f"{c!r} * {mono}")
         sums.append(" + ".join(terms) or "0.0")
     cells = (", ".join(map(str, idx[::-1])) for idx in np.ndindex(shape))
-    exec("\n    ".join([f"def {name}(x, u, w):", f"out = np.empty(x.shape[:-1] + {shape!r})",
+    exec("\n    ".join([f"def {name}(x, w):", f"out = np.empty(x.shape[:-1] + {shape!r})",
                         "x, w, o = x.T, w.T, out.T", *body,
                         *(f"o[{c}] = {s}" for c, s in zip(cells, sums)), "return out"]),
          scope := {"np": np})
     if any(c and any(e) for row in rows for c, e, _ in row):
         return scope[name]
-    J = scope[name](np.zeros(n), None, np.zeros(0))  # reads only the batch shape
+    J = scope[name](np.zeros(n), np.zeros(0))  # reads only the batch shape
     view = functools.cache(lambda batch: np.broadcast_to(J, batch + J.shape))
-    return lambda x, u, w: view(x.shape[:-1])
+    return lambda x, w: view(x.shape[:-1])
 
 
 def model_from_dict(spec):
@@ -315,10 +311,10 @@ def model_from_dict(spec):
     xs, ws = range(n), range(n, n + q)
     A, B, C, D = derivative(f, xs), derivative(f, ws), derivative(h, xs), derivative(h, ws)
     model = SystemModel(
-        n, 0, q, p, _compile("f", f, n, (n,)), _compile("h", h, n, (p,)),
+        n, q, p, _compile("f", f, n, (n,)), _compile("h", h, n, (p,)),
         jac_f_x=_compile("jac_f_x", A, n, (n, n)), jac_f_w=_compile("jac_f_w", B, n, (n, q)),
         jac_h_x=_compile("jac_h_x", C, n, (p, n)), jac_h_w=_compile("jac_h_w", D, n, (p, q)),
-        X=X, U=[], W=W)
+        X=X, W=W)
     # A, B multi-affine and C, D constant: lambda_max peaks at a vertex (Boyd et al. 1994)
     model.vertex_blocker = next((label for rows, top in ((A, 1), (B, 1), (C, 0), (D, 0))
                                  for row in rows for c, e, label in row if c and max(e) > top), None)

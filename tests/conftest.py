@@ -36,7 +36,7 @@ def older_certificate_file(**domain):
 def const_jac(value):
     """Constant Jacobian callback of a model with n = q = p = 1, shaped
     (..., 1, 1) for states of shape (..., 1)."""
-    return lambda x, u, w: np.full(x.shape + (1,), value)
+    return lambda x, w: np.full(x.shape + (1,), value)
 
 
 @pytest.fixture(scope="session")

@@ -135,8 +135,8 @@ def test_05_certified_decrease_inequality(reactor, synth_cert):
         chi2 = 0.1 + 4.9 * rng.uniforms((2,))
         w1 = -0.1 + 0.2 * rng.uniforms((steps, 3))
         w2 = -0.1 + 0.2 * rng.uniforms((steps, 3))
-        t1 = integrate(reactor, chi1, None, PiecewiseSignal(dt, w1), steps * dt, dt)
-        t2 = integrate(reactor, chi2, None, PiecewiseSignal(dt, w2), steps * dt, dt)
+        t1 = integrate(reactor, chi1, PiecewiseSignal(dt, w1), steps * dt, dt)
+        t2 = integrate(reactor, chi2, PiecewiseSignal(dt, w2), steps * dt, dt)
         for k in range(steps):
             x1, x2 = t1.states[k], t2.states[k]
             if not (np.all(x1 >= 0.1) and np.all(x1 <= 5.0)
@@ -144,8 +144,8 @@ def test_05_certified_decrease_inequality(reactor, synth_cert):
                 continue
             dx = x1 - x2
             dw = w1[k] - w2[k]
-            dy = reactor.h(x1, None, w1[k]) - reactor.h(x2, None, w2[k])
-            dv = 2.0 * dx @ P @ (reactor.f(x1, None, w1[k]) - reactor.f(x2, None, w2[k]))
+            dy = reactor.h(x1, w1[k]) - reactor.h(x2, w2[k])
+            dv = 2.0 * dx @ P @ (reactor.f(x1, w1[k]) - reactor.f(x2, w2[k]))
             rhs = -kappa * (dx @ P @ dx) + dw @ Q @ dw + dy @ R @ dy
             worst = max(worst, (dv - rhs) / max(1.0, abs(rhs)))
             checked += 1
@@ -179,15 +179,15 @@ def test_07_noise_free_run_is_exact(reactor, ref_cert):
 
 
 def test_08_integrator_is_fourth_order():
-    m = SystemModel(1, 0, 1, 1,
-                    lambda x, u, w: -x,
-                    lambda x, u, w: x.copy(),
+    m = SystemModel(1, 1, 1,
+                    lambda x, w: -x,
+                    lambda x, w: x.copy(),
                     jac_f_x=const_jac(-1.0), jac_f_w=const_jac(0.0),
                     jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                    X=None, U=[], W=[[-1.0, 1.0]])
+                    X=None, W=[[-1.0, 1.0]])
     errs = []
     for dt in (0.04, 0.02, 0.01):
-        traj = integrate(m, np.array([1.0]), None, None, 1.0, dt)
+        traj = integrate(m, np.array([1.0]), None, 1.0, dt)
         errs.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     ok = 12.0 <= r1 <= 20.0 and 12.0 <= r2 <= 20.0 and errs[2] <= 1e-8
@@ -219,7 +219,7 @@ def test_10_full_information_limit(reactor, ref_cert):
     for sol, k_i in zip(run.solutions, run.sampling.k_indices):
         assert sol.t_i <= cfg.T + 1e-12
         # cold, from the initial prior: T >= t_i makes this the full-information estimate
-        fie = solve_mhe(reactor, cfg, np.array([0.1, 4.5]), None,
+        fie = solve_mhe(reactor, cfg, np.array([0.1, 4.5]),
                         PiecewiseSignal(cfg.dt, run.y.values[:k_i]), sol.t_i)
         worst = max(worst, abs(fie.cost - sol.cost) / max(abs(sol.cost), 1e-300))
     ok = worst <= 1e-12

@@ -43,22 +43,21 @@ def scalar_model(X=((-1.0, 1.0),)):
 
 def test_inequality_block_scalar_example():
     m = scalar_model()
-    x, u, w = np.zeros(1), np.zeros(0), np.zeros(1)
-    M = lmi_matrix(m, np.eye(1), np.eye(1), np.eye(1), 1.0, x, u, w)
+    x, w = np.zeros(1), np.zeros(1)
+    M = lmi_matrix(m, np.eye(1), np.eye(1), np.eye(1), 1.0, x, w)
     assert np.allclose(M, [[-2.0, 1.0], [1.0, -1.0]])
     assert np.linalg.eigvalsh(M)[-1] == pytest.approx(GOLDEN, abs=1e-14)
 
     # a faster required decay flips the sign: kappa = 3 makes the block indefinite
-    M3 = lmi_matrix(m, np.eye(1), np.eye(1), np.eye(1), 3.0, x, u, w)
+    M3 = lmi_matrix(m, np.eye(1), np.eye(1), np.eye(1), 3.0, x, w)
     assert np.allclose(M3, [[0.0, 1.0], [1.0, -1.0]])
     assert np.linalg.eigvalsh(M3)[-1] == pytest.approx((-1.0 + math.sqrt(5.0)) / 2.0, abs=1e-14)
 
 
 def test_inequality_monotone_in_decay_rate():
     m = scalar_model()
-    x, u, w = np.zeros(1), np.zeros(0), np.zeros(1)
-    eigs = [np.linalg.eigvalsh(lmi_matrix(m, np.eye(1), np.eye(1), np.eye(1),
-                                          kappa, x, u, w))[-1]
+    x, w = np.zeros(1), np.zeros(1)
+    eigs = [np.linalg.eigvalsh(lmi_matrix(m, np.eye(1), np.eye(1), np.eye(1), kappa, x, w))[-1]
             for kappa in (0.5, 1.0, 2.0, 3.0)]
     assert all(a < b for a, b in zip(eigs, eigs[1:]))
 
@@ -75,10 +74,9 @@ def test_inequality_is_affine_in_the_weights(reactor):
 
     for _ in range(10):
         x = rng.uniforms((2,), 0.1, 5.0)
-        u = np.zeros(0)
         w = rng.uniforms((3,), -0.1, 0.1)
         W = {"P": rand_sym(2), "Q": rand_sym(3), "R": rand_sym(1)}
-        full = lmi_matrix(reactor, W["P"], W["Q"], W["R"], kappa, x, u, w)
+        full = lmi_matrix(reactor, W["P"], W["Q"], W["R"], kappa, x, w)
         scale = np.abs(full).max()
         for name in ("P", "Q", "R"):
             d = W[name].shape[0]
@@ -86,12 +84,12 @@ def test_inequality_is_affine_in_the_weights(reactor):
             # coordinates: the diagonal, then the upper off-diagonal entries
             z = np.concatenate([np.diag(W[name]), W[name][np.triu_indices(d, 1)]])
             rest = dict(W, **{name: np.zeros((d, d))})
-            total = lmi_matrix(reactor, rest["P"], rest["Q"], rest["R"], kappa, x, u, w)
+            total = lmi_matrix(reactor, rest["P"], rest["Q"], rest["R"], kappa, x, w)
             for zk, E in zip(z, mats):
                 unit = {k: np.zeros_like(v) for k, v in W.items()}
                 unit[name] = E
                 total = total + zk * lmi_matrix(reactor, unit["P"], unit["Q"], unit["R"],
-                                                kappa, x, u, w)
+                                                kappa, x, w)
             assert np.abs(total - full).max() <= 1e-12 * scale
 
 
@@ -143,22 +141,22 @@ def test_verify_runs_on_the_models_boxes_whatever_domain_a_file_stored(tmp_path,
 
 def test_grid_points_modes(reactor):
     pts, mode = grid_points(reactor, GridSpec(x_points=3, w_points=3))
-    assert mode == "grid" and [v.shape for v in pts] == [(9 * 27, 2), (9 * 27, 0), (9 * 27, 3)]
+    assert mode == "grid" and [v.shape for v in pts] == [(9 * 27, 2), (9 * 27, 3)]
     assert reactor.vertex_blocker is None  # A, B affine in x1; C, D constant
     pts, mode = grid_points(reactor, VERTS)
-    assert mode == "vertices" and [v.shape for v in pts] == [(32, 2), (32, 0), (32, 3)]
-    # vertex mode is the two-point grid: every corner once, an empty U as one point
+    assert mode == "vertices" and [v.shape for v in pts] == [(32, 2), (32, 3)]
+    # vertex mode is the two-point grid: every corner once
     assert sorted(map(tuple, pts[0][::8])) == [(0.1, 0.1), (0.1, 5.0), (5.0, 0.1), (5.0, 5.0)]
-    assert len(np.unique(pts[2], axis=0)) == 8 and np.all(np.abs(pts[2]) == 0.1)
+    assert len(np.unique(pts[1], axis=0)) == 8 and np.all(np.abs(pts[1]) == 0.1)
     with pytest.raises(ConfigurationError, match="cannot grid an unbounded axis"):
         grid_points(scalar_model(X=[[0.0, None]]), VERTS)
     # the model's exponents decide, whatever affinity_asserted says: the cubic
     # term is refused, the same spec with its coefficient zeroed is not, and a
     # hand-built model carries no exponents to decide by
-    hand_built = SystemModel(1, 0, 1, 1, lambda x, u, w: -x, lambda x, u, w: x.copy(),
+    hand_built = SystemModel(1, 1, 1, lambda x, w: -x, lambda x, w: x.copy(),
                              jac_f_x=const_jac(-1.0), jac_f_w=const_jac(0.0),
                              jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                             X=[[-1.0, 1.0]], U=[], W=[[-1.0, 1.0]])
+                             X=[[-1.0, 1.0]], W=[[-1.0, 1.0]])
     for grid in (VERTS, GridSpec(vertices_only=True, affinity_asserted=True)):
         with pytest.raises(ConfigurationError, match=re.escape("(f[0] term 1)")):
             grid_points(model_from_dict(CUBIC), grid)
@@ -236,7 +234,7 @@ def test_vertex_checks_are_sufficient_where_the_exponents_allow(case):
     X, W = model.X, model.W
     x = X[:, 0] + (X[:, 1] - X[:, 0]) * rng.random((10_000, model.n))
     w = W[:, 0] + (W[:, 1] - W[:, 0]) * rng.random((10_000, model.q))
-    blocks = lmi_matrix(model, P, Q, R, -math.log(lam), x, np.zeros((10_000, 0)), w)
+    blocks = lmi_matrix(model, P, Q, R, -math.log(lam), x, w)
     scale = max(1.0, np.abs(blocks).max())
     assert rep.max_eig >= np.linalg.eigvalsh(blocks)[:, -1].max() - 1e-9 * scale
 
@@ -279,7 +277,7 @@ def test_verify_matches_every_point_by_brute_force(name):
     rep = verify_certificate(model, cert, grid, tol_psd=1e-4)
     assert rep.max_eig.hex() == float(eigs[k]).hex()
     assert rep.passed == (eigs[k] <= 1e-4) and rep.n_points == len(eigs) and rep.mode == mode
-    for got, want in zip((rep.worst_x, rep.worst_u, rep.worst_w), points):
+    for got, want in zip((rep.worst_x, rep.worst_w), points):
         assert got.tobytes() == want[k].tobytes()
     distinct = len(_distinct_points(model, points)[0])
     if name == "reactor":
@@ -296,9 +294,9 @@ def test_reactor_grid_verification_evaluates_distinct_points_only(reactor, ref_c
     evaluated = []
     block = mhect.certify.lmi_matrix
 
-    def counted(model, P, Q, R, kappa, x, u, w):
+    def counted(model, P, Q, R, kappa, x, w):
         evaluated.append(len(x))
-        return block(model, P, Q, R, kappa, x, u, w)
+        return block(model, P, Q, R, kappa, x, w)
 
     monkeypatch.setattr(mhect.certify, "lmi_matrix", counted)
     rep = verify_certificate(reactor, ref_cert, GridSpec(x_points=20, w_points=2))
@@ -715,8 +713,8 @@ def test_synthesis_infeasible_model():
     m = _scalar_spec([_term(1.0, [1], [0])], [_term(1.0, [0], [1])])
     with pytest.raises(InfeasibleError) as exc:
         synthesize_certificate(m, 0.5, FixedQR(np.eye(1), np.eye(1)), VERTS)
-    # the message names the worst eigenvalue and its point (x, u, w)
-    found = re.search(r"eigenvalue (\S+) at x = (.+), u = (.+), w = (.+)$", str(exc.value))
+    # the message names the worst eigenvalue and its point (x, w)
+    found = re.search(r"eigenvalue (\S+) at x = (.+), w = (.+)$", str(exc.value))
     assert float(found[1]) > 0.0
     assert all(part.startswith("[") for part in found.groups()[1:])
 
@@ -790,8 +788,8 @@ def test_certified_decrease_along_trajectory_pairs(reactor, synth_cert):
         w1 = -0.1 + 0.2 * rng.uniforms((steps, 3))
         w2 = -0.1 + 0.2 * rng.uniforms((steps, 3))
         from mhect import PiecewiseSignal
-        t1 = integrate(reactor, chi1, None, PiecewiseSignal(dt, w1), steps * dt, dt)
-        t2 = integrate(reactor, chi2, None, PiecewiseSignal(dt, w2), steps * dt, dt)
+        t1 = integrate(reactor, chi1, PiecewiseSignal(dt, w1), steps * dt, dt)
+        t2 = integrate(reactor, chi2, PiecewiseSignal(dt, w2), steps * dt, dt)
         for k in range(steps):
             x1, x2 = t1.states[k], t2.states[k]
             if not (np.all(x1 >= 0.1) and np.all(x1 <= 5.0)
@@ -799,8 +797,8 @@ def test_certified_decrease_along_trajectory_pairs(reactor, synth_cert):
                 continue
             dx = x1 - x2
             dw = w1[k] - w2[k]
-            dy = reactor.h(x1, None, w1[k]) - reactor.h(x2, None, w2[k])
-            dv = 2.0 * dx @ P @ (reactor.f(x1, None, w1[k]) - reactor.f(x2, None, w2[k]))
+            dy = reactor.h(x1, w1[k]) - reactor.h(x2, w2[k])
+            dv = 2.0 * dx @ P @ (reactor.f(x1, w1[k]) - reactor.f(x2, w2[k]))
             rhs = -kappa * (dx @ P @ dx) + dw @ Q @ dw + dy @ R @ dy
             assert dv <= rhs + 1e-6 * max(1.0, abs(rhs))
             checked += 1

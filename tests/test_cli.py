@@ -132,13 +132,20 @@ def test_certify_check_reference_weights(tmp_path, capsys):
     # strict tolerance rejects the rounded reference weights
     rc = main(["certify", "--check", str(path), "--vertices"])
     assert rc == 3
-    assert "FAIL" in capsys.readouterr().out
+    # a failed check names its worst point, as a failed synthesis does
+    out = capsys.readouterr().out
+    assert "\nworst point x = [0.1 0.1], w = [-0.1 -0.1 -0.1]\nFAIL\n" in out
     # the print-rounding scale accepts them; the reactor's exponents make
     # its vertex check sufficient, so --vertices needs no other flag
     rc = main(["certify", "--check", str(path), "--vertices", "--tol", "1e-4"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "over 32 points (vertices)" in out and "PASS" in out
+
+
+# a verification record as files from before the control input was dropped wrote it
+VERIFICATION = {"passed": True, "max_eig": -1.0, "worst_x": [], "worst_u": [], "worst_w": [],
+                "tol_psd": 1e-8, "n_points": 1, "mode": "vertices"}
 
 
 @pytest.mark.parametrize("X, tol, code, says", [
@@ -151,9 +158,13 @@ def test_certify_check_reference_weights(tmp_path, capsys):
 def test_certify_check_reads_an_older_file_on_the_models_boxes(tmp_path, capsys, X, tol, code,
                                                                  says):
     path = tmp_path / "older.json"
-    path.write_text(json.dumps(older_certificate_file(X=X)))
+    path.write_text(json.dumps(dict(older_certificate_file(X=X), verification=VERIFICATION)))
     assert main(["certify", "--check", str(path), "--vertices", "--tol", tol]) == code
     assert says in capsys.readouterr().out
+    # its record loads with worst_u ignored, and a re-saved file drops the key
+    resaved = tmp_path / "resaved.json"
+    save_certificate(load_certificate(str(path)), str(resaved))
+    assert set(json.loads(resaved.read_text())["verification"]) == set(VERIFICATION) - {"worst_u"}
 
 
 @pytest.mark.parametrize("mode", [["--Q", "1000,1000,100", "--R", "100"], ["--joint"]])
@@ -423,8 +434,7 @@ def test_non_numeric_model_field_exit_code(tmp_path, capsys, path, value):
 def test_missing_certificate_field_exit_code(tmp_path, capsys, drop):
     path = tmp_path / "cert.json"
     d = older_certificate_file()
-    d["verification"] = {"passed": True, "max_eig": -1.0, "worst_x": [], "worst_u": [],
-                         "worst_w": [], "tol_psd": 1e-8, "n_points": 1, "mode": "vertices"}
+    d["verification"] = dict(VERIFICATION)
     outer, _, inner = drop.partition(".")
     if inner:
         del d[outer][inner]
@@ -433,10 +443,6 @@ def test_missing_certificate_field_exit_code(tmp_path, capsys, drop):
     path.write_text(json.dumps(d))
     assert main(["certify", "--check", str(path), "--vertices"]) == 2
     assert "missing field" in capsys.readouterr().err
-
-
-VERIFICATION = {"passed": True, "max_eig": -1.0, "worst_x": [], "worst_u": [], "worst_w": [],
-                "tol_psd": 1e-8, "n_points": 1, "mode": "vertices"}
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -696,6 +702,10 @@ TWICE_P = (2.0 * cli.BENCH_P).tolist()
     pytest.param(lambda tmp_path: ["certify", "--lambda", "0.01", "--Q", "1,1,1", "--R", "1",
                                    "--vertices", "--out", str(tmp_path / "o")],
                  3, "infeasible:", id="infeasible-synthesis"),
+    # omitted --Q and --R are the identity of the model's sizes, which is
+    # infeasible for the reactor at this rate on the default grid
+    pytest.param(lambda tmp_path: ["certify", "--lambda", "0.4", "--out", str(tmp_path / "o")],
+                 3, "infeasible:", id="identity-weights-infeasible"),
     pytest.param(lambda tmp_path: ["certify", "--lambda", "0.4", "--Q", "inf,1,1", "--R", "1",
                                    "--vertices", "--out", str(tmp_path / "o")],
                  2, "Q has a non-finite entry", id="infinite-Q"),

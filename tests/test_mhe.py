@@ -165,9 +165,9 @@ def test_realized_schedules(dt, K, equidistant, dust, jitter, data):
 def test_make_sampler_event_rules():
     model = batch_reactor()
     w = PiecewiseSignal(0.01, np.zeros((300, 3)))
-    truth = integrate(model, np.array([3.0, 1.0]), None, w, 3.0, 0.01)
+    truth = integrate(model, np.array([3.0, 1.0]), w, 3.0, 0.01)
     from mhect import output_along
-    y = output_along(model, truth, None, w)
+    y = output_along(model, truth, w)
 
     # infinite threshold: never triggers early, every gap is delta_max
     data = dict(model=model, y=y, x0=np.array([0.1, 4.5]))
@@ -224,8 +224,8 @@ def test_event_schedule_matches_the_running_sum(threshold, delta_min, delta_max,
     x0 = np.array([0.1, 4.5])
     s = make_sampler(EventTriggered(threshold, delta_min, delta_max), t_sim, 0.01, 2.0,
                      model=model, y=y, x0=x0)
-    nom = integrate(model, x0, None, None, t_sim, 0.01)
-    innov = y.values - model.h(nom.states[:-1], np.zeros((K, 0)), np.zeros((K, 3)))
+    nom = integrate(model, x0, None, t_sim, 0.01)
+    innov = y.values - model.h(nom.states[:-1], np.zeros((K, 3)))
     piece_energy = np.einsum("ki,ki->k", innov, innov) * 0.01
     expect = _running_sum_schedule(piece_energy, threshold, round(delta_min / 0.01),
                                    round(delta_max / 0.01), K)
@@ -270,7 +270,7 @@ def _objective_by_definition(model, cert, prior, y, T, w, x):
     expect = 2.0 * lam ** T * (d0 @ cert.P2 @ d0)
     for j, wj in enumerate(w):
         om = (lam ** (T - (j + 1) * dt) - lam ** (T - j * dt)) / (-math.log(lam))
-        dyj = y[j] - model.h(x[j], np.zeros(model.m), wj)
+        dyj = y[j] - model.h(x[j], wj)
         expect += om * (2.0 * wj @ cert.Q @ wj + dyj @ cert.R @ dyj)
     return expect
 
@@ -289,9 +289,9 @@ def _reactor_window(ref_cert, chi, prior, t_i, seed=None):
     w = None
     if seed is not None:
         w = PiecewiseSignal(0.01, -0.1 + 0.2 * SplitMix64(seed).uniforms((K, 3)))
-    y_seg = output_along(model, integrate(model, np.array(chi), None, w, t_i, 0.01), None, w)
+    y_seg = output_along(model, integrate(model, np.array(chi), w, t_i, 0.01), w)
     prior = np.array(prior)
-    return model, prior, y_seg, solve_mhe(model, cfg, prior, None, y_seg, t_i)
+    return model, prior, y_seg, solve_mhe(model, cfg, prior, y_seg, t_i)
 
 
 def test_objective_zero_at_perfect_data(ref_cert):
@@ -321,19 +321,13 @@ def test_objective_hand_computed(ref_cert):
 
 
 def test_objective_validates_segments(ref_cert):
-    # the window solver refuses output and control segments off its grid
+    # the window solver refuses output segments off its grid
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
     for shape in ((49, 1), (50, 2)):   # too few pieces, wrong dimension
         y_seg = PiecewiseSignal(0.01, np.ones(shape))
         with pytest.raises(ConfigurationError, match="y segment does not match"):
-            solve_mhe(model, cfg, np.array([3.0, 1.0]), None, y_seg, 0.5)
-    model, cfg = _controlled_scalar_model()
-    y_seg = PiecewiseSignal(0.01, np.zeros((50, 1)))
-    for u_seg in (None, PiecewiseSignal(0.01, np.zeros((49, 1))),
-                  PiecewiseSignal(0.01, np.zeros((50, 2)))):
-        with pytest.raises(ConfigurationError, match="u segment does not match"):
-            solve_mhe(model, cfg, np.array([0.0]), u_seg, y_seg, 0.5)
+            solve_mhe(model, cfg, np.array([3.0, 1.0]), y_seg, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +401,7 @@ def test_precision_stops_leave_no_decrease_to_an_oracle(ref_cert):
         stops += 1
         s_i = k - sol.w_star.n_pieces
         y_seg = PiecewiseSignal(cfg.dt, run.y.values[s_i:k])
-        prob = _WindowProblem(model, cfg, run.estimate[s_i], None, y_seg, sol.T_ti)
+        prob = _WindowProblem(model, cfg, run.estimate[s_i], y_seg, sol.T_ti)
         n, m = prob.n, prob.n + prob.N * (prob.q + prob.p)
 
         def place(z, fn):
@@ -451,8 +445,8 @@ def test_box_active_windows_stop_at_tolerance_or_precision(ref_cert, seed, K, ga
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(max(1, round(gap * K)) * 0.01))
     w = PiecewiseSignal(0.01, np.where(SplitMix64(seed).uniforms((K, 3)) < 0.5, -0.1, 0.1))
-    x = integrate(model, np.array(chi), None, w, K * 0.01, 0.01)
-    y = output_along(model, x, None, w).values + offset + amp * (-1.0) ** np.arange(K)[:, None]
+    x = integrate(model, np.array(chi), w, K * 0.01, 0.01)
+    y = output_along(model, x, w).values + offset + amp * (-1.0) ** np.arange(K)[:, None]
     with pytest.MonkeyPatch.context() as mp:
         stages = _stage_costs(mp)
         run = run_mhe(model, cfg, chi_hat=np.array(chi_hat), t_sim=K * 0.01,
@@ -470,7 +464,7 @@ def test_solution_restates_to_rounding(ref_cert):
     # it to rounding, not bit for bit
     model, cfg, run = reactor_setup(ref_cert, seed=2)
     for s in run.solutions:
-        again = integrate(model, s.chi_star, None, s.w_star, s.T_ti, cfg.dt).states
+        again = integrate(model, s.chi_star, s.w_star, s.T_ti, cfg.dt).states
         assert np.abs(s.x_star.states - again).max() <= 1e-12 * np.abs(again).max()
 
 
@@ -525,38 +519,11 @@ def test_estimate_is_stitched_from_windows(ref_cert, tmp_path):
         prev = k
 
 
-def _controlled_scalar_model():
-    """x' = -x + u + w, y = x with a control input, and a configuration for it."""
-    model = SystemModel(1, 1, 1, 1,
-                        lambda x, u, w: -x + u + w,
-                        lambda x, u, w: x.copy(),
-                        jac_f_x=const_jac(-1.0), jac_f_w=const_jac(1.0),
-                        jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                        X=None, U=[[-1.0, 1.0]], W=[[-0.1, 0.1]])
-    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.2)
-    return model, MheConfig(cert, 1.0, 0.01, Equidistant(0.1))
-
-
-def test_control_input_coarser_than_dt():
-    # x' = -x + u + w, y = x, with u held for 0.1 at dt = 0.01: windows read
-    # u on the run grid, so the run equals one with u repeated onto dt pieces
-    model, cfg = _controlled_scalar_model()
-    u_coarse = np.sin(np.arange(10.0))[:, None]
-    w = PiecewiseSignal(0.01, -0.1 + 0.2 * SplitMix64(5).uniforms((100, 1)))
-    runs = [run_mhe(model, cfg, chi_hat=np.array([0.0]), t_sim=1.0, chi=np.array([0.5]),
-                    u=u, w=w)
-            for u in (PiecewiseSignal(0.1, u_coarse),
-                      PiecewiseSignal(0.01, np.repeat(u_coarse, 10, axis=0)))]
-    assert runs[0].estimate.tobytes() == runs[1].estimate.tobytes()
-    report = audit_run(runs[0])
-    assert report.passed and report.prop3_passed and report.sup_passed
-
-
 def test_full_information_matches_windowed(ref_cert):
     model, cfg, run = reactor_setup(ref_cert, t_sim=2.0, seed=5)
     for sol, k_i in zip(run.solutions, run.sampling.k_indices):
         # cold, from the initial prior: T >= t_i makes this the full-information estimate
-        fie = solve_mhe(model, cfg, np.array([0.1, 4.5]), None,
+        fie = solve_mhe(model, cfg, np.array([0.1, 4.5]),
                         PiecewiseSignal(cfg.dt, run.y.values[:k_i]), sol.t_i)
         assert fie.cost == pytest.approx(sol.cost, rel=1e-12, abs=1e-15)
 
@@ -569,23 +536,23 @@ def test_warm_start_agrees_with_cold_start(ref_cert):
     s_i = k_i - min(k_i, cfg.n_steps_T)
     prior = run.estimate[s_i]
     y_seg = PiecewiseSignal(cfg.dt, run.y.values[s_i:k_i])
-    cold = solve_mhe(model, cfg, prior, None, y_seg, k_i * cfg.dt, warm=None)
+    cold = solve_mhe(model, cfg, prior, y_seg, k_i * cfg.dt, warm=None)
     warm = run.solutions[i]
     assert cold.cost == pytest.approx(warm.cost, rel=1e-9, abs=1e-12)
     assert np.abs(cold.chi_star - warm.chi_star).max() < 1e-5
     # a window that starts later cannot warm-start one that starts earlier
     later = dataclasses.replace(warm, t_i=warm.t_i + 0.1)
     with pytest.raises(ConfigurationError, match="warm start must come from an earlier window"):
-        solve_mhe(model, cfg, prior, None, y_seg, k_i * cfg.dt, warm=later)
+        solve_mhe(model, cfg, prior, y_seg, k_i * cfg.dt, warm=later)
 
 
 def test_prior_outside_domain_is_projected(ref_cert, caplog):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
-    truth = integrate(model, np.array([3.0, 1.0]), None, None, 0.5, 0.01)
+    truth = integrate(model, np.array([3.0, 1.0]), None, 0.5, 0.01)
     from mhect import output_along
-    y = output_along(model, truth, None, None)
-    sol = solve_mhe(model, cfg, np.array([0.0, 6.0]), None,
+    y = output_along(model, truth, None)
+    sol = solve_mhe(model, cfg, np.array([0.0, 6.0]),
                     PiecewiseSignal(0.01, y.values[:10]), 0.1)
     assert "prior outside X, projected" in caplog.messages
     assert np.all(sol.chi_star >= 0.1) and np.all(sol.chi_star <= 5.0)
@@ -593,12 +560,12 @@ def test_prior_outside_domain_is_projected(ref_cert, caplog):
 
 def _escape_window():
     """x' = x^2 + w, which escapes at t = 1/x0, with a 0.1 window of outputs."""
-    model = SystemModel(1, 0, 1, 1,
-                        lambda x, u, w: x * x + w,
-                        lambda x, u, w: x.copy(),
-                        jac_f_x=lambda x, u, w: 2.0 * x[..., None],
+    model = SystemModel(1, 1, 1,
+                        lambda x, w: x * x + w,
+                        lambda x, w: x.copy(),
+                        jac_f_x=lambda x, w: 2.0 * x[..., None],
                         jac_f_w=const_jac(1.0), jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                        X=None, U=[], W=[[-0.1, 0.1]])
+                        X=None, W=[[-0.1, 0.1]])
     cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5)
     cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
     return model, cfg, PiecewiseSignal(0.01, np.full((10, 1), 0.1))
@@ -610,8 +577,8 @@ def test_window_divergence_from_the_prior():
     model, cfg, y_seg = _escape_window()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
-            solve_mhe(model, cfg, np.array([20.0]), None, y_seg, 0.1)
-    sol = solve_mhe(model, cfg, np.array([0.1]), None, y_seg, 0.1)
+            solve_mhe(model, cfg, np.array([20.0]), y_seg, 0.1)
+    sol = solve_mhe(model, cfg, np.array([0.1]), y_seg, 0.1)
     assert np.all(np.isfinite(sol.x_star.states))
 
 
@@ -620,9 +587,9 @@ def test_divergence_raises_no_overflow_warning():
     # range end in DivergenceError, not in a numpy overflow warning
     model, cfg, y_seg = _escape_window()
     with pytest.raises(DivergenceError):
-        solve_mhe(model, cfg, np.array([20.0]), None, y_seg, 0.1)
+        solve_mhe(model, cfg, np.array([20.0]), y_seg, 0.1)
     with pytest.raises(DivergenceError) as exc:
-        integrate(model, np.array([20.0]), None, None, 0.1, 0.01)
+        integrate(model, np.array([20.0]), None, 0.1, 0.01)
     assert 0.05 <= float(re.search(r"at t = (\S+) ", str(exc.value))[1]) <= 0.1
 
 
@@ -630,13 +597,13 @@ def test_diverging_warm_start_falls_back_to_the_cold_start(caplog):
     # a warm start whose states sit at 20 escapes inside the window, so the
     # solve drops it and returns exactly what the cold solve returns
     model, cfg, y_seg = _escape_window()
-    first = solve_mhe(model, cfg, np.array([0.1]), None, y_seg, 0.1)
+    first = solve_mhe(model, cfg, np.array([0.1]), y_seg, 0.1)
     states = np.full_like(first.x_star.states, 20.0)
     warm = dataclasses.replace(first, x_star=Trajectory(cfg.dt, states))
     y20 = PiecewiseSignal(0.01, np.full((20, 1), 0.1))
-    cold = solve_mhe(model, cfg, np.array([0.1]), None, y20, 0.2)
+    cold = solve_mhe(model, cfg, np.array([0.1]), y20, 0.2)
     assert "warm start diverged, cold start used" not in caplog.messages
-    again = solve_mhe(model, cfg, np.array([0.1]), None, y20, 0.2, warm=warm)
+    again = solve_mhe(model, cfg, np.array([0.1]), y20, 0.2, warm=warm)
     assert "warm start diverged, cold start used" in caplog.messages
     assert again.x_star.states.tobytes() == cold.x_star.states.tobytes()
     assert again.cost == cold.cost
@@ -650,7 +617,7 @@ def _rollout_window(model, N):
     n, q, p = model.n, model.q, model.p
     cert = DetectabilityCertificate.from_weights(np.eye(n), np.eye(q), np.eye(p), 0.5)
     cfg = MheConfig(cert, 8.0, 0.01, Equidistant(0.1))
-    return _WindowProblem(model, cfg, np.zeros(n), None,
+    return _WindowProblem(model, cfg, np.zeros(n),
                           PiecewiseSignal(0.01, np.zeros((N, p))), N * 0.01)
 
 
@@ -689,7 +656,7 @@ def test_newton_rollout_matches_the_sequential_rollout(kind, case, N, seed, log_
         # near the escape the steps amplify any rounding: bound the gap by
         # the accepted defects, ROLLOUT_TOL |Phi| plus one rounding of the
         # sequential step, carried along the linearized steps
-        phi, A, _ = rk4_step_with_jacobians(model, seq[:-1], prob.u, z[1:, None], 0.01)
+        phi, A, _ = rk4_step_with_jacobians(model, seq[:-1], z[1:, None], 0.01)
         bound = np.zeros(N + 1)
         for j in range(N):
             bound[j + 1] = abs(A[j, 0, 0]) * bound[j] + (ROLLOUT_TOL + 1e-16) * abs(phi[j, 0])
@@ -718,7 +685,7 @@ def test_unsettled_rollout_rejects_the_trial(monkeypatch):
     # stays finite and the trial is rejected
     model, cfg, _ = _escape_window()
     y_seg = PiecewiseSignal(0.01, np.full((10, 1), 1e3))
-    prob = _WindowProblem(model, cfg, np.array([1.0]), None, y_seg, 0.1)
+    prob = _WindowProblem(model, cfg, np.array([1.0]), y_seg, 0.1)
     z = np.concatenate([[20.0], np.zeros(10)])
     assert prob.forward(z) is None and prob.rollout(z, np.ones((11, 1))) is None
     assert prob.evaluate(z, np.ones((11, 1))) is None
@@ -808,7 +775,7 @@ def test_warm_start_moved_by_the_projection_rolls_out_in_full(ref_cert, monkeypa
     prefixes = []
     _record_forward(monkeypatch, lambda prob, z, prefix, states: prefixes.append(prefix))
     y_seg = PiecewiseSignal(cfg.dt, run.y.values[s_i:k_i])
-    again = solve_mhe(model, cfg, run.estimate[s_i], None, y_seg, sol.t_i, warm=warm)
+    again = solve_mhe(model, cfg, run.estimate[s_i], y_seg, sol.t_i, warm=warm)
     assert prefixes[0] is None
     assert again.cost == pytest.approx(sol.cost, rel=1e-9, abs=1e-12)
 
@@ -816,14 +783,14 @@ def test_warm_start_moved_by_the_projection_rolls_out_in_full(ref_cert, monkeypa
 def _escalation_window():
     """x' = w, y = x with X = [-1, 1]: outputs of 5 pull every state out of X,
     and only a heavier penalty brings the window back inside."""
-    model = SystemModel(1, 0, 1, 1, lambda x, u, w: w.copy(), lambda x, u, w: x.copy(),
+    model = SystemModel(1, 1, 1, lambda x, w: w.copy(), lambda x, w: x.copy(),
                         jac_f_x=const_jac(0.0), jac_f_w=const_jac(1.0),
                         jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                        X=[[-1.0, 1.0]], U=[], W=[[-10.0, 10.0]])
+                        X=[[-1.0, 1.0]], W=[[-10.0, 10.0]])
     cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5)
     cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
     y_seg = PiecewiseSignal(0.01, np.full((50, 1), 5.0))
-    return model, cert, y_seg, solve_mhe(model, cfg, np.array([0.0]), None, y_seg, 0.5)
+    return model, cert, y_seg, solve_mhe(model, cfg, np.array([0.0]), y_seg, 0.5)
 
 
 def test_penalty_escalation_restores_the_state_constraints():
@@ -846,10 +813,10 @@ def _flags(run, tmp_path):
 def test_window_left_outside_x_is_flagged_penalty_infeasible(tmp_path):
     """x' = 1, y = x with X = [-0.01, 0.01]: over a window of 0.1 no state in
     X explains the outputs, so the last escalation still ends outside X."""
-    model = SystemModel(1, 0, 1, 1, lambda x, u, w: np.ones_like(x), lambda x, u, w: x.copy(),
+    model = SystemModel(1, 1, 1, lambda x, w: np.ones_like(x), lambda x, w: x.copy(),
                         jac_f_x=const_jac(0.0), jac_f_w=const_jac(0.0),
                         jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
-                        X=[[-0.01, 0.01]], U=[], W=[[-1.0, 1.0]])
+                        X=[[-0.01, 0.01]], W=[[-1.0, 1.0]])
     cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5)
     run = run_mhe(model, MheConfig(cert, 0.5, 0.01, Equidistant(0.1)), chi_hat=[0.0],
                   t_sim=0.1, chi=[0.0])
@@ -906,12 +873,12 @@ def _dense_jacobian(prob, z, states):
     Jy = np.zeros((N * p, nv))
     for j in range(N):
         wj = slice(n + j * q, n + (j + 1) * q)
-        _, A, B = rk4_step_with_jacobians(prob.model, states[j], prob.u[j], Wp[j], prob.dt)
+        _, A, B = rk4_step_with_jacobians(prob.model, states[j], Wp[j], prob.dt)
         G[j + 1] = A @ G[j]
         G[j + 1][:, wj] += B
         Jw[j * q:(j + 1) * q, wj] = prob.sw[j] * prob.sqQ
-        blk = prob.model.jac_h_x(states[j], prob.u[j], Wp[j]) @ G[j]
-        blk[:, wj] += prob.model.jac_h_w(states[j], prob.u[j], Wp[j])
+        blk = prob.model.jac_h_x(states[j], Wp[j]) @ G[j]
+        blk[:, wj] += prob.model.jac_h_w(states[j], Wp[j])
         Jy[j * p:(j + 1) * p] = -prob.sy[j] * (prob.sqR @ blk)
     Jp = np.zeros((n, nv))
     Jp[:, :n] = prob.sq_prior
@@ -1058,7 +1025,7 @@ def test_window_jacobian_matches_finite_differences(ref_cert):
     rng = SplitMix64(13)
     N = 5
     y_seg = PiecewiseSignal(0.01, 3.9 + 0.1 * rng.uniforms((N, 1)))
-    prob = _WindowProblem(model, cfg, np.array([3.0, 1.0]), None, y_seg, N * 0.01)
+    prob = _WindowProblem(model, cfg, np.array([3.0, 1.0]), y_seg, N * 0.01)
 
     def full_residual(z):
         states = prob.forward(z)
@@ -1084,7 +1051,7 @@ def _window_with_violations(ref_cert, N):
     cfg = MheConfig(ref_cert, 8.0, 0.01, Equidistant(0.1))
     rng = SplitMix64(100 + N)
     y_seg = PiecewiseSignal(0.01, 3.9 + 0.2 * rng.uniforms((N, 1)))
-    prob = _WindowProblem(model, cfg, np.array([3.0, 1.0]), None, y_seg, N * 0.01)
+    prob = _WindowProblem(model, cfg, np.array([3.0, 1.0]), y_seg, N * 0.01)
     z = np.concatenate([[2.9, 1.1], 0.18 * (rng.uniforms((N * 3,)) - 0.5)])
     states = prob.forward(z)
     prob.x_hi = states[N] - 1e-3 * np.abs(states[N])
@@ -1130,7 +1097,7 @@ def test_stage_sweeps_match_the_dense_model(ref_cert, N, seed, log_mu, penalized
     cfg = MheConfig(ref_cert, 8.0, 0.01, Equidistant(0.1))
     rng = SplitMix64(seed)
     y_seg = PiecewiseSignal(0.01, 0.2 + 9.8 * rng.uniforms((N, 1)))
-    prob = _WindowProblem(model, cfg, rng.uniforms((2,), 0.1, 5.0), None, y_seg, N * 0.01)
+    prob = _WindowProblem(model, cfg, rng.uniforms((2,), 0.1, 5.0), y_seg, N * 0.01)
     z = np.concatenate([rng.uniforms((2,), 0.1, 5.0), rng.uniforms((N * 3,), -0.1, 0.1)])
     states = prob.forward(z)
     if penalized:
@@ -1169,7 +1136,7 @@ def test_stage_scans_match_the_sequential_sweeps(ref_cert, N, seed, log_mu, pena
     cfg = MheConfig(ref_cert, 8.0, 0.01, Equidistant(0.1))
     rng = SplitMix64(seed)
     y_seg = PiecewiseSignal(0.01, 3.9 + 0.2 * rng.uniforms((N, 1)))
-    prob = _WindowProblem(model, cfg, rng.uniforms((2,), 0.1, 5.0), None, y_seg, N * 0.01)
+    prob = _WindowProblem(model, cfg, rng.uniforms((2,), 0.1, 5.0), y_seg, N * 0.01)
     z = np.concatenate([rng.uniforms((2,), 0.1, 5.0), rng.uniforms((N * 3,), -0.1, 0.1)])
     states = prob.forward(z)
     if penalized:
@@ -1230,7 +1197,7 @@ def test_active_violations_match_the_scalar_scan(ref_cert):
     model = batch_reactor()
     cfg = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1))
     y_seg = PiecewiseSignal(0.01, np.ones((3, 1)))
-    prob = _WindowProblem(model, cfg, np.array([3.0, 1.0]), None, y_seg, 0.03)
+    prob = _WindowProblem(model, cfg, np.array([3.0, 1.0]), y_seg, 0.03)
     states = np.array([[3.0, 1.0], [0.05, 6.0], [5.5, 0.09], [0.1, 5.0]])
     expect = [(j, i, states[j, i] - lo if states[j, i] < lo else states[j, i] - hi)
               for j in range(4) for i, (lo, hi) in enumerate(model.X)

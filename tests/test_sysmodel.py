@@ -98,13 +98,13 @@ def test_reactor_vector_field_values():
     x = np.array([3.0, 1.0])
     w0 = np.zeros(3)
     # -2*0.16*9 + 2*0.0064*1 = -2.8672 ; 0.16*9 - 0.0064*1 = 1.4336
-    assert np.allclose(m.f(x, None, w0), [-2.8672, 1.4336], atol=1e-15)
-    assert np.allclose(m.h(x, None, np.array([0.0, 0.0, 0.05])), [4.05])
-    assert np.allclose(m.jac_f_x(x, None, w0), [[-1.92, 0.0128], [0.96, -0.0064]])
-    assert np.allclose(m.jac_f_w(x, None, w0), [[1, 0, 0], [0, 1, 0]])
-    assert np.allclose(m.jac_h_x(x, None, w0), [[1.0, 1.0]])
-    assert np.allclose(m.jac_h_w(x, None, w0), [[0, 0, 1]])
-    assert (m.n, m.m, m.q, m.p) == (2, 0, 3, 1)
+    assert np.allclose(m.f(x, w0), [-2.8672, 1.4336], atol=1e-15)
+    assert np.allclose(m.h(x, np.array([0.0, 0.0, 0.05])), [4.05])
+    assert np.allclose(m.jac_f_x(x, w0), [[-1.92, 0.0128], [0.96, -0.0064]])
+    assert np.allclose(m.jac_f_w(x, w0), [[1, 0, 0], [0, 1, 0]])
+    assert np.allclose(m.jac_h_x(x, w0), [[1.0, 1.0]])
+    assert np.allclose(m.jac_h_w(x, w0), [[0, 0, 1]])
+    assert (m.n, m.q, m.p) == (2, 3, 1)
     assert np.array_equal(m.X, [[0.1, 5.0], [0.1, 5.0]])
     assert np.array_equal(m.W, [[-0.1, 0.1]] * 3)
 
@@ -127,24 +127,24 @@ def test_reactor_constant_jacobians_are_shared_read_only_views(batch):
                                             "jac_h_x": [[3.0]], "jac_h_w": [[0.0, 1.0]]})):
         x, w = np.full(batch + (m.n,), 1.0), np.zeros(batch + (m.q,))
         for name, expect in constants.items():
-            J = getattr(m, name)(x, None, w)
+            J = getattr(m, name)(x, w)
             assert J.shape == batch + np.shape(expect)
             assert np.array_equal(J, np.broadcast_to(expect, J.shape))
-            assert getattr(m, name)(x + 1.0, None, w) is J
+            assert getattr(m, name)(x + 1.0, w) is J
             with pytest.raises(ValueError):
                 J[...] = 0.0
 
 
 def test_model_registry():
     m = get_model("batch_reactor")
-    assert (m.n, m.m, m.q, m.p) == (2, 0, 3, 1)
+    assert (m.n, m.q, m.p) == (2, 3, 1)
     with pytest.raises(ConfigurationError):
         get_model("no_such_model")
 
 
 def test_dimension_validation():
     with pytest.raises(ConfigurationError):
-        SystemModel(0, 0, 1, 1, lambda x, u, w: x, lambda x, u, w: x,
+        SystemModel(0, 1, 1, lambda x, w: x, lambda x, w: x,
                     jac_f_x=const_jac(1.0), jac_f_w=const_jac(0.0),
                     jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0))
 
@@ -199,8 +199,8 @@ def test_polynomial_model_matches_builtin():
         x = 0.1 + 4.9 * rng.uniforms((2,))
         w = -0.1 + 0.2 * rng.uniforms((3,))
         for name in CALLBACKS:
-            assert getattr(filed, name)(x, None, w).tobytes() == \
-                getattr(built, name)(x, None, w).tobytes()
+            assert getattr(filed, name)(x, w).tobytes() == \
+                getattr(built, name)(x, w).tobytes()
     assert np.array_equal(filed.X, built.X) and np.array_equal(filed.W, built.W)
 
 
@@ -210,8 +210,8 @@ def test_polynomial_model_round_trip(tmp_path):
     path.write_text(json.dumps(REACTOR_SPEC))
     filed = load_model(str(path))
     x = np.array([2.0, 0.5])
-    assert np.allclose(filed.f(x, None, np.zeros(3)),
-                       batch_reactor().f(x, None, np.zeros(3)))
+    assert np.allclose(filed.f(x, np.zeros(3)),
+                       batch_reactor().f(x, np.zeros(3)))
 
 
 def test_polynomial_model_validation():
@@ -239,8 +239,8 @@ def test_polynomial_model_validation():
     whole["f"] = [[dict(t, x_exp=[float(e) for e in t.get("x_exp", [0, 0])]) for t in row]
                   for row in REACTOR_SPEC["f"]]
     x, w = np.array([4.0, 0.5]), np.zeros(3)
-    assert np.array_equal(model_from_dict(whole).f(x, None, w),
-                          model_from_dict(REACTOR_SPEC).f(x, None, w))
+    assert np.array_equal(model_from_dict(whole).f(x, w),
+                          model_from_dict(REACTOR_SPEC).f(x, w))
 
     # a coefficient the compiled source cannot hold is refused, naming the term
     for bad in (float("nan"), float("inf"), -float("inf")):
@@ -270,7 +270,7 @@ def test_polynomial_model_validation():
         for v in points:
             x, w = np.array([v]), np.array([0.25])
             for name, (want, scale) in _oracle(spec, x, w).items():
-                got = getattr(model, name)(x, np.zeros(0), w)
+                got = getattr(model, name)(x, w)
                 assert np.all(np.abs(got - want) <= 1e-14 * scale), (e, v, name)
 
 
@@ -356,17 +356,17 @@ def test_compiled_polynomial_matches_the_scalar_oracle(case):
     model = model_from_dict(spec)
     for x, w in zip(X, W):
         for name, (want, scale) in _oracle(spec, x, w).items():
-            got = getattr(model, name)(x, np.zeros(0), w)
+            got = getattr(model, name)(x, w)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
-def _assert_rows_match(fn, X, U, W):
+def _assert_rows_match(fn, X, W):
     """Row k of the batched call equals the call on row k, bit for bit."""
-    batch = fn(X, U, W)
+    batch = fn(X, W)
     batch = batch if isinstance(batch, tuple) else (batch,)
     for k in range(len(X)):
-        single = fn(X[k], U[k], W[k])
+        single = fn(X[k], W[k])
         single = single if isinstance(single, tuple) else (single,)
         for b, s in zip(batch, single, strict=True):
             assert b[k].shape == s.shape
@@ -374,13 +374,12 @@ def _assert_rows_match(fn, X, U, W):
 
 
 def _assert_protocol(model, X, W):
-    U = np.zeros((len(X), model.m))
     for name in CALLBACKS:
-        _assert_rows_match(getattr(model, name), X, U, W)
-    _assert_rows_match(lambda x, u, w: rk4_step_with_jacobians(model, x, u, w, 0.01), X, U, W)
+        _assert_rows_match(getattr(model, name), X, W)
+    _assert_rows_match(lambda x, w: rk4_step_with_jacobians(model, x, w, 0.01), X, W)
     P = np.eye(model.n) + 0.1
     Q, R = np.diag(np.arange(1.0, model.q + 1)), np.eye(model.p)
-    _assert_rows_match(lambda x, u, w: lmi_matrix(model, P, Q, R, 0.9, x, u, w), X, U, W)
+    _assert_rows_match(lambda x, w: lmi_matrix(model, P, Q, R, 0.9, x, w), X, W)
 
 
 @given(polynomial_points())
@@ -395,22 +394,21 @@ def test_reactor_rows_are_single_calls(X, W):
     model = batch_reactor()
     _assert_protocol(model, X, W)
     # and the step of each row is the sequential kernel's
-    x1, _, _ = rk4_step_with_jacobians(model, X, np.zeros((5, 0)), W, 0.01)
+    x1, _, _ = rk4_step_with_jacobians(model, X, W, 0.01)
     for k in range(5):
-        assert x1[k].tobytes() == rk4_step(model, X[k], np.zeros(0), W[k], 0.01).tobytes()
+        assert x1[k].tobytes() == rk4_step(model, X[k], W[k], 0.01).tobytes()
 
 
 @given(polynomial_points())
 def test_polynomial_step_jacobians_match_finite_differences(case):
     spec, X, W = case
     model = model_from_dict(spec)
-    u, dt, h = np.zeros(0), 0.01, 1e-6
-    _, A, B = rk4_step_with_jacobians(model, X, np.zeros((len(X), 0)), W, dt)
+    dt, h = 0.01, 1e-6
+    _, A, B = rk4_step_with_jacobians(model, X, W, dt)
     for x, w, Ak, Bk in zip(X, W, A, B):
         for J, arg, step in ((Ak, 0, np.eye(len(x))), (Bk, 1, np.eye(len(w)))):
             for j, e in enumerate(h * step):
                 xw_p, xw_m = [x, w], [x, w]
                 xw_p[arg], xw_m[arg] = xw_p[arg] + e, xw_m[arg] - e
-                col = (rk4_step(model, xw_p[0], u, xw_p[1], dt)
-                       - rk4_step(model, xw_m[0], u, xw_m[1], dt)) / (2 * h)
+                col = (rk4_step(model, *xw_p, dt) - rk4_step(model, *xw_m, dt)) / (2 * h)
                 assert np.abs(J[:, j] - col).max() < 1e-7 * max(1.0, np.abs(col).max())
