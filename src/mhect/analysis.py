@@ -23,9 +23,9 @@ from .sysmodel import PiecewiseSignal, as_grid_index, write_csv
 
 
 def theorem1_bound(cert, rho, chi, chi_hat, w, t_i, factor=8):
-    """Decay-plus-energy bound on |x(t_i) - xhat(t_i)|^2_P1:
+    """Decay-plus-energy bound on |x(t_i) - xhat(t_i)|^2_P:
 
-        4 * rho^t_i * |chi - chi_hat|^2_P2
+        4 * rho^t_i * |chi - chi_hat|^2_P
           + factor * int_0^t_i rho^(t_i - tau) |w|^2_Q dtau
 
     with the leading coefficient 4 for either factor; factor = 8 for general
@@ -40,14 +40,14 @@ def theorem1_bound(cert, rho, chi, chi_hat, w, t_i, factor=8):
     if w.n_pieces < N:
         raise ConfigurationError("w must cover [0, t_i)")
     d0 = np.asarray(chi, dtype=float) - np.asarray(chi_hat, dtype=float)
-    return (4.0 * rho ** t_i * _quad(cert.P2, d0)
+    return (4.0 * rho ** t_i * _quad(cert.P1, d0)
             + factor * _discounted_energy(cert.Q, rho, w.values[:N], w.dt, t_i))
 
 
 def prop3_bound(cert, t, t_i, T_ti, U_prior, w):
     """Window-wise bound on the Lyapunov-type distance U at time t <= t_i:
 
-        lam^(t - t_i) * (4*lmax(P2, P1)*lam^T_ti * U_prior
+        lam^(t - t_i) * (4 * lam^T_ti * U_prior
                          + 4 * int |w|^2_Q discounted over the window)
 
     U_prior is U at the window start, supplied by the caller; w is the
@@ -56,9 +56,9 @@ def prop3_bound(cert, t, t_i, T_ti, U_prior, w):
     if t > t_i:
         raise ConfigurationError("prop3_bound is only valid for t <= t_i")
     lam = cert.lam
-    # lmax is 1 for a certificate (P2 = P1); the call stays while
+    # lmax is 1 for a certificate's one weight P; the call stays while
     # perfbench/tracing.py binds and counts analysis.geneig_max
-    lmax = geneig_max(cert.P2, cert.P1)
+    lmax = geneig_max(cert.P1, cert.P1)
     N = as_grid_index(T_ti, w.dt, "window length")
     if w.n_pieces < N:
         raise ConfigurationError("w segment shorter than the window")
@@ -100,7 +100,7 @@ class BoundReport:
     """Numerical audit of the error bounds along one estimation run."""
 
     times: np.ndarray
-    lhs: np.ndarray            # |x - xhat|^2_P1 at each sampling time
+    lhs: np.ndarray            # |x - xhat|^2_P at each sampling time
     rhs: np.ndarray            # theorem1_bound at each sampling time
     margin: np.ndarray         # rhs - lhs
     u_prior: np.ndarray        # window-start distance used by the prop3 records
@@ -187,7 +187,7 @@ def audit_run(run):
         lhs[i] = _quad(cert.P1, err)
         rhs[i] = theorem1_bound(cert, rho, chi, chi_hat, w, sol.t_i, factor)
         err0 = x_true[s_i] - est[s_i]
-        u_prior[i] = _quad(cert.P2, err0)
+        u_prior[i] = _quad(cert.P1, err0)
         p3_rhs[i] = prop3_bound(cert, sol.t_i, sol.t_i, sol.T_ti, u_prior[i],
                                 PiecewiseSignal(w.dt, w.values[s_i:k_i]))
         sup_lhs[i] = float(np.linalg.norm(err))

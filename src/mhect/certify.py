@@ -10,8 +10,9 @@ Jacobians:
     [ (PB - C'RD)'               -D'RD - Q   ]  <=  0
 
 at every point of the model's boxes X x W, with kappa = -ln(lambda).  A
-certificate file holds P twice, as P1 and P2, which must be equal, then Q,
-R, lambda and the verification record.  The module verifies given weights
+certificate holds the one weight P, as P1; its file writes it twice, under
+the keys P1 and P2, and loading refuses them unequal.  The file then holds
+Q, R, lambda and the verification record.  The module verifies given weights
 on a grid, synthesizes feasible weights with a log-det barrier
 interior-point method, and derives the horizon threshold and contraction
 rate used by the estimator error bounds.  Each barrier stage centres on
@@ -106,13 +107,12 @@ class VerificationReport:
 class DetectabilityCertificate:
     """Quadratic detectability weights with decay rate lambda on the model's boxes.
 
-    Invariants enforced at construction: all weights symmetric positive
-    definite, P2 = P1 to 1e-12 * max(1, max|P2|), after which both fields
-    hold P1's array, and lambda in (0, 1).
+    P1 is the one weight P of V(a, b) = |a - b|^2_P, named after its file
+    key.  Invariants enforced at construction: all weights symmetric
+    positive definite and lambda in (0, 1).
     """
 
     P1: np.ndarray
-    P2: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     lam: float
@@ -121,32 +121,27 @@ class DetectabilityCertificate:
     def __post_init__(self):
         for name in ("P1", "Q", "R"):
             object.__setattr__(self, name, _check_sym_pd(getattr(self, name), name))
-        P2 = np.asarray(self.P2, dtype=float)
-        if P2.shape != self.P1.shape or not np.allclose(
-                P2, self.P1, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(P2).max()))):
-            raise ConfigurationError("P2 must equal P1: the certificate has one weight P")
-        object.__setattr__(self, "P2", self.P1)
         _kappa_of(self.lam)
 
-    @classmethod
-    def from_weights(cls, P, Q, R, lam):
-        """Single-P certificate (P1 = P2 = P)."""
-        return cls(P, P, Q, R, float(lam))
-
     def to_dict(self):
-        return {"P1": self.P1.tolist(), "P2": self.P2.tolist(), "Q": self.Q.tolist(),
+        return {"P1": self.P1.tolist(), "P2": self.P1.tolist(), "Q": self.Q.tolist(),
                 "R": self.R.tolist(), "lambda": self.lam,
                 "verification": self.verification.to_dict() if self.verification else None}
 
     @classmethod
     def from_dict(cls, d):
-        """Older files also hold kappa, which must equal -ln(lambda) to 1e-12,
-        and domain, boxes X, U, W that must be well-formed but go unused."""
+        """The file's P2 must equal P1 to 1e-12 * max(1, max|P2|).  Older
+        files also hold kappa, which must equal -ln(lambda) to 1e-12, and
+        domain, boxes X, U, W that must be well-formed but go unused."""
         d = _section(d, "certificate")
         ver = VerificationReport.from_dict(d["verification"]) if d.get("verification") else None
-        cert = cls(*(_numeric(d, k, "certificate", convert) for k, convert in (
+        P1, P2, Q, R, lam = (_numeric(d, k, "certificate", convert) for k, convert in (
             ("P1", _float_array), ("P2", _float_array), ("Q", _float_array),
-            ("R", _float_array), ("lambda", float))), ver)
+            ("R", _float_array), ("lambda", float)))
+        cert = cls(P1, Q, R, lam, ver)
+        if P2.shape != cert.P1.shape or not np.allclose(
+                P2, cert.P1, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(P2).max()))):
+            raise ConfigurationError("P2 must equal P1: the certificate has one weight P")
         if "kappa" in d and abs(_numeric(d, "kappa", "certificate") - _kappa_of(cert.lam)) > 1e-12:
             raise ConfigurationError("kappa must equal -ln(lambda) to 1e-12")
         if "domain" in d:
@@ -484,32 +479,25 @@ def synthesize_certificate(model, lam, mode, grid):
         raise RuntimeError(
             "internal consistency error: synthesized weights failed re-verification "
             f"(max eigenvalue {report.max_eig:.3e})")
-    return DetectabilityCertificate(P, P, Q, R, float(lam), report)
+    return DetectabilityCertificate(P, Q, R, float(lam), report)
 
 
 # ---------------------------------------------------------------------------
 # horizon threshold and contraction rate
 
-def _min_horizon_formula(lmax, lam, delta_bar):
-    """lmax > 0 and lam in (0, 1) hold for every certificate."""
+def min_horizon(cert, delta_bar):
+    """Smallest admissible horizon: -ln(4)/ln(lambda) + delta_bar."""
     if delta_bar < 0.0:
         raise ConfigurationError("need delta_bar >= 0")
-    return -math.log(4.0 * lmax) / math.log(lam) + delta_bar
-
-
-def min_horizon(cert, delta_bar):
-    """Smallest admissible horizon: -ln(4*lmax(P2, P1))/ln(lambda) + delta_bar."""
-    return _min_horizon_formula(geneig_max(cert.P2, cert.P1), cert.lam, delta_bar)
+    return -math.log(4.0) / math.log(cert.lam) + delta_bar
 
 
 def contraction_rate(cert, T, delta_bar):
-    """Decay rate rho = (4*lmax)^(1/(T - delta_bar)) * lambda of the estimate
-    error bound; requires T strictly above min_horizon."""
-    lmax = geneig_max(cert.P2, cert.P1)
-    bound = _min_horizon_formula(lmax, cert.lam, delta_bar)
+    """Decay rate rho = 4^(1/(T - delta_bar)) * lambda of the estimate error
+    bound; requires T strictly above min_horizon."""
+    bound = min_horizon(cert, delta_bar)
     if not T > bound:
         raise HorizonError(
-            f"horizon T = {T} must strictly exceed -ln(4*lmax)/ln(lambda) + delta_bar "
-            f"= {bound} (lmax = {lmax}, lambda = {cert.lam}, delta_bar = {delta_bar})")
-    rho = (4.0 * lmax) ** (1.0 / (T - delta_bar)) * cert.lam
-    return rho
+            f"horizon T = {T} must strictly exceed -ln(4)/ln(lambda) + delta_bar "
+            f"= {bound} (lambda = {cert.lam}, delta_bar = {delta_bar})")
+    return 4.0 ** (1.0 / (T - delta_bar)) * cert.lam

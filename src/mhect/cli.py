@@ -95,7 +95,7 @@ def bench_times():
 
 
 def bench_certificate():
-    return DetectabilityCertificate.from_weights(BENCH_P, BENCH_Q, BENCH_R, BENCH_LAMBDA)
+    return DetectabilityCertificate(BENCH_P, BENCH_Q, BENCH_R, BENCH_LAMBDA)
 
 
 def bench_run(seed=1, *, sampler_spec=None, t_sim=BENCH_T_SIM, T=BENCH_T):
@@ -234,7 +234,7 @@ def _scenario_certificate(cfg):
     if isinstance(c, dict) and "P" in c:
         P, Q, R = [_numeric(c, k, "certificate", _float_array) for k in ("P", "Q", "R")]
         lam = _numeric(c, "lambda", "certificate")
-        return DetectabilityCertificate.from_weights(P, Q, R, lam)
+        return DetectabilityCertificate(P, Q, R, lam)
     raise ConfigurationError("certificate must be a file path or inline {P, Q, R, lambda}")
 
 

@@ -3,7 +3,7 @@
 At each sampling time t_i the estimator solves, over the window of length
 T_ti = min(t_i, T),
 
-    min  2 lam^T_ti |chi - prior|^2_P2
+    min  2 lam^T_ti |chi - prior|^2_P
          + int_0^T_ti lam^(T_ti - tau) (2 |w(tau)|^2_Q + |y_meas - y_est|^2_R) dtau
 
 subject to the model dynamics, chi in X and w(tau) in W.  Disturbances are
@@ -296,7 +296,7 @@ class _WindowProblem:
         self.prior = np.asarray(prior, dtype=float)
 
         om = discount_weights(cert.lam, self.N, self.dt, horizon=T_ti)
-        self.sq_prior = math.sqrt(2.0 * cert.lam ** T_ti) * _psd_sqrt(cert.P2)
+        self.sq_prior = math.sqrt(2.0 * cert.lam ** T_ti) * _psd_sqrt(cert.P1)
         self.sqQ = _psd_sqrt(cert.Q)
         self.sqR = _psd_sqrt(cert.R)
         self.sw = np.sqrt(2.0 * om)
@@ -806,6 +806,6 @@ def truth_candidate_cost(run, i):
     k_i = int(run.sampling.k_indices[i])
     s_i = k_i - sol.w_star.n_pieces
     d0 = run.truth.x_true.states[s_i] - run.estimate[s_i]
-    return (2.0 * cert.lam ** sol.T_ti * _quad(cert.P2, d0)
+    return (2.0 * cert.lam ** sol.T_ti * _quad(cert.P1, d0)
             + 2.0 * _discounted_energy(cert.Q, cert.lam, run.truth.w.values[s_i:k_i], run.dt,
                                        sol.T_ti))

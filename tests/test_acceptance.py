@@ -84,7 +84,7 @@ P_WITNESS = np.array([[4.0094, 3.7682], [3.7682, 3.5486]])
 def test_01_reference_weights_verify_strictly(reactor, ref_cert):
     rounded = np.array([[float(f"{v:.4g}") for v in row] for row in P_WITNESS])
     quoted = bool(np.array_equal(rounded, ref_cert.P1))
-    cert = DetectabilityCertificate.from_weights(
+    cert = DetectabilityCertificate(
         P_WITNESS, ref_cert.Q, ref_cert.R, ref_cert.lam)
     t0 = time.perf_counter()
     report = verify_certificate(reactor, cert, VERTS, tol_psd=1e-6)

@@ -38,7 +38,7 @@ def test_theorem1_bound_no_noise(ref_cert):
     d0 = chi - chi_hat
     for rho in (0.86, 0.5):
         got = theorem1_bound(ref_cert, rho, chi, chi_hat, w, 1.0, factor=8)
-        assert got == pytest.approx(4.0 * rho * float(d0 @ ref_cert.P2 @ d0), rel=1e-13)
+        assert got == pytest.approx(4.0 * rho * float(d0 @ ref_cert.P1 @ d0), rel=1e-13)
 
 
 def test_theorem1_bound_constant_noise(ref_cert):
@@ -91,8 +91,7 @@ def test_sup_bound_constants(ref_cert):
     c = sup_bound_constants(ref_cert, rho)
     p1 = np.linalg.eigvalsh(ref_cert.P1)
     q = np.linalg.eigvalsh(ref_cert.Q)
-    p2_max = float(np.linalg.eigvalsh(ref_cert.P2)[-1])
-    assert c.C == pytest.approx(math.sqrt(8.0 * p2_max / p1[0]), rel=1e-13)
+    assert c.C == pytest.approx(math.sqrt(8.0 * p1[-1] / p1[0]), rel=1e-13)
     assert c.rho_s == pytest.approx(math.sqrt(rho), rel=1e-13)
     assert abs(c.rho_s - 0.9276) < 1e-4
     assert c.gamma_coeff == pytest.approx(

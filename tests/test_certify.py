@@ -14,7 +14,7 @@ from mhect import (DetectabilityCertificate, FixedQR, GridSpec, SdpOptions, Syst
                    load_certificate, min_horizon, model_from_dict, save_certificate,
                    synthesize_certificate, verify_certificate)
 from mhect.certify import (MU0, _BarrierSDP, _check_sym_pd, _distinct_points, _distinct_rows,
-                           _min_horizon_formula, _sym_basis, _synthesis_problem, grid_points)
+                           _sym_basis, _synthesis_problem, grid_points)
 from mhect.cli import bench_certificate
 from mhect.errors import ConfigurationError, HorizonError, InfeasibleError
 from mhect.rng import SplitMix64
@@ -95,13 +95,13 @@ def test_inequality_is_affine_in_the_weights(reactor):
 
 def test_verify_scalar_certificate():
     m = scalar_model()
-    cert = DetectabilityCertificate.from_weights(
+    cert = DetectabilityCertificate(
         np.eye(1), np.eye(1), np.eye(1), math.exp(-1.0))
     rep = verify_certificate(m, cert, VERTS)
     assert rep.passed and rep.mode == "vertices" and rep.n_points == 4
     assert rep.max_eig == pytest.approx(GOLDEN, abs=1e-12)
 
-    tight = DetectabilityCertificate.from_weights(
+    tight = DetectabilityCertificate(
         np.eye(1), np.eye(1), np.eye(1), math.exp(-3.0))
     rep3 = verify_certificate(m, tight, VERTS)
     assert not rep3.passed
@@ -123,7 +123,7 @@ def test_verify_reference_weights(reactor, ref_cert):
 def test_verify_refuses_a_tolerance_that_is_not_finite(reactor, tol):
     # unit weights peak at +1.248 on the vertices: an infinite tolerance
     # would pass them, and a nan one fail them as if they were checked
-    cert = DetectabilityCertificate.from_weights(np.eye(2), np.eye(3), np.eye(1), 0.4)
+    cert = DetectabilityCertificate(np.eye(2), np.eye(3), np.eye(1), 0.4)
     with pytest.raises(ConfigurationError, match=f"verification tolerance {tol} must be finite"):
         verify_certificate(reactor, cert, VERTS, tol_psd=tol)
 
@@ -216,7 +216,7 @@ def test_vertex_checks_are_sufficient_where_the_exponents_allow(case):
     # peak at x = 0 above every vertex, is one fixed case.
     spec, P, Q, R, lam = case
     model = model_from_dict(spec)
-    cert = DetectabilityCertificate.from_weights(P, Q, R, lam)
+    cert = DetectabilityCertificate(P, Q, R, lam)
     try:
         rep = verify_certificate(model, cert, VERTS)
     except ConfigurationError as e:
@@ -263,7 +263,7 @@ def _oracle_case(name):
                                    [_term(-1.0, [0, 1], [0]), _term(1.0, [0, 0], [1])]],
                                   [[_term(1.0, [1, 0], [0]), _term(1.0, [0, 1], [0])]])
         grid = GridSpec(x_points=3, w_points=3)
-    return model, DetectabilityCertificate.from_weights(
+    return model, DetectabilityCertificate(
         np.eye(model.n), np.eye(model.q), np.eye(model.p), 0.5), grid
 
 
@@ -337,23 +337,23 @@ def test_generalized_eigenvalue_examples():
 
 def test_certificate_invariants():
     P = np.eye(2)
+    unequal = dict(older_certificate_file(), P2=[[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ConfigurationError, match="P2 must equal P1"):
-        DetectabilityCertificate(2 * P, P, np.eye(3), np.eye(1), 0.4)      # P1 > P2
+        DetectabilityCertificate.from_dict(unequal)
     with pytest.raises(ConfigurationError):
-        DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), 1.2)
+        DetectabilityCertificate(P, np.eye(3), np.eye(1), 1.2)
     with pytest.raises(ConfigurationError):
-        DetectabilityCertificate.from_weights(np.array([[1.0, 2.0], [2.0, 1.0]]),
-                                              np.eye(3), np.eye(1), 0.4)
+        DetectabilityCertificate(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(3), np.eye(1), 0.4)
     # refused before the symmetry check, whose inf - inf would read as nan
     with pytest.raises(ConfigurationError, match="P has a non-finite entry"):
         _check_sym_pd(np.array([[1.0, np.inf], [np.inf, 1.0]]), "P")
     with pytest.raises(ConfigurationError, match="Q has a non-finite entry"):
-        DetectabilityCertificate.from_weights(P, np.diag([np.inf, 1.0, 1.0]), np.eye(1), 0.4)
+        DetectabilityCertificate(P, np.diag([np.inf, 1.0, 1.0]), np.eye(1), 0.4)
     for lam in (0.0, -0.5, math.nan):
         with pytest.raises(ConfigurationError, match="lambda must lie strictly inside"):
-            DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), lam)
-    c = DetectabilityCertificate.from_weights(P, np.eye(3), np.eye(1), 0.4)
-    assert np.array_equal(c.P1, c.P2)
+            DetectabilityCertificate(P, np.eye(3), np.eye(1), lam)
+    c = DetectabilityCertificate(P, np.eye(3), np.eye(1), 0.4)
+    assert c.to_dict()["P1"] == c.to_dict()["P2"]
     # kappa is derived from lambda; a file that stores it must agree to 1e-12
     assert list(c.to_dict()) == ["P1", "P2", "Q", "R", "lambda", "verification"]
     older = older_certificate_file()
@@ -367,7 +367,6 @@ def test_certificate_json_round_trip(tmp_path, reactor, synth_cert):
     save_certificate(synth_cert, str(path))
     back = load_certificate(str(path))
     assert np.array_equal(back.P1, synth_cert.P1)
-    assert np.array_equal(back.P2, synth_cert.P2)
     assert np.array_equal(back.Q, synth_cert.Q)
     assert np.array_equal(back.R, synth_cert.R)
     assert back.lam == synth_cert.lam
@@ -383,7 +382,7 @@ def test_older_file_with_unbounded_domain_axes_loads(tmp_path, reactor, ref_cert
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(older_certificate_file(X=[[0.0, None]], W=[[-1.0, 1.0]])))
     back = load_certificate(str(path))
-    for name in ("P1", "P2", "Q", "R"):
+    for name in ("P1", "Q", "R"):
         assert np.array_equal(getattr(back, name), getattr(ref_cert, name))
     assert back.lam == ref_cert.lam and back.verification is None
     assert (verify_certificate(reactor, back, VERTS).to_dict()
@@ -399,7 +398,7 @@ def test_synthesis_fixed_weights(reactor, synth_cert):
     assert rep.max_eig < -1e-6            # strictly feasible, not boundary-grazing
     assert np.array_equal(synth_cert.Q, Q_BENCH)
     assert np.array_equal(synth_cert.R, R_BENCH)
-    assert np.array_equal(synth_cert.P1, synth_cert.P2)
+    assert synth_cert.to_dict()["P1"] == synth_cert.to_dict()["P2"]
     assert np.linalg.eigvalsh(synth_cert.P1)[0] > 0.0
     # independent re-check, not just the attached report
     rep2 = verify_certificate(reactor, synth_cert, VERTS, tol_psd=1e-8)
@@ -744,19 +743,16 @@ def test_synthesis_rejects_bad_arguments(reactor):
 def test_min_horizon_values(ref_cert):
     assert min_horizon(ref_cert, 0.19) == pytest.approx(1.70294159473206, abs=1e-11)
     assert min_horizon(ref_cert, 0.0) == pytest.approx(-math.log(4.0) / math.log(0.4), abs=1e-12)
-    # a P2 four times smaller than P1 cancels the factor 4 entirely
-    assert _min_horizon_formula(0.25, 0.5, 0.3) == pytest.approx(0.3, abs=1e-15)
     with pytest.raises(ConfigurationError):
-        _min_horizon_formula(1.0, 0.5, -0.1)
+        min_horizon(ref_cert, -0.1)
 
 
 def test_contraction_rate_values(ref_cert):
     rho = contraction_rate(ref_cert, 2.0, 0.19)
     assert rho == pytest.approx(0.8603790379180039, abs=1e-12)
     assert abs(rho - 0.86) < 0.005
-    # defining identity: rho^(T - delta_bar) = 4 * lmax * lambda^(T - delta_bar)
-    lmax = geneig_max(ref_cert.P2, ref_cert.P1)
-    assert rho ** (2.0 - 0.19) == pytest.approx(4.0 * lmax * 0.4 ** (2.0 - 0.19), rel=1e-12)
+    # defining identity: rho^(T - delta_bar) = 4 * lambda^(T - delta_bar)
+    assert rho ** (2.0 - 0.19) == pytest.approx(4.0 * 0.4 ** (2.0 - 0.19), rel=1e-12)
     # longer horizons decay closer to the certificate rate itself
     assert contraction_rate(ref_cert, 10.0, 0.19) < rho
     assert contraction_rate(ref_cert, 10.0, 0.19) > ref_cert.lam

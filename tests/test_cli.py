@@ -184,7 +184,7 @@ def test_certify_check_refuses_mis_sized_weights(tmp_path, capsys, weight, value
     ref = bench_certificate()
     weights = {"P": ref.P1, "Q": ref.Q, "R": ref.R, weight: value}
     path = tmp_path / "cert.json"
-    save_certificate(DetectabilityCertificate.from_weights(
+    save_certificate(DetectabilityCertificate(
         weights["P"], weights["Q"], weights["R"], ref.lam), str(path))
     assert main(["certify", "--check", str(path), "--vertices"]) == 2
     d = len(value)

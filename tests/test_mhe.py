@@ -263,11 +263,11 @@ def test_config_validation(ref_cert):
 def _objective_by_definition(model, cert, prior, y, T, w, x):
     """The objective of the window [0, T] with outputs y (pieces of length
     0.01) at disturbance pieces w and node states x, straight from its
-    definition: 2 lam^T |x_0 - prior|^2_P2 plus, on each piece j, the
+    definition: 2 lam^T |x_0 - prior|^2_P plus, on each piece j, the
     integral om_j of lam^(T - tau) times 2 |w_j|^2_Q + |y_j - h(x_j, w_j)|^2_R."""
     lam, dt = cert.lam, 0.01
     d0 = x[0] - prior
-    expect = 2.0 * lam ** T * (d0 @ cert.P2 @ d0)
+    expect = 2.0 * lam ** T * (d0 @ cert.P1 @ d0)
     for j, wj in enumerate(w):
         om = (lam ** (T - (j + 1) * dt) - lam ** (T - j * dt)) / (-math.log(lam))
         dyj = y[j] - model.h(x[j], wj)
@@ -566,7 +566,7 @@ def _escape_window():
                         jac_f_x=lambda x, w: 2.0 * x[..., None],
                         jac_f_w=const_jac(1.0), jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                         X=None, W=[[-0.1, 0.1]])
-    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5)
+    cert = DetectabilityCertificate(np.eye(1), np.eye(1), np.eye(1), 0.5)
     cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
     return model, cfg, PiecewiseSignal(0.01, np.full((10, 1), 0.1))
 
@@ -615,7 +615,7 @@ def test_diverging_warm_start_falls_back_to_the_cold_start(caplog):
 def _rollout_window(model, N):
     """A window of N pieces of the model with unit weights and zero outputs."""
     n, q, p = model.n, model.q, model.p
-    cert = DetectabilityCertificate.from_weights(np.eye(n), np.eye(q), np.eye(p), 0.5)
+    cert = DetectabilityCertificate(np.eye(n), np.eye(q), np.eye(p), 0.5)
     cfg = MheConfig(cert, 8.0, 0.01, Equidistant(0.1))
     return _WindowProblem(model, cfg, np.zeros(n),
                           PiecewiseSignal(0.01, np.zeros((N, p))), N * 0.01)
@@ -787,7 +787,7 @@ def _escalation_window():
                         jac_f_x=const_jac(0.0), jac_f_w=const_jac(1.0),
                         jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                         X=[[-1.0, 1.0]], W=[[-10.0, 10.0]])
-    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5)
+    cert = DetectabilityCertificate(np.eye(1), np.eye(1), np.eye(1), 0.5)
     cfg = MheConfig(cert, 0.5, 0.01, Equidistant(0.1))
     y_seg = PiecewiseSignal(0.01, np.full((50, 1), 5.0))
     return model, cert, y_seg, solve_mhe(model, cfg, np.array([0.0]), y_seg, 0.5)
@@ -817,7 +817,7 @@ def test_window_left_outside_x_is_flagged_penalty_infeasible(tmp_path):
                         jac_f_x=const_jac(0.0), jac_f_w=const_jac(0.0),
                         jac_h_x=const_jac(1.0), jac_h_w=const_jac(0.0),
                         X=[[-0.01, 0.01]], W=[[-1.0, 1.0]])
-    cert = DetectabilityCertificate.from_weights(np.eye(1), np.eye(1), np.eye(1), 0.5)
+    cert = DetectabilityCertificate(np.eye(1), np.eye(1), np.eye(1), 0.5)
     run = run_mhe(model, MheConfig(cert, 0.5, 0.01, Equidistant(0.1)), chi_hat=[0.0],
                   t_sim=0.1, chi=[0.0])
     (sol,) = run.solutions
