@@ -247,12 +247,6 @@ def _discounted_energy(M, rate, v, dt, horizon):
 # ---------------------------------------------------------------------------
 # window solver
 
-def _psd_sqrt(M):
-    vals, vecs = np.linalg.eigh(M)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
 @dataclass
 class SolverStats:
     iterations: int = 0
@@ -296,9 +290,11 @@ class _WindowProblem:
         self.prior = np.asarray(prior, dtype=float)
 
         om = discount_weights(cert.lam, self.N, self.dt, horizon=T_ti)
-        self.sq_prior = math.sqrt(2.0 * cert.lam ** T_ti) * _psd_sqrt(cert.P1)
-        self.sqQ = _psd_sqrt(cert.Q)
-        self.sqR = _psd_sqrt(cert.R)
+        # Cholesky factors U with U'U = M of the positive definite weights: a row U v
+        # squares to |v|^2_M
+        self.sq_prior, self.sqQ, self.sqR = (np.linalg.cholesky(M).T
+                                             for M in (cert.P1, cert.Q, cert.R))
+        self.sq_prior *= math.sqrt(2.0 * cert.lam ** T_ti)
         self.sw = np.sqrt(2.0 * om)
         self.sy = np.sqrt(om)
 
@@ -378,9 +374,9 @@ class _WindowProblem:
         Wp = z[n:].reshape(N, q)
         parts = [self.sq_prior @ (z[:n] - self.prior)]
         if N:
-            parts.append((self.sw[:, None] * (Wp @ self.sqQ)).ravel())
+            parts.append((self.sw[:, None] * (Wp @ self.sqQ.T)).ravel())
             y_est = self.model.h(states[:-1], Wp)
-            parts.append((self.sy[:, None] * ((self.y - y_est) @ self.sqR)).ravel())
+            parts.append((self.sy[:, None] * ((self.y - y_est) @ self.sqR.T)).ravel())
         _, _, v = self._active_violations(states)
         if v.size:
             parts.append(math.sqrt(self.pen) * v)

@@ -1044,6 +1044,50 @@ def test_window_jacobian_matches_finite_differences(ref_cert):
             assert np.abs(J[:, idx] - col).max() < 2e-5 * max(1.0, np.abs(col).max())
 
 
+def test_window_rows_weigh_by_full_weights(ref_cert):
+    # the window's square roots of P, Q and R are Cholesky factors U with
+    # U'U = M, which are not symmetric.  On the reactor measured twice, with
+    # full P, Q and R, the rows square to the objective by its definition,
+    # the dense Jacobian of those rows matches finite differences, and the
+    # stage model's J'r and damped step are the dense ones
+    k1, k2 = 0.16, 0.0064
+    term = lambda c, x=(0, 0), w=(0, 0, 0): {"coeff": c, "x_exp": x, "w_exp": w}
+    model = model_from_dict({
+        "state_dim": 2, "dist_dim": 3, "output_dim": 2,
+        "f": [[term(-2.0 * k1, x=(2, 0)), term(2.0 * k2, x=(0, 1)), term(1.0, w=(1, 0, 0))],
+              [term(k1, x=(2, 0)), term(-k2, x=(0, 1)), term(1.0, w=(0, 1, 0))]],
+        "h": [[term(1.0, x=(1, 0)), term(1.0, x=(0, 1)), term(1.0, w=(0, 0, 1))],
+              [term(1.0, x=(1, 0)), term(-0.5, w=(0, 0, 1))]],
+        "X": [[0.1, 5.0], [0.1, 5.0]], "W": [[-0.1, 0.1]] * 3})
+    Q = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.5]])
+    cert = DetectabilityCertificate(ref_cert.P1, Q, np.array([[3.0, 1.0], [1.0, 2.0]]), 0.4)
+    rng = SplitMix64(21)
+    N = 6
+    y = PiecewiseSignal(0.01, np.array([3.9, 2.8]) + 0.1 * rng.uniforms((N, 2)))
+    prior = np.array([3.0, 1.0])
+    prob = _WindowProblem(model, MheConfig(cert, 2.0, 0.01, Equidistant(0.1)), prior, y,
+                          N * 0.01)
+    z = np.concatenate([[2.9, 1.1], 0.05 * (rng.uniforms((N * 3,)) - 0.5)])
+    states = prob.forward(z)
+    r = prob.residuals(z, states)
+    assert r.size == 2 + N * 5   # objective rows only: the states stay in X
+    assert r @ r == pytest.approx(_objective_by_definition(
+        model, cert, prior, y.values, N * 0.01, z[2:].reshape(N, 3), states), rel=1e-12)
+    J = _dense_jacobian(prob, z, states)
+    for idx in range(z.size):
+        e = np.zeros(z.size)
+        e[idx] = 1e-7
+        col = (prob.residuals(z + e, prob.forward(z + e))
+               - prob.residuals(z - e, prob.forward(z - e))) / 2e-7
+        assert np.abs(J[:, idx] - col).max() < 2e-5 * max(1.0, np.abs(col).max())
+    lin = prob.linearize(z, states, r)
+    Jtr = J.T @ r
+    assert np.linalg.norm(prob.gradient(lin) - Jtr) <= 1e-10 * np.linalg.norm(Jtr)
+    dense = np.linalg.solve(J.T @ J + 1e-3 * np.eye(z.size), -Jtr)
+    step, _ = prob.lm_step(lin, np.ones(z.size, bool), 1e-3)
+    assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
 def _window_with_violations(ref_cert, N):
     """A window of N pieces at a point whose trajectory leaves a shrunken X,
     at the terminal node N among others, so penalty rows are active."""
