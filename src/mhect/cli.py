@@ -349,9 +349,9 @@ def cmd_simulate(args):
 
 
 def _run_from_config(args):
-    """The scenario's estimation run, refused (HorizonError) when T is at or
-    below the minimal horizon: before any window for a schedule known in
-    advance, after the run for an event-triggered one, which needs it."""
+    """The scenario's model and estimation run, refused (HorizonError) when T
+    is at or below the minimal horizon: before any window for a schedule
+    known in advance, after the run for an event-triggered one, which needs it."""
     model, cfg, chi, chi_hat, w, t_sim = _assemble_scenario(args.config)
     if chi is None:
         raise ConfigurationError("estimation from config needs ground truth chi")
@@ -359,11 +359,11 @@ def _run_from_config(args):
         _bound_rate(cfg, make_sampler(cfg.sampling, t_sim, cfg.dt, cfg.T))
     run = run_mhe(model, cfg, chi_hat=chi_hat, t_sim=t_sim, chi=chi, w=w)
     _bound_rate(cfg, run.sampling)
-    return run
+    return model, run
 
 
 def cmd_estimate(args):
-    run = _run_from_config(args)
+    _, run = _run_from_config(args)
     out = _resolve_out(args)
     _write_run_outputs(run, None, out)
     worst = max((s.stats.wall_time for s in run.solutions), default=0.0)
@@ -372,10 +372,17 @@ def cmd_estimate(args):
 
 
 def cmd_audit(args):
-    run = _run_from_config(args)
+    model, run = _run_from_config(args)
     report = audit_run(run)
     out = _resolve_out(args)
     _write_run_outputs(run, report, out)
+    x, X = run.truth.x_true.states, model.X
+    outside = np.argwhere((x < X[:, 0] - 1e-9) | (x > X[:, 1] + 1e-9))
+    if outside.size:
+        k, i = outside[0]
+        print(f"truth leaves X at t = {k * run.dt:g} (x{i + 1} = {x[k, i]:.6g}), where the "
+              "certificate does not hold: the bounds guarantee nothing", file=sys.stderr)
+        return 3
     print(f"decay bound {'holds' if report.passed else 'VIOLATED'}; "
           f"worst relative margin {report.worst_margin:.4e}; rho = {report.rho:.5f}")
     return 0 if (report.passed and report.prop3_passed and report.sup_passed) else 4

@@ -300,6 +300,23 @@ def test_audit_event_sampler(tmp_path, capsys):
     assert gaps.min() >= 0.05 - 1e-12 and gaps.max() <= 0.25 + 1e-12
 
 
+def test_audit_of_a_truth_that_leaves_x_exits_3(tmp_path, capsys):
+    # a disturbance that drains both species pushes x1 below X's 0.1 at
+    # t = 0.21; the bounds still compute, but the certificate holds only on
+    # X, so the audit names the first exit instead of printing "holds"
+    cfg = scenario(tmp_path, t_sim=0.3, chi=[0.12, 0.12], chi_hat=[0.2, 0.2],
+                   disturbance={"box": [[-0.1, -0.09], [-0.1, -0.09], [-0.05, 0.05]],
+                                "seed": 3})
+    out = tmp_path / "o"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "holds" not in captured.out
+    assert "truth leaves X at t = 0.21 (x1 = 0.0995575)" in captured.err
+    truth = np.loadtxt(out / "truth.csv", delimiter=",", skiprows=1)
+    assert truth[21, 1] < 0.1 <= truth[:21, 1:].min()
+    assert json.loads((out / "summary.json").read_text())["passed"] is True
+
+
 def test_scenario_error_exit_codes(tmp_path, capsys):
     assert main(["estimate", "--config", "/nonexistent.json"]) == 2
     assert main(["estimate", "--config", scenario(tmp_path, T="nope")]) == 2
