@@ -6,6 +6,8 @@ a simple legend.  Not a general plotting layer.
 
 import math
 
+import numpy as np
+
 _W, _H = 720, 400
 _ML, _MR, _MT, _MB = 62, 16, 34, 44
 # a span below this fraction of the values' magnitude is rounding noise, not
@@ -14,9 +16,9 @@ _REL_RES = 1e-12
 
 
 def _axis_range(lo, hi):
-    """[lo, hi], widened to length max(1, |lo|) when it is empty or below
-    float resolution relative to its end points."""
-    if hi - lo <= _REL_RES * max(abs(lo), abs(hi)):
+    """[lo, hi], widened to length max(1, |lo|) when it is empty or below float
+    resolution: relative to its end points, or the smallest normal float."""
+    if hi - lo <= max(_REL_RES * max(abs(lo), abs(hi)), np.finfo(float).tiny):
         hi = lo + max(1.0, abs(lo))
     return lo, hi
 
@@ -49,10 +51,10 @@ def line_plot(path, series, *, title="", xlabel="", ylabel=""):
     color (css color), and optionally line=False to draw point markers
     instead of a polyline.
     """
-    xs = [v for s in series for v in s["x"]]
-    ys = [v for s in series for v in s["y"]]
-    x_lo, x_hi = _axis_range(min(xs), max(xs))
-    y_lo, y_hi = _axis_range(min(ys), max(ys))
+    xs = np.concatenate([s["x"] for s in series])
+    ys = np.concatenate([s["y"] for s in series])
+    x_lo, x_hi = _axis_range(xs.min(), xs.max())
+    y_lo, y_hi = _axis_range(ys.min(), ys.max())
     pad = 0.04 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
@@ -89,12 +91,12 @@ def line_plot(path, series, *, title="", xlabel="", ylabel=""):
     # data
     for s in series:
         color = s.get("color", "#1f77b4")
-        if s.get("line", True) and len(s["x"]) > 1:
-            pts = " ".join(f"{X(a):.2f},{Y(b):.2f}" for a, b in zip(s["x"], s["y"]))
-            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"/>')
+        pts = list(zip(X(s["x"]).tolist(), Y(s["y"]).tolist()))
+        if s.get("line", True) and len(pts) > 1:
+            xy = " ".join("%.2f,%.2f" % p for p in pts)
+            parts.append(f'<polyline points="{xy}" fill="none" stroke="{color}" stroke-width="1.4"/>')
         if not s.get("line", True):
-            for a, b in zip(s["x"], s["y"]):
-                parts.append(f'<circle cx="{X(a):.2f}" cy="{Y(b):.2f}" r="2.4" fill="{color}"/>')
+            parts.extend(f'<circle cx="%.2f" cy="%.2f" r="2.4" fill="{color}"/>' % p for p in pts)
     # legend
     lx, ly = _ML + 10, _MT + 14
     for s in series:
