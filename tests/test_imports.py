@@ -1,7 +1,7 @@
 """Every name a package module imports is referenced in that module, every
 public name, private helper, method and property has a caller in the
-package, no module converts a JSON field by hand, and every name the
-benchmark tracer rebinds is bound.
+package, every dataclass field is read in the package, no module converts
+a JSON field by hand, and every name the benchmark tracer rebinds is bound.
 
 There is no linter in the toolchain, so this stdlib-ast check stands in for
 the unused-import rule.  __init__.py is exempt: it imports to re-export.
@@ -88,6 +88,58 @@ def test_helper_rule_catches_an_unreferenced_helper():
     tree = ast.parse("def _dead(): pass\nclass C:\n    def m(self): pass\n"
                      "    def __init__(self): pass\ndef public(): pass")
     assert list(helpers_and_methods(tree)) == [("_dead", "_dead"), ("C.m", "m")]
+
+
+# dataclass fields that only readers outside the package read, each with its reason
+UNREAD_FIELDS = {
+    "GridSpec.affinity_asserted": "the benchmark workloads pass it; it goes once they stop",
+    "MheSolution.chi_star": "the benchmark workloads and the tests read it; it equals "
+                            "x_star.states[0] bit for bit and goes once the workloads stop",
+    "SolverStats.trials": "the benchmark counts it as mhe.lm_trials; the package only "
+                          "increments it",
+}
+
+
+def is_name(node, name):
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def dataclass_fields(tree):
+    """(qualified name, name) of each annotated field of a module-level
+    class decorated with dataclass or dataclass(...)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                is_name(d.func if isinstance(d, ast.Call) else d, "dataclass")
+                for d in node.decorator_list):
+            yield from ((f"{node.name}.{f.target.id}", f.target.id) for f in node.body
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name))
+
+
+def read_names(tree):
+    """Names read as an attribute, or by getattr with a literal name;
+    an attribute that is only assigned or incremented is not read."""
+    return ({n.attr for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+            | {n.args[1].value for n in ast.walk(tree)
+               if isinstance(n, ast.Call) and is_name(n.func, "getattr")
+               and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)})
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    trees = [ast.parse((SRC / m).read_text(), filename=m) for m in MODULES]
+    read = set().union(*map(read_names, trees))
+    unread = sorted(q for tree in trees for q, name in dataclass_fields(tree)
+                    if name not in read and q not in UNREAD_FIELDS)
+    assert not unread, f"dataclass fields nothing in the package reads: {unread}"
+
+
+def test_field_rule_catches_an_unread_field():
+    tree = ast.parse("@dataclass(frozen=True)\nclass A:\n    a: int\n    b: int = 0\n"
+                     "    c = 1\n@dataclass\nclass B:\n    d: float\nclass C:\n    e: int\n"
+                     "x.a += 1\nx.d = 2\ny = getattr(x, 'b') + x.c")
+    fields = list(dataclass_fields(tree))
+    assert fields == [("A.a", "a"), ("A.b", "b"), ("B.d", "d")]
+    assert [q for q, name in fields if name not in read_names(tree)] == ["A.a", "B.d"]
 
 
 CONVERTERS = {"float", "int", "bool", "str"}

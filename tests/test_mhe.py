@@ -721,6 +721,10 @@ def test_bench_windows_end_on_their_accepted_step(monkeypatch):
     # a step out of the box; clipped, it took 12, 10, 10 and 8 trials
     trials = [s.stats.trials for s in runs[0].solutions if 0.235 < s.t_i < 0.365]
     assert len(trials) == 4 and max(trials) <= 3
+    # chi_star is the first node of the accepted rollout, bit for bit: rollout
+    # sets it to the decision's chi and forward copies the decision's chi
+    assert all(s.chi_star.tobytes() == s.x_star.states[0].tobytes()
+               for run in runs for s in run.solutions)
 
 
 def test_bench_windows_roll_out_sequentially_once_per_step(monkeypatch):
