@@ -290,11 +290,9 @@ class _WindowProblem:
         self.prior = np.asarray(prior, dtype=float)
 
         om = discount_weights(cert.lam, self.N, self.dt, horizon=T_ti)
-        # Cholesky factors U with U'U = M of the positive definite weights: a row U v
-        # squares to |v|^2_M
-        self.sq_prior, self.sqQ, self.sqR = (np.linalg.cholesky(M).T
-                                             for M in (cert.P1, cert.Q, cert.R))
-        self.sq_prior *= math.sqrt(2.0 * cert.lam ** T_ti)
+        # Cholesky factors U'U = M of the positive definite weights: U v squares to |v|^2_M
+        self.sq_prior = math.sqrt(2.0 * cert.lam ** T_ti) * np.linalg.cholesky(cert.P1).T
+        self.sqQ, self.sqR = np.linalg.cholesky(cert.Q).T, np.linalg.cholesky(cert.R).T
         self.sw = np.sqrt(2.0 * om)
         self.sy = np.sqrt(om)
 
