@@ -367,6 +367,7 @@ def test_certificate_json_round_trip(tmp_path, reactor, synth_cert):
     save_certificate(synth_cert, str(path))
     back = load_certificate(str(path))
     assert np.array_equal(back.P1, synth_cert.P1)
+    assert back.to_dict()["P2"] == synth_cert.to_dict()["P2"]
     assert np.array_equal(back.Q, synth_cert.Q)
     assert np.array_equal(back.R, synth_cert.R)
     assert back.lam == synth_cert.lam
@@ -382,8 +383,8 @@ def test_older_file_with_unbounded_domain_axes_loads(tmp_path, reactor, ref_cert
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(older_certificate_file(X=[[0.0, None]], W=[[-1.0, 1.0]])))
     back = load_certificate(str(path))
-    for name in ("P1", "Q", "R"):
-        assert np.array_equal(getattr(back, name), getattr(ref_cert, name))
+    for name in ("P1", "P2", "Q", "R"):
+        assert back.to_dict()[name] == ref_cert.to_dict()[name]
     assert back.lam == ref_cert.lam and back.verification is None
     assert (verify_certificate(reactor, back, VERTS).to_dict()
             == verify_certificate(reactor, ref_cert, VERTS).to_dict())
