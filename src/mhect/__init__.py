@@ -10,9 +10,8 @@ from .certify import (DetectabilityCertificate, FixedQR, GridSpec, SdpOptions,
                       VerificationReport, contraction_rate, geneig_max, lmi_matrix,
                       load_certificate, min_horizon, save_certificate, synthesize_certificate,
                       verify_certificate)
-from .mhe import (Equidistant, EstimationRun, EventTriggered, Explicit, MheConfig,
-                  MheSolution, SamplingSet, discount_weights, make_sampler, run_mhe,
-                  solve_mhe, truth_candidate_cost)
+from .mhe import (Equidistant, EstimationRun, Explicit, MheConfig, MheSolution, SamplingSet,
+                  discount_weights, make_sampler, run_mhe, solve_mhe, truth_candidate_cost)
 from .analysis import (BoundReport, SupBoundConstants, audit_run, prop3_bound,
                        sup_bound_constants, theorem1_bound)
 
@@ -27,8 +26,8 @@ __all__ = [
     "VerificationReport", "contraction_rate", "geneig_max", "lmi_matrix",
     "load_certificate", "min_horizon", "save_certificate",
     "synthesize_certificate", "verify_certificate", "Equidistant", "EstimationRun",
-    "EventTriggered", "Explicit", "MheConfig", "MheSolution", "SamplingSet",
-    "discount_weights", "make_sampler", "run_mhe",
+    "Explicit", "MheConfig", "MheSolution", "SamplingSet", "discount_weights",
+    "make_sampler", "run_mhe",
     "solve_mhe", "truth_candidate_cost", "BoundReport",
     "SupBoundConstants", "audit_run", "prop3_bound", "sup_bound_constants",
     "theorem1_bound", "__version__",

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, HorizonError, InfeasibleError
-from .sysmodel import (_boolean, _float_array, _integer, _numeric, _section, as_box,
-                       box_grid_axes)
+from .sysmodel import (_boolean, _float_array, _integer, _numeric, _read_json, _section,
+                       as_box, box_grid_axes)
 
 
 def _check_sym(M, name):
@@ -157,8 +157,7 @@ def save_certificate(cert, path):
 
 
 def load_certificate(path):
-    with open(path) as fh:
-        return DetectabilityCertificate.from_dict(json.load(fh))
+    return DetectabilityCertificate.from_dict(_read_json(path, "certificate"))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,11 @@ from .certify import (DetectabilityCertificate, FixedQR, GridSpec, contraction_r
                       synthesize_certificate, verify_certificate)
 from .errors import ConfigurationError, DivergenceError, InfeasibleError
 from .integrate import integrate, output_along
-from .mhe import (Equidistant, EventTriggered, Explicit, MheConfig, make_sampler, run_mhe,
-                  truth_candidate_cost)
+from .mhe import Equidistant, Explicit, MheConfig, make_sampler, run_mhe, truth_candidate_cost
 from .rng import SplitMix64
-from .sysmodel import (PiecewiseSignal, _boolean, _float_array, _integer, _numeric, _section,
-                       as_box, as_grid_index, batch_reactor, box_within, get_model, load_model,
-                       write_csv)
+from .sysmodel import (PiecewiseSignal, _boolean, _float_array, _integer, _numeric, _read_json,
+                       _section, as_box, as_grid_index, batch_reactor, box_within, get_model,
+                       load_model, write_series_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,8 @@ def _write_run_outputs(run, report, out_dir):
     run.estimate_csv(os.path.join(out_dir, "estimate.csv"))
     run.samples_csv(os.path.join(out_dir, "samples.csv"))
     if run.truth is not None:
-        run.truth.x_true.to_csv(os.path.join(out_dir, "truth.csv"))
+        x_true = run.truth.x_true
+        write_series_csv(os.path.join(out_dir, "truth.csv"), x_true.dt, x_true.states, "x")
     if report is not None:
         report.to_csv(os.path.join(out_dir, "bounds.csv"))
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -201,17 +201,6 @@ def _resolve_out(args):
     return out
 
 
-def _load_scenario(path):
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        raise ConfigurationError(f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
-        raise ConfigurationError(f"config is not valid JSON: {e}")
-    return _section(cfg, "config")
-
-
 def _float_tuple(value):
     return tuple(float(v) for v in value)
 
@@ -247,9 +236,6 @@ def _scenario_sampler(cfg):
         return Equidistant(_numeric(s, "delta", "sampler"))
     if kind == "explicit":
         return Explicit(_numeric(s, "times", "sampler", _float_tuple))
-    if kind == "event":
-        return EventTriggered(*(_numeric(s, k, "sampler")
-                                for k in ("threshold", "delta_min", "delta_max")))
     raise ConfigurationError(f"unknown sampler type {kind!r}")
 
 
@@ -270,7 +256,7 @@ def _scenario_disturbance(cfg, model, dt, t_sim):
 
 
 def _assemble_scenario(path):
-    cfg = _load_scenario(path)
+    cfg = _section(_read_json(path, "config"), "config")
     model = _scenario_model(cfg)
     cert = _scenario_certificate(cfg)
     T, dt, t_sim = (_numeric(cfg, k, "config") for k in ("T", "dt", "t_sim"))
@@ -326,12 +312,6 @@ def _print_report(report):
         print(f"worst point x = {report.worst_x}, w = {report.worst_w}")
 
 
-def _signal_csv(sig, path, prefix):
-    header = ["t"] + [f"{prefix}{i + 1}" for i in range(sig.dim)]
-    times = sig.dt * np.arange(sig.n_pieces)
-    write_csv(path, header, np.column_stack([times, sig.values]))
-
-
 def cmd_simulate(args):
     model, cfg, chi, chi_hat, w, t_sim = _assemble_scenario(args.config)
     if chi is None:
@@ -341,25 +321,21 @@ def cmd_simulate(args):
     out = _resolve_out(args)
     truth = integrate(model, chi, w, t_sim, cfg.dt)
     y = output_along(model, truth, w)
-    truth.to_csv(os.path.join(out, "truth.csv"))
-    _signal_csv(y, os.path.join(out, "y.csv"), "y")
-    _signal_csv(w, os.path.join(out, "w.csv"), "w")
+    write_series_csv(os.path.join(out, "truth.csv"), truth.dt, truth.states, "x")
+    write_series_csv(os.path.join(out, "y.csv"), y.dt, y.values, "y")
+    write_series_csv(os.path.join(out, "w.csv"), w.dt, w.values, "w")
     print(f"simulated {t_sim} time units -> {out}")
     return 0
 
 
 def _run_from_config(args):
-    """The scenario's model and estimation run, refused (HorizonError) when T
-    is at or below the minimal horizon: before any window for a schedule
-    known in advance, after the run for an event-triggered one, which needs it."""
+    """The scenario's model and estimation run, refused (HorizonError) before
+    any window when T is at or below the minimal horizon."""
     model, cfg, chi, chi_hat, w, t_sim = _assemble_scenario(args.config)
     if chi is None:
         raise ConfigurationError("estimation from config needs ground truth chi")
-    if not isinstance(cfg.sampling, EventTriggered):
-        _bound_rate(cfg, make_sampler(cfg.sampling, t_sim, cfg.dt, cfg.T))
-    run = run_mhe(model, cfg, chi_hat=chi_hat, t_sim=t_sim, chi=chi, w=w)
-    _bound_rate(cfg, run.sampling)
-    return model, run
+    _bound_rate(cfg, make_sampler(cfg.sampling, t_sim, cfg.dt, cfg.T))
+    return model, run_mhe(model, cfg, chi_hat=chi_hat, t_sim=t_sim, chi=chi, w=w)
 
 
 def cmd_estimate(args):
@@ -473,11 +449,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as e:
+    except (ConfigurationError, OSError) as e:   # OSError: writing the outputs
         print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"configuration error: {e!r}", file=sys.stderr)
         return 2
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .sysmodel import PiecewiseSignal, as_grid_index, write_csv
+from .sysmodel import PiecewiseSignal, as_grid_index
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,6 @@ class Trajectory:
     @property
     def n_steps(self):
         return self.states.shape[0] - 1
-
-    @property
-    def times(self):
-        return self.dt * np.arange(self.states.shape[0])
-
-    def to_csv(self, path):
-        header = ["t"] + [f"x{i + 1}" for i in range(self.states.shape[1])]
-        write_csv(path, header, np.column_stack([self.times, self.states]))
 
 
 def rk4_step(model, x, w, dt):

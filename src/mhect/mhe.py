@@ -111,34 +111,11 @@ class Explicit:
     times: tuple
 
 
-@dataclass(frozen=True)
-class EventTriggered:
-    """Sample when the integrated output-innovation energy crosses a threshold.
-
-    The schedule is computed offline from one nominal (w = 0) propagation of
-    the model from x0: the energy int |y_meas - y_nom|^2 dtau (Euclidean
-    norm) accumulates from the previous sample and the next sample lands on
-    the first grid node where it exceeds the threshold, clamped to
-    [delta_min, delta_max].  threshold = inf gives spacing delta_max exactly.
-    The data (model, y, x0) is not part of the spec: make_sampler takes it,
-    and run_mhe passes its own.
-    """
-
-    threshold: float
-    delta_min: float
-    delta_max: float
-
-
-def make_sampler(spec, t_sim, dt, horizon, *, model=None, y=None, x0=None):
-    """Realize a sampler spec as a SamplingSet on [0, t_sim] and check it
-    against the horizon: the one place where a schedule is built and the
-    largest gap delta_bar is held strictly below T (HorizonError otherwise,
-    since no window would be admissible).
-
-    Equidistant and Explicit specs need nothing else; EventTriggered needs
-    the data context model, measured y and nominal x0, which run_mhe passes
-    as its own model, y and chi_hat.
-    """
+def make_sampler(spec, t_sim, dt, horizon):
+    """Realize an Equidistant or Explicit spec as a SamplingSet on
+    [0, t_sim] and check it against the horizon: the one place where a
+    schedule is built and the largest gap delta_bar is held strictly below T
+    (HorizonError otherwise, since no window would be admissible)."""
     K = as_grid_index(t_sim, dt, "t_sim")
     if K < 1:
         raise ConfigurationError("t_sim must cover at least one step")
@@ -153,8 +130,6 @@ def make_sampler(spec, t_sim, dt, horizon, *, model=None, y=None, x0=None):
         ks = np.array([as_grid_index(t, dt, "sampling time") for t in spec.times])
         if ks.size and ks[-1] > K:
             raise ConfigurationError("explicit sampling times exceed t_sim")
-    elif isinstance(spec, EventTriggered):
-        ks = _event_schedule(spec, K, dt, model, y, x0)
     else:
         raise ConfigurationError("unknown sampler spec")
     sampling = SamplingSet(ks, dt)
@@ -165,47 +140,15 @@ def make_sampler(spec, t_sim, dt, horizon, *, model=None, y=None, x0=None):
     return sampling
 
 
-def _event_schedule(spec, K, dt, model, y, x0):
-    if model is None or y is None or x0 is None:
-        raise ConfigurationError(
-            "event-triggered sampling needs the data context: model, measured y and x0")
-    if not spec.threshold >= 0.0:
-        raise ConfigurationError(
-            f"event threshold = {spec.threshold} must be >= 0 (Infinity for spacing delta_max)")
-    k_min = as_grid_index(spec.delta_min, dt, "delta_min")
-    k_max = as_grid_index(spec.delta_max, dt, "delta_max")
-    if not 1 <= k_min <= k_max:
-        raise ConfigurationError("need dt <= delta_min <= delta_max")
-    nom = integrate(model, np.asarray(x0, dtype=float), None, K * dt, dt)
-    y_nom = output_along(model, nom, None)
-    innov = y.values[:K] - y_nom.values[:K]
-    piece_energy = np.einsum("ki,ki->k", innov, innov) * dt
-    ks, prev = [], 0
-    while prev + k_min <= K:
-        # energy since the previous sample, summed in order as a running sum would
-        energy = np.cumsum(piece_energy[prev:min(prev + k_max, K)])
-        hit = np.flatnonzero(energy[k_min - 1:] > spec.threshold)
-        if hit.size:
-            prev += k_min + int(hit[0])
-        elif prev + k_max <= K:
-            prev += k_max
-        else:
-            break
-        ks.append(prev)
-    if not ks:
-        raise ConfigurationError("event rule produced no sampling times before t_sim")
-    return np.array(ks)
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
 @dataclass(frozen=True)
 class MheConfig:
     """Estimator configuration: certificate, horizon T, grid step dt and the
-    sampler spec (Equidistant, Explicit or EventTriggered), which run_mhe
-    realizes on its run with make_sampler.  equidistant_mode (the tightened
-    bound bookkeeping) needs an Equidistant spec whose period divides T."""
+    sampler spec (Equidistant or Explicit), which run_mhe realizes on its
+    run with make_sampler.  equidistant_mode (the tightened bound
+    bookkeeping) needs an Equidistant spec whose period divides T."""
 
     cert: DetectabilityCertificate
     T: float
@@ -757,7 +700,7 @@ def run_mhe(model, cfg, *, chi_hat, t_sim, chi=None, w=None, y=None):
     elif y.n_pieces < K:
         raise ConfigurationError("recorded y must cover [0, t_sim)")
 
-    sampling = make_sampler(cfg.sampling, t_sim, dt, cfg.T, model=model, y=y, x0=chi_hat)
+    sampling = make_sampler(cfg.sampling, t_sim, dt, cfg.T)
 
     ks = sampling.k_indices
     k_last = int(ks[-1])

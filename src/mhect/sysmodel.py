@@ -7,6 +7,7 @@ box sets for states (X) and disturbances (W).
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,13 @@ def write_csv(path, header, rows):
             fh.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\n")
 
 
+def write_series_csv(path, dt, values, prefix):
+    """A t column on the grid k*dt and one column per coordinate of the
+    (K, d) values, named prefix1 .. prefixd."""
+    header = ["t"] + [f"{prefix}{i + 1}" for i in range(values.shape[1])]
+    write_csv(path, header, np.column_stack([dt * np.arange(values.shape[0]), values]))
+
+
 # ---------------------------------------------------------------------------
 # bundled benchmark model: isothermal gas-phase batch reactor, 2A <-> B
 
@@ -187,13 +195,36 @@ def _section(value, where):
     return value
 
 
+def _read_json(path, what):
+    """The JSON value in the file at path, or a ConfigurationError naming
+    what was read and its path when the file cannot be read or parsed."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigurationError(f"{what} path {path!r} is not a file name")
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ConfigurationError(f"cannot read {what} {path}: {e.strerror}") from None
+    except ValueError as e:   # JSONDecodeError, or bytes that are not text
+        raise ConfigurationError(f"{what} is not valid JSON: {path}: {e}") from None
+
+
+def _holds_boolean(value):
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(map(_holds_boolean, value)))
+
+
 def _numeric(section, key, where, convert=float):
     """section[key] passed through convert, or a ConfigurationError naming
     the field: "missing field" for an absent key, "not numeric" for a value
-    convert rejects or a section that is not a JSON object.  Callers need
-    no KeyError handling of their own."""
+    convert rejects, for a JSON boolean anywhere in it (unless convert is
+    _boolean) or for a section that is not a JSON object.  Callers need no
+    KeyError handling of their own."""
     try:
-        return convert(section[key])
+        value = section[key]
+        if convert is not _boolean and _holds_boolean(value):
+            raise ValueError("it holds a JSON boolean")
+        return convert(value)
     except KeyError:
         raise ConfigurationError(f"{where} missing field {key!r}") from None
     except ConfigurationError:
@@ -332,9 +363,7 @@ def load_model(path):
     f, h and the four Jacobians are each compiled once into a straight-line
     callback over leading batch axes; the bundled reactor is one such spec.
     """
-    with open(path) as fh:
-        spec = json.load(fh)
-    return model_from_dict(spec)
+    return model_from_dict(_read_json(path, "model"))
 
 
 MODEL_REGISTRY = {"batch_reactor": batch_reactor}

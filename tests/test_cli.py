@@ -288,18 +288,6 @@ def test_audit_reads_the_certificate_from_a_file(tmp_path, capsys, source):
             assert (out / name).read_bytes() == (inline / name).read_bytes()
 
 
-def test_audit_event_sampler(tmp_path, capsys):
-    cfg = scenario(tmp_path, sampler={"type": "event", "threshold": 1e-3,
-                                      "delta_min": 0.05, "delta_max": 0.25})
-    out = tmp_path / "ev"
-    rc = main(["audit", "--config", cfg, "--out", str(out)])
-    assert rc == 0
-    capsys.readouterr()
-    data = np.loadtxt(out / "bounds.csv", delimiter=",", skiprows=1, ndmin=2)
-    gaps = np.diff(np.concatenate(([0.0], data[:, 0])))
-    assert gaps.min() >= 0.05 - 1e-12 and gaps.max() <= 0.25 + 1e-12
-
-
 def test_audit_of_a_truth_that_leaves_x_exits_3(tmp_path, capsys):
     # a disturbance that drains both species pushes x1 below X's 0.1 at
     # t = 0.21; the bounds still compute, but the certificate holds only on
@@ -360,9 +348,6 @@ def without(d, key):
 @pytest.mark.parametrize("overrides", [
     {"sampler": {"type": "equidistant"}},
     {"sampler": {"type": "explicit"}},
-    {"sampler": {"type": "event", "delta_min": 0.01, "delta_max": 0.2}},
-    {"sampler": {"type": "event", "threshold": 0.1, "delta_max": 0.2}},
-    {"sampler": {"type": "event", "threshold": 0.1, "delta_min": 0.01}},
     {"certificate": without(SCALAR_CERT, "Q")},
     {"certificate": without(SCALAR_CERT, "R")},
     {"certificate": without(SCALAR_CERT, "lambda")},
@@ -395,15 +380,12 @@ def test_non_object_scenario_section_exit_code(tmp_path, capsys, section):
     assert f"{section} must be a JSON object" in capsys.readouterr().err
 
 
-EVENT = {"type": "event", "threshold": 0.1, "delta_min": 0.01, "delta_max": 0.2}
 EXPLICIT = {"type": "explicit", "times": [0.1, 0.2]}
 BOX = {"box": [[-0.05, 0.05]] * 3}
 
 
 @pytest.mark.parametrize("key, base, field", [
-    ("sampler", None, "delta"),
-    ("sampler", EVENT, "threshold"), ("sampler", EVENT, "delta_min"),
-    ("sampler", EVENT, "delta_max"), ("sampler", EXPLICIT, "times"),
+    ("sampler", None, "delta"), ("sampler", EXPLICIT, "times"),
     ("certificate", None, "P"), ("certificate", None, "Q"), ("certificate", None, "R"),
     ("certificate", None, "lambda"),
     ("disturbance", None, "bound"), ("disturbance", None, "dt"),
@@ -655,6 +637,8 @@ TWICE_P = (2.0 * cli.BENCH_P).tolist()
                  id="model-number"),
     pytest.param(_scenario_argv("estimate", model={"path": "m.json"}), 2,
                  "model must be a registry name", id="model-without-file"),
+    pytest.param(_scenario_argv("estimate", model={"file": 0}), 2,
+                 "model path 0 is not a file name", id="model-file-number"),
     pytest.param(_scenario_argv("estimate", certificate=DROP), 2,
                  "config needs a certificate", id="no-certificate"),
     pytest.param(_scenario_argv("estimate", certificate={"weights": 1}), 2,
@@ -677,12 +661,9 @@ TWICE_P = (2.0 * cli.BENCH_P).tolist()
                  "sampling period must be at least dt", id="zero-period"),
     pytest.param(_scenario_argv("estimate", sampler={"type": "equidistant", "delta": 2.0}), 2,
                  "no sampling times before t_sim", id="period-past-t_sim"),
-    pytest.param(_scenario_argv("estimate", sampler=dict(EVENT, delta_min=2.0, delta_max=2.0)),
-                 2, "event rule produced no sampling times", id="delta_min-past-t_sim"),
-    pytest.param(_scenario_argv("estimate", sampler=dict(EVENT, threshold=math.nan)), 2,
-                 "event threshold = nan must be >= 0", id="nan-threshold"),
-    pytest.param(_scenario_argv("estimate", sampler=dict(EVENT, threshold=-1.0)), 2,
-                 "event threshold = -1.0 must be >= 0", id="negative-threshold"),
+    pytest.param(_scenario_argv("estimate", sampler={"type": "event", "threshold": 0.1,
+                                                     "delta_min": 0.01, "delta_max": 0.2}),
+                 2, "unknown sampler type 'event'", id="event-sampler"),
     pytest.param(_scenario_argv("estimate", sampler=EXPLICIT, equidistant_mode=True), 2,
                  "equidistant_mode requires an equidistant sampler", id="equidistant-mode-explicit"),
     pytest.param(_scenario_argv("estimate", dt=1e-300), 2,
@@ -743,6 +724,56 @@ def test_refusal_exit_codes(tmp_path, capsys, argv, code, message):
     assert main(argv(tmp_path)) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(_scenario_argv("estimate", t_sim=True), "t_sim", id="t_sim"),
+    pytest.param(_scenario_argv("estimate", disturbance={"bound": 0.05, "seed": True}), "seed",
+                 id="seed"),
+    pytest.param(_scenario_argv("estimate", disturbance={"bound": False}), "bound", id="bound"),
+    pytest.param(_scenario_argv("estimate", chi=[True, 1.0]), "chi", id="chi-element"),
+    pytest.param(_model_file_argv(state_dim=True), "state_dim", id="state_dim"),
+    pytest.param(_model_file_argv(f=[[{"coeff": True, "x_exp": [2], "w_exp": [0]}]]), "coeff",
+                 id="coeff"),
+    pytest.param(_inline_certificate_argv(**{"lambda": True}), "lambda", id="inline-lambda"),
+    pytest.param(_certificate_check_argv(**{"lambda": True}), "lambda", id="file-lambda"),
+])
+def test_json_boolean_field_exit_code(tmp_path, capsys, argv, field):
+    # true and false are not read as 1 and 0 where a number belongs
+    assert main(argv(tmp_path)) == 2
+    assert f"field {field!r} is not numeric: it holds a JSON boolean" in capsys.readouterr().err
+
+
+UNREADABLE_FILE_ARGV = {
+    "config": lambda tmp_path, path: ["estimate", "--config", path],
+    "model-file": lambda tmp_path, path: ["certify", "--model-file", path, "--lambda", "0.5"],
+    "scenario-model": lambda tmp_path, path: _scenario_argv(
+        "estimate", model={"file": path})(tmp_path),
+    "scenario-certificate": lambda tmp_path, path: _scenario_argv(
+        "estimate", certificate=path)(tmp_path),
+    "check": lambda tmp_path, path: ["certify", "--check", path, "--vertices"],
+}
+
+
+@pytest.mark.parametrize("entry", UNREADABLE_FILE_ARGV)
+@pytest.mark.parametrize("text, message", [(None, "cannot read"),
+                                           ("{not json", "is not valid JSON")],
+                         ids=["missing", "malformed"])
+def test_unreadable_json_file_is_named(tmp_path, capsys, entry, text, message):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(UNREADABLE_FILE_ARGV[entry](tmp_path, str(path))) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
+
+
+def test_unwritable_output_directory_is_named(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "o"
+    assert main(["estimate", "--config", scenario(tmp_path), "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["estimate", "audit"])

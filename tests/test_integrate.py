@@ -8,6 +8,7 @@ from mhect import (PiecewiseSignal, SystemModel, Trajectory, batch_reactor, inte
                    output_along, rk4_step, rk4_step_with_jacobians)
 from mhect.errors import ConfigurationError, DivergenceError
 from mhect.rng import SplitMix64
+from mhect.sysmodel import write_series_csv
 from tests.conftest import const_jac
 
 
@@ -128,12 +129,14 @@ def test_output_along_left_nodes():
 def test_trajectory_queries_and_csv(tmp_path):
     m = batch_reactor()
     traj = integrate(m, np.array([3.0, 1.0]), None, 0.5, 0.01)
-    assert np.allclose(traj.times, np.arange(51) * 0.01)
+    assert traj.n_steps == 50
 
     path = tmp_path / "traj.csv"
-    traj.to_csv(str(path))
+    write_series_csv(str(path), traj.dt, traj.states, "x")
+    assert path.read_text().partition("\n")[0] == "t,x1,x2"
     data = np.loadtxt(str(path), delimiter=",", skiprows=1)
     assert data.shape == (51, 3)
+    assert np.array_equal(data[:, 0], np.arange(51) * 0.01)
     # 17 significant digits round-trip doubles exactly
     assert np.array_equal(data[:, 1:], traj.states)
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mhect.mhe
-from mhect import (DetectabilityCertificate, Equidistant, EventTriggered, Explicit,
-                   MheConfig, PiecewiseSignal, SystemModel, Trajectory, batch_reactor,
-                   discount_weights, audit_run, integrate, make_sampler, model_from_dict,
-                   output_along, run_mhe, solve_mhe, truth_candidate_cost)
+from mhect import (DetectabilityCertificate, Equidistant, Explicit, MheConfig, PiecewiseSignal,
+                   SystemModel, Trajectory, batch_reactor, discount_weights, audit_run, integrate,
+                   make_sampler, model_from_dict, output_along, run_mhe, solve_mhe,
+                   truth_candidate_cost)
 from mhect.cli import bench_run
 from mhect.errors import ConfigurationError, DivergenceError, HorizonError
 from mhect.integrate import rk4_step_with_jacobians
@@ -162,76 +162,6 @@ def test_realized_schedules(dt, K, equidistant, dust, jitter, data):
     assert refused == (delta_bar >= horizon - 1e-12)
 
 
-def test_make_sampler_event_rules():
-    model = batch_reactor()
-    w = PiecewiseSignal(0.01, np.zeros((300, 3)))
-    truth = integrate(model, np.array([3.0, 1.0]), w, 3.0, 0.01)
-    from mhect import output_along
-    y = output_along(model, truth, w)
-
-    # infinite threshold: never triggers early, every gap is delta_max
-    data = dict(model=model, y=y, x0=np.array([0.1, 4.5]))
-    s = make_sampler(EventTriggered(math.inf, 0.05, 0.25), 3.0, 0.01, 2.0, **data)
-    assert np.all(np.diff(np.concatenate(([0], s.k_indices))) == 25)
-
-    # zero threshold with a wrong nominal state: fires at delta_min every time
-    s2 = make_sampler(EventTriggered(0.0, 0.05, 0.25), 3.0, 0.01, 2.0, **data)
-    assert np.all(np.diff(np.concatenate(([0], s2.k_indices))) == 5)
-
-    # missing context is an error when realized directly
-    with pytest.raises(ConfigurationError):
-        make_sampler(EventTriggered(1.0, 0.05, 0.25), 3.0, 0.01, 2.0)
-
-    # the shortest gap may not exceed the longest
-    with pytest.raises(ConfigurationError, match="need dt <= delta_min <= delta_max"):
-        make_sampler(EventTriggered(1e-4, 0.25, 0.05), 3.0, 0.01, 2.0, **data)
-
-    # a NaN threshold would never fire, a negative one always
-    for threshold in (math.nan, -1e-3):
-        with pytest.raises(ConfigurationError, match="threshold"):
-            make_sampler(EventTriggered(threshold, 0.05, 0.25), 3.0, 0.01, 2.0, **data)
-
-    # gaps always within [delta_min, delta_max] for intermediate thresholds
-    s3 = make_sampler(EventTriggered(1e-4, 0.05, 0.25), 3.0, 0.01, 2.0, **data)
-    g = np.diff(np.concatenate(([0], s3.k_indices)))
-    assert np.all(g >= 5) and np.all(g <= 25)
-
-
-def _running_sum_schedule(piece_energy, threshold, k_min, k_max, K):
-    """The event rule as a scalar running sum over each stretch (the oracle)."""
-    ks, prev = [], 0
-    while prev + k_min <= K:
-        energy, emitted = 0.0, None
-        for k in range(prev + 1, min(prev + k_max, K) + 1):
-            energy += piece_energy[k - 1]
-            if (k - prev >= k_min and energy > threshold) or k - prev == k_max:
-                emitted = k
-                break
-        if emitted is None:
-            break
-        ks.append(emitted)
-        prev = emitted
-    return ks
-
-
-@pytest.mark.parametrize("threshold, delta_min, delta_max, t_sim", [
-    (1e-4, 0.05, 0.25, 3.0), (1e-3, 0.05, 0.19, 2.97), (3e-3, 0.01, 0.4, 3.0),
-    (0.0, 0.03, 0.03, 1.0), (math.inf, 0.02, 0.4, 2.95)])
-def test_event_schedule_matches_the_running_sum(threshold, delta_min, delta_max, t_sim):
-    model = batch_reactor()
-    K = round(t_sim / 0.01)
-    y = PiecewiseSignal(0.01, 4.0 + 0.3 * SplitMix64(K).uniforms((K, 1)))
-    x0 = np.array([0.1, 4.5])
-    s = make_sampler(EventTriggered(threshold, delta_min, delta_max), t_sim, 0.01, 2.0,
-                     model=model, y=y, x0=x0)
-    nom = integrate(model, x0, None, t_sim, 0.01)
-    innov = y.values - model.h(nom.states[:-1], np.zeros((K, 3)))
-    piece_energy = np.einsum("ki,ki->k", innov, innov) * 0.01
-    expect = _running_sum_schedule(piece_energy, threshold, round(delta_min / 0.01),
-                                   round(delta_max / 0.01), K)
-    assert s.k_indices.tolist() == expect
-
-
 def test_config_validation(ref_cert):
     with pytest.raises(ConfigurationError):
         MheConfig(ref_cert, 2.005, 0.01, Equidistant(0.1))
@@ -252,7 +182,7 @@ def test_config_validation(ref_cert):
     eq = MheConfig(ref_cert, 2.0, 0.01, Equidistant(0.1), equidistant_mode=True)
     assert make_sampler(eq.sampling, 4.0, eq.dt, eq.T).k_indices.size == 40
     for spec in (Explicit((0.1, 0.3)), Explicit((0.1, 0.2)), Equidistant(0.3),
-                 Equidistant(0.0), EventTriggered(math.inf, 0.1, 0.1)):
+                 Equidistant(0.0)):
         with pytest.raises(ConfigurationError, match="equidistant_mode"):
             MheConfig(ref_cert, 2.0, 0.01, spec, equidistant_mode=True)
 
@@ -1280,8 +1210,7 @@ def test_run_from_recorded_measurements(ref_cert):
                 y=PiecewiseSignal(0.01, run.y.values[:50]))
 
 
-@pytest.mark.parametrize("sampling", [Equidistant(0.1), EventTriggered(1e-3, 0.05, 0.19)],
-                         ids=["equidistant", "event"])
+@pytest.mark.parametrize("sampling", [Equidistant(0.1)], ids=["equidistant"])
 @pytest.mark.parametrize("y_dt", [0.02, 0.005])
 def test_recorded_measurements_on_another_grid_are_refused(ref_cert, monkeypatch, y_dt,
                                                            sampling):
@@ -1297,11 +1226,10 @@ def test_recorded_measurements_on_another_grid_are_refused(ref_cert, monkeypatch
         run_mhe(batch_reactor(), cfg, chi_hat=np.array([0.1, 4.5]), t_sim=1.0, y=y)
 
 
-@pytest.mark.parametrize("sampling", [Equidistant(0.1), EventTriggered(1e-3, 0.05, 0.19)],
-                         ids=["equidistant", "event"])
+@pytest.mark.parametrize("sampling", [Equidistant(0.1)], ids=["equidistant"])
 def test_recorded_measurements_of_another_width_are_refused(ref_cert, monkeypatch, sampling):
     # the reactor has p = 1: a y of two columns is refused by its width
-    # before the sampler (an event schedule would broadcast it) reads it
+    # before the sampler or any window reads it
     def unreachable(*args, **kwargs):
         raise AssertionError("the sampler read y")
     monkeypatch.setattr(mhect.mhe, "make_sampler", unreachable)
